@@ -13,6 +13,13 @@
 Pinned gates (``run_all.py --check-targets``): (a) >= 20x on 100k
 docs, (b) >= 90% of verify calls dropped, (c) <= 5% overhead vs
 ``optimize="off"``.
+
+Reported, not gated -- the ``fresh-constants`` rows: what the prover
+costs in absolute microseconds for a filter it has never seen (no
+verdict-cache hit possible), under a schema premise and under a summary
+premise, on the first obligation of a cold prover session (which
+compiles and solves the premise) and in steady state against the warm
+one.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import pytest
 
 from repro import api
 from repro.bench.harness import format_table, measure, smoke_mode
+from repro.cache import LRUCache
 from repro.query import compile_mongo_find, optimizer
 
 DOCS = 2_000 if smoke_mode() else 100_000
@@ -131,6 +139,43 @@ def _measure_all() -> dict:
     }
 
 
+def fresh_constant_costs() -> dict[str, tuple[float, float]]:
+    """``premise -> (cold, steady)`` proof microseconds per fresh filter.
+
+    Every filter names a constant no earlier filter did, so each call
+    runs the whole obligation ladder.  *cold* is the first such call on
+    an empty cache, session construction included (median of five
+    caches); *steady* is the mean over the calls that follow on the
+    last of them.
+    """
+    documents = _documents(2_000)
+    premises = {
+        "schema": api.collection(documents, schema=SCHEMA),
+        "summary": api.collection(documents),
+    }
+    steady_calls = 20 if smoke_mode() else 400
+    fresh = iter(range(10**9))
+
+    def prove(collection, cache) -> float:
+        query = compile_mongo_find({"name": f"fresh-{next(fresh)}"})
+        started = perf_counter()
+        decision = optimizer.semantic_plan(collection, query, cache=cache)
+        elapsed = perf_counter() - started
+        assert decision is not None and not decision.cached
+        return elapsed * 1e6
+
+    costs = {}
+    for source, collection in premises.items():
+        assert collection.semantic_context.source == source
+        colds = []
+        for _ in range(5):
+            cache = LRUCache(steady_calls + 8)
+            colds.append(prove(collection, cache))
+        steady = sum(prove(collection, cache) for _ in range(steady_calls))
+        costs[source] = (sorted(colds)[2], steady / steady_calls)
+    return costs
+
+
 #: Measured ratios of the last speedups call (recorded by
 #: ``run_all.py --check-targets --json`` for the CI delta table).
 LAST_SPEEDUPS: dict[str, float] = {}
@@ -211,7 +256,7 @@ def test_targets():
 def main() -> str:
     measured = speedups()
     rows = [[label, f"{value:.2f}x"] for label, value in measured.items()]
-    return format_table(
+    gated = format_table(
         "Semantic optimizer: unsat short-circuit, verify-free implied "
         f"filters, starved-prover fall-through ({DOCS} docs; targets: "
         f">= {FLOOR_UNSAT_SPEEDUP:.0f}x, >= {FLOOR_VERIFY_DROP:.0%}, "
@@ -219,6 +264,15 @@ def main() -> str:
         ["measurement", "ratio"],
         rows,
     )
+    fresh = format_table(
+        "fresh-constants: proof cost of a never-seen filter (not gated)",
+        ["premise", "cold session, first obligation (us)", "steady state (us)"],
+        [
+            [source, f"{cold:.0f}", f"{steady:.0f}"]
+            for source, (cold, steady) in fresh_constant_costs().items()
+        ],
+    )
+    return gated + "\n\n" + fresh
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
-"""Regenerate the measurement block of EXPERIMENTS.md.
+"""Print every experiment's table: the paper-shape scaling series and
+the pinned ratio gates.  (Absolute end-to-end and per-layer numbers are
+the job of ``BENCHMARK.json`` / ``benchmarks/e2e/README.md``.)
 
 Usage::
 

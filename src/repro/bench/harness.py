@@ -4,7 +4,8 @@ Every experiment in ``benchmarks/`` reports a *series* -- runtime
 against a size parameter -- and, where the paper states an asymptotic,
 the fitted log-log slope (1.0 = linear, 2.0 = quadratic, ...).  The
 absolute numbers are machine-dependent; the *shape* is the
-reproduction target (see EXPERIMENTS.md).
+reproduction target.  (Absolute end-to-end numbers belong to the
+benchmark ``BENCHMARK.json`` declares; see ``benchmarks/e2e/README.md``.)
 """
 
 from __future__ import annotations

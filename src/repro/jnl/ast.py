@@ -27,35 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TypeVar
 
 from repro.automata.keylang import KeyLang
+from repro.logic.hashing import cached_hash as _cached_hash
 from repro.logic.nodetests import NodeTest
 from repro.model.tree import JSONTree
-
-_T = TypeVar("_T", bound=type)
-
-
-def _cached_hash(cls: _T) -> _T:
-    """Memoise the dataclass-generated ``__hash__`` on the instance.
-
-    The evaluators key their memo tables on formula objects, so every
-    cache lookup re-hashes the whole subtree of the formula -- including
-    any :class:`~repro.model.tree.JSONTree` inside an :class:`EqDoc` --
-    which turns O(1) dictionary hits into O(|phi|) work.  Formulas are
-    frozen, so the hash is computed once and stored on the instance.
-    """
-    generated = cls.__hash__
-
-    def __hash__(self) -> int:
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = generated(self)
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    cls.__hash__ = __hash__
-    return cls
 
 __all__ = [
     "Unary",

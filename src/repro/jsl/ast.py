@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.automata.keylang import KeyLang
+from repro.logic.hashing import cached_hash
 from repro.logic.nodetests import NodeTest
 
 __all__ = [
@@ -70,28 +71,33 @@ class Formula:
         return Not(self)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Top(Formula):
     """``T``: true everywhere."""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Not(Formula):
     operand: Formula
 
 
+@cached_hash
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
+@cached_hash
 @dataclass(frozen=True)
 class TestAtom(Formula):
     """An atomic predicate from NodeTests."""
@@ -99,6 +105,7 @@ class TestAtom(Formula):
     test: NodeTest
 
 
+@cached_hash
 @dataclass(frozen=True)
 class DiaKey(Formula):
     """``DIA_e phi``: some key in ``e`` leads to a child satisfying phi."""
@@ -107,6 +114,7 @@ class DiaKey(Formula):
     body: Formula
 
 
+@cached_hash
 @dataclass(frozen=True)
 class BoxKey(Formula):
     """``BOX_e phi``: every key in ``e`` leads to a child satisfying phi."""
@@ -115,6 +123,7 @@ class BoxKey(Formula):
     body: Formula
 
 
+@cached_hash
 @dataclass(frozen=True)
 class DiaIdx(Formula):
     """``DIA_{i:j} phi``: some position in ``[i, j]`` satisfies phi."""
@@ -124,6 +133,7 @@ class DiaIdx(Formula):
     body: Formula
 
 
+@cached_hash
 @dataclass(frozen=True)
 class BoxIdx(Formula):
     """``BOX_{i:j} phi``: every position in ``[i, j]`` satisfies phi."""
@@ -133,6 +143,7 @@ class BoxIdx(Formula):
     body: Formula
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Ref(Formula):
     """A reference ``gamma`` to a recursive definition."""

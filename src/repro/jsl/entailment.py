@@ -17,6 +17,13 @@ negation must merge two definition lists without capturing each
 other's reference names: :func:`conjoin` renames every definition (and
 every :class:`~repro.jsl.ast.Ref` into it) apart before combining.
 
+A premise asked about repeatedly is better compiled once: pass a
+:class:`~repro.jsl.satisfiability.ProverSession` built by
+:func:`premise_session` as the left operand of :func:`conjoin` and the
+result is an :class:`Obligation` -- the same conjunction, posed to the
+warm session -- which :func:`unsat` decides without re-solving the
+premise.
+
 The solver is sound but bounded: :func:`unsat` trusts an UNSAT answer
 only when the solver reports ``complete=True``; an incomplete run (or
 a SAT answer) is "not proven", never a verdict.  Callers therefore get
@@ -27,10 +34,24 @@ performance question, never a correctness one.
 
 from __future__ import annotations
 
-from repro.jsl import ast
-from repro.jsl.satisfiability import SatResult, SolverConfig, jsl_satisfiable
+from dataclasses import dataclass
 
-__all__ = ["conjoin", "negate", "unsat", "entails"]
+from repro.jsl import ast
+from repro.jsl.satisfiability import (
+    ProverSession,
+    SatResult,
+    SolverConfig,
+    jsl_satisfiable,
+)
+
+__all__ = [
+    "Obligation",
+    "premise_session",
+    "conjoin",
+    "negate",
+    "unsat",
+    "entails",
+]
 
 JSL = "ast.Formula | ast.RecursiveJSL"
 
@@ -77,37 +98,59 @@ def _split(
 
 
 def _apart(
-    operands: "list[ast.Formula | ast.RecursiveJSL]",
-) -> tuple[list[tuple[str, ast.Formula]], list[ast.Formula]]:
-    """Each operand with its definitions renamed apart from the others.
+    operand: "ast.Formula | ast.RecursiveJSL", position: int
+) -> tuple[list[tuple[str, ast.Formula]], ast.Formula]:
+    """The operand's definitions and base, renamed apart from others'.
 
-    Definition names are rewritten to ``_e{i}_{name}`` per operand, so
-    two schemas both defining ``node`` (or a schema and a Theorem-2
-    star translation both using generated names) never capture each
-    other's references when their definition lists concatenate.
+    Definition names are rewritten to ``_e{position}_{name}``, so two
+    schemas both defining ``node`` (or a schema and a Theorem-2 star
+    translation both using generated names) never capture each other's
+    references when their definition lists concatenate.
     """
-    definitions: list[tuple[str, ast.Formula]] = []
-    bases: list[ast.Formula] = []
-    for position, operand in enumerate(operands):
-        defs, base = _split(operand)
-        mapping = {name: f"_e{position}_{name}" for name, _body in defs}
-        definitions.extend(
-            (mapping[name], _rename_refs(body, mapping)) for name, body in defs
-        )
-        bases.append(_rename_refs(base, mapping))
-    return definitions, bases
+    defs, base = _split(operand)
+    mapping = {name: f"_e{position}_{name}" for name, _body in defs}
+    definitions = [
+        (mapping[name], _rename_refs(body, mapping)) for name, body in defs
+    ]
+    return definitions, _rename_refs(base, mapping)
+
+
+def _join(
+    definitions: list[tuple[str, ast.Formula]], base: ast.Formula
+) -> "ast.Formula | ast.RecursiveJSL":
+    return ast.RecursiveJSL(tuple(definitions), base) if definitions else base
+
+
+@dataclass(frozen=True)
+class Obligation:
+    """``premise ^ payload``, posed to a session that holds the premise."""
+
+    session: ProverSession
+    payload: "ast.Formula | ast.RecursiveJSL"
+
+
+def premise_session(
+    premise: "ast.Formula | ast.RecursiveJSL",
+    config: SolverConfig | None = None,
+) -> ProverSession:
+    """A session for ``premise`` as the left operand of :func:`conjoin`."""
+    return ProverSession(_join(*_apart(premise, 0)), config)
 
 
 def conjoin(
-    left: "ast.Formula | ast.RecursiveJSL",
+    left: "ast.Formula | ast.RecursiveJSL | ProverSession",
     right: "ast.Formula | ast.RecursiveJSL",
-) -> "ast.Formula | ast.RecursiveJSL":
-    """``left ^ right`` with hygienically merged definition lists."""
-    definitions, (left_base, right_base) = _apart([left, right])
-    base = ast.And(left_base, right_base)
-    if not definitions:
-        return base
-    return ast.RecursiveJSL(tuple(definitions), base)
+) -> "ast.Formula | ast.RecursiveJSL | Obligation":
+    """``left ^ right`` with hygienically merged definition lists.
+
+    With a :func:`premise_session` on the left, the conjunction stays
+    unmerged: an :class:`Obligation` for the session to decide.
+    """
+    right_definitions, right_base = _apart(right, 1)
+    if isinstance(left, ProverSession):
+        return Obligation(left, _join(right_definitions, right_base))
+    definitions, left_base = _apart(left, 0)
+    return _join(definitions + right_definitions, ast.And(left_base, right_base))
 
 
 def negate(
@@ -125,7 +168,7 @@ def negate(
 
 
 def unsat(
-    formula: "ast.Formula | ast.RecursiveJSL",
+    formula: "ast.Formula | ast.RecursiveJSL | Obligation",
     config: SolverConfig | None = None,
 ) -> tuple[bool, bool]:
     """``(proved_unsat, complete)`` for a formula, trusting the solver
@@ -133,9 +176,15 @@ def unsat(
 
     ``(True, True)``: genuinely unsatisfiable.  ``(False, True)``: a
     witness exists.  ``(False, False)``: the solver gave up -- the
-    caller must fall through, and may record the timeout.
+    caller must fall through, and may record the timeout.  An
+    :class:`Obligation` is decided under its session's bounds;
+    ``config`` applies to bare formulas.
     """
-    result: SatResult = jsl_satisfiable(formula, config)
+    result: SatResult
+    if isinstance(formula, Obligation):
+        result = formula.session.satisfiable(formula.payload)
+    else:
+        result = jsl_satisfiable(formula, config)
     if result.satisfiable:
         return False, True
     return result.complete, result.complete

@@ -33,6 +33,16 @@ Operation:
 ``EQ(alpha, beta)`` never reaches this engine: JSL cannot express it,
 and JNL satisfiability routes here only for the EQ(alpha,beta)-free
 fragment (with recursion, anything more is undecidable -- Prop. 4).
+
+The engine is a :class:`ProverSession`: a *premise* solved once, whose
+realized goals and decompositions stay resident, against which any
+number of *payloads* are then decided as ``premise ^ payload``.  A
+payload's run looks goals up in the resident tables first and keeps
+whatever it has to add -- the goals that mix payload and premise
+literals -- in an overlay that is dropped when the call returns, so a
+session never grows with the queries it has seen.
+:func:`jsl_satisfiable` is the one-shot use: the whole formula is the
+premise and there is no payload.
 """
 
 from __future__ import annotations
@@ -40,7 +50,8 @@ from __future__ import annotations
 import json as _json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from threading import Lock
+from typing import Any, Iterable, Iterator
 
 from repro.automata.keylang import KeyLang
 from repro.errors import SolverLimitError
@@ -51,7 +62,13 @@ from repro.logic import nodetests as nt
 from repro.logic.nodetests import node_test_holds
 from repro.model.tree import JSONTree
 
-__all__ = ["SolverConfig", "SatResult", "jsl_satisfiable", "value_satisfies"]
+__all__ = [
+    "SolverConfig",
+    "SatResult",
+    "ProverSession",
+    "jsl_satisfiable",
+    "value_satisfies",
+]
 
 
 @dataclass
@@ -86,13 +103,60 @@ _BOX_KEY = "box_key"
 _DIA_IDX = "dia_idx"
 _BOX_IDX = "box_idx"
 
-Goal = frozenset
+
+class Goal:
+    """A set of literals that must hold together at one node.
+
+    Identity is the literal *set*; iteration is the order the literals
+    were introduced in.  Everything the engine derives from a goal --
+    which key a diamond claims, the order children are assembled in,
+    hence the witness it finds -- follows that order, so a run never
+    depends on how strings happen to hash in this process.
+    """
+
+    __slots__ = ("literals", "_set", "_hash", "_split")
+
+    def __init__(self, literals: tuple = ()) -> None:
+        self.literals = literals
+        self._set = frozenset(literals)
+        self._hash = hash(self._set)
+        self._split: dict[str, list] | None = None
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.literals)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Goal) and self._set == other._set
+
+    def merge(self, other: "Goal") -> "Goal":
+        """``self ^ other``, keeping first-introduced order."""
+        mine = self._set
+        extra = tuple(lit for lit in other.literals if lit not in mine)
+        return Goal(self.literals + extra) if extra else self
+
+    def split(self) -> dict[str, list]:
+        """The literals grouped by kind (computed once per goal)."""
+        split = self._split
+        if split is None:
+            split = self._split = {
+                _TEST: [],
+                _DIA_KEY: [],
+                _BOX_KEY: [],
+                _DIA_IDX: [],
+                _BOX_IDX: [],
+            }
+            for lit in self.literals:
+                split[lit[0]].append(lit)
+        return split
 
 
-@dataclass
+@dataclass(eq=False)
 class _GoalState:
-    witnesses: list[Any] = field(default_factory=list)
-    seen: set[str] = field(default_factory=set)
+    # Distinct verified witnesses in the order found, keyed by their dump.
+    witnesses: dict[str, Any] = field(default_factory=dict)
     demand: int = 1
     no_more: bool = False  # definitively no further distinct witnesses
 
@@ -112,22 +176,148 @@ def value_satisfies(
     return RecursiveJSLEvaluator(tree, expression).satisfies()
 
 
-class _Solver:
+class ProverSession:
+    """``premise`` compiled once; ``premise ^ payload`` decided per call.
+
+    Construction checks the premise's well-formedness, decomposes its
+    base and runs the fixpoint for the premise alone; the goals that run
+    registers, their witnesses and the decompositions of their child
+    conjunctions are the session's **resident** state.
+    :meth:`satisfiable` with a payload decomposes only the payload,
+    conjoins it with the premise's top goals, and solves with resident
+    goals looked up (and, when a payload demands more witnesses of one,
+    extended) in place; every goal the payload adds lives in a per-call
+    overlay.  The resident goal *set* is therefore fixed at construction
+    -- a session's size is a function of its premise, not of its
+    history.  Verification is not amortised: every new witness is
+    checked against its goal, and a SAT answer's witness against the
+    whole ``premise ^ payload``, with evaluators built for the occasion.
+
+    A payload's recursive definitions share one namespace with the
+    premise's: callers rename them apart first
+    (:func:`repro.jsl.entailment.conjoin` does).  Calls are serialised
+    by a lock, so a session may be shared through a process-wide cache.
+    """
+
     def __init__(
         self,
-        definitions: dict[str, ast.Formula],
-        def_tuple: tuple[tuple[str, ast.Formula], ...],
-        config: SolverConfig,
+        premise: ast.Formula | ast.RecursiveJSL,
+        config: SolverConfig | None = None,
     ) -> None:
+        self.config = config or SolverConfig()
+        if isinstance(premise, ast.RecursiveJSL):
+            check_well_formed(premise)
+            self._premise_definitions = premise.definition_map()
+            self._premise = premise.base
+        else:
+            self._premise_definitions = {}
+            self._premise = premise
+        self._lock = Lock()
+        self._resident: dict[Goal, _GoalState] = {}
+        self._resident_goalsets: dict[
+            tuple[ast.Formula, ...], tuple[list[Goal], bool]
+        ] = {}
+        # The premise's own run writes straight into the resident tables.
+        self._begin(self._premise_definitions, resident=True)
+        self._premise_goals = self._pose(self._premise)
+        self._premise_truncated = self._truncated
+        self._premise_result = self._decide(
+            self._premise_goals, self._premise, first_witness=False
+        )
+        self._begin(self._premise_definitions)
+
+    @property
+    def resident_goals(self) -> int:
+        """How many goals the session keeps between calls."""
+        return len(self._resident)
+
+    def _begin(
+        self, definitions: dict[str, ast.Formula], *, resident: bool = False
+    ) -> None:
+        """Reset the per-call state: fresh overlay tables (which is how
+        the previous call's overlay is dropped), or, for the premise's
+        own run, the resident tables themselves."""
         self.definitions = definitions
-        self.def_tuple = def_tuple
-        self.config = config
-        self.goals: dict[Goal, _GoalState] = {}
+        self._def_tuple = tuple(definitions.items())
+        # Goals this call has touched, resident or not; the agenda lists
+        # them in the order the fixpoint attempts them.
+        self._active: dict[Goal, _GoalState] = self._resident if resident else {}
+        self._agenda: list[tuple[Goal, _GoalState]] = []
+        self._goalsets = self._resident_goalsets if resident else {}
         self.incomplete = False
         self.rounds = 0
-        self._dirty = False  # new goals / raised demands since round start
-        self._goalset_memo: dict[tuple[ast.Formula, ...], list[Goal]] = {}
-        self._pad_lang_memo: dict[frozenset[KeyLang], KeyLang] = {}
+        self._dirty = False  # a demand was raised since the round started
+        self._truncated = False  # a decomposition since the last reset hit dnf_limit
+
+    def satisfiable(
+        self, payload: ast.Formula | ast.RecursiveJSL | None = None
+    ) -> SatResult:
+        """Decide ``premise ^ payload`` (the premise alone without one)."""
+        if payload is None or self._premise_goals is None:
+            # (A premise that cannot be posed answers for every payload.)
+            return self._premise_result
+        if isinstance(payload, ast.RecursiveJSL):
+            check_well_formed(payload)
+            definitions = payload.definition_map()
+            clashes = definitions.keys() & self._premise_definitions.keys()
+            if clashes:
+                raise ValueError(
+                    "payload definitions clash with the premise's: "
+                    f"{sorted(clashes)}"
+                )
+            definitions.update(self._premise_definitions)
+            base = payload.base
+        else:
+            definitions = self._premise_definitions
+            base = payload
+        with self._lock:
+            self._begin(definitions)
+            try:
+                self.incomplete = self._premise_truncated
+                top_goals = self._pose(base)
+                if top_goals is not None:
+                    top_goals = self._product(self._premise_goals, top_goals)
+                return self._decide(
+                    top_goals, ast.And(self._premise, base), first_witness=True
+                )
+            finally:
+                self._begin(self._premise_definitions)
+
+    def _pose(self, formula: ast.Formula) -> list[Goal] | None:
+        """The top goals of ``formula``; ``None`` when it cannot be posed."""
+        try:
+            return self.decompose(formula, True)
+        except SolverLimitError:
+            return None
+
+    def _decide(
+        self,
+        top_goals: list[Goal] | None,
+        formula: ast.Formula,
+        *,
+        first_witness: bool,
+    ) -> SatResult:
+        """Run the fixpoint for ``top_goals`` and read the answer off."""
+        if top_goals is None:
+            return SatResult(False, None, False, 0, 0)
+        try:
+            self.run(top_goals, first_witness)
+        except SolverLimitError:
+            self.incomplete = True
+        explored = len(self._active)
+        for goal in top_goals:
+            state = self._active.get(goal)
+            if state is None or not state.witnesses:
+                continue
+            value = next(iter(state.witnesses.values()))
+            if not value_satisfies(value, formula, self._def_tuple):
+                raise AssertionError(
+                    "internal error: satisfiability witness failed verification"
+                )
+            return SatResult(
+                True, JSONTree.from_value(value), True, self.rounds, explored
+            )
+        return SatResult(False, None, not self.incomplete, self.rounds, explored)
 
     # ==================================================================
     # DNF decomposition.
@@ -135,7 +325,7 @@ class _Solver:
 
     def decompose(self, formula: ast.Formula, positive: bool) -> list[Goal]:
         if isinstance(formula, ast.Top):
-            return [frozenset()] if positive else []
+            return [Goal()] if positive else []
         if isinstance(formula, ast.Not):
             return self.decompose(formula.operand, not positive)
         if isinstance(formula, ast.And):
@@ -159,25 +349,25 @@ class _Solver:
                 self.decompose(formula.right, False),
             )
         if isinstance(formula, ast.TestAtom):
-            return [frozenset({(_TEST, formula.test, positive)})]
+            return [Goal(((_TEST, formula.test, positive),))]
         if isinstance(formula, ast.DiaKey):
             if positive:
-                return [frozenset({(_DIA_KEY, formula.lang, formula.body)})]
-            return [frozenset({(_BOX_KEY, formula.lang, ast.Not(formula.body))})]
+                return [Goal(((_DIA_KEY, formula.lang, formula.body),))]
+            return [Goal(((_BOX_KEY, formula.lang, ast.Not(formula.body)),))]
         if isinstance(formula, ast.BoxKey):
             if positive:
-                return [frozenset({(_BOX_KEY, formula.lang, formula.body)})]
-            return [frozenset({(_DIA_KEY, formula.lang, ast.Not(formula.body))})]
+                return [Goal(((_BOX_KEY, formula.lang, formula.body),))]
+            return [Goal(((_DIA_KEY, formula.lang, ast.Not(formula.body)),))]
         if isinstance(formula, ast.DiaIdx):
             bounds = (formula.low, formula.high)
             if positive:
-                return [frozenset({(_DIA_IDX, bounds, formula.body)})]
-            return [frozenset({(_BOX_IDX, bounds, ast.Not(formula.body))})]
+                return [Goal(((_DIA_IDX, bounds, formula.body),))]
+            return [Goal(((_BOX_IDX, bounds, ast.Not(formula.body)),))]
         if isinstance(formula, ast.BoxIdx):
             bounds = (formula.low, formula.high)
             if positive:
-                return [frozenset({(_BOX_IDX, bounds, formula.body)})]
-            return [frozenset({(_DIA_IDX, bounds, ast.Not(formula.body))})]
+                return [Goal(((_BOX_IDX, bounds, formula.body),))]
+            return [Goal(((_DIA_IDX, bounds, ast.Not(formula.body)),))]
         if isinstance(formula, ast.Ref):
             body = self.definitions.get(formula.name)
             if body is None:
@@ -194,20 +384,20 @@ class _Solver:
         out: list[Goal] = []
         for a in left:
             for b in right:
-                merged = a | b
+                merged = a.merge(b)
                 if merged in seen or self._contradictory(merged):
                     continue
                 seen.add(merged)
                 out.append(merged)
                 if len(out) > self.config.dnf_limit:
-                    self.incomplete = True
+                    self.incomplete = self._truncated = True
                     return out
         return out
 
     def _union(self, left: list[Goal], right: list[Goal]) -> list[Goal]:
         out = _dedup(left + right)
         if len(out) > self.config.dnf_limit:
-            self.incomplete = True
+            self.incomplete = self._truncated = True
             out = out[: self.config.dnf_limit]
         return out
 
@@ -221,63 +411,77 @@ class _Solver:
     # ==================================================================
 
     def require(self, goal: Goal, demand: int = 1) -> _GoalState:
-        state = self.goals.get(goal)
+        state = self._active.get(goal)
         if state is None:
-            if len(self.goals) >= self.config.goal_limit:
-                self.incomplete = True
-                raise SolverLimitError(
-                    f"goal limit {self.config.goal_limit} exceeded"
-                )
-            state = _GoalState()
-            self.goals[goal] = state
-            self._dirty = True
+            state = self._resident.get(goal)
+            if state is None:
+                if len(self._active) >= self.config.goal_limit:
+                    self.incomplete = True
+                    raise SolverLimitError(
+                        f"goal limit {self.config.goal_limit} exceeded"
+                    )
+                state = _GoalState()
+            else:
+                # A resident goal keeps its witnesses between calls but
+                # owes each call only what that call demands.
+                state.demand = 1
+            self._active[goal] = state
+            # The round in progress reaches the end of the agenda, so a
+            # new goal needs no other prompt to be attempted.
+            self._agenda.append((goal, state))
         if demand > state.demand:
             state.demand = min(demand, self.config.max_demand)
-            self._dirty = True
             if demand > self.config.max_demand:
                 self.incomplete = True
+            if len(state.witnesses) < state.demand and not state.no_more:
+                self._dirty = True
         return state
 
     def goalset(self, bodies: tuple[ast.Formula, ...]) -> list[Goal]:
         """Decomposed goals of a conjunction of formulas (memoised)."""
-        cached = self._goalset_memo.get(bodies)
+        cached = self._goalsets.get(bodies) or self._resident_goalsets.get(bodies)
         if cached is None:
-            cached = self.decompose(ast.conj(bodies), True)
-            self._goalset_memo[bodies] = cached
-        return cached
+            self._truncated = False
+            goals = self.decompose(ast.conj(bodies), True)
+            cached = self._goalsets[bodies] = (goals, self._truncated)
+        elif cached[1]:
+            # The memoised decomposition was cut at dnf_limit.
+            self.incomplete = True
+        return cached[0]
 
     def witnesses_for(
         self, bodies: tuple[ast.Formula, ...], demand: int = 1
     ) -> list[Any]:
         """Distinct witnesses across the goals of a conjunction."""
-        values: list[Any] = []
-        seen: set[str] = set()
+        merged: dict[str, Any] = {}
         for goal in self.goalset(bodies):
-            state = self.require(goal, demand)
-            for value in state.witnesses:
-                key = _dump(value)
-                if key not in seen:
-                    seen.add(key)
-                    values.append(value)
-        return values
+            for key, value in self.require(goal, demand).witnesses.items():
+                merged.setdefault(key, value)
+        return list(merged.values())
 
     # ==================================================================
     # Fixpoint driver.
     # ==================================================================
 
-    def run(self, top_goals: list[Goal]) -> None:
-        for goal in top_goals:
-            self.require(goal)
+    def run(self, top_goals: list[Goal], first_witness: bool) -> None:
+        """Rounds of attempts over the active goals until nothing changes
+        -- or, with ``first_witness``, until a top goal is realized."""
+        top_states = {self.require(goal) for goal in top_goals}
+        if first_witness and any(state.witnesses for state in top_states):
+            return
         for round_index in range(self.config.max_rounds):
             self.rounds = round_index + 1
             changed = False
             self._dirty = False
-            for goal in list(self.goals):
-                state = self.goals[goal]
+            # The agenda grows while it is walked: a goal registered by
+            # an attempt gets its own first attempt in the same round.
+            for goal, state in self._agenda:
                 if state.no_more or len(state.witnesses) >= state.demand:
                     continue
                 try:
                     if self._attempt(goal, state):
+                        if first_witness and state in top_states:
+                            return
                         changed = True
                 except SolverLimitError:
                     self.incomplete = True
@@ -300,15 +504,14 @@ class _Solver:
             finals.append(final)
             for value in values:
                 key = _dump(value)
-                if key in state.seen:
+                if key in state.witnesses:
                     continue
                 if not self._check_goal_on_value(value, goal):
                     # A heuristic slipped; never accept an unverified
                     # witness.  (Soundness over completeness.)
                     self.incomplete = True
                     continue
-                state.seen.add(key)
-                state.witnesses.append(value)
+                state.witnesses[key] = value
                 produced = True
                 need -= 1
             if need <= 0:
@@ -317,29 +520,12 @@ class _Solver:
             state.no_more = True
         return produced
 
-    # ==================================================================
-    # Literal bookkeeping.
-    # ==================================================================
-
-    @staticmethod
-    def _split(goal: Goal) -> dict[str, list]:
-        split: dict[str, list] = {
-            _TEST: [],
-            _DIA_KEY: [],
-            _BOX_KEY: [],
-            _DIA_IDX: [],
-            _BOX_IDX: [],
-        }
-        for lit in goal:
-            split[lit[0]].append(lit)
-        return split
-
     # ------------------------------------------------------------------
     # Numbers.
     # ------------------------------------------------------------------
 
     def _number_witnesses(self, goal: Goal, need: int) -> tuple[list[int], bool]:
-        split = self._split(goal)
+        split = goal.split()
         if split[_DIA_KEY] or split[_DIA_IDX]:
             return [], True  # numbers have no children
         low, high = 0, None  # naturals
@@ -450,10 +636,12 @@ class _Solver:
     # ------------------------------------------------------------------
 
     def _string_witnesses(self, goal: Goal, need: int) -> tuple[list[str], bool]:
-        split = self._split(goal)
+        split = goal.split()
         if split[_DIA_KEY] or split[_DIA_IDX]:
             return [], True
         parts: list[KeyLang] = []
+        pinned: str | None = None
+        excluded: set[str] = set()
         for _tag, test, positive in split[_TEST]:
             if isinstance(test, nt.IsString):
                 if not positive:
@@ -477,21 +665,35 @@ class _Solver:
             elif isinstance(test, nt.EqDocTest):
                 doc = test.doc
                 if doc.is_string(doc.root):
-                    word = KeyLang.word(str(doc.value(doc.root)))
-                    parts.append(word if positive else word.complement())
+                    word = str(doc.value(doc.root))
+                    if not positive:
+                        excluded.add(word)
+                    elif pinned is not None and pinned != word:
+                        return [], True
+                    else:
+                        pinned = word
                 elif positive:
                     return [], True
             else:  # pragma: no cover - defensive
                 return [], True
+        # Constant words are tested against the pattern language, never
+        # compiled into it: a filter's fresh string constant then costs
+        # a membership test instead of a DFA product (and a DFA-cache
+        # entry) of its own.
         lang = KeyLang.intersection(parts) if parts else KeyLang.any()
-        total = lang.count_words(need + 1)
-        values = lang.sample_words(min(need, total))
-        if len(values) >= min(need, total):
-            # Either demand met, or the language is exactly exhausted.
-            return values, total < need
-        # Sampling heuristic under-enumerated a non-empty language.
-        self.incomplete = True
-        return values, False
+        if pinned is not None:
+            feasible = pinned not in excluded and lang.matches(pinned)
+            return ([pinned] if feasible else []), True
+        budget = need + len(excluded)
+        total = lang.count_words(budget + 1)
+        sampled = lang.sample_words(min(budget, total))
+        if len(sampled) < min(budget, total):
+            # Sampling heuristic under-enumerated a non-empty language.
+            self.incomplete = True
+            return [word for word in sampled if word not in excluded][:need], False
+        values = [word for word in sampled if word not in excluded][:need]
+        # Fewer than demanded means the whole language was enumerated.
+        return values, len(values) < need
 
     # ------------------------------------------------------------------
     # Common container bookkeeping.
@@ -562,24 +764,18 @@ class _Solver:
             return None
         return cmin, cmax, excluded, pinned, unique_pos, unique_neg
 
-    def _pad_language(self, box_langs: Iterable[KeyLang]) -> KeyLang:
-        key = frozenset(box_langs)
-        cached = self._pad_lang_memo.get(key)
-        if cached is None:
-            cached = (
-                KeyLang.union(sorted(key, key=id)).complement()
-                if key
-                else KeyLang.any()
-            )
-            self._pad_lang_memo[key] = cached
-        return cached
+    @staticmethod
+    def _pad_language(box_langs: Iterable[KeyLang]) -> KeyLang:
+        """Keys no box constrains (boxes taken in goal order)."""
+        langs = tuple(dict.fromkeys(box_langs))
+        return KeyLang.union(langs).complement() if langs else KeyLang.any()
 
     # ------------------------------------------------------------------
     # Objects.
     # ------------------------------------------------------------------
 
     def _object_witnesses(self, goal: Goal, need: int) -> tuple[list[Any], bool]:
-        split = self._split(goal)
+        split = goal.split()
         if split[_DIA_IDX]:
             return [], True  # objects have no array edges
         bounds = self._container_bounds(split[_TEST], is_object=True)
@@ -693,9 +889,10 @@ class _Solver:
         assembly: dict[str, Any] = {}
         for key, bodies in children.items():
             options = self.witnesses_for(tuple(bodies))
-            if not options:
-                return [], False  # registered; next round
-            assembly[key] = options[0]
+            if options:
+                assembly[key] = options[0]
+        if len(assembly) < len(children):
+            return [], False  # every missing child is registered; next round
 
         # 5. Produce distinct variants as demanded.
         del exhaustive
@@ -757,7 +954,7 @@ class _Solver:
     # ------------------------------------------------------------------
 
     def _array_witnesses(self, goal: Goal, need: int) -> tuple[list[Any], bool]:
-        split = self._split(goal)
+        split = goal.split()
         if split[_DIA_KEY]:
             return [], True  # arrays have no object edges
         bounds = self._container_bounds(split[_TEST], is_object=False)
@@ -969,7 +1166,7 @@ class _Solver:
         self, tree: JSONTree, node: int, body: ast.Formula
     ) -> bool:
         subtree = tree.subtree(node)
-        expression = ast.RecursiveJSL(self.def_tuple, body)
+        expression = ast.RecursiveJSL(self._def_tuple, body)
         return RecursiveJSLEvaluator(subtree, expression).satisfies()
 
 
@@ -1003,38 +1200,4 @@ def jsl_satisfiable(
     ``complete=False`` flags that an UNSAT answer (or a failed witness
     hunt) ran into a configured resource bound.
     """
-    config = config or SolverConfig()
-    if isinstance(formula, ast.RecursiveJSL):
-        check_well_formed(formula)
-        definitions = formula.definition_map()
-        def_tuple = formula.definitions
-        base = formula.base
-    else:
-        definitions = {}
-        def_tuple = ()
-        base = formula
-    solver = _Solver(definitions, def_tuple, config)
-    try:
-        top_goals = solver.decompose(base, True)
-    except SolverLimitError:
-        return SatResult(False, None, False, 0, 0)
-    try:
-        solver.run(top_goals)
-    except SolverLimitError:
-        solver.incomplete = True
-    witness_value: Any | None = None
-    for goal in top_goals:
-        state = solver.goals.get(goal)
-        if state is not None and state.witnesses:
-            witness_value = state.witnesses[0]
-            break
-    if witness_value is not None:
-        if not value_satisfies(witness_value, base, def_tuple):
-            raise AssertionError(
-                "internal error: satisfiability witness failed verification"
-            )
-        witness = JSONTree.from_value(witness_value)
-        return SatResult(True, witness, True, solver.rounds, len(solver.goals))
-    return SatResult(
-        False, None, not solver.incomplete, solver.rounds, len(solver.goals)
-    )
+    return ProverSession(formula, config).satisfiable()

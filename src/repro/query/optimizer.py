@@ -43,14 +43,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import Any
 
-from repro.cache import USE_DEFAULT_CACHE, resolve_cache
+from repro.cache import USE_DEFAULT_CACHE, LRUCache, resolve_cache
 from repro.errors import UnsupportedFragmentError
 from repro.jnl import ast as jnl
-from repro.jsl.entailment import conjoin, negate, unsat
-from repro.jsl.satisfiability import SolverConfig
+from repro.jsl.entailment import conjoin, negate, premise_session, unsat
+from repro.jsl.satisfiability import ProverSession, SolverConfig
 from repro.query import ir
 from repro.query.compiled import CompiledQuery, compile_formula
 from repro.translate.jnl_to_jsl import jnl_to_jsl
@@ -143,6 +144,12 @@ class OptimizerConfig:
 
     budget_ms: float = 25.0
     solver: SolverConfig = field(default_factory=_proof_solver)
+
+    @cached_property
+    def solver_key(self) -> tuple:
+        """The solver bounds as a cache-key component, built once per
+        config (``astuple`` deep-copies on every call)."""
+        return astuple(self.solver)
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -304,10 +311,31 @@ def _conjoin_jnl(conjuncts: list[jnl.Unary]) -> jnl.Unary:
     return result
 
 
+def _session(
+    context: SemanticContext, config: OptimizerConfig, cache: LRUCache | None
+) -> ProverSession:
+    """The warm prover session of a premise.
+
+    It lives in the artifact cache beside the verdicts proved with it,
+    under the same context fingerprint: collections sharing a schema
+    text share it, and a summary that widens -- a new fingerprint --
+    starts a new one while the old ages out of the LRU.
+    """
+
+    def build() -> ProverSession:
+        return premise_session(context.formula, config.solver)
+
+    if cache is None:
+        return build()
+    key = ("prover-session", context.fingerprint, config.solver_key)
+    return cache.get_or_compute(key, build)
+
+
 def _prove(
     context: SemanticContext,
     payload: jnl.Unary,
     config: OptimizerConfig,
+    cache: LRUCache | None,
 ) -> SemanticVerdict:
     """Run the obligation ladder for one payload against one premise."""
     started = perf_counter()
@@ -325,7 +353,7 @@ def _prove(
         return SemanticVerdict(
             kind="none", source=context.source, proof_ms=elapsed_ms()
         )
-    premise = context.formula
+    premise = _session(context, config, cache)
     timed_out = False
 
     # (a) unsat => empty.
@@ -448,7 +476,7 @@ def semantic_plan(
     def build() -> SemanticVerdict:
         nonlocal computed
         computed = True
-        return _prove(context, plan.formula, config)
+        return _prove(context, plan.formula, config, resolved)
 
     if resolved is None:
         verdict = build()
@@ -459,7 +487,7 @@ def semantic_plan(
             query.dialect,
             query.source,
             config.budget_ms,
-            astuple(config.solver),
+            config.solver_key,
         )
         verdict = resolved.get_or_compute(key, build)
     return SemanticDecision(

@@ -88,12 +88,27 @@ def index_entries(tree: JSONTree) -> IndexEntries:
     )
 
 
-def tree_entry_counts(tree: JSONTree) -> dict[Entry, int]:
+# Cap on a collection's pool of shared entry tuples (see
+# :func:`tree_entry_counts`): past it, documents with yet more distinct
+# paths simply keep private tuples, so key churn cannot grow the pool
+# without bound.
+_SHARED_LIMIT = 1 << 14
+
+
+def tree_entry_counts(
+    tree: JSONTree, shared: dict[tuple, tuple] | None = None
+) -> dict[Entry, int]:
     """A document's counted index entries, from one top-down walk.
 
     Multiplicity is the number of nodes (or edges, for ``"key"``
     entries) contributing the entry; posting membership is ``count >
     0``.  The counts are what delta maintenance refcounts against.
+
+    ``shared`` is the caller's pool of the tuples that do not depend on
+    the document -- paths and the ``"path"``/``"kind"``/``"key"``
+    entries over them.  Documents of one collection mostly repeat the
+    same few, so every stored count dict pointing at one copy saves
+    about a sixth of the resident bytes per document.
     """
     node_kinds = tree.node_kinds()
     labels = tree.node_labels()
@@ -102,6 +117,16 @@ def tree_entry_counts(tree: JSONTree) -> dict[Entry, int]:
     # Stripped path per node; parents precede children in id order.
     path_of: list[KeyPath] = [()] * len(node_kinds)
     counts: dict[Entry, int] = {}
+    if shared is None:
+        shared = {}
+
+    def share(item: tuple) -> tuple:
+        pooled = shared.get(item)
+        if pooled is None:
+            if len(shared) >= _SHARED_LIMIT:
+                return item
+            shared[item] = pooled = item
+        return pooled
 
     def bump(entry: Entry) -> None:
         counts[entry] = counts.get(entry, 0) + 1
@@ -111,13 +136,13 @@ def tree_entry_counts(tree: JSONTree) -> dict[Entry, int]:
             label = labels[node]
             path = path_of[parents[node]]
             if isinstance(label, str):
-                path = path + (label,)
-                bump(("key", label))
+                path = share(path + (label,))
+                bump(share(("key", label)))
             path_of[node] = path
         else:
             path = ()
-        bump(("path", path))
-        bump(("kind", path, kind))
+        bump(share(("path", path)))
+        bump(share(("kind", path, kind)))
         value = values[node]
         if value is not None:
             bump(("eq", path, value))
@@ -367,7 +392,7 @@ class DocumentIndexes:
     """Incrementally maintained postings over a document collection."""
 
     __slots__ = ("_paths", "_eq", "_kinds", "_keys", "_tails", "_values",
-                 "_doc_entries", "_documents")
+                 "_doc_entries", "_documents", "_shared")
 
     def __init__(self) -> None:
         self._paths: dict[KeyPath, set[int]] = {}
@@ -380,13 +405,15 @@ class DocumentIndexes:
         # transitions against; also makes remove() walk-free).
         self._doc_entries: dict[int, dict[Entry, int]] = {}
         self._documents = 0
+        # The document-independent tuples every stored count dict shares.
+        self._shared: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Maintenance.
     # ------------------------------------------------------------------
 
     def add(self, doc_id: int, tree: JSONTree) -> None:
-        counts = tree_entry_counts(tree)
+        counts = tree_entry_counts(tree, self._shared)
         self._doc_entries[doc_id] = counts
         for entry in counts:
             self._add_entry(entry, doc_id)

@@ -8,15 +8,22 @@ and on the paper's Examples 2 and 5.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+import repro
+from repro.jsl import ast
 from repro.jsl.bottom_up import satisfies_recursive
 from repro.jsl.evaluator import satisfies
 from repro.jsl.parser import parse_jsl, parse_jsl_formula
-from repro.jsl.satisfiability import SolverConfig, jsl_satisfiable
+from repro.jsl.satisfiability import ProverSession, SolverConfig, jsl_satisfiable
+from repro.automata.keylang import KeyLang
 from repro.model.tree import JSONTree
 from repro.workloads import random_jsl_formula
 
@@ -206,6 +213,124 @@ class TestBruteForceDifferential:
         result = jsl_satisfiable(formula)
         if result.satisfiable:
             assert satisfies(result.witness, formula)
+
+
+def _session_case(seed: int, payloads: int = 6):
+    """A random premise and random payloads (each also negated)."""
+    rng = random.Random(seed)
+    premise = random_jsl_formula(rng, depth=2)
+    queries = [random_jsl_formula(rng, depth=2) for _ in range(payloads)]
+    return rng, premise, queries + [ast.Not(query) for query in queries]
+
+
+class TestProverSession:
+    """One premise, many payloads: the warm session must answer every
+    ``premise ^ payload`` as the one-shot solver answers the conjunction."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_warm_session_agrees_with_one_shot(self, seed):
+        _rng, premise, payloads = _session_case(seed)
+        session = ProverSession(premise)
+        trees = [JSONTree.from_value(value) for value in _SMALL_SPACE]
+        for payload in payloads:
+            warm = session.satisfiable(payload)
+            cold = jsl_satisfiable(ast.And(premise, payload))
+            assert warm.satisfiable == cold.satisfiable, payload
+            # Resident goals are already realized, so the warm run can
+            # only hit fewer bounds than the cold one -- never more.
+            assert warm.complete >= cold.complete, payload
+            if warm.satisfiable:
+                assert satisfies(warm.witness, ast.And(premise, payload))
+            if not warm.satisfiable and warm.complete:
+                conjunction = ast.And(premise, payload)
+                assert not any(satisfies(tree, conjunction) for tree in trees)
+
+    @pytest.mark.parametrize("seed", range(40, 60))
+    def test_answers_do_not_depend_on_the_order_asked(self, seed):
+        rng, premise, payloads = _session_case(seed, payloads=8)
+        first = ProverSession(premise)
+        second = ProverSession(premise)
+        resident = first.resident_goals
+        in_order = [first.satisfiable(p) for p in payloads]
+        shuffled = list(range(len(payloads)))
+        rng.shuffle(shuffled)
+        for position in shuffled:
+            expected = in_order[position]
+            for session in (first, second):
+                again = session.satisfiable(payloads[position])
+                assert (again.satisfiable, again.complete) == (
+                    expected.satisfiable,
+                    expected.complete,
+                ), payloads[position]
+        # Payload goals lived in per-call overlays: nothing stayed.
+        assert first.resident_goals == second.resident_goals == resident
+
+    def test_sat_answers_carry_a_revalidated_witness(self):
+        premise = parse_jsl_formula("object and some(.age, number and min(17))")
+        payload = parse_jsl_formula("some(.name, string)")
+        session = ProverSession(premise)
+        result = session.satisfiable(payload)
+        assert result.satisfiable and result.witness is not None
+        assert satisfies(result.witness, ast.And(premise, payload))
+        # Without a payload the session answers for the premise alone.
+        alone = session.satisfiable()
+        assert alone.satisfiable and satisfies(alone.witness, premise)
+
+    def test_recursive_payload_shares_the_premise_namespace(self):
+        premise = parse_jsl("def g := number or all(.*, $g); $g")
+        session = ProverSession(premise)
+        apart = ast.RecursiveJSL(
+            (("h", ast.DiaKey(KeyLang.word("a"), ast.Ref("h")) | ast.Top()),),
+            ast.Ref("h"),
+        )
+        assert session.satisfiable(apart).satisfiable
+        clashing = ast.RecursiveJSL((("g", ast.Top()),), ast.Ref("g"))
+        with pytest.raises(ValueError, match="clash"):
+            session.satisfiable(clashing)
+
+    def test_results_do_not_depend_on_the_hash_seed(self):
+        """Goals iterate their literals in the order they were introduced,
+        so rounds, goals explored, completeness and the chosen witness
+        are the same whatever ``PYTHONHASHSEED`` the process got."""
+        script = (
+            "import json, random\n"
+            "from repro.jsl import ast\n"
+            "from repro.jsl.satisfiability import ProverSession, jsl_satisfiable\n"
+            "from repro.workloads import random_jsl_formula\n"
+            "rows = []\n"
+            "for seed in range(12):\n"
+            "    rng = random.Random(seed)\n"
+            "    premise = random_jsl_formula(rng, depth=3)\n"
+            "    session = ProverSession(premise)\n"
+            "    for _ in range(4):\n"
+            "        payload = random_jsl_formula(rng, depth=2)\n"
+            "        for result in (\n"
+            "            session.satisfiable(payload),\n"
+            "            jsl_satisfiable(ast.And(premise, payload)),\n"
+            "        ):\n"
+            "            rows.append([\n"
+            "                result.satisfiable, result.complete, result.rounds,\n"
+            "                result.goals_explored,\n"
+            "                result.witness and result.witness.to_value(),\n"
+            "            ])\n"
+            "print(json.dumps(rows))\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for hash_seed in ("1", "2017"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0] == outputs[1]
+        assert any(row[0] for row in outputs[0])
+        assert any(not row[0] for row in outputs[0])
 
 
 class TestSolverConfig:

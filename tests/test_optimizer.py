@@ -7,6 +7,11 @@ fingerprint, the ``optimize=`` modes and the ``hint={"no_semantic":
 True}`` escape hatch, the versioned Explain ``semantics`` section, and
 the deprecated explain shims.
 
+``TestProverSession`` pins the warm prover session behind the verdicts:
+it answers as the cold one-shot solver does, in any order, without
+growing, and never across a premise change; every verdict it yields is
+cross-checked by brute force over the live documents.
+
 ``TestRandomisedDifferential`` pins the optimizer's first law -- it is
 invisible in results -- by racing ``optimize="on"`` against ``"off"``
 over randomised schemas x queries on every backend (memory, durable,
@@ -635,3 +640,210 @@ class TestRandomisedDifferential:
         ):
             assert on.find(filter_doc) == off.find(filter_doc), filter_doc
             assert on.count(filter_doc) == off.count(filter_doc)
+
+
+# ---------------------------------------------------------------------------
+# The warm prover session behind the verdicts (nightly: 20x).
+# ---------------------------------------------------------------------------
+
+# The people schema and filter templates of benchmarks/e2e (datagen.py).
+PEOPLE_SCHEMA = {
+    "type": "object",
+    "required": ["user", "age", "city", "score", "address", "tags"],
+    "properties": {
+        "user": {"type": "integer"},
+        "age": {"type": "integer", "minimum": 18, "maximum": 89},
+        "city": {"type": "string"},
+        "score": {"type": "integer"},
+        "address": {
+            "type": "object",
+            "required": ["zip", "street"],
+            "properties": {
+                "zip": {"type": "integer", "maximum": 999},
+                "street": {"type": "string"},
+            },
+        },
+        "tags": {"type": "array", "additionalItems": {"type": "string"}},
+    },
+}
+
+
+def people_docs(count: int = 60) -> list[dict]:
+    rng = random.Random(f"people-{count}")
+    return [
+        {
+            "user": user,
+            "age": rng.randrange(18, 90),
+            "city": f"city{rng.randrange(8):02d}",
+            "score": rng.randrange(10_000),
+            "address": {
+                "zip": rng.randrange(1000),
+                "street": f"{rng.randrange(1, 1000)} main street",
+            },
+            "tags": rng.sample([f"tag{i:02d}" for i in range(10)], 3),
+        }
+        for user in range(count)
+    ]
+
+
+def _template_filters(rng: random.Random) -> list[dict]:
+    """One fresh-constant filter per e2e read/write template, plus the
+    shapes that make the ladder produce every verdict kind."""
+    low = rng.randrange(9_900)
+    return [
+        {"user": rng.randrange(100_000)},
+        {"city": f"city{rng.randrange(40):02d}", "age": rng.randrange(18, 90)},
+        {"address.zip": rng.randrange(1000)},
+        {"score": {"$gte": low, "$lt": low + 100}},
+        {"tags": f"tag{rng.randrange(30):02d}"},
+        {"city": f"city{rng.randrange(40):02d}"},
+        {"age": {"$gt": 89 + rng.randrange(1, 50)}},  # schema: empty
+        {"age": {"$gte": rng.randrange(18)}},  # schema: all
+        {"age": {"$lte": 89 + rng.randrange(50)}, "user": rng.randrange(60)},
+    ]
+
+
+def _obligations(filter_doc: dict) -> list:
+    """The JSL payloads ``_prove`` poses for one filter."""
+    from repro.jsl.entailment import negate
+    from repro.translate.jnl_to_jsl import jnl_to_jsl
+
+    payload = compile_mongo_find(filter_doc).plan.formula
+    translated = jnl_to_jsl(payload)
+    conjuncts = optimizer._conjuncts(payload)
+    return [translated, negate(translated)] + [
+        negate(jnl_to_jsl(conjunct))
+        for conjunct in (conjuncts if len(conjuncts) > 1 else [])
+    ]
+
+
+def _premises_and_filters(rounds: int):
+    """(collection, filters) pairs: the people corpus and random
+    numeric-envelope corpora, each under a schema and a summary premise."""
+    rng = random.Random(20260926)
+    docs = people_docs()
+    people_filters = [
+        filter_doc for _ in range(rounds) for filter_doc in _template_filters(rng)
+    ]
+    yield api.collection(docs, schema=PEOPLE_SCHEMA), people_filters
+    yield api.collection(docs), people_filters
+    for _ in range(rounds):
+        schema, docs = _random_schema(rng)
+        filters = [_random_filter(rng, schema) for _ in range(8)]
+        yield api.collection(docs, schema=schema), filters
+        yield api.collection(docs), filters
+
+
+class TestProverSession:
+    def test_warm_session_agrees_with_cold_solver(self):
+        from repro.jsl.entailment import conjoin, premise_session, unsat
+
+        solver = optimizer.DEFAULT_CONFIG.solver
+        proved_some = False
+        for collection, filters in _premises_and_filters(3 * _SCALE):
+            premise = collection.semantic_context.formula
+            session = premise_session(premise, solver)
+            for filter_doc in filters:
+                for payload in _obligations(filter_doc):
+                    warm = unsat(conjoin(session, payload))
+                    cold = unsat(conjoin(premise, payload), solver)
+                    # Identical verdicts; the warm run may only complete
+                    # where the cold one ran into a bound, never the
+                    # other way round.
+                    assert warm[1] >= cold[1], filter_doc
+                    assert warm[0] == cold[0] or not cold[1], filter_doc
+                    proved_some = proved_some or warm[0]
+        assert proved_some
+
+    def test_verdicts_agree_with_brute_force(self):
+        kinds = set()
+        for collection, filters in _premises_and_filters(3 * _SCALE):
+            trees = [tree for _doc_id, tree in collection.documents()]
+            for filter_doc in filters:
+                query = compile_mongo_find(filter_doc)
+                verdict = optimizer.semantic_plan(collection, query).verdict
+                matching = [tree for tree in trees if query.matches(tree)]
+                kinds.add(verdict.kind)
+                if verdict.kind == "empty":
+                    assert not matching, filter_doc
+                elif verdict.kind == "all":
+                    assert len(matching) == len(trees), filter_doc
+                elif verdict.kind == "residual":
+                    residual = verdict.residual_query
+                    assert matching == [
+                        tree for tree in trees if residual.matches(tree)
+                    ], filter_doc
+        assert kinds == {"empty", "all", "residual", "none"}
+
+    def test_session_state_is_bounded(self):
+        from repro.jsl.entailment import conjoin, premise_session, unsat
+
+        rng = random.Random(12)
+        for collection in (
+            api.collection(people_docs(), schema=PEOPLE_SCHEMA),
+            api.collection(people_docs()),
+        ):
+            session = premise_session(
+                collection.semantic_context.formula,
+                optimizer.DEFAULT_CONFIG.solver,
+            )
+            asked = 0
+            after_twenty = None
+            while asked < 2000:
+                for filter_doc in _template_filters(rng):
+                    for payload in _obligations(filter_doc):
+                        unsat(conjoin(session, payload))
+                        asked += 1
+                        if asked == 20:
+                            after_twenty = session.resident_goals
+            assert session.resident_goals == after_twenty > 0
+
+    def test_premise_change_never_consults_the_old_session(self, monkeypatch):
+        from repro.cache import LRUCache
+
+        built = []
+        real = optimizer.premise_session
+
+        def recording(premise, config):
+            session = real(premise, config)
+            built.append(session)
+            return session
+
+        monkeypatch.setattr(optimizer, "premise_session", recording)
+        cache = LRUCache(64)
+
+        def plan(collection, filter_doc):
+            return decision_for(collection, filter_doc, cache=cache)
+
+        def retire(session):
+            def refuse(*args, **kwargs):
+                raise AssertionError("a stale prover session was consulted")
+
+            monkeypatch.setattr(session, "satisfiable", refuse)
+
+        # Two collections with the same schema text share one session.
+        first = api.collection(people_docs(10), schema=PEOPLE_SCHEMA)
+        second = api.collection(people_docs(20), schema=PEOPLE_SCHEMA)
+        assert plan(first, {"user": 1}).verdict.kind == "none"
+        assert plan(second, {"user": 2}).verdict.kind == "none"
+        assert plan(second, {"age": {"$gt": 500}}).verdict.kind == "empty"
+        assert len(built) == 1
+
+        # A different schema text starts its own.
+        retire(built[0])
+        tighter = json.loads(json.dumps(PEOPLE_SCHEMA))
+        tighter["properties"]["age"]["maximum"] = 70
+        third = api.collection(
+            [doc for doc in people_docs(30) if doc["age"] <= 70], schema=tighter
+        )
+        assert plan(third, {"age": {"$gt": 80}}).verdict.kind == "empty"
+        assert len(built) == 2
+
+        # A summary that widens (a new largest ``user``) does too.
+        plain = api.collection(people_docs(10))
+        assert plan(plain, {"user": {"$gt": 50}}).verdict.kind == "empty"
+        assert len(built) == 3
+        retire(built[2])
+        plain.insert(dict(people_docs(10)[0], user=99))
+        assert plan(plain, {"user": {"$gt": 60}}).verdict.kind == "none"
+        assert len(built) == 4
