@@ -9,6 +9,12 @@ collection the planner's index pruning must make a *selective*
 per-document reference evaluator (eager, value-space, no indexes) --
 with results differentially identical, pinned by ``tests/
 test_aggregate.py`` and re-asserted here.
+
+A second, *narrow-read* row gates path-projected row materialisation on
+its own: the same full-scan ``$group`` run directly (rows materialise
+through the pipeline's read set, ``CompiledPipeline.reads``) and behind
+an exclusion ``$project`` of an absent field -- a no-op that needs
+whole rows (``reads=None``) -- must differ by >= 1.5x.
 """
 
 from __future__ import annotations
@@ -59,6 +65,13 @@ UNWIND_PIPELINE = [
 ]
 
 
+# Reads one path of a person's five members; no $match, so every
+# document is materialised and the ratio isolates *how much* of it.
+NARROW_PIPELINE = [{"$group": {"_id": "$address.city", "n": {"$sum": 1}}}]
+WHOLE_PIPELINE = [{"$project": {"no_such_field": 0}}, *NARROW_PIPELINE]
+_NARROW_LABEL = f"narrow read: $group direct vs behind a no-op exclusion ({DOCS} docs)"
+
+
 def _rows():
     rows = []
     for label, pipeline in [
@@ -78,13 +91,23 @@ def _rows():
         cold = measure(naive, repeat=7)
         warm = measure(staged, repeat=7)
         rows.append((label, cold, warm, cold / warm))
+    narrow = compile_pipeline(NARROW_PIPELINE)
+    whole = compile_pipeline(WHOLE_PIPELINE)
+    assert narrow.reads == {"address": {"city": None}} and whole.reads is None
+    # Both sides are full scans (tens of ms): best-of-11 keeps one
+    # noisy-neighbour burst from deciding a ratio gated at 1.5x.
+    cold = measure(lambda: whole.execute(COLLECTION), repeat=11)
+    warm = measure(lambda: narrow.execute(COLLECTION), repeat=11)
+    rows.append((_NARROW_LABEL, cold, warm, cold / warm))
     return rows
 
 
 def _check_results_identical() -> None:
     """The staged executor must agree with the naive reference row for
     row (pruning and streaming only ever skip provable non-matches)."""
-    for pipeline in (SELECTIVE_PIPELINE, UNWIND_PIPELINE):
+    for pipeline in (
+        SELECTIVE_PIPELINE, UNWIND_PIPELINE, NARROW_PIPELINE, WHOLE_PIPELINE
+    ):
         staged = compile_pipeline(pipeline).execute(COLLECTION)
         assert staged == naive_aggregate(_PEOPLE, pipeline)
 
@@ -113,8 +136,10 @@ def speedups() -> dict[str, float]:
 
 # The selective pipeline is the pinned headline (>= 10x, matching the
 # collection-query gate); the unwind pipeline keeps most documents
-# alive past the $match, so pruning buys proportionally less.
-_FLOORS = {"$match+$group": 10.0, "$match+$unwind": 5.0}
+# alive past the $match, so pruning buys proportionally less.  The
+# narrow-read row compares the staged executor with itself (projected
+# vs whole rows), not with the naive evaluator.
+_FLOORS = {"$match+$group": 10.0, "$match+$unwind": 5.0, "narrow read": 1.5}
 
 
 def _floor_for(label: str) -> float:
@@ -132,7 +157,7 @@ def check_targets() -> list[str]:
         if ratio < floor:
             failures.append(
                 f"bench_aggregation: {label} staged speedup "
-                f"{ratio:.1f}x < {floor:.0f}x target"
+                f"{ratio:.1f}x < {floor:g}x target"
             )
     return failures
 
@@ -164,8 +189,9 @@ def main() -> str:
     rows = _rows()
     table = format_table(
         "F5 / aggregation pipelines: staged + index-pruned vs naive "
-        "per-document evaluation (target: >= 10x for selective $match+$group)",
-        ["pipeline", "naive", "staged", "speedup"],
+        "per-document evaluation (target: >= 10x for selective $match+$group; "
+        ">= 1.5x for projected vs whole rows)",
+        ["pipeline", "baseline", "staged", "speedup"],
         [
             [label, f"{cold * 1e3:.2f} ms", f"{warm * 1e3:.2f} ms", f"{ratio:.1f}x"]
             for label, cold, warm, ratio in rows

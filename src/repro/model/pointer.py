@@ -13,7 +13,26 @@ from typing import Any, Sequence
 from repro.errors import NavigationError, ParseError
 from repro.model.tree import JSONTree
 
-__all__ = ["parse_pointer", "resolve_pointer", "resolve_in_value", "pointer_to_steps"]
+__all__ = [
+    "is_index_segment",
+    "parse_pointer",
+    "resolve_pointer",
+    "resolve_in_value",
+    "pointer_to_steps",
+]
+
+
+def is_index_segment(segment: str) -> bool:
+    """Whether a path segment / pointer token addresses an array position.
+
+    ASCII decimal digits only -- exactly the strings ``int()`` reads
+    back as a natural number.  ``str.isdigit`` alone also accepts
+    ``"²"`` or ``"٣"``, which ``int()`` rejects or maps to another
+    position; every other segment is an object key.  The one test
+    behind dotted field paths (:func:`repro.query.stages.split_field_path`
+    and its consumers) and JSON pointers.
+    """
+    return segment.isascii() and segment.isdigit()
 
 
 def parse_pointer(text: str) -> list[str]:
@@ -38,7 +57,7 @@ def pointer_to_steps(tokens: Sequence[str]) -> list[str | int]:
     """Convert pointer tokens to navigation steps (digits become indices)."""
     steps: list[str | int] = []
     for token in tokens:
-        if token.isdigit():
+        if is_index_segment(token):
             steps.append(int(token))
         else:
             steps.append(token)
@@ -51,7 +70,7 @@ def resolve_pointer(tree: JSONTree, pointer: str, start: int | None = None) -> i
     node = tree.root if start is None else start
     for token in tokens:
         child = tree.object_child(node, token)
-        if child is None and token.isdigit():
+        if child is None and is_index_segment(token):
             child = tree.array_child(node, int(token))
         if child is None:
             raise NavigationError(f"pointer {pointer!r} failed at token {token!r}")
@@ -70,7 +89,7 @@ def resolve_in_value(value: Any, pointer: str) -> Any:
                 )
             current = current[token]
         elif isinstance(current, list):
-            if not token.isdigit() or int(token) >= len(current):
+            if not is_index_segment(token) or int(token) >= len(current):
                 raise NavigationError(
                     f"pointer {pointer!r}: bad array index {token!r}"
                 )

@@ -49,6 +49,9 @@ class Kind(enum.IntEnum):
 
 
 _NO_PARENT = -1
+# Enum member access goes through the metaclass; the materialisation
+# kernels test node kinds per container, so they read a plain global.
+_OBJECT = Kind.OBJECT
 
 
 class JSONTree:
@@ -498,24 +501,70 @@ class JSONTree:
                 mapping[child] = new_child
         return tree
 
-    def to_value(self, node: int | None = None) -> JSONValue:
+    def to_value(
+        self, node: int | None = None, paths: dict | None = None
+    ) -> JSONValue:
         """Serialise the subtree at ``node`` back to Python values.
+
+        ``paths`` guides the materialisation by navigation instructions
+        (the paper's Section-6 reading of a projection: "select only
+        those subtrees ... that can be reached by certain navigation
+        instructions").  It is a trie of object keys -- ``{key:
+        subtrie}``, with ``None`` for "the whole subtree" -- and
+        ``paths=None`` itself is the whole document.  Objects are walked
+        in document order and only members on a declared path are
+        allocated, so the result's key order is a subsequence of the
+        document's and the empty trie yields ``{}``.  Anything under a
+        leaf is materialised whole, and so is *any array met before a
+        path is exhausted*: the trie never says how a consumer crosses
+        an array (one index, every element, containment), so it gets all
+        of it.  A scalar met early is kept as is.  The result shares no
+        container with the tree or with another call.
+
+        This is the per-row entry point of every collection scan (one
+        call per materialised document).
+        """
+        start = self.root if node is None else node
+        kinds = self._kinds
+        if paths is None or kinds[start] is not _OBJECT:
+            return self._fill(start)
+        values = self._values
+        obj_children = self._obj_children
+        root_out: dict = {}
+        stack = [(start, paths, root_out)]
+        while stack:
+            current, trie, out = stack.pop()
+            for key, child in obj_children[current].items():  # type: ignore[union-attr]
+                if key not in trie:
+                    continue
+                value = values[child]
+                if value is not None:  # string/number leaves carry a value
+                    out[key] = value
+                    continue
+                branch = trie[key]
+                if branch is None or kinds[child] is not _OBJECT:
+                    out[key] = self._fill(child)
+                else:
+                    sub: dict = {}
+                    out[key] = sub
+                    stack.append((child, branch, sub))
+        return root_out
+
+    def _fill(self, start: int) -> JSONValue:
+        """The whole subtree at ``start`` as Python values.
 
         Top-down with an explicit stack (no recursion-depth limit):
         each container is allocated when first seen and filled in
         place, leaves are inlined -- one pass, no per-node result
-        table.  This is a hot path for collection scans (every matched
-        document materialises through it).
+        table.
         """
-        start = self.root if node is None else node
         kinds = self._kinds
         values = self._values
         obj_children = self._obj_children
         arr_children = self._arr_children
-        kind = kinds[start]
-        if kind is Kind.STRING or kind is Kind.NUMBER:
+        if values[start] is not None:  # a string/number leaf
             return values[start]
-        root_out: JSONValue = {} if kind is Kind.OBJECT else []
+        root_out: JSONValue = {} if kinds[start] is _OBJECT else []
         stack: list[tuple[int, dict | list]] = [(start, root_out)]
         while stack:
             current, out = stack.pop()
@@ -523,32 +572,24 @@ class JSONTree:
                 obj = obj_children[current]
                 assert obj is not None
                 for key, child in obj.items():
-                    child_kind = kinds[child]
-                    if child_kind is Kind.OBJECT:
-                        sub: JSONValue = {}
-                        out[key] = sub
-                        stack.append((child, sub))
-                    elif child_kind is Kind.ARRAY:
-                        sub = []
-                        out[key] = sub
-                        stack.append((child, sub))
-                    else:
-                        out[key] = values[child]
+                    value = values[child]
+                    if value is not None:  # a string/number leaf
+                        out[key] = value
+                        continue
+                    sub: JSONValue = {} if kinds[child] is _OBJECT else []
+                    out[key] = sub
+                    stack.append((child, sub))
             else:
                 arr = arr_children[current]
                 assert arr is not None
                 for child in arr:
-                    child_kind = kinds[child]
-                    if child_kind is Kind.OBJECT:
-                        sub = {}
-                        out.append(sub)
-                        stack.append((child, sub))
-                    elif child_kind is Kind.ARRAY:
-                        sub = []
-                        out.append(sub)
-                        stack.append((child, sub))
-                    else:
-                        out.append(values[child])
+                    value = values[child]
+                    if value is not None:
+                        out.append(value)
+                        continue
+                    sub = {} if kinds[child] is _OBJECT else []
+                    out.append(sub)
+                    stack.append((child, sub))
         return root_out
 
     def to_json(self, node: int | None = None, *, indent: int | None = None) -> str:

@@ -17,9 +17,18 @@ module implements its practical core -- ``$match``, ``$project``,
   compile_mongo_find` -- so it lowers into the shared logical-plan IR,
   and over an indexed collection the planner prunes candidates via the
   secondary indexes before any per-document work, exactly like ``find``;
+* every stage declares the dotted paths it navigates, and compilation
+  folds them into the pipeline's **read set** (``CompiledPipeline.
+  reads``: everything named up to and including the first stage that
+  resets the row shape).  One row source feeds ``execute``,
+  ``execute_partial`` and ``explain``: each surviving document is
+  materialised once, through ``JSONTree.to_value(paths=reads)`` -- only
+  the subtrees the pipeline navigates, the whole document when rows can
+  reach the output unreset -- and the leading match is decided on that
+  same row;
 * every **downstream stage** runs as a streaming generator
-  (:mod:`repro.query.stages`) over the surviving documents -- nothing
-  is materialised between stages except where ``$sort``/``$group``/
+  (:mod:`repro.query.stages`) over those rows -- nothing is
+  materialised between stages except where ``$sort``/``$group``/
   ``$count`` inherently must.
 
 All ``$match`` evaluation happens in value space (the compiled
@@ -44,6 +53,7 @@ import heapq
 import json
 import re
 from itertools import islice
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
@@ -69,6 +79,8 @@ from repro.query.stages import (
     compile_expr,
     canonical_group_key,
     composite_sort_key,
+    path_getter,
+    path_trie,
     resolve_path,
     run_stages,
     run_stages_ranked,
@@ -254,15 +266,22 @@ def match_value(filter_doc: dict[str, Any], value: Any) -> bool:
     return True
 
 
-def compile_value_filter(filter_doc: dict[str, Any]) -> Any:
+def compile_value_filter(
+    filter_doc: dict[str, Any], paths: list[tuple[str, ...]] | None = None
+) -> Any:
     """Compile a find filter into a value-space predicate closure.
 
     Same semantics as :func:`match_value` (which interprets the filter
     document per call -- the naive reference path), but field paths are
-    split, operator documents classified and boolean structure resolved
+    split and specialised (:func:`~repro.query.stages.path_getter`),
+    operator documents classified and boolean structure resolved
     **once**: the staged executor matches each candidate with plain
     closure calls.  The differential tests pit the two against each
     other on every randomised pipeline.
+
+    Every field path the predicate navigates is appended to ``paths``
+    (when given).  An ``$elemMatch`` body is relative to the elements
+    of the array under its field, which that field's own path covers.
     """
     if not isinstance(filter_doc, dict):
         raise ParseError("a find filter is a JSON object")
@@ -270,7 +289,7 @@ def compile_value_filter(filter_doc: dict[str, Any]) -> Any:
     for key, spec in filter_doc.items():
         if key in ("$and", "$or", "$nor"):
             _require_list(key, spec)
-            compiled = [compile_value_filter(sub) for sub in spec]
+            compiled = [compile_value_filter(sub, paths) for sub in spec]
             if key == "$and":
                 predicates.append(
                     lambda value, c=compiled: all(p(value) for p in c)
@@ -285,15 +304,19 @@ def compile_value_filter(filter_doc: dict[str, Any]) -> Any:
                 )
         elif key.startswith("$"):
             raise ParseError(f"unsupported top-level operator {key!r}")
-        elif _is_operator_doc(spec):
-            predicates.append(_compile_field_ops(key, spec))
         else:
             segments = split_field_path(key)
-            predicates.append(
-                lambda value, s=segments, operand=spec: _eq_mongo(
-                    resolve_path(value, s), operand
+            if paths is not None:
+                paths.append(segments)
+            get = path_getter(segments)
+            if _is_operator_doc(spec):
+                predicates.append(_compile_field_ops(get, spec))
+            else:
+                predicates.append(
+                    lambda value, get=get, operand=spec: _eq_mongo(
+                        get(value), operand
+                    )
                 )
-            )
     if len(predicates) == 1:
         return predicates[0]
     return lambda value: all(p(value) for p in predicates)
@@ -356,8 +379,7 @@ def _validate_operator_doc(spec: dict[str, Any]) -> None:
         _validate_operand(operator, operand)
 
 
-def _compile_field_ops(key: str, spec: dict[str, Any]) -> Any:
-    segments = split_field_path(key)
+def _compile_field_ops(get: Any, spec: dict[str, Any]) -> Any:
     exists_flag = spec.get("$exists")
     rest = tuple((op, arg) for op, arg in spec.items() if op != "$exists")
     for op, arg in rest:
@@ -366,7 +388,7 @@ def _compile_field_ops(key: str, spec: dict[str, Any]) -> Any:
         _validate_operand(op, arg)
 
     def predicate(value: Any) -> bool:
-        node = resolve_path(value, segments)
+        node = get(value)
         if exists_flag is not None and bool(exists_flag) != (
             node is not MISSING
         ):
@@ -420,6 +442,7 @@ def _group_field_name(name: Any) -> str:
 def _build_group(spec: Any) -> GroupStage:
     if not isinstance(spec, dict) or "_id" not in spec:
         raise ParseError("$group takes a document with an _id expression")
+    paths: list[tuple[str, ...]] = []
     fields = []
     for name, accumulator_spec in spec.items():
         if name == "_id":
@@ -442,9 +465,10 @@ def _build_group(spec: Any) -> GroupStage:
                 raise ParseError("$count (accumulator) takes {}")
             expr = compile_expr(None)
         else:
-            expr = compile_expr(operand)
+            expr = compile_expr(operand, paths)
         fields.append((name, factory, expr))
-    return GroupStage(compile_expr(spec["_id"]), tuple(fields))
+    id_expr = compile_expr(spec["_id"], paths)
+    return GroupStage(id_expr, tuple(fields), tuple(paths))
 
 
 def _sort_spec_keys(spec: Any) -> list[tuple[tuple[str, ...], int]]:
@@ -496,9 +520,14 @@ def _unwind_segments(spec: Any) -> tuple[str, ...]:
 def _build_stage(op: str, spec: Any) -> Stage:
     """Validate one non-leading stage spec and build its executor."""
     if op == "$match":
-        return FilterStage(compile_value_filter(spec))
+        paths: list[tuple[str, ...]] = []
+        return FilterStage(compile_value_filter(spec, paths), tuple(paths))
     if op == "$project":
-        return ProjectStage(Projection(spec).apply_value)
+        projection = Projection(spec)
+        kept = None
+        if projection.include:
+            kept = tuple(tuple(key.split(".")) for key in spec)
+        return ProjectStage(projection.apply_value, kept)
     if op == "$unwind":
         return UnwindStage(_unwind_segments(spec))
     if op == "$group":
@@ -550,6 +579,25 @@ def _window_bound(stages: tuple[Stage, ...]) -> int | None:
     return stop
 
 
+_row = itemgetter(1)
+
+
+def _tallied(
+    pairs: Iterable[tuple[int, Any]], tally: list[int]
+) -> Iterator[tuple[int, Any]]:
+    """``pairs`` unchanged, counting into ``tally[0]`` as they pass."""
+    for pair in pairs:
+        tally[0] += 1
+        yield pair
+
+
+def _scanned(kind: str, total: int, candidates: set[int] | None) -> int:
+    """Documents the leading match had to look at."""
+    if kind in ("empty", "all"):
+        return 0
+    return total if candidates is None else len(candidates)
+
+
 class CompiledPipeline:
     """An executable aggregation plan, reusable across collections.
 
@@ -578,6 +626,15 @@ class CompiledPipeline:
     ``$skip``/``$limit`` window bounds what the merge can consume),
     ``$count`` ships plain counts (``"count-sum"``), and anything else
     streams rank-ordered rows (``"stream"``).
+
+    And its **read set** ``reads``: the trie (:func:`~repro.query.
+    stages.path_trie`) of every path the leading match and the stages
+    up to and including the first shape-resetting one (``$group``,
+    ``$count``, inclusion ``$project``) navigate -- rows are
+    materialised through ``JSONTree.to_value(paths=reads)``, so a
+    pipeline allocates only what it names.  ``None`` is the whole
+    document: some stage needs whole rows (exclusion ``$project``), or
+    rows can reach the output unreset.
     """
 
     __slots__ = (
@@ -588,6 +645,7 @@ class CompiledPipeline:
         "lead_count",
         "lead_query",
         "stages",
+        "reads",
         "shard_map_count",
         "merge_strategy",
         "local_limit",
@@ -610,11 +668,12 @@ class CompiledPipeline:
         self.lead_filter: dict[str, Any] | None = None
         self.lead_query: CompiledQuery | None = None
         self.lead_pred = None
+        paths: list[tuple[str, ...]] = []
         if lead:
             self.lead_filter = lead[0] if len(lead) == 1 else {"$and": lead}
             # The value-space compilation is authoritative: it validates
             # the filter and delivers the verdict on every candidate.
-            self.lead_pred = compile_value_filter(self.lead_filter)
+            self.lead_pred = compile_value_filter(self.lead_filter, paths)
             try:
                 self.lead_query = compile_mongo_find(self.lead_filter)
             except ParseError:
@@ -626,6 +685,14 @@ class CompiledPipeline:
         self.stages: tuple[Stage, ...] = tuple(
             _build_stage(op, spec) for op, spec in parsed[split:]
         )
+        self.reads: dict | None = None
+        for stage in self.stages:
+            if stage.paths is None:
+                break
+            paths.extend(stage.paths)
+            if stage.resets:
+                self.reads = path_trie(paths)
+                break
         count = 0
         while count < len(self.stages) and isinstance(
             self.stages[count], (FilterStage, ProjectStage, UnwindStage)
@@ -647,76 +714,67 @@ class CompiledPipeline:
 
     # ------------------------------------------------------------------
 
-    def _collection_rows(
-        self, collection: Any, no_semantic: bool = False
-    ) -> Iterator[Any]:
-        """Leading-match survivors of a store collection, index-pruned.
-
-        Candidates come from folding the compiled filter's sargable
-        predicates over the secondary indexes (a sound superset); the
-        final verdict per candidate is the value-space matcher, so only
-        the handful of candidate documents are ever materialised --
-        the loop never touches the pruned ids at all.  An enforced
-        semantic verdict short-circuits first: ``"empty"`` yields
-        nothing, ``"all"`` streams every live document verify-free.
-        """
-        decision = optimizer.semantic_plan(
-            collection, self.lead_query, no_semantic=no_semantic
-        )
-        kind = optimizer.effective_kind(decision)
-        if kind == "empty":
-            return iter(())
-        if kind == "all":
-            return (tree.to_value() for _, tree in collection.documents())
-        return self._survivors(collection, self._candidates(collection))
-
-    def _survivors(
-        self, collection: Any, candidates: set[int] | None
-    ) -> Iterator[Any]:
-        lead_pred = self.lead_pred
-        if lead_pred is None:
-            for _, tree in collection.documents():
-                yield tree.to_value()
-            return
-        count = optimizer.count_verify
-        if candidates is None:
-            for _, tree in collection.documents():
-                value = tree.to_value()
-                count()
-                if lead_pred(value):
-                    yield value
-            return
-        for doc_id in sorted(candidates):
-            value = collection.get(doc_id).to_value()
-            count()
-            if lead_pred(value):
-                yield value
-
-    def _candidates(self, collection: Any) -> set[int] | None:
-        indexes = collection.indexes
-        if indexes is None or self.lead_query is None:
+    def _candidates(self, collection: Any, kind: str) -> set[int] | None:
+        """Index candidates of the leading match (a sound superset of
+        its survivors); ``None`` = every live document -- no indexes,
+        no logical plan, or a semantic verdict that settles the match."""
+        if (
+            kind in ("empty", "all")
+            or collection.indexes is None
+            or self.lead_query is None
+        ):
             return None
         return planner.candidate_ids(
-            self.lead_query.plan.match_predicate, indexes
+            self.lead_query.plan.match_predicate, collection.indexes
         )
+
+    def _survivors(
+        self, collection: Any, kind: str, candidates: set[int] | None
+    ) -> Iterator[tuple[int, Any]]:
+        """``(doc_id, row)`` per leading-match survivor of a store
+        collection, in document-id order -- the one row source behind
+        :meth:`stream`, :meth:`execute_partial` and :meth:`explain`.
+
+        ``kind`` is the enforced semantic verdict: ``"empty"`` yields
+        nothing, ``"all"`` every live document verify-free; otherwise
+        the candidates (index-pruned by :meth:`_candidates`, so the
+        pruned ids are never touched) are verified by the value-space
+        matcher.  A row is materialised once, through the pipeline's
+        read set, and the matcher runs on that same projected row.
+        """
+        if kind == "empty":
+            return
+        reads = self.reads
+        if candidates is None:
+            documents = collection.documents()
+        else:
+            get = collection.get
+            documents = ((doc_id, get(doc_id)) for doc_id in sorted(candidates))
+        lead_pred = self.lead_pred
+        if kind == "all" or lead_pred is None:
+            for doc_id, tree in documents:
+                yield doc_id, tree.to_value(None, reads)
+            return
+        count = optimizer.count_verify
+        for doc_id, tree in documents:
+            row = tree.to_value(None, reads)
+            count()
+            if lead_pred(row):
+                yield doc_id, row
 
     def _item_rows(self, items: Iterable[Any]) -> Iterator[Any]:
         """Leading-match survivors of bare trees/values (no indexes).
 
-        Trees materialise first and are matched by the same value-space
-        predicate as every other path, so a pipeline yields identical
-        rows whatever flavour the input arrives in.
+        Trees materialise first (whole: a value in the same iterable is
+        whole too) and are matched by the same value-space predicate as
+        every other path, so a pipeline yields identical rows whatever
+        flavour the input arrives in.
         """
         for item in items:
             if isinstance(item, JSONTree):
                 item = item.to_value()
             if self.lead_pred is None or self.lead_pred(item):
                 yield item
-
-    def _rows(self, source: Any, no_semantic: bool = False) -> Iterator[Any]:
-        if hasattr(source, "documents") and hasattr(source, "indexes"):
-            return self._collection_rows(source, no_semantic)
-        return self._item_rows(source)
 
     def _scatter_payload(
         self, source: Any, no_semantic: bool
@@ -755,7 +813,18 @@ class CompiledPipeline:
         self, source: Any, *, no_semantic: bool = False
     ) -> Iterator[Any]:
         """Lazy variant of :meth:`execute` (one generator per stage)."""
-        return run_stages(self.stages, self._rows(source, no_semantic))
+        if hasattr(source, "documents") and hasattr(source, "indexes"):
+            decision = optimizer.semantic_plan(
+                source, self.lead_query, no_semantic=no_semantic
+            )
+            kind = optimizer.effective_kind(decision)
+            candidates = self._candidates(source, kind)
+            rows: Iterator[Any] = map(
+                _row, self._survivors(source, kind, candidates)
+            )
+        else:
+            rows = self._item_rows(source)
+        return run_stages(self.stages, rows)
 
     # ------------------------------------------------------------------
     # Scatter-gather execution (one partial per shard, merged here).
@@ -785,44 +854,11 @@ class CompiledPipeline:
             kind = "none"
         else:
             kind = verdict
-        total = len(collection)
-        if kind in ("empty", "all"):
-            candidates = None
-            scanned = 0
-        else:
-            candidates = self._candidates(collection)
-            scanned = total if candidates is None else len(candidates)
-        matched = 0
-
-        def survivor_pairs() -> Iterator[tuple[int, Any]]:
-            nonlocal matched
-            if kind == "empty":
-                return
-            lead_pred = self.lead_pred
-            if kind == "all":
-                for doc_id, tree in collection.documents():
-                    matched += 1
-                    yield doc_id, tree.to_value()
-                return
-            count = optimizer.count_verify
-            if candidates is None:
-                for doc_id, tree in collection.documents():
-                    value = tree.to_value()
-                    if lead_pred is not None:
-                        count()
-                    if lead_pred is None or lead_pred(value):
-                        matched += 1
-                        yield doc_id, value
-                return
-            for doc_id in sorted(candidates):
-                value = collection.get(doc_id).to_value()
-                count()
-                if lead_pred(value):
-                    matched += 1
-                    yield doc_id, value
-
+        candidates = self._candidates(collection, kind)
+        matched = [0]
         ranked = run_stages_ranked(
-            self.stages[: self.shard_map_count], survivor_pairs()
+            self.stages[: self.shard_map_count],
+            _tallied(self._survivors(collection, kind, candidates), matched),
         )
         strategy = self.merge_strategy
         data: Any
@@ -845,12 +881,13 @@ class CompiledPipeline:
                 ranked = islice(ranked, self.local_limit)
             data = list(ranked)
             returned = len(data)
+        total = len(collection)
         return {
             "strategy": strategy,
             "total": total,
             "candidates": None if candidates is None else len(candidates),
-            "scanned": scanned,
-            "matched": matched,
+            "scanned": _scanned(kind, total, candidates),
+            "matched": matched[0],
             "returned": returned,
             "data": data,
         }
@@ -910,42 +947,18 @@ class CompiledPipeline:
             return self._explain_sharded(partials, semantics)
         total = len(collection)
         kind = optimizer.effective_kind(decision)
-        if kind == "empty":
-            results = sum(1 for _ in run_stages(self.stages, iter(())))
-            matched = 0
-            candidates = None
-            scanned = 0
-            survivors: Iterator[Any] = iter(())
-        elif kind == "all":
-            all_rows = (tree.to_value() for _, tree in collection.documents())
-            results = sum(1 for _ in run_stages(self.stages, all_rows))
-            matched = total  # the premise entails the match: every doc
-            candidates = None
-            scanned = 0
-            survivors = iter(())
-        else:
-            raw_candidates = self._candidates(collection)
-            scanned = (
-                total if raw_candidates is None else len(raw_candidates)
-            )
-            survivors = self._survivors(collection, raw_candidates)
-            matched = 0
-
-            def counted() -> Iterator[Any]:
-                nonlocal matched
-                for value in survivors:
-                    matched += 1
-                    yield value
-
-            results = sum(1 for _ in run_stages(self.stages, counted()))
-            # An early-exiting stage ($limit) stops pulling; finish the
-            # matched count over the untouched survivors.
-            for _ in survivors:
-                matched += 1
-            candidates = (
-                raw_candidates if raw_candidates is None
-                else len(raw_candidates)
-            )
+        candidates = self._candidates(collection, kind)
+        matched = [0]
+        survivors = _tallied(
+            self._survivors(collection, kind, candidates), matched
+        )
+        results = sum(
+            1 for _ in run_stages(self.stages, map(_row, survivors))
+        )
+        # An early-exiting stage ($limit) stops pulling; finish the
+        # matched count over the untouched survivors.
+        for _ in survivors:
+            pass
         lead_mode = "index-pruned" if candidates is not None else "streamed"
         reports = [StageExplain("$match", lead_mode)] * self.lead_count
         reports.extend(
@@ -957,9 +970,9 @@ class CompiledPipeline:
             dialect=_DIALECT,
             source=self.source,
             total=total,
-            candidates=candidates,
-            scanned=scanned,
-            matched=matched,
+            candidates=None if candidates is None else len(candidates),
+            scanned=_scanned(kind, total, candidates),
+            matched=matched[0],
             results=results,
             stages=tuple(reports),
             semantics=semantics,
@@ -1020,7 +1033,7 @@ class CompiledPipeline:
 
     def __repr__(self) -> str:
         source = self.source if len(self.source) <= 40 else self.source[:37] + "..."
-        return f"CompiledPipeline({source!r})"
+        return f"CompiledPipeline({source!r}, reads={self.reads!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.jnl import ast as jnl
 from repro.jnl import builder as q
 from repro.logic import nodetests as nt
 from repro.model.tree import JSONTree, JSONValue
+from repro.query.stages import is_index_segment
 from repro.store.collection import Collection as _StoreCollection
 from repro.store.engine import MemoryEngine as _MemoryEngine
 
@@ -46,7 +47,7 @@ def _path_steps(path: str) -> list[jnl.Binary]:
         raise ParseError("empty field path in filter")
     steps: list[jnl.Binary] = []
     for segment in path.split("."):
-        if segment.isdigit():
+        if is_index_segment(segment):
             steps.append(jnl.Index(int(segment)))
         else:
             steps.append(jnl.Key(segment))

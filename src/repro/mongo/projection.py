@@ -26,6 +26,7 @@ from typing import Any
 
 from repro.errors import ParseError
 from repro.model.tree import JSONTree, JSONValue
+from repro.query.stages import insert_path
 
 __all__ = ["Projection"]
 
@@ -64,13 +65,7 @@ class Projection:
         # A trie of path segments; None marks the end of a listed path.
         self.paths: dict = {}
         for key in spec:
-            node = self.paths
-            segments = key.split(".")
-            for segment in segments[:-1]:
-                node = node.setdefault(segment, {})
-                if node is _LEAF:  # pragma: no cover - defensive
-                    break
-            node[segments[-1]] = _LEAF
+            insert_path(self.paths, key.split("."))
 
     # ------------------------------------------------------------------
 
@@ -82,11 +77,20 @@ class Projection:
             return {} if projected is _MISSING else projected
         return _exclude(value, self.paths)
 
+    def value_of(self, tree: JSONTree, node: int | None = None) -> JSONValue:
+        """The projection of a JSON tree, as a Python value.
+
+        An inclusion names the paths it keeps, so only those subtrees
+        are materialised (:meth:`JSONTree.to_value` with ``paths``:
+        arrays on the way come whole, which the element-wise rule
+        needs); an exclusion starts from the whole document.
+        """
+        paths = self.paths if self.include else None
+        return self.apply_value(tree.to_value(node, paths))
+
     def apply(self, tree: JSONTree, node: int | None = None) -> JSONTree:
         """Project a JSON tree into a new tree."""
-        return JSONTree.from_value(
-            self.apply_value(tree.to_value(node))
-        )
+        return JSONTree.from_value(self.value_of(tree, node))
 
 
 _MISSING = object()

@@ -48,7 +48,11 @@ from repro.mongo.aggregate import (
 from repro.mongo.find import _is_operator_doc
 from repro.query import optimizer, planner
 from repro.query.compiled import compile_mongo_find
-from repro.query.stages import split_field_path, values_equal
+from repro.query.stages import (
+    is_index_segment,
+    split_field_path,
+    values_equal,
+)
 from repro.store.indexes import DeltaOps
 from repro.store.update import (
     CompiledUpdate,
@@ -574,7 +578,7 @@ def _naive_walk(doc: Any, segments: tuple, create: bool) -> Any:
     is unreachable (non-create mode)."""
     node = doc
     for position, segment in enumerate(segments[:-1]):
-        if segment.isdigit():
+        if is_index_segment(segment):
             if not isinstance(node, list) or int(segment) >= len(node):
                 if create:
                     raise UpdateError(
@@ -603,7 +607,7 @@ def _naive_walk(doc: Any, segments: tuple, create: bool) -> Any:
 def _naive_read(container: Any, segment: str) -> Any:
     from repro.query.stages import MISSING
 
-    if segment.isdigit():
+    if is_index_segment(segment):
         if isinstance(container, list) and int(segment) < len(container):
             return container[int(segment)]
         return MISSING
@@ -614,7 +618,7 @@ def _naive_read(container: Any, segment: str) -> Any:
 
 def _naive_write(container: Any, segments: tuple, new: Any) -> None:
     segment = segments[-1]
-    if segment.isdigit():
+    if is_index_segment(segment):
         if not isinstance(container, list):
             raise UpdateError(
                 f"cannot apply update at {'.'.join(segments)!r}: "
@@ -642,7 +646,7 @@ def _naive_write(container: Any, segments: tuple, new: Any) -> None:
 
 def _naive_delete(container: Any, segments: tuple) -> None:
     segment = segments[-1]
-    if segment.isdigit():
+    if is_index_segment(segment):
         if isinstance(container, list) and int(segment) < len(container):
             raise UpdateError(
                 f"cannot apply update at {'.'.join(segments)!r}: "

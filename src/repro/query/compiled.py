@@ -207,8 +207,9 @@ class CompiledQuery:
         match, ``None`` otherwise."""
         if not self.matches(tree, evaluator=evaluator):
             return None
-        value = tree.to_value()
-        return self.projection.apply_value(value) if self.projection else value
+        if self.projection is None:
+            return tree.to_value()
+        return self.projection.value_of(tree)
 
     def __repr__(self) -> str:
         source = self.source if len(self.source) <= 40 else self.source[:37] + "..."

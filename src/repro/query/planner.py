@@ -259,8 +259,9 @@ def find_documents(
     results: list[JSONValue] = []
     projection = query.projection
     for _, tree in _matching(collection, query, decision):
-        value = tree.to_value()
-        results.append(projection.apply_value(value) if projection else value)
+        results.append(
+            projection.value_of(tree) if projection else tree.to_value()
+        )
     return results
 
 
@@ -283,9 +284,8 @@ def find_rows(
     rows: list[tuple[int, JSONValue]] = []
     projection = query.projection
     for doc_id, tree in _matching(collection, query, decision):
-        value = tree.to_value()
         rows.append(
-            (doc_id, projection.apply_value(value) if projection else value)
+            (doc_id, projection.value_of(tree) if projection else tree.to_value())
         )
     return rows
 

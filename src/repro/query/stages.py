@@ -26,14 +26,20 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import repeat, takewhile
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ParseError
+from repro.model.pointer import is_index_segment
 
 __all__ = [
     "MISSING",
     "split_field_path",
+    "is_index_segment",
+    "insert_path",
+    "path_trie",
     "resolve_path",
+    "path_getter",
     "set_path",
     "values_equal",
     "sort_key",
@@ -71,9 +77,10 @@ MISSING = _Missing()
 # ---------------------------------------------------------------------------
 # Value-space path navigation (the semantics of dotted field paths).
 #
-# Mirrors :func:`repro.mongo.find._path_steps`: an all-digit segment is
-# an array index, anything else an object key -- so both the compiled
-# (tree) and the value-space evaluations of a path agree.
+# Mirrors :func:`repro.mongo.find._path_steps`: a segment of ASCII
+# digits (:func:`is_index_segment`) is an array index, anything else an
+# object key -- so both the compiled (tree) and the value-space
+# evaluations of a path agree.
 # ---------------------------------------------------------------------------
 
 
@@ -91,11 +98,43 @@ def split_field_path(path: str) -> tuple[str, ...]:
     return segments
 
 
+def insert_path(trie: dict, keys: tuple[str, ...] | list[str]) -> None:
+    """Add one key path to a segment trie (``{key: subtrie}``).
+
+    A leaf (``None``) stands for the whole subtree, so a listed path
+    absorbs its extensions whichever is added first."""
+    node = trie
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+        if node is None:  # a shorter path already takes the subtree
+            return
+    node[keys[-1]] = None
+
+
+def path_trie(paths: Iterable[tuple[str, ...]]) -> dict | None:
+    """The segment trie of a set of navigated paths -- what
+    :meth:`repro.model.tree.JSONTree.to_value` takes as ``paths``.
+
+    Each path is cut at its first array-index segment (how an array is
+    crossed is not the trie's business: the kernel materialises arrays
+    whole) and subsumes its extensions (``"address"`` absorbs
+    ``"address.zip"``).  Returns ``None`` -- the whole document -- when
+    a path is cut to nothing.
+    """
+    trie: dict = {}
+    for segments in paths:
+        keys = list(takewhile(lambda s: not is_index_segment(s), segments))
+        if not keys:
+            return None
+        insert_path(trie, keys)
+    return trie
+
+
 def resolve_path(value: Any, segments: Iterable[str]) -> Any:
     """The value under a dotted path, or :data:`MISSING`."""
     node = value
     for segment in segments:
-        if segment.isdigit():
+        if is_index_segment(segment):
             index = int(segment)
             if not isinstance(node, list) or index >= len(node):
                 return MISSING
@@ -105,6 +144,27 @@ def resolve_path(value: Any, segments: Iterable[str]) -> Any:
                 return MISSING
             node = node[segment]
     return node
+
+
+def _only_key(segments: tuple[str, ...]) -> str | None:
+    """The object key a one-segment, non-index path names, else None."""
+    if len(segments) == 1 and not is_index_segment(segments[0]):
+        return segments[0]
+    return None
+
+
+def path_getter(segments: tuple[str, ...]) -> Callable[[Any], Any]:
+    """:func:`resolve_path` specialised to ``segments`` at compile time.
+
+    The common field reference -- one object key -- becomes a direct
+    ``dict`` lookup; anything longer (or an index) keeps the generic
+    walk.  Stage kernels and filter predicates call the result once per
+    row.
+    """
+    key = _only_key(segments)
+    if key is None:
+        return lambda row: resolve_path(row, segments)
+    return lambda row: row.get(key, MISSING) if isinstance(row, dict) else MISSING
 
 
 def set_path(value: Any, segments: tuple[str, ...], new: Any) -> Any:
@@ -117,7 +177,7 @@ def set_path(value: Any, segments: tuple[str, ...], new: Any) -> Any:
     if not segments:
         return new
     head, rest = segments[0], segments[1:]
-    if head.isdigit() and isinstance(value, list):
+    if is_index_segment(head) and isinstance(value, list):
         index = int(head)
         if index >= len(value):
             return value
@@ -197,12 +257,19 @@ def canonical_group_key(value: Any) -> Any:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
 
 
+# The classes canonical_group_key tags directly; the $group loop tests
+# membership inline instead of paying a call per row.
+_SCALAR_CLASSES = frozenset({str, int, float, bool, type(None)})
+
+
 # ---------------------------------------------------------------------------
 # The expression language: "$field" references and literals.
 # ---------------------------------------------------------------------------
 
 
-def compile_expr(spec: Any) -> Callable[[Any], Any]:
+def compile_expr(
+    spec: Any, paths: list[tuple[str, ...]] | None = None
+) -> Callable[[Any], Any]:
     """Compile an aggregation expression into ``row -> value``.
 
     ``"$a.b"`` is a field reference (resolving to :data:`MISSING` when
@@ -211,17 +278,22 @@ def compile_expr(spec: Any) -> Callable[[Any], Any]:
     omitted, as in MongoDB), an array a literal array (MISSING becomes
     null).  Operator expressions (``{"$add": ...}``) are not supported
     and raise :class:`~repro.errors.ParseError`.
+
+    Every field reference is appended to ``paths`` (when given): the
+    expression reads nothing else of its row.
     """
     if isinstance(spec, str) and spec.startswith("$"):
         segments = split_field_path(spec[1:])
-        return lambda row: resolve_path(row, segments)
+        if paths is not None:
+            paths.append(segments)
+        return path_getter(segments)
     if isinstance(spec, dict):
         if any(isinstance(key, str) and key.startswith("$") for key in spec):
             raise ParseError(
                 f"unsupported operator expression {spec!r} "
                 "(only field references and literals are supported)"
             )
-        compiled = {key: compile_expr(sub) for key, sub in spec.items()}
+        compiled = {key: compile_expr(sub, paths) for key, sub in spec.items()}
 
         def build_object(row: Any) -> Any:
             out = {}
@@ -233,7 +305,7 @@ def compile_expr(spec: Any) -> Callable[[Any], Any]:
 
         return build_object
     if isinstance(spec, list):
-        parts = [compile_expr(sub) for sub in spec]
+        parts = [compile_expr(sub, paths) for sub in spec]
 
         def build_array(row: Any) -> Any:
             return [None if (v := fn(row)) is MISSING else v for fn in parts]
@@ -290,7 +362,10 @@ class _Sum(_Accumulator):
 
     def add(self, value: Any) -> None:
         # Non-numeric and missing inputs are ignored, as in MongoDB.
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # JSON numbers are exactly int/float (bool is its own class),
+        # and two identity tests beat two isinstance calls per row.
+        cls = value.__class__
+        if cls is int or cls is float:
             self.total += value
 
     def result(self) -> Any:
@@ -315,7 +390,8 @@ class _Avg(_Accumulator):
         self.count = 0
 
     def add(self, value: Any) -> None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        cls = value.__class__
+        if cls is int or cls is float:
             self.total += value
             self.count += 1
 
@@ -459,12 +535,21 @@ class Stage:
     says whether the stage must see its whole input before emitting
     (``$sort``, ``$group``, ``$count``) or streams one document at a
     time.  The explain report surfaces both.
+
+    A stage also declares what it reads: ``paths`` are the dotted paths
+    (as segment tuples) it navigates in an input row -- ``None`` when it
+    needs the row whole -- and ``resets`` says that its output rows are
+    rebuilt from those paths alone, so nothing else of the input can
+    reach a later stage.  :class:`repro.mongo.aggregate.CompiledPipeline`
+    folds the two into the pipeline's read set.
     """
 
     __slots__ = ()
 
     op = "?"
     blocking = False
+    paths: tuple[tuple[str, ...], ...] | None = ()
+    resets = False
 
     def run(self, rows: Iterator[Any]) -> Iterator[Any]:  # pragma: no cover
         raise NotImplementedError
@@ -476,29 +561,48 @@ class Stage:
 class FilterStage(Stage):
     """Keep the documents satisfying a predicate (non-leading ``$match``)."""
 
-    __slots__ = ("predicate",)
+    __slots__ = ("predicate", "paths")
 
     op = "$match"
 
-    def __init__(self, predicate: Callable[[Any], bool]) -> None:
+    def __init__(
+        self,
+        predicate: Callable[[Any], bool],
+        paths: tuple[tuple[str, ...], ...] | None = None,
+    ) -> None:
         self.predicate = predicate
+        self.paths = paths
 
     def run(self, rows: Iterator[Any]) -> Iterator[Any]:
-        return (row for row in rows if self.predicate(row))
+        return filter(self.predicate, rows)
 
 
 class ProjectStage(Stage):
-    """Apply a document-to-document transformation (``$project``)."""
+    """Apply a document-to-document transformation (``$project``).
 
-    __slots__ = ("transform",)
+    ``paths`` are the paths an inclusion projection keeps (its output is
+    rebuilt from them); ``None`` is an exclusion, which passes whole
+    rows through minus the excluded paths.
+    """
+
+    __slots__ = ("transform", "paths")
 
     op = "$project"
 
-    def __init__(self, transform: Callable[[Any], Any]) -> None:
+    def __init__(
+        self,
+        transform: Callable[[Any], Any],
+        paths: tuple[tuple[str, ...], ...] | None = None,
+    ) -> None:
         self.transform = transform
+        self.paths = paths
+
+    @property
+    def resets(self) -> bool:  # type: ignore[override]
+        return self.paths is not None
 
     def run(self, rows: Iterator[Any]) -> Iterator[Any]:
-        return (self.transform(row) for row in rows)
+        return map(self.transform, rows)
 
 
 class UnwindStage(Stage):
@@ -510,23 +614,32 @@ class UnwindStage(Stage):
     replaced by that element.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "paths")
 
     op = "$unwind"
 
     def __init__(self, segments: tuple[str, ...]) -> None:
         self.segments = segments
+        self.paths = (segments,)
 
     def run(self, rows: Iterator[Any]) -> Iterator[Any]:
+        segments = self.segments
+        get = path_getter(segments)
+        # One object key: each emitted row is a shallow copy with that
+        # member replaced (what set_path does, without the recursion).
+        key = _only_key(segments)
         for row in rows:
-            value = resolve_path(row, self.segments)
+            value = get(row)
             if value is MISSING or value is None:
                 continue
             if not isinstance(value, list):
                 yield row
-                continue
-            for element in value:
-                yield set_path(row, self.segments, element)
+            elif key is not None:
+                for element in value:
+                    yield {**row, key: element}
+            else:
+                for element in value:
+                    yield set_path(row, segments, element)
 
 
 class GroupStage(Stage):
@@ -538,36 +651,66 @@ class GroupStage(Stage):
     the stage holds the group table, never the input documents.
     """
 
-    __slots__ = ("id_expr", "fields")
+    __slots__ = ("id_expr", "fields", "paths")
 
     op = "$group"
     blocking = True
+    resets = True
 
     def __init__(
         self,
         id_expr: Callable[[Any], Any],
         fields: tuple[tuple[str, type[_Accumulator], Callable[[Any], Any]], ...],
+        paths: tuple[tuple[str, ...], ...] | None = None,
     ) -> None:
         self.id_expr = id_expr
         self.fields = fields
+        self.paths = paths
 
-    def run(self, rows: Iterator[Any]) -> Iterator[Any]:
-        groups: dict[Any, tuple[Any, list[_Accumulator]]] = {}
-        for row in rows:
-            id_value = self.id_expr(row)
+    def _fold(
+        self, ranked_rows: Iterable[tuple[Any, Any]], ranked: bool
+    ) -> Iterable[tuple[Any, Any, list[_Accumulator]]]:
+        """The group table of a ``(rank, row)`` stream, in first-seen
+        order: ``(id_value, first_rank, accumulators)`` per group.
+
+        The per-field unpacking is hoisted out of the row loop: a group
+        keeps its ``(bound add, expression)`` pairs beside its cells.
+        """
+        id_expr = self.id_expr
+        factories = [factory for _, factory, _ in self.fields]
+        exprs = [expr for _, _, expr in self.fields]
+        groups: dict[Any, tuple[Any, Any, list[_Accumulator], list]] = {}
+        for rank, row in ranked_rows:
+            id_value = id_expr(row)
             if id_value is MISSING:
                 id_value = None
-            key = canonical_group_key(id_value)
+            cls = id_value.__class__
+            if cls in _SCALAR_CLASSES:
+                key: Any = (cls, id_value)
+            else:
+                key = canonical_group_key(id_value)
             entry = groups.get(key)
             if entry is None:
-                entry = (id_value, [factory() for _, factory, _ in self.fields])
-                groups[key] = entry
-            for accumulator, (_, _, expr) in zip(entry[1], self.fields):
-                accumulator.add(expr(row))
-        for id_value, accumulators in groups.values():
+                cells = [factory() for factory in factories]
+                adds = [
+                    cell.add_ranked if ranked else cell.add for cell in cells
+                ]
+                entry = groups[key] = (
+                    id_value, rank, cells, list(zip(adds, exprs))
+                )
+            if ranked:
+                for add, expr in entry[3]:
+                    add(expr(row), rank)
+            else:
+                for add, expr in entry[3]:
+                    add(expr(row))
+        return (entry[:3] for entry in groups.values())
+
+    def run(self, rows: Iterator[Any]) -> Iterator[Any]:
+        for id_value, _, cells in self._fold(zip(repeat(None), rows), False):
             out = {"_id": id_value}
-            for (name, _, _), accumulator in zip(self.fields, accumulators):
-                out[name] = accumulator.result()
+            for (name, _, _), cell in zip(self.fields, cells):
+                out[name] = cell.result()
             yield out
 
     def fold_partial(
@@ -582,21 +725,9 @@ class GroupStage(Stage):
         the :data:`MISSING` singleton), so the table can cross a
         process boundary to :meth:`merge_partial`.
         """
-        groups: dict[Any, list[Any]] = {}
-        for rank, row in ranked_rows:
-            id_value = self.id_expr(row)
-            if id_value is MISSING:
-                id_value = None
-            key = canonical_group_key(id_value)
-            entry = groups.get(key)
-            if entry is None:
-                entry = [id_value, rank, [factory() for _, factory, _ in self.fields]]
-                groups[key] = entry
-            for accumulator, (_, _, expr) in zip(entry[2], self.fields):
-                accumulator.add_ranked(expr(row), rank)
         return [
-            (id_value, first_rank, [acc.partial() for acc in accumulators])
-            for id_value, first_rank, accumulators in groups.values()
+            (id_value, first_rank, [cell.partial() for cell in cells])
+            for id_value, first_rank, cells in self._fold(ranked_rows, True)
         ]
 
     def merge_partial(
@@ -638,20 +769,21 @@ class SortStage(Stage):
     first); missing values order first on ascending keys.
     """
 
-    __slots__ = ("keys",)
+    __slots__ = ("keys", "paths")
 
     op = "$sort"
     blocking = True
 
     def __init__(self, keys: tuple[tuple[tuple[str, ...], bool], ...]) -> None:
         self.keys = keys
+        self.paths = tuple(segments for segments, _ in keys)
 
     def run(self, rows: Iterator[Any]) -> Iterator[Any]:
         materialised = list(rows)
         for segments, descending in reversed(self.keys):
+            get = path_getter(segments)
             materialised.sort(
-                key=lambda row: sort_key(resolve_path(row, segments)),
-                reverse=descending,
+                key=lambda row: sort_key(get(row)), reverse=descending
             )
         return iter(materialised)
 
@@ -692,11 +824,13 @@ def composite_sort_key(
     remaining tie, reproducing stability over the undivided stream.
     """
 
+    getters = [(path_getter(segments), descending) for segments, descending in keys]
+
     def key(pair: tuple[Any, Any]) -> tuple:
         rank, row = pair
         parts: list[Any] = []
-        for segments, descending in keys:
-            part = sort_key(resolve_path(row, segments))
+        for get, descending in getters:
+            part = sort_key(get(row))
             parts.append(DescendingKey(part) if descending else part)
         parts.append(rank)
         return tuple(parts)
@@ -743,6 +877,7 @@ class CountStage(Stage):
 
     op = "$count"
     blocking = True
+    resets = True
 
     def __init__(self, field: str) -> None:
         self.field = field

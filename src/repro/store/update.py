@@ -30,7 +30,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import UpdateError
-from repro.query.stages import MISSING, resolve_path, values_equal
+from repro.query.stages import (
+    MISSING,
+    is_index_segment,
+    resolve_path,
+    values_equal,
+)
 from repro.store.indexes import (
     Entry,
     leaf_entry_delta,
@@ -109,7 +114,7 @@ def edit_at(
     """Apply ``edit`` to the node under ``segments``, spine-copying.
 
     Path semantics match the query side (:func:`repro.query.stages.
-    resolve_path`): an all-digit segment is an array index, anything
+    resolve_path`): an ASCII-digit segment is an array index, anything
     else an object key.  With ``create=True`` missing object keys are
     created as nested documents (the ``$set`` family); an array index
     may be created only at exactly the current length (append).  With
@@ -132,7 +137,7 @@ def edit_at(
 def _build_chain(segments: tuple[str, ...], index: int, edit: Edit) -> Any:
     """The nested documents a created path contributes past ``index``."""
     for position in range(index, len(segments)):
-        if segments[position].isdigit():
+        if is_index_segment(segments[position]):
             raise _segment_error(
                 segments,
                 position,
@@ -157,7 +162,7 @@ def _edit_rec(
     """Returns ``(new_node, mutation)`` or ``None`` for a no-op."""
     segment = segments[index]
     last = index == len(segments) - 1
-    if segment.isdigit():
+    if is_index_segment(segment):
         if not isinstance(node, list):
             if create:
                 raise _segment_error(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
 import random
 
@@ -23,6 +25,8 @@ from repro.mongo.aggregate import (
 )
 from repro.query import aggregate_many, compile_mongo_find, planner
 from repro.query.stages import MISSING, resolve_path, sort_key, values_equal
+from repro.client import aconnect
+from repro.server import ReproServer
 from repro.store import Collection
 from repro.workloads import people_collection
 from repro import api
@@ -675,6 +679,104 @@ def _random_pipeline(rng: random.Random) -> list:
     return stages
 
 
+# The same differential over documents with arrays and objects *on* the
+# very paths the pipelines name (what a read set must get right).
+
+
+def _shaped_value(rng: random.Random, depth: int = 0) -> object:
+    """A scalar, or -- on the very paths the pipelines name -- an array
+    or an object of further such values."""
+    roll = rng.random()
+    if depth >= 2 or roll < 0.45:
+        return rng.choice([0, 1, 2, 3, "x", "y"])
+    if roll < 0.75:
+        return [_shaped_value(rng, depth + 1) for _ in range(rng.randrange(0, 4))]
+    keys = rng.sample(["k", "v", "w"], rng.randrange(0, 4))
+    return {key: _shaped_value(rng, depth + 1) for key in keys}
+
+
+def _shaped_docs(rng: random.Random, count: int) -> list:
+    docs = []
+    for ident in range(count):
+        doc: dict = {"id": ident}
+        for key in rng.sample(["k", "v", "t", "o", "w"], rng.randrange(1, 6)):
+            doc[key] = _shaped_value(rng)
+        docs.append(doc)
+    return docs
+
+
+_SHAPED_REFS = [
+    "$k", "$v", "$t", "$o", "$o.k", "$o.v", "$o.k.v", "$t.0", "$t.1.k", "$w",
+]
+_SHAPED_FILTERS = [
+    {"k": 1},
+    {"t": "x"},  # scalar-in-array containment
+    {"o.k": {"$gte": 1}},
+    {"o.k": {"$exists": False}},
+    {"o": {"$exists": True}, "k": {"$ne": 2}},
+    {"t": {"$elemMatch": {"k": 1}}},
+    {"t": {"$elemMatch": {"$gte": 2}}},
+    {"t": {"$size": 2}},
+    {"t.0": {"$in": [0, "x"]}},
+    {"o": {"$type": "object"}},
+    {"v": {"$gt": 0.5}},  # float bound: outside the find dialect
+    {"$or": [{"o.v": 2}, {"t.1.k": {"$exists": True}}]},
+    {"$nor": [{"k": 0}, {"o.k.v": {"$lt": 3}}]},
+]
+
+
+def _shaped_pipeline(rng: random.Random) -> list:
+    ref = lambda: rng.choice(_SHAPED_REFS)  # noqa: E731
+    stages: list = []
+    if rng.random() < 0.6:
+        stages.append({"$match": rng.choice(_SHAPED_FILTERS)})
+    pool = [
+        {"$unwind": rng.choice(["$t", "$o", "$o.k", "$k"])},
+        {"$match": rng.choice(_SHAPED_FILTERS)},
+        {"$project": {rng.choice(["o.k", "t.k", "o"]): 1, "id": 1, "k": 1}},
+        {"$project": {rng.choice(["o.v", "t", "k.v"]): 0}},
+        {"$sort": {ref()[1:]: rng.choice([1, -1]), "id": 1}},
+        {"$skip": rng.randrange(0, 4)},
+        {"$limit": rng.randrange(1, 30)},
+    ]
+    stages.extend(rng.sample(pool, rng.randrange(0, 3)))
+    closing = rng.random()
+    if closing < 0.6:
+        stages.append(
+            {
+                "$group": {
+                    "_id": rng.choice([ref(), {"a": ref(), "b": [ref(), 1]}, None]),
+                    "n": {"$sum": 1},
+                    "sum": {"$sum": ref()},
+                    "avg": {"$avg": ref()},
+                    "lo": {"$min": ref()},
+                    "hi": {"$max": ref()},
+                    "all": {"$push": ref()},
+                    "c": {"$count": {}},
+                }
+            }
+        )
+    elif closing < 0.75:
+        stages.append({"$count": "rows"})
+    return stages
+
+
+async def _served_results(docs: list, pipelines: list) -> list:
+    database = api.connect()
+    database.collection(documents=docs)
+    server = ReproServer(database)
+    await server.start()
+    try:
+        remote = await aconnect(server.address)
+        try:
+            collection = remote.collection()
+            return [await collection.aggregate(p) for p in pipelines]
+        finally:
+            await remote.aclose()
+    finally:
+        await server.aclose()
+
+
 class TestRandomisedDifferential:
     def test_staged_equals_naive_on_random_pipelines(self, people):
         rng = random.Random(1234)
@@ -705,6 +807,131 @@ class TestRandomisedDifferential:
             assert aggregate(indexed, pipeline) == aggregate(
                 unindexed, pipeline
             ), pipeline
+
+    def test_every_backend_equals_naive_on_shaped_documents(self):
+        """``naive_aggregate`` -- whole documents, no read sets, no
+        specialised accessors -- is the oracle; every backend must
+        return its rows byte for byte (row and key order included)."""
+        rng = random.Random(4242)
+        docs = _shaped_docs(rng, 120)
+        pipelines = [_shaped_pipeline(rng) for _ in range(80 * _SCALE)]
+        expected = [
+            json.dumps(naive_aggregate(docs, pipeline)) for pipeline in pipelines
+        ]
+        memory = api.collection(docs)
+        snapshot = memory.snapshot_view()
+        served = asyncio.run(_served_results(docs, pipelines))
+        with api.collection(docs, shards=3, parallel=False) as fleet:
+            for pipeline, want, remote in zip(pipelines, expected, served):
+                compiled = compile_pipeline(pipeline, cache=None)
+                assert json.dumps(compiled.execute(memory)) == want, pipeline
+                assert json.dumps(snapshot.aggregate(pipeline)) == want, pipeline
+                assert json.dumps(fleet.aggregate(pipeline)) == want, pipeline
+                assert json.dumps(remote) == want, pipeline
+                # One shard is a partition too: the map/reduce halves alone.
+                partial = compiled.execute_partial(memory)
+                assert json.dumps(compiled.merge_partials([partial])) == want
+        assert sum(
+            compile_pipeline(p, cache=None).reads is not None for p in pipelines
+        ) >= len(pipelines) // 3  # the mechanism is actually exercised
+
+
+# ---------------------------------------------------------------------------
+# What a pipeline reads.
+# ---------------------------------------------------------------------------
+
+_GROUP_CITY = {"$group": {"_id": "$city", "n": {"$sum": 1}, "avg": {"$avg": "$age"}}}
+
+# pipeline -> CompiledPipeline.reads: the trie of the paths navigated up
+# to and including the first shape-resetting stage; None = whole rows.
+READS = [
+    # Each reset stage.
+    ([_GROUP_CITY], {"city": None, "age": None}),
+    ([{"$count": "n"}], {}),
+    ([{"$project": {"user": 1, "address.zip": 1}}],
+     {"user": None, "address": {"zip": None}}),
+    # The leading match reads too; what follows a reset reads its output.
+    ([{"$match": {"score": {"$gte": 1}}}, {"$count": "n"}], {"score": None}),
+    ([{"$match": {"city": "x"}}, {"$project": {"user": 1, "score": 1}},
+      {"$sort": {"score": -1, "user": 1}}, {"$limit": 10}],
+     {"city": None, "user": None, "score": None}),
+    ([_GROUP_CITY, {"$sort": {"n": -1}}, {"$match": {"zzz": 1}}],
+     {"city": None, "age": None}),
+    # Pass-through stages before the reset add their paths...
+    ([{"$unwind": "$tags"}, {"$group": {"_id": "$tags", "n": {"$sum": 1}}}],
+     {"tags": None}),
+    ([{"$sort": {"score": 1}}, {"$skip": 1}, {"$limit": 3}, _GROUP_CITY],
+     {"score": None, "city": None, "age": None}),
+    # ... and unreset tails (or no stages) need whole rows.
+    ([], None),
+    ([{"$match": {"age": 3}}], None),
+    ([{"$match": {"age": 3}}, {"$sort": {"age": 1}}, {"$limit": 2}], None),
+    ([{"$unwind": "$tags"}], None),
+    ([{"$project": {"tags": 0}}], None),
+    # An exclusion $project copies whatever it is given: whole rows.
+    ([{"$project": {"nope": 0}}, _GROUP_CITY], None),
+    # Cut at the first array index; a path starting with one is everything.
+    ([{"$group": {"_id": "$tags.0", "last": {"$max": "$address.1.zip"}}}],
+     {"tags": None, "address": None}),
+    ([{"$group": {"_id": "$0.a"}}], None),
+    # Prefix subsumption, in either order.
+    ([{"$group": {"_id": "$address.zip", "all": {"$push": "$address"}}}],
+     {"address": None}),
+    ([{"$group": {"_id": "$address", "zips": {"$push": "$address.zip"}}}],
+     {"address": None}),
+    # Literal-object _id: every reference inside it; literals read nothing.
+    ([{"$group": {"_id": {"c": "$city", "z": ["$address.zip", 7]},
+                  "n": {"$count": {}}}}],
+     {"city": None, "address": {"zip": None}}),
+    ([{"$group": {"_id": None, "n": {"$sum": 1}}}], {}),
+    # A non-leading $match, through $or/$nor/$and and $elemMatch (whose
+    # body is relative to the array its field path already covers).
+    ([{"$limit": 9},
+      {"$match": {"$or": [{"a.b": 1}, {"$nor": [{"c": {"$exists": False}}]}],
+                  "$and": [{"d": {"$elemMatch": {"e": 1}}}]}},
+      {"$count": "n"}],
+     {"a": {"b": None}, "c": None, "d": None}),
+    # A leading filter outside the find dialect still reports its paths.
+    ([{"$match": {"age": {"$gt": 39.5}, "name.first": {"$regex": "(?i)^s"}}},
+      {"$count": "n"}],
+     {"age": None, "name": {"first": None}}),
+]
+
+
+class TestReadSet:
+    @pytest.mark.parametrize("pipeline, reads", READS)
+    def test_pinned_read_sets(self, pipeline, reads):
+        compiled = compile_pipeline(pipeline, cache=None)
+        assert compiled.reads == reads
+        assert repr(compiled).endswith(f", reads={compiled.reads!r})")
+
+    def test_rows_are_materialised_through_the_read_set(self, people, monkeypatch):
+        """One public to_value call per row, guided by ``reads``."""
+        seen = []
+        original = JSONTree.to_value
+
+        def spy(tree, node=None, paths=None):
+            seen.append(paths)
+            return original(tree, node, paths)
+
+        monkeypatch.setattr(JSONTree, "to_value", spy)
+        pipeline = [{"$group": {"_id": "$address.city", "n": {"$sum": 1}}}]
+        compiled = compile_pipeline(pipeline, cache=None)
+        rows = compiled.execute(people)
+        assert seen == [{"address": {"city": None}}] * len(people)
+        del seen[:]
+        assert compiled.explain(people).results == len(rows)
+        partial = compiled.execute_partial(people)
+        assert compiled.merge_partials([partial]) == rows
+        assert seen == [{"address": {"city": None}}] * (2 * len(people))
+
+    def test_stages_still_accept_whole_rows(self):
+        """``reads`` is an upper bound on what is needed, never a
+        contract on what rows contain."""
+        for pipeline, _ in READS:
+            assert aggregate_many(pipeline, PEOPLE[:40]) == naive_aggregate(
+                PEOPLE[:40], pipeline
+            )
 
 
 # ---------------------------------------------------------------------------

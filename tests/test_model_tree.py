@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     DuplicateKeyError,
@@ -10,6 +14,9 @@ from repro.errors import (
     UnsupportedValueError,
 )
 from repro.model.tree import JSONTree, Kind
+from repro.mongo.aggregate import compile_value_filter, match_value
+from repro.mongo.projection import Projection
+from repro.query.stages import path_trie, resolve_path
 
 
 class TestConstruction:
@@ -193,3 +200,132 @@ class TestValidate:
 
     def test_repr_truncates(self, figure1_doc):
         assert len(repr(figure1_doc)) < 80
+
+
+# ---------------------------------------------------------------------------
+# Path-guided materialisation: to_value(paths=trie).
+# ---------------------------------------------------------------------------
+
+_KEYS = st.sampled_from(["a", "b", "c", "d"])
+_values = st.recursive(
+    st.integers(min_value=0, max_value=9) | st.sampled_from(["", "x", "y"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+_documents = st.dictionaries(_KEYS, _values, max_size=4)
+# Dotted paths as segment tuples; "0"/"1" are array positions.
+_paths = st.lists(
+    st.lists(
+        st.sampled_from(["a", "b", "c", "d", "0", "1"]), min_size=1, max_size=4
+    ).map(tuple),
+    max_size=4,
+)
+
+
+def _pruned(value, trie):
+    """``value`` with the object members off every trie path deleted;
+    arrays, scalars and anything under a leaf stay whole."""
+    if trie is None or not isinstance(value, dict):
+        return value
+    return {
+        key: _pruned(sub, trie[key]) for key, sub in value.items() if key in trie
+    }
+
+
+def _containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for sub in value.values() if isinstance(value, dict) else value:
+            yield from _containers(sub)
+
+
+class TestPathGuidedToValue:
+    def test_none_is_the_whole_document_and_the_empty_trie_is_empty(self):
+        doc = {"a": {"b": [1, {"c": 2}]}, "d": "x"}
+        tree = JSONTree.from_value(doc)
+        assert tree.to_value(paths=None) == doc
+        assert tree.to_value(None, {}) == {}
+        # Only objects are pruned: an array or scalar root comes whole.
+        assert JSONTree.from_value([1, {"a": 2}]).to_value(None, {}) == [1, {"a": 2}]
+        assert JSONTree.from_value(7).to_value(None, {"a": None}) == 7
+
+    def test_arrays_before_a_path_ends_come_whole(self):
+        doc = {"b": {"c": [{"d": 1, "e": 2}], "f": 3}, "g": 4}
+        tree = JSONTree.from_value(doc)
+        assert tree.to_value(None, {"b": {"c": {"d": None}}}) == {
+            "b": {"c": [{"d": 1, "e": 2}]}
+        }
+        # A scalar met early is kept; a subtree node is honoured.
+        assert tree.to_value(None, {"g": {"h": None}}) == {"g": 4}
+        b = tree.object_child(tree.root, "b")
+        assert tree.to_value(b, {"f": None}) == {"f": 3}
+
+    @given(_documents, _paths)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_whole_value_with_off_path_members_deleted(
+        self, doc, paths
+    ):
+        tree = JSONTree.from_value(doc)
+        trie = path_trie(paths)
+        expected = _pruned(doc, trie)
+        projected = tree.to_value(None, trie)
+        # json.dumps compares key order too: a subsequence of the document's.
+        assert json.dumps(projected) == json.dumps(expected)
+        # Nothing is shared between calls or with the tree.
+        again = tree.to_value(None, trie)
+        assert not {id(c) for c in _containers(projected)} & {
+            id(c) for c in _containers(again)
+        }
+        for container in list(_containers(projected)):
+            container.clear()
+        assert tree.to_value(None, trie) == expected
+        assert tree.to_value() == doc
+
+    @given(_documents, _paths)
+    @settings(max_examples=200, deadline=None)
+    def test_consumers_agree_on_projected_and_whole_rows(self, doc, paths):
+        tree = JSONTree.from_value(doc)
+        projected = tree.to_value(None, path_trie(paths))
+        for path in paths:
+            assert resolve_path(projected, path) == resolve_path(doc, path)
+            for stop in range(1, len(path)):
+                # A prefix reaches the same node; an object there has
+                # only lost its off-path members.
+                ours = resolve_path(projected, path[:stop])
+                whole = resolve_path(doc, path[:stop])
+                assert type(ours) is type(whole)
+                assert isinstance(whole, dict) or ours == whole
+        # Projection never reads a segment as an index ("a.0" is the key
+        # "0", element-wise through arrays) and builds its own trie.
+        projection = Projection({".".join(path): 1 for path in paths})
+        assert projection.value_of(tree) == projection.apply_value(doc)
+
+    @given(_documents, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_value_filters_agree_on_projected_and_whole_rows(self, doc, data):
+        dotted = st.lists(
+            st.sampled_from(["a", "b", "c", "0"]), min_size=1, max_size=3
+        ).map(".".join)
+        scalar = st.integers(min_value=0, max_value=9) | st.sampled_from(["x"])
+        condition = st.one_of(
+            scalar,  # equality, incl. scalar-in-array containment
+            st.builds(lambda v: {"$elemMatch": {"$eq": v}}, scalar),
+            st.builds(lambda v: {"$elemMatch": {"c": v}}, scalar),
+            st.sampled_from(
+                [{"$exists": False}, {"$exists": True}, {"$type": "object"}]
+            ),
+            st.builds(lambda n: {"$size": n}, st.integers(0, 3)),
+            st.builds(lambda n: {"$not": {"$gt": n}}, st.integers(0, 9)),
+        )
+        clause = st.dictionaries(dotted, condition, min_size=1, max_size=2)
+        clauses = st.lists(clause, min_size=1, max_size=2)
+        filter_doc = data.draw(
+            clause
+            | st.builds(lambda subs: {"$or": subs}, clauses)
+            | st.builds(lambda subs: {"$nor": subs}, clauses)
+        )
+        paths: list = []
+        predicate = compile_value_filter(filter_doc, paths)
+        projected = JSONTree.from_value(doc).to_value(None, path_trie(paths))
+        assert predicate(projected) == predicate(doc) == match_value(filter_doc, doc)

@@ -135,3 +135,60 @@ class TestLargerCollection:
         )
         for doc in with_hobby:
             assert "yoga" in doc["hobbies"]
+
+
+class TestIndexSegments:
+    """A path segment is an array index iff it is ASCII decimal digits
+    (``is_index_segment``): ``str.isdigit`` alone also admits ``"²"``
+    (``int()`` raises) and ``"٣"`` (``int()`` reads 3), which are keys."""
+
+    @pytest.mark.parametrize("key", ["²", "٣"])
+    def test_non_ascii_digits_are_object_keys(self, key):
+        path = f"a.{key}"
+        docs = [{"a": {key: 1}}, {"a": [0, 0, 0, 1]}, {"a": {"x": 1}}]
+        people = api.collection(docs)
+        assert people.find({path: 1}) == [docs[0]]
+        assert people.find({path: {"$exists": True}}) == [docs[0]]
+        assert people.aggregate(
+            [{"$match": {path: {"$gte": 1}}}, {"$group": {"_id": f"${path}"}}]
+        ) == [{"_id": 1}]
+        assert people.aggregate([{"$group": {"_id": f"${path}"}}]) == [
+            {"_id": 1}, {"_id": None}
+        ]
+        assert people.aggregate(
+            [{"$sort": {path: -1}}, {"$limit": 1}, {"$unwind": f"${path}"}]
+        ) == [docs[0]]
+        result = people.update_one({path: 1}, {"$inc": {path: 1}})
+        assert result.modified_count == 1
+        assert people.find({path: 2}) == [{"a": {key: 2}}]
+        # Created as a member, not refused as an array position.
+        people.update_one({"a.x": 1}, {"$set": {path: 5}})
+        assert people.find({path: 5}) == [{"a": {"x": 1, key: 5}}]
+
+    def test_ascii_digits_with_a_leading_zero_are_an_index(self):
+        docs = [{"a": [5, 6]}, {"a": {"01": 6}}]
+        people = api.collection(docs)
+        assert people.find({"a.01": 6}) == [docs[0]]
+        assert people.aggregate([{"$group": {"_id": "$a.01"}}]) == [
+            {"_id": 6}, {"_id": None}
+        ]
+        people.update_one({"a.01": 6}, {"$set": {"a.01": 7}})
+        assert people.find({"a.1": 7}) == [{"a": [5, 7]}]
+
+    def test_json_pointer_tokens(self):
+        from repro.errors import NavigationError
+        from repro.model.pointer import (
+            pointer_to_steps,
+            resolve_in_value,
+            resolve_pointer,
+        )
+        from repro.model.tree import JSONTree
+
+        assert pointer_to_steps(["a", "01", "²"]) == ["a", 1, "²"]
+        assert resolve_in_value({"²": [7]}, "/²/0") == 7
+        tree = JSONTree.from_value({"a": [7]})
+        for pointer in ("/a/²", "/a/٣"):
+            with pytest.raises(NavigationError):
+                resolve_pointer(tree, pointer)
+            with pytest.raises(NavigationError):
+                resolve_in_value({"a": [7]}, pointer)

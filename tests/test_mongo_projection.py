@@ -110,3 +110,59 @@ class TestFindWithProjection:
     def test_empty_projection_means_whole_documents(self):
         people = api.collection([DOC])
         assert people.find({}, {}) == [DOC]
+
+
+class TestProjectedMaterialisation:
+    """An inclusion projection materialises only the paths it keeps
+    (``JSONTree.to_value(paths=projection.paths)``) -- the answers must
+    not notice, on any backend."""
+
+    DOCS = [
+        {"b": {"c": [{"d": 1, "e": 2}, {"e": 3}, 4], "f": 5}, "g": 6},
+        {"b": [{"c": {"d": 7, "e": 8}}, {"c": [{"d": 9}]}], "g": 10},
+        {"b": {"c": 11}},
+        {"g": 12},
+    ]
+    CASES = [
+        ({"b.c.d": 1}, [
+            {"b": {"c": [{"d": 1}, {}]}},
+            {"b": [{"c": {"d": 7}}, {"c": [{"d": 9}]}]},
+            {"b": {}},
+            {},
+        ]),
+        ({"g": 1, "b.f": 1}, [
+            {"b": {"f": 5}, "g": 6},
+            {"b": [{}, {}], "g": 10},
+            {"b": {}},
+            {"g": 12},
+        ]),
+        ({"b.c.d": 0}, [
+            {"b": {"c": [{"e": 2}, {"e": 3}, 4], "f": 5}, "g": 6},
+            {"b": [{"c": {"e": 8}}, {"c": [{}]}], "g": 10},
+            {"b": {"c": 11}},
+            {"g": 12},
+        ]),
+    ]
+
+    @pytest.mark.parametrize("projection, expected", CASES)
+    def test_collection_snapshot_and_sharded_agree(self, projection, expected):
+        single = api.collection(self.DOCS)
+        assert [
+            Projection(projection).apply_value(doc) for doc in self.DOCS
+        ] == expected
+        assert single.find({}, projection) == expected
+        assert single.snapshot_view().find({}, projection) == expected
+        with api.collection(self.DOCS, shards=2, parallel=False) as fleet:
+            assert fleet.find({}, projection) == expected
+
+    def test_value_of_honours_a_subtree_node(self):
+        tree = JSONTree.from_value(self.DOCS[0])
+        node = tree.object_child(tree.root, "b")
+        assert Projection({"c.d": 1}).value_of(tree, node) == {
+            "c": [{"d": 1}, {}]
+        }
+
+    def test_a_listed_prefix_absorbs_its_extensions(self):
+        for spec in ({"b": 1, "b.c": 1}, {"b.c": 1, "b": 1}):
+            assert Projection(spec).paths == {"b": None}
+            assert Projection(spec).apply_value(self.DOCS[2]) == self.DOCS[2]
