@@ -10,13 +10,24 @@ documents only.  On a 10k-document collection, selective queries must
 run >= 10x faster index-backed than the PR-1 full batch scan -- with
 identical results, pinned by the differential tests in
 ``tests/test_planner.py`` and re-asserted here.
+
+A second, *scaling* row times one point ``find`` over N and 10*N
+documents.  The speedup rows cannot see an O(N) term in the indexed
+path (the full scan they divide by is O(N) too, and slower); the
+latency ratio can: a read that costs its postings plus its survivors
+answers in the same time at both sizes, and the ratio is gated <= 2x.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, measure, smoke_mode
+from repro.bench.harness import (
+    format_table,
+    measure,
+    measure_amortised,
+    smoke_mode,
+)
 from repro.query import compile_mongo_find, compile_query, filter_many
 from repro.workloads import people_collection
 from repro import api
@@ -74,6 +85,26 @@ def _rows():
     return rows
 
 
+# The scaling row: the same point find over N and 10*N documents.
+SCALING_DOCS = (300, 3_000) if smoke_mode() else (2_000, 20_000)
+SCALING_CEILING = 2.0
+
+
+def scaling() -> tuple[float, float, float]:
+    """``(latency at N, latency at 10*N, their ratio)`` of one point
+    ``find`` answering one document at either size."""
+    small, large = SCALING_DOCS
+    filter_doc = {"id": small // 2}
+    latencies = []
+    for docs in (small, large):
+        collection = api.collection(people_collection(docs, seed=11))
+        assert len(collection.find(filter_doc)) == 1
+        latencies.append(
+            measure_amortised(lambda: collection.find(filter_doc), repeat=5)
+        )
+    return latencies[0], latencies[1], latencies[1] / latencies[0]
+
+
 def _check_results_identical() -> None:
     """Index-backed results must equal the full scan, document for
     document (the planner only ever *skips* non-matches)."""
@@ -122,6 +153,14 @@ def check_targets() -> list[str]:
                 f"bench_collection_queries: {label} index-backed speedup "
                 f"{ratio:.1f}x < {floor:.0f}x target"
             )
+    small, large, ratio = scaling()
+    if ratio > SCALING_CEILING:
+        failures.append(
+            f"bench_collection_queries: point find over {SCALING_DOCS[1]} "
+            f"docs takes {ratio:.1f}x its latency over {SCALING_DOCS[0]} "
+            f"({large * 1e6:.0f} us vs {small * 1e6:.0f} us) "
+            f"> {SCALING_CEILING:.0f}x ceiling"
+        )
     return failures
 
 
@@ -170,6 +209,13 @@ def main() -> str:
     if not smoke_mode():
         best = max(ratio for _, _, _, ratio in rows)
         table += f"\n(best index-backed speedup: {best:.1f}x)"
+    small, large, ratio = scaling()
+    table += (
+        f"\n(scaling: point find {small * 1e6:.0f} us over "
+        f"{SCALING_DOCS[0]} docs, {large * 1e6:.0f} us over "
+        f"{SCALING_DOCS[1]}: {ratio:.2f}x, target <= "
+        f"{SCALING_CEILING:.0f}x)"
+    )
     return table
 
 

@@ -737,19 +737,16 @@ class CompiledPipeline:
 
         ``kind`` is the enforced semantic verdict: ``"empty"`` yields
         nothing, ``"all"`` every live document verify-free; otherwise
-        the candidates (index-pruned by :meth:`_candidates`, so the
-        pruned ids are never touched) are verified by the value-space
-        matcher.  A row is materialised once, through the pipeline's
-        read set, and the matcher runs on that same projected row.
+        the candidates (index-pruned by :meth:`_candidates` and fetched
+        by id, so the pruned documents are never touched) are verified
+        by the value-space matcher.  A row is materialised once, through
+        the pipeline's read set, and the matcher runs on that same
+        projected row.
         """
         if kind == "empty":
             return
         reads = self.reads
-        if candidates is None:
-            documents = collection.documents()
-        else:
-            get = collection.get
-            documents = ((doc_id, get(doc_id)) for doc_id in sorted(candidates))
+        documents = collection.documents(candidates)
         lead_pred = self.lead_pred
         if kind == "all" or lead_pred is None:
             for doc_id, tree in documents:

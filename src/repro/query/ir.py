@@ -173,13 +173,26 @@ class AnyEq(Pred):
 
 
 def and_(parts: Iterable[Pred]) -> Pred:
-    """Conjunction with simplification (drops TRUE, dedupes, flattens)."""
+    """Conjunction with simplification: drops TRUE, dedupes, flattens,
+    and drops ``PathExists(p)`` beside a ``PathEq``/``PathRange``/
+    ``PathKind`` on the same ``p`` (each of them implies it)."""
     seen: list[Pred] = []
     for part in _flatten(parts, AndPred):
         if isinstance(part, TruePred):
             continue
         if part not in seen:
             seen.append(part)
+    located = {
+        part.path
+        for part in seen
+        if isinstance(part, (PathEq, PathRange, PathKind))
+    }
+    if located:
+        seen = [
+            part
+            for part in seen
+            if not (isinstance(part, PathExists) and part.path in located)
+        ]
     if not seen:
         return TRUE
     if len(seen) == 1:
@@ -188,13 +201,20 @@ def and_(parts: Iterable[Pred]) -> Pred:
 
 
 def or_(parts: Iterable[Pred]) -> Pred:
-    """Disjunction with simplification (TRUE absorbs, dedupes, flattens)."""
+    """Disjunction with simplification: TRUE absorbs, dedupes, flattens,
+    and applies absorption (``A or (A and B)`` is ``A``)."""
     seen: list[Pred] = []
     for part in _flatten(parts, OrPred):
         if isinstance(part, TruePred):
             return TRUE
         if part not in seen:
             seen.append(part)
+    alone = {part for part in seen if not isinstance(part, AndPred)}
+    seen = [
+        part
+        for part in seen
+        if not (isinstance(part, AndPred) and not alone.isdisjoint(part.parts))
+    ]
     if not seen:
         return TRUE
     if len(seen) == 1:
@@ -472,6 +492,40 @@ def _lift_atom(ctx: _Ctx, test: nt.NodeTest) -> Pred:
     return TRUE
 
 
+def _lift_and(ctx: _Ctx, formula: jnl.And) -> Pred:
+    """Necessary condition for a conjunction holding at ``ctx``.
+
+    The conjunction is a node test: all its conjuncts hold of *one*
+    node.  At an anchored context its own ``MinVal``/``MaxVal`` atoms
+    therefore fold into a single :class:`PathRange` with the tightest
+    bounds -- an empty interval stays an (unsatisfiable) interval.
+    Atoms a conjunct reaches through a further axis, or atoms of a
+    different conjunction, may be satisfied by different nodes under
+    the same stripped path and are never merged.
+    """
+    low: int | None = None
+    high: int | None = None
+    parts: list[Pred] = []
+    stack: list[jnl.Unary] = [formula]
+    while stack:
+        conjunct = stack.pop()
+        if isinstance(conjunct, jnl.And):
+            stack.append(conjunct.right)
+            stack.append(conjunct.left)
+            continue
+        mergeable = ctx.anchored and isinstance(conjunct, jnl.Atom)
+        test = conjunct.test if mergeable else None
+        if isinstance(test, nt.MinVal):
+            low = test.bound if low is None else max(low, test.bound)
+        elif isinstance(test, nt.MaxVal):
+            high = test.bound if high is None else min(high, test.bound)
+        else:
+            parts.append(_lift(ctx, conjunct))
+    if low is not None or high is not None:
+        parts.append(PathRange(ctx.path, low, high))
+    return and_(parts)
+
+
 def _lift(ctx: _Ctx, formula: jnl.Unary) -> Pred:
     """Necessary condition for ``formula`` holding at ``ctx``."""
     if isinstance(formula, jnl.Top):
@@ -481,7 +535,7 @@ def _lift(ctx: _Ctx, formula: jnl.Unary) -> Pred:
         # "absence of X" cannot be answered as a superset soundly.
         return TRUE
     if isinstance(formula, jnl.And):
-        return and_([_lift(ctx, formula.left), _lift(ctx, formula.right)])
+        return _lift_and(ctx, formula)
     if isinstance(formula, jnl.Or):
         return or_([_lift(ctx, formula.left), _lift(ctx, formula.right)])
     if isinstance(formula, jnl.Exists):

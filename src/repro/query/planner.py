@@ -10,15 +10,19 @@ The execution model for a query over an indexed collection
    the collection's secondary indexes: leaves look up postings,
    conjunctions intersect (smallest first), disjunctions union, and
    anything unindexable dissolves to "all documents";
-3. **Scan survivors** -- the PR-1 compiled per-tree evaluation
-   (``matches``/``select``/``apply``) runs on the candidates only, in
-   document-id order, so results are *identical* to a full scan -- the
-   indexes never decide a match, they only skip documents that provably
-   cannot match.
+3. **Fetch and scan survivors** -- :func:`survivors` fetches the
+   candidates *by id* (``collection.documents(ids)``: direct slot
+   access in ascending id order, never a pass over the collection) and
+   the PR-1 compiled per-tree evaluation (``matches``/``select``/
+   ``apply``) runs on them only, so results are *identical* to a full
+   scan -- the indexes never decide a match, they only skip documents
+   that provably cannot match.
 
-Candidates are recomputed from the live indexes on every call (plans
-are tree-independent and cached process-wide; candidate sets never
-are), so a mutated collection can never serve stale answers.
+A read therefore costs the postings its fold touches plus the survivors
+it fetches and verifies -- not the size of the collection.  Candidates
+are recomputed from the live indexes on every call (plans are
+tree-independent and cached process-wide; candidate sets never are),
+so a mutated collection can never serve stale answers.
 
 Before stages 2 and 3 the planner consults the schema-aware semantic
 optimizer (:mod:`repro.query.optimizer`): an enforced ``"empty"``
@@ -29,9 +33,10 @@ exposing a ``semantic_context``; everything else (and every
 ``no_semantic=True`` call) takes the classic prune-and-verify path.
 
 The module is deliberately ignorant of :mod:`repro.store` internals:
-anything with ``indexes``/``documents()``/``version`` duck-types as a
-collection, which keeps the import graph acyclic (store builds on the
-planner, not vice versa).
+anything with ``indexes``, ``__len__`` and ``documents(ids=None)`` --
+every live ``(doc_id, tree)`` in id order, or with ``ids`` just those
+documents, still in id order -- duck-types as a collection, which keeps
+the import graph acyclic (store builds on the planner, not vice versa).
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
 __all__ = [
     "PlanExplain",
     "candidate_ids",
+    "survivors",
     "match_ids",
     "match_flags",
     "count_matches",
@@ -154,21 +160,24 @@ def _fold_candidates(
     return None, True  # Unknown predicate: never prune on it.
 
 
-def _survivors(
+def survivors(
     collection: "Collection", predicate: ir.Pred
 ) -> tuple[list[tuple[int, JSONTree]], int | None]:
-    """Live ``(doc_id, tree)`` pairs to scan, in document-id order."""
+    """The one survivor source: ``(pairs, candidate count)``.
+
+    ``pairs`` are the live ``(doc_id, tree)`` to evaluate, in
+    document-id order, fetched *by id* from the candidate set -- so a
+    read costs the postings it touches plus the survivors it returns,
+    never a pass over the collection.  The count is ``None`` (and the
+    pairs are every live document) when nothing prunes: no indexes, or
+    a predicate that dissolves to "all documents".
+    """
     indexes = collection.indexes
     candidates = None
     if indexes is not None:
         candidates = candidate_ids(predicate, indexes)
-    if candidates is None:
-        return list(collection.documents()), None
-    return (
-        [(doc_id, tree) for doc_id, tree in collection.documents()
-         if doc_id in candidates],
-        len(candidates),
-    )
+    pairs = list(collection.documents(candidates))
+    return pairs, None if candidates is None else len(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +189,14 @@ def _matching(
     collection: "Collection",
     query: CompiledQuery,
     decision: SemanticDecision | None = None,
+    report: dict[str, int | None] | None = None,
 ) -> Iterable[tuple[int, JSONTree]]:
+    """The matching ``(doc_id, tree)`` pairs, in document-id order.
+
+    ``report`` is :func:`explain`'s out-parameter: it receives the
+    ``candidates`` count and the number of survivors ``scanned`` (both
+    stay unset when a semantic verdict answers without scanning).
+    """
     kind = optimizer.effective_kind(decision)
     if kind == "empty":
         return
@@ -192,9 +208,12 @@ def _matching(
         verify = decision.verdict.residual_query.matches
     else:
         verify = query.matches
-    survivors, _ = _survivors(collection, query.plan.match_predicate)
+    pairs, candidates = survivors(collection, query.plan.match_predicate)
+    if report is not None:
+        report["candidates"] = candidates
+        report["scanned"] = len(pairs)
     count = optimizer.count_verify
-    for doc_id, tree in survivors:
+    for doc_id, tree in pairs:
         count()
         if verify(tree):
             yield doc_id, tree
@@ -318,13 +337,12 @@ def select_nodes(
         if query.plan.mode == ir.MODE_FILTER
         else query.plan.match_predicate
     )
-    survivors, _ = _survivors(collection, predicate)
-    surviving = {doc_id for doc_id, _ in survivors}
-    rows: list[tuple[int, list[int]]] = []
-    for doc_id, tree in collection.documents():
-        nodes = query.select(tree) if doc_id in surviving else []
-        rows.append((doc_id, nodes))
-    return rows
+    pairs, _ = survivors(collection, predicate)
+    selected = {doc_id: query.select(tree) for doc_id, tree in pairs}
+    return [
+        (doc_id, selected.get(doc_id, []))
+        for doc_id, _ in collection.documents()
+    ]
 
 
 def select_values(
@@ -351,51 +369,15 @@ def explain(
     decision = optimizer.semantic_plan(
         collection, query, no_semantic=no_semantic
     )
-    semantics = None if decision is None else decision.semantics_explain()
-    total = len(collection)
-    kind = optimizer.effective_kind(decision)
-    if kind == "empty":
-        return Explain(
-            kind="find",
-            dialect=query.dialect,
-            source=query.source,
-            total=total,
-            candidates=None,
-            scanned=0,
-            matched=0,
-            semantics=semantics,
-        )
-    if kind == "all":
-        return Explain(
-            kind="find",
-            dialect=query.dialect,
-            source=query.source,
-            total=total,
-            candidates=None,
-            scanned=0,
-            matched=total,
-            semantics=semantics,
-        )
-    if kind == "residual":
-        verify = decision.verdict.residual_query.matches
-    else:
-        verify = query.matches
-    survivors, candidates = _survivors(
-        collection, query.plan.match_predicate
-    )
-    count = optimizer.count_verify
-    matched = 0
-    for _, tree in survivors:
-        count()
-        if verify(tree):
-            matched += 1
+    report: dict[str, int | None] = {}
+    matched = sum(1 for _ in _matching(collection, query, decision, report))
     return Explain(
         kind="find",
         dialect=query.dialect,
         source=query.source,
-        total=total,
-        candidates=candidates,
-        scanned=len(survivors),
+        total=len(collection),
+        candidates=report.get("candidates"),
+        scanned=report.get("scanned", 0),
         matched=matched,
-        semantics=semantics,
+        semantics=None if decision is None else decision.semantics_explain(),
     )

@@ -88,6 +88,32 @@ def _no_semantic(hint: "dict[str, Any] | None") -> bool:
     return bool(hint) and bool(hint.get("no_semantic"))
 
 
+def slots_by_id(
+    slots: "list[JSONTree | None]", ids: Iterable[int]
+) -> "Iterator[tuple[int, JSONTree | None]]":
+    """``(doc_id, slot)`` for the given ids, ascending, straight from an
+    id->tree slot list -- the by-id half of ``documents()`` on a
+    collection and on its snapshots.  Raises
+    :class:`~repro.errors.StoreError` on an id that is not an ``int``
+    or was never assigned; the slot of a removed document is ``None``.
+
+    Everything per id runs at C speed (one sort, one type sweep, one
+    ``map`` over the slot list) and the range check looks at the two
+    ends of the sorted ids only, so fetching most of a collection by id
+    costs no more than walking it.
+    """
+    try:
+        ordered = sorted(ids)
+    except TypeError:
+        raise StoreError("document ids must be integers") from None
+    if not all(issubclass(kind, int) for kind in set(map(type, ordered))):
+        raise StoreError("document ids must be integers")
+    if ordered and (ordered[0] < 0 or ordered[-1] >= len(slots)):
+        unknown = ordered[0] if ordered[0] < 0 else ordered[-1]
+        raise StoreError(f"unknown document id {unknown}")
+    return zip(ordered, map(slots.__getitem__, ordered))
+
+
 class Collection:
     """A queryable, indexed, optionally schema-enforced document set.
 
@@ -287,7 +313,11 @@ class Collection:
         return self._alive
 
     def __contains__(self, doc_id: int) -> bool:
-        return 0 <= doc_id < len(self._trees) and self._trees[doc_id] is not None
+        return (
+            isinstance(doc_id, int)
+            and 0 <= doc_id < len(self._trees)
+            and self._trees[doc_id] is not None
+        )
 
     def get(self, doc_id: int) -> JSONTree:
         if not isinstance(doc_id, int) or not 0 <= doc_id < len(self._trees):
@@ -302,18 +332,31 @@ class Collection:
     def doc_ids(self) -> list[int]:
         return [i for i, tree in enumerate(self._trees) if tree is not None]
 
-    def documents(self) -> Iterator[tuple[int, JSONTree]]:
+    def documents(
+        self, ids: "Iterable[int] | None" = None
+    ) -> Iterator[tuple[int, JSONTree]]:
         """Live ``(doc_id, tree)`` pairs in id (= insertion) order.
 
-        Documents with a pending update are rebuilt (once) on the way
-        out, so readers always see post-update trees.
+        With ``ids``, only those documents, fetched by slot -- the cost
+        is ``len(ids)``, not the collection; an unknown, removed or
+        non-``int`` id raises :class:`~repro.errors.StoreError` (as
+        :meth:`get` does) once the iteration starts.  Documents with a
+        pending update are rebuilt (once) on the way out, so readers
+        always see post-update trees.
         """
         dirty = self._dirty
-        for doc_id, tree in enumerate(self._trees):
+        slots = (
+            enumerate(self._trees)
+            if ids is None
+            else slots_by_id(self._trees, ids)
+        )
+        for doc_id, tree in slots:
             if tree is not None:
                 if dirty and doc_id in dirty:
                     tree = self._rebuild(doc_id)
                 yield doc_id, tree
+            elif ids is not None:
+                raise StoreError(f"document {doc_id} was removed")
 
     @property
     def trees(self) -> list[JSONTree]:

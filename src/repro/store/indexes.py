@@ -37,6 +37,7 @@ callers (the planner) must treat them as read-only.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -392,7 +393,7 @@ class DocumentIndexes:
     """Incrementally maintained postings over a document collection."""
 
     __slots__ = ("_paths", "_eq", "_kinds", "_keys", "_tails", "_values",
-                 "_doc_entries", "_documents", "_shared")
+                 "_doc_entries", "_documents", "_shared", "_range_keys")
 
     def __init__(self) -> None:
         self._paths: dict[KeyPath, set[int]] = {}
@@ -407,6 +408,11 @@ class DocumentIndexes:
         self._documents = 0
         # The document-independent tuples every stored count dict shares.
         self._shared: dict[tuple, tuple] = {}
+        # path -> the sorted ``int`` keys of ``_eq[path]``, what a range
+        # look-up bisects.  Derived state: built by the first range
+        # query of a path, dropped whenever an ``eq`` posting at that
+        # path is created or deleted, never persisted.
+        self._range_keys: dict[KeyPath, list[int]] = {}
 
     # ------------------------------------------------------------------
     # Maintenance.
@@ -509,9 +515,15 @@ class DocumentIndexes:
         if tag == "path":
             self._paths.setdefault(entry[1], set()).add(doc_id)
         elif tag == "eq":
-            self._eq.setdefault(entry[1], {}).setdefault(
-                entry[2], set()
-            ).add(doc_id)
+            values = self._eq.get(entry[1])
+            if values is None:
+                values = self._eq[entry[1]] = {}
+            postings = values.get(entry[2])
+            if postings is None:
+                values[entry[2]] = {doc_id}
+                self._range_keys.pop(entry[1], None)
+            else:
+                postings.add(doc_id)
         elif tag == "kind":
             self._kinds.setdefault(entry[1], {}).setdefault(
                 entry[2], set()
@@ -530,7 +542,8 @@ class DocumentIndexes:
         if tag == "path":
             self._discard(self._paths, entry[1], doc_id)
         elif tag == "eq":
-            self._discard_nested(self._eq, entry[1], entry[2], doc_id)
+            if self._discard_nested(self._eq, entry[1], entry[2], doc_id):
+                self._range_keys.pop(entry[1], None)
         elif tag == "kind":
             self._discard_nested(self._kinds, entry[1], entry[2], doc_id)
         elif tag == "key":
@@ -549,17 +562,21 @@ class DocumentIndexes:
                 del table[key]
 
     @staticmethod
-    def _discard_nested(table: dict, outer, inner, doc_id: int) -> None:
+    def _discard_nested(table: dict, outer, inner, doc_id: int) -> bool:
+        """Returns whether the ``inner`` posting itself was deleted."""
         nested = table.get(outer)
         if nested is None:
-            return
+            return False
         postings = nested.get(inner)
-        if postings is not None:
-            postings.discard(doc_id)
-            if not postings:
-                del nested[inner]
+        if postings is None:
+            return False
+        postings.discard(doc_id)
+        if postings:
+            return False
+        del nested[inner]
         if not nested:
             del table[outer]
+        return True
 
     # ------------------------------------------------------------------
     # Lookups (read-only sets; callers must not mutate).
@@ -589,19 +606,24 @@ class DocumentIndexes:
         """Documents with a number leaf at ``path`` in ``(low, high)``.
 
         Bounds are exclusive (the NodeTest ``Min``/``Max`` convention);
-        ``None`` means unbounded.  Cost is linear in the number of
-        distinct values recorded at the path.
+        ``None`` means unbounded, an empty or inverted interval answers
+        the empty set.  One bisection of the path's sorted number keys,
+        then a union of only the postings inside the interval: the cost
+        follows the answer, not the number of distinct values recorded
+        at the path (sorting them is paid by the first range query
+        after the path's set of values changed).
         """
-        result: set[int] = set()
-        for value, postings in self._eq.get(path, {}).items():
-            if not isinstance(value, int):
-                continue
-            if low is not None and value <= low:
-                continue
-            if high is not None and value >= high:
-                continue
-            result |= postings
-        return result
+        values = self._eq.get(path)
+        if values is None:
+            return set()
+        keys = self._range_keys.get(path)
+        if keys is None:
+            keys = self._range_keys[path] = sorted(
+                value for value in values if isinstance(value, int)
+            )
+        start = 0 if low is None else bisect_right(keys, low)
+        stop = len(keys) if high is None else bisect_left(keys, high)
+        return set().union(*[values[key] for key in keys[start:stop]])
 
     # ------------------------------------------------------------------
     # Introspection.

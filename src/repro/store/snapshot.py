@@ -27,12 +27,12 @@ them unchanged.  They hold no engine and accept no writes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import StoreError
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import planner
-from repro.store.collection import _no_semantic
+from repro.store.collection import _no_semantic, slots_by_id
 from repro.query.compiled import (
     CompiledQuery,
     compile_mongo_find,
@@ -145,10 +145,22 @@ class CollectionSnapshot:
     def doc_ids(self) -> list[int]:
         return [i for i, tree in enumerate(self._trees) if tree is not None]
 
-    def documents(self) -> Iterator[tuple[int, JSONTree]]:
-        for doc_id, tree in enumerate(self._trees):
+    def documents(
+        self, ids: "Iterable[int] | None" = None
+    ) -> Iterator[tuple[int, JSONTree]]:
+        """The pinned ``(doc_id, tree)`` pairs in id order; with
+        ``ids``, only those, fetched by slot (same error contract as
+        :meth:`Collection.documents`)."""
+        slots = (
+            enumerate(self._trees)
+            if ids is None
+            else slots_by_id(self._trees, ids)
+        )
+        for doc_id, tree in slots:
             if tree is not None:
                 yield doc_id, tree
+            elif ids is not None:
+                raise StoreError(f"document {doc_id} was removed")
 
     @property
     def trees(self) -> list[JSONTree]:

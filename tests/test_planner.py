@@ -310,3 +310,145 @@ class TestCollectionCLI:
             ["query", corpus_file, "--collection", corpus_file, "--jnl", "true"]
         ) == 2
         assert main(["find", "--filter", "{}"]) == 2
+
+
+class TestSurvivorSource:
+    """Indexed reads fetch their survivors by id: with indexes present
+    and a predicate that prunes, no entry point walks the collection,
+    and exactly the candidates' slots are touched."""
+
+    # Each matches some but not all of DOCS, so no semantic verdict can
+    # settle it without scanning.
+    FILTERS = [
+        {"name.last": "Doe"},
+        {"age": {"$gte": 30, "$lt": 60}},
+        {"hobbies": "yoga"},
+        {"a.b": 5},
+        {"$or": [{"name.last": "Chen"}, {"age": {"$gt": 80}}]},
+    ]
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Records ``(ids argument, pairs yielded)`` per ``documents``
+        call, on collections and snapshots alike."""
+        from repro.store import Collection
+        from repro.store.snapshot import CollectionSnapshot
+
+        calls: list[list] = []
+        for owner in (Collection, CollectionSnapshot):
+            original = owner.documents
+
+            def documents(self, ids=None, _original=original):
+                call = [ids, 0]
+                calls.append(call)
+                for pair in _original(self, ids):
+                    call[1] += 1
+                    yield pair
+
+            monkeypatch.setattr(owner, "documents", documents)
+        return calls
+
+    @staticmethod
+    def entry_points(view, filter_doc):
+        """Every indexed read of one filter: ``(name, thunk)``."""
+        return [
+            ("find", lambda: view.find(filter_doc)),
+            ("count", lambda: view.count(filter_doc)),
+            ("match_ids", lambda: view.match_ids(compile_mongo_find(filter_doc))),
+            ("explain", lambda: view.explain(filter_doc).matched),
+            (
+                "aggregate",
+                lambda: view.aggregate(
+                    [{"$match": filter_doc}, {"$project": {"age": 1}}]
+                ),
+            ),
+        ]
+
+    def assert_fetched_by_id(self, view, indexes, spy):
+        # Building the structural summary walks the collection once, on
+        # the first query; that is not the read path under test.
+        assert view.semantic_context is not None
+        for filter_doc in self.FILTERS:
+            candidates = planner.candidate_ids(
+                compile_mongo_find(filter_doc).plan.match_predicate, indexes
+            )
+            assert candidates is not None and len(candidates) < len(view)
+            for name, run in self.entry_points(view, filter_doc):
+                del spy[:]
+                run()
+                assert [(set(ids), touched) for ids, touched in spy] == [
+                    (candidates, len(candidates))
+                ], (name, filter_doc)
+
+    def test_live_collection(self, spy):
+        collection = api.collection(DOCS)
+        self.assert_fetched_by_id(collection, collection.indexes, spy)
+
+    def test_current_snapshot(self, spy):
+        collection = api.collection(DOCS)
+        snapshot = collection.snapshot_view()
+        assert snapshot.current
+        self.assert_fetched_by_id(snapshot, collection.indexes, spy)
+
+    def test_pending_updates_are_fetched_by_id_too(self, spy):
+        collection = api.collection(DOCS)
+        reference = api.collection(DOCS, indexed=False)
+        for target in (collection, reference):
+            target.update_many({"name.last": "Doe"}, {"$inc": {"age": 1}})
+        assert collection.pending_updates
+        self.assert_fetched_by_id(collection, collection.indexes, spy)
+        # The first read rebuilt its survivors; dirty again for the rows.
+        collection.update_many({"name.last": "Doe"}, {"$inc": {"age": 1}})
+        reference.update_many({"name.last": "Doe"}, {"$inc": {"age": 1}})
+        assert collection.pending_updates
+        for filter_doc in self.FILTERS:
+            assert collection.find(filter_doc) == reference.find(filter_doc)
+
+    def test_stale_snapshot_full_scans_its_pinned_trees(self, spy):
+        collection = api.collection(DOCS)
+        snapshot = collection.snapshot_view()
+        expected = [
+            [run() for _, run in self.entry_points(snapshot, filter_doc)]
+            for filter_doc in self.FILTERS
+        ]
+        collection.update_many(
+            {"name.last": {"$exists": True}},
+            {"$set": {"name.last": "Gone", "age": 0, "hobbies": []}},
+        )
+        collection.remove(0)
+        assert not snapshot.current and snapshot.indexes is None
+        for filter_doc, answers in zip(self.FILTERS, expected):
+            for (name, run), answer in zip(
+                self.entry_points(snapshot, filter_doc), answers
+            ):
+                del spy[:]
+                assert run() == answer, (name, filter_doc)
+                assert spy and all(ids is None for ids, _ in spy), name
+
+    def test_answers_equal_full_evaluation(self):
+        collection = api.collection(DOCS)
+        snapshot = collection.snapshot_view()
+        for filter_doc in MONGO_FILTERS:
+            query = compile_mongo_find(filter_doc)
+            full = [
+                (doc_id, tree.to_value())
+                for doc_id, tree in collection.documents()
+                if query.matches(tree)
+            ]
+            for view in (collection, snapshot):
+                assert planner.find_rows(view, query) == full, filter_doc
+                assert view.find(filter_doc) == [row for _, row in full]
+                assert view.find(
+                    filter_doc, hint={"no_semantic": True}
+                ) == [row for _, row in full]
+                assert view.count(filter_doc) == len(full)
+                assert view.aggregate([{"$match": filter_doc}]) == [
+                    row for _, row in full
+                ]
+                report = view.explain(filter_doc, hint={"no_semantic": True})
+                assert report.matched == len(full)
+                assert report.scanned == (
+                    report.total
+                    if report.candidates is None
+                    else report.candidates
+                )

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
 
 from repro.cache import artifact_cache, clear_artifact_cache
 from repro.model.tree import Kind
+from repro import api
 from repro.query import compile_mongo_find, compile_query
-from repro.query import ir
+from repro.query import ir, planner
+
+_SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
 
 
 def match_pred(query):
@@ -71,9 +77,9 @@ class TestSargableExtraction:
         pred = match_pred(
             compile_mongo_find({"age": {"$gte": 30, "$lt": 60}})
         )
-        parts = conjuncts(pred)
-        assert ir.PathRange(("age",), 29, None) in parts
-        assert ir.PathRange(("age",), None, 60) in parts
+        # Both bounds sit on one node: a single interval, and nothing
+        # beside it (the range already implies the path exists).
+        assert pred == ir.PathRange(("age",), 29, 60)
 
     def test_mongo_in_becomes_disjunction(self):
         pred = match_pred(compile_mongo_find({"c": {"$in": ["x", "y"]}}))
@@ -131,6 +137,253 @@ class TestSargableExtraction:
         assert ir.and_([ir.TRUE, ir.TRUE]) == ir.TRUE
         assert ir.or_([ir.PathExists(("a",)), ir.TRUE]) == ir.TRUE
         assert ir.and_([ir.PathExists(("a",)), ir.TRUE]) == ir.PathExists(("a",))
+
+
+class TestNormalisation:
+    """``and_``/``or_`` remove what the Mongo lowering repeats; both
+    rewrites are equivalences of the predicate."""
+
+    A = ir.PathEq(("a",), 5)
+    B = ir.PathKind(("a",), Kind.ARRAY)
+    C = ir.HasKey("c")
+
+    def test_absorption(self):
+        assert ir.or_([self.A, ir.and_([self.B, self.A])]) == self.A
+        assert ir.or_([ir.and_([self.A, self.B]), self.A]) == self.A
+        assert ir.or_(
+            [self.A, ir.and_([self.B, self.A]), self.C, ir.and_([self.B, self.C])]
+        ) == ir.OrPred((self.A, self.C))
+        # Nothing absorbs a conjunction that shares no whole disjunct.
+        kept = ir.or_([self.A, ir.and_([self.B, self.C])])
+        assert kept == ir.OrPred((self.A, ir.AndPred((self.B, self.C))))
+
+    @pytest.mark.parametrize(
+        "implying",
+        [
+            ir.PathEq(("a",), 5),
+            ir.PathRange(("a",), 2, None),
+            ir.PathKind(("a",), Kind.OBJECT),
+        ],
+    )
+    def test_exists_is_dropped_beside_what_implies_it(self, implying):
+        exists = ir.PathExists(("a",))
+        assert ir.and_([implying, exists]) == implying
+        assert ir.and_([exists, implying]) == implying
+        elsewhere = ir.PathExists(("b",))
+        assert ir.and_([implying, elsewhere]) == ir.AndPred((implying, elsewhere))
+        # A key-presence or disjunctive fact implies nothing about "a".
+        assert ir.and_([self.C, exists]) == ir.AndPred((self.C, exists))
+
+    def test_mongo_equality_is_one_lookup(self):
+        assert match_pred(compile_mongo_find({"user": 5})) == ir.PathEq(
+            ("user",), 5
+        )
+        assert match_pred(compile_mongo_find({"city": "x", "age": 7})) == (
+            ir.AndPred((ir.PathEq(("city",), "x"), ir.PathEq(("age",), 7)))
+        )
+
+    def test_one_conjunction_one_interval(self):
+        lowered = {
+            "tightest": {"a": {"$gt": 2, "$gte": 7, "$lt": 50, "$lte": 20}},
+            "empty": {"a": {"$gt": 9, "$lt": 3}},
+        }
+        assert match_pred(compile_mongo_find(lowered["tightest"])) == (
+            ir.PathRange(("a",), 6, 21)
+        )
+        # An empty interval stays an interval: it prunes everything.
+        assert match_pred(compile_mongo_find(lowered["empty"])) == (
+            ir.PathRange(("a",), 9, 3)
+        )
+        plan = compile_query("has(.a<test(min(2)) and test(max(50))>)", "jnl").plan
+        assert plan.match_predicate == ir.PathRange(("a",), 2, 50)
+        assert plan.node_predicate == ir.HasKey("a")  # floating: no path
+
+    def test_bounds_on_different_nodes_stay_apart(self):
+        low, high = ir.PathRange(("a",), 2, None), ir.PathRange(("a",), None, 50)
+        split = match_pred(
+            compile_mongo_find({"$and": [{"a": {"$gt": 2}}, {"a": {"$lt": 50}}]})
+        )
+        assert conjuncts(split) == {low, high}
+        # One bound on the field, the other on one of its elements.
+        through_axis = match_pred(
+            compile_mongo_find({"a": {"$gt": 2, "$elemMatch": {"$lt": 50}}})
+        )
+        assert {low, high} <= conjuncts(through_axis)
+        jnl_axis = compile_query(
+            "has(.a<test(min(2)) and has([0:]<test(max(50))>)>)", "jnl"
+        ).plan.match_predicate
+        assert {low, high} <= conjuncts(jnl_axis)
+        # ... whereas one element carrying both bounds is one node.
+        element = match_pred(
+            compile_mongo_find({"a": {"$elemMatch": {"$gt": 2, "$lt": 50}}})
+        )
+        assert ir.PathRange(("a",), 2, 50) in conjuncts(element)
+
+    def test_merged_range_no_longer_admits_the_straddling_array(self):
+        # 1 satisfies "< 50" and 100 satisfies "> 2", but no single node
+        # satisfies both: a candidate of the two half-ranges, not of the
+        # interval (and never a match).
+        collection = api.collection([{"a": [1, 100]}, {"a": 7}, {"a": [7]}])
+        merged = compile_mongo_find({"a": {"$gt": 2, "$lt": 50}})
+        halves = ir.AndPred(
+            (ir.PathRange(("a",), 2, None), ir.PathRange(("a",), None, 50))
+        )
+        assert planner.candidate_ids(halves, collection.indexes) == {0, 1, 2}
+        assert planner.candidate_ids(
+            merged.plan.match_predicate, collection.indexes
+        ) == {1, 2}
+        assert planner.match_ids(collection, merged) == [1]
+
+
+def _plain_and(parts):
+    """``and_`` as it was before normalisation (the reference)."""
+    seen = []
+    for part in ir._flatten(parts, ir.AndPred):
+        if part != ir.TRUE and part not in seen:
+            seen.append(part)
+    if len(seen) == 1:
+        return seen[0]
+    return ir.AndPred(tuple(seen)) if seen else ir.TRUE
+
+
+def _plain_or(parts):
+    """``or_`` as it was before normalisation (the reference)."""
+    seen = []
+    for part in ir._flatten(parts, ir.OrPred):
+        if part == ir.TRUE:
+            return ir.TRUE
+        if part not in seen:
+            seen.append(part)
+    if len(seen) == 1:
+        return seen[0]
+    return ir.OrPred(tuple(seen)) if seen else ir.TRUE
+
+
+def _split_ranges(pred):
+    """Every two-sided interval as the two half-ranges it used to be."""
+    if isinstance(pred, (ir.AndPred, ir.OrPred)):
+        return type(pred)(tuple(_split_ranges(part) for part in pred.parts))
+    if (
+        isinstance(pred, ir.PathRange)
+        and pred.low is not None
+        and pred.high is not None
+    ):
+        return ir.AndPred(
+            (
+                ir.PathRange(pred.path, pred.low, None),
+                ir.PathRange(pred.path, None, pred.high),
+            )
+        )
+    return pred
+
+
+class TestNormalisedCandidatesDifferential:
+    """Random filters over documents that put arrays, nested arrays,
+    objects and array roots *on* the filtered paths."""
+
+    FIELDS = ("a", "b", "a.b", "a.0", "b.a")
+
+    @staticmethod
+    def random_value(rng, depth=0):
+        roll = rng.random()
+        if roll < 0.45 or depth >= 2:
+            return rng.choice([rng.randint(0, 12), rng.randint(0, 60), "s", "t"])
+        if roll < 0.75:
+            return [
+                TestNormalisedCandidatesDifferential.random_value(rng, depth + 1)
+                for _ in range(rng.randint(0, 3))
+            ]
+        return {
+            key: TestNormalisedCandidatesDifferential.random_value(rng, depth + 1)
+            for key in rng.sample(["a", "b"], rng.randint(0, 2))
+        }
+
+    @classmethod
+    def random_document(cls, rng):
+        roll = rng.random()
+        if roll < 0.1:
+            return cls.random_value(rng, 2)  # scalar root
+        if roll < 0.25:
+            return [cls.random_value(rng) for _ in range(rng.randint(0, 3))]
+        return {
+            key: cls.random_value(rng)
+            for key in rng.sample(["a", "b", "c"], rng.randint(0, 3))
+        }
+
+    @classmethod
+    def random_condition(cls, rng):
+        roll = rng.random()
+        if roll < 0.3:
+            return rng.choice([rng.randint(0, 12), "s", [1], {"a": 1}])
+        if roll < 0.7:
+            operators = rng.sample(["$gt", "$gte", "$lt", "$lte"], rng.randint(1, 3))
+            return {op: rng.randint(-2, 60) for op in operators}
+        if roll < 0.8:
+            return {"$in": [rng.randint(0, 12) for _ in range(rng.randint(1, 3))]}
+        if roll < 0.9:
+            return {
+                "$elemMatch": {"$gt": rng.randint(0, 30), "$lt": rng.randint(0, 60)}
+            }
+        return rng.choice(
+            [{"$exists": True}, {"$type": "number"}, {"$size": 2}, {"$ne": 3}]
+        )
+
+    @classmethod
+    def random_filter(cls, rng, depth=0):
+        roll = rng.random()
+        if roll < 0.15 and depth < 2:
+            return {
+                rng.choice(["$and", "$or"]): [
+                    cls.random_filter(rng, depth + 1)
+                    for _ in range(rng.randint(1, 3))
+                ]
+            }
+        return {
+            field: cls.random_condition(rng)
+            for field in rng.sample(cls.FIELDS, rng.randint(1, 2))
+        }
+
+    def test_candidates_cover_matches_and_equal_the_plain_lowering(
+        self, monkeypatch
+    ):
+        rng = random.Random(20260927)
+        merged_somewhere = shrunk_somewhere = 0
+        for _ in range(6 * _SCALE):
+            collection = api.collection(
+                [self.random_document(rng) for _ in range(rng.randint(5, 60))]
+            )
+            indexes = collection.indexes
+            for _ in range(60):
+                filter_doc = self.random_filter(rng)
+                query = compile_mongo_find(filter_doc)
+                matches = {
+                    doc_id
+                    for doc_id, tree in collection.documents()
+                    if query.matches(tree)
+                }
+                for name in ("match_predicate", "node_predicate"):
+                    normalised = getattr(query.plan, name)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ir, "and_", _plain_and)
+                        patch.setattr(ir, "or_", _plain_or)
+                        plain = getattr(ir.lower_formula(query.formula), name)
+                    fold = planner.candidate_ids
+                    candidates = fold(normalised, indexes)
+                    # Absorption and subsumption are equivalences: the
+                    # very same candidate set, from fewer look-ups.
+                    assert candidates == fold(plain, indexes), filter_doc
+                    # The merged interval only ever tightens.
+                    split = fold(_split_ranges(plain), indexes)
+                    if candidates is None:
+                        assert split is None
+                        continue
+                    assert candidates <= split, filter_doc
+                    merged_somewhere += _split_ranges(plain) != plain
+                    shrunk_somewhere += candidates < split
+                    if name == "match_predicate":
+                        assert matches <= candidates, filter_doc
+                assert planner.match_ids(collection, query) == sorted(matches)
+        assert merged_somewhere and shrunk_somewhere  # the generator bites
 
 
 class TestPlanCacheRegistration:

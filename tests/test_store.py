@@ -221,3 +221,142 @@ class TestSchemaEnforcement:
     def test_schema_and_validator_conflict(self):
         with pytest.raises(StoreError):
             api.collection(schema=self.SCHEMA, validator=object())
+
+
+class TestDocumentsById:
+    """``documents(ids)``: the by-id survivor accessor, on the live
+    collection and on its snapshots."""
+
+    @pytest.fixture
+    def collection(self):
+        collection = api.collection(PEOPLE + [{"n": 3}, {"n": 4}])
+        collection.remove(1)
+        return collection
+
+    @pytest.fixture(params=["collection", "snapshot"])
+    def view(self, request, collection):
+        if request.param == "snapshot":
+            return collection.snapshot_view()
+        return collection
+
+    def test_membership_of_non_ids_is_false(self, view):
+        assert 0 in view and 4 in view
+        assert 1 not in view  # removed
+        assert 99 not in view and -1 not in view
+        assert "x" not in view
+        assert 1.0 not in view and 0.0 not in view
+
+    def test_ascending_whatever_the_input_order(self, view):
+        rows = list(view.documents([4, 0, 3]))
+        assert [doc_id for doc_id, _ in rows] == [0, 3, 4]
+        assert rows == [
+            pair for pair in view.documents() if pair[0] in (0, 3, 4)
+        ]
+        assert list(view.documents({2})) == [(2, view.get(2))]
+        assert list(view.documents([])) == []
+        assert list(view.documents(None)) == list(view.documents())
+
+    @pytest.mark.parametrize(
+        "ids", [[99], [-1], [0, 5], [1], [0, 1, 2], ["x"], [0, "x"], [1.0], [0, 2.5]]
+    )
+    def test_unknown_removed_and_non_int_ids_raise(self, view, ids):
+        with pytest.raises(StoreError):
+            list(view.documents(ids))
+        for doc_id in ids:
+            if doc_id not in view:
+                with pytest.raises(StoreError):
+                    view.get(doc_id)
+
+    def test_pending_updates_are_rebuilt_on_the_way_out(self, collection):
+        collection.update_many({"n": {"$gte": 3}}, {"$inc": {"n": 10}})
+        assert collection.pending_updates == 2
+        [(doc_id, tree)] = collection.documents([4])
+        assert (doc_id, tree.to_value()) == (4, {"n": 14})
+        assert collection.pending_updates == 1
+        walked = {doc_id: tree for doc_id, tree in collection.documents()}
+        assert walked[3].to_value() == {"n": 13}
+        assert walked[4] is tree  # rebuilt once, then shared
+
+
+class TestRangeLookup:
+    """``docs_in_range`` bisects a cached sorted key array: it must
+    answer like a brute-force pass whatever happened since the last
+    range query."""
+
+    PATH = ("n",)
+
+    @staticmethod
+    def brute(collection, low, high):
+        hits = set()
+        for doc_id, tree in collection.documents():
+            value = tree.to_value()
+            numbers = value["n"] if isinstance(value["n"], list) else [value["n"]]
+            for number in numbers:
+                if (
+                    isinstance(number, int)
+                    and (low is None or number > low)
+                    and (high is None or number < high)
+                ):
+                    hits.add(doc_id)
+        return hits
+
+    def check(self, collection, rng):
+        low = rng.choice([None, rng.randint(-5, 60)])
+        high = rng.choice([None, rng.randint(-5, 60)])
+        assert collection.indexes.docs_in_range(
+            self.PATH, low, high
+        ) == self.brute(collection, low, high), (low, high)
+
+    def test_matches_brute_force_between_mutations(self):
+        rng = random.Random(14)
+        collection = api.collection()
+        for step in range(300):
+            alive = collection.doc_ids()
+            roll = rng.random()
+            if roll < 0.4 or not alive:
+                number = rng.randint(0, 50)
+                collection.insert(
+                    {"n": [number, rng.randint(0, 50)] if roll < 0.1 else number}
+                )
+            elif roll < 0.6:
+                pivot = rng.randint(0, 50)  # a range: arrays never match
+                collection.update_one(
+                    {"n": {"$gt": pivot - 3, "$lt": pivot + 3}},
+                    {"$inc": {"n": rng.randint(1, 9)}},
+                )
+            elif roll < 0.75:
+                collection.update_one(
+                    {"n": {"$type": "number"}}, {"$set": {"n": f"s{step}"}}
+                )
+            else:
+                collection.remove(rng.choice(alive))
+            self.check(collection, rng)
+            self.check(collection, rng)
+        assert collection.indexes.snapshot() == rebuilt(collection).snapshot()
+
+    def test_empty_one_sided_and_inverted_intervals(self):
+        collection = api.collection(
+            [{"n": 1}, {"n": 5}, {"n": 5}, {"n": "5"}, {"n": [7, 9]}, {"m": 5}]
+        )
+        in_range = collection.indexes.docs_in_range
+        assert in_range(self.PATH, None, None) == {0, 1, 2, 4}
+        assert in_range(self.PATH, 4, None) == {1, 2, 4}
+        assert in_range(self.PATH, None, 5) == {0}
+        assert in_range(self.PATH, 4, 6) == {1, 2}
+        assert in_range(self.PATH, 5, 6) == set()  # open interval, no integer
+        assert in_range(self.PATH, 5, 5) == set()
+        assert in_range(self.PATH, 9, 1) == set()  # inverted
+        assert in_range(("absent",), None, None) == set()
+        assert in_range(("m",), 4, 6) == {5}
+
+    def test_a_new_value_is_seen_by_the_next_range_query(self):
+        collection = api.collection([{"n": 1}, {"n": 9}])
+        in_range = collection.indexes.docs_in_range
+        assert in_range(self.PATH, 3, 7) == set()
+        new_id = collection.insert({"n": 5})
+        assert in_range(self.PATH, 3, 7) == {new_id}
+        collection.update_one({"n": 5}, {"$inc": {"n": 1}})
+        assert in_range(self.PATH, 5, 7) == {new_id}
+        assert in_range(self.PATH, 3, 6) == set()
+        collection.remove(new_id)
+        assert in_range(self.PATH, 3, 7) == set()
