@@ -16,6 +16,16 @@ documents.  The speedup rows cannot see an O(N) term in the indexed
 path (the full scan they divide by is O(N) too, and slower); the
 latency ratio can: a read that costs its postings plus its survivors
 answers in the same time at both sizes, and the ratio is gated <= 2x.
+
+Two *covered* rows run over the larger corpus.  Its filtered paths
+cross no array, so the planner's exact index cover answers from the
+postings alone: a ``count`` with a few hundred matches is gated >= 10x
+against the same call under ``hint={"no_semantic": True}`` (prune and
+verify every survivor).  The other row is reported only: a point
+``find`` with a fresh constant on every call -- no cached plan or
+verdict -- on the corpus as is, then with *one* document carrying an
+array on the filtered path; the cover declines there and the prover
+runs, so the row shows what one stray array costs.
 """
 
 from __future__ import annotations
@@ -105,6 +115,37 @@ def scaling() -> tuple[float, float, float]:
     return latencies[0], latencies[1], latencies[1] / latencies[0]
 
 
+# The covered rows.  ``age`` takes 73 values: a few hundred matches.
+COVERED_FILTER = {"age": 40}
+COVERED_FLOOR = 10.0
+_COVERED_LABEL = f"Covered count vs verified ({SCALING_DOCS[1]} docs)"
+_VERIFIED = {"no_semantic": True}
+
+
+def covered() -> tuple[float, float, float, float]:
+    """``(covered count, verified count, fresh point find, the same
+    with one stray array on its path)``, seconds per call."""
+    collection = api.collection(people_collection(SCALING_DOCS[1], seed=11))
+    matches = collection.count(COVERED_FILTER)
+    assert matches == collection.count(COVERED_FILTER, hint=_VERIFIED) > 0
+    assert collection.explain(COVERED_FILTER).semantics.verdict == "covered"
+    fast = measure_amortised(lambda: collection.count(COVERED_FILTER))
+    slow = measure_amortised(
+        lambda: collection.count(COVERED_FILTER, hint=_VERIFIED), calls=20
+    )
+    fresh = iter(range(len(collection)))  # every call a constant never seen
+
+    def point():
+        return collection.find({"id": next(fresh)})
+
+    assert len(point()) == 1
+    clean = measure_amortised(point)
+    collection.insert({"id": [-1]})
+    assert collection.explain({"id": 0}).semantics.verdict != "covered"
+    stray = measure_amortised(point)
+    return fast, slow, clean, stray
+
+
 def _check_results_identical() -> None:
     """Index-backed results must equal the full scan, document for
     document (the planner only ever *skips* non-matches)."""
@@ -161,6 +202,15 @@ def check_targets() -> list[str]:
             f"({large * 1e6:.0f} us vs {small * 1e6:.0f} us) "
             f"> {SCALING_CEILING:.0f}x ceiling"
         )
+    fast, slow, _, _ = covered()
+    LAST_SPEEDUPS[_COVERED_LABEL] = slow / fast
+    if slow / fast < COVERED_FLOOR:
+        failures.append(
+            f"bench_collection_queries: covered count "
+            f"({fast * 1e6:.0f} us) is only {slow / fast:.1f}x faster than "
+            f"the verified one ({slow * 1e6:.0f} us) "
+            f"< {COVERED_FLOOR:.0f}x target"
+        )
     return failures
 
 
@@ -215,6 +265,14 @@ def main() -> str:
         f"{SCALING_DOCS[0]} docs, {large * 1e6:.0f} us over "
         f"{SCALING_DOCS[1]}: {ratio:.2f}x, target <= "
         f"{SCALING_CEILING:.0f}x)"
+    )
+    fast, slow, clean, stray = covered()
+    table += (
+        f"\n(covered: count {COVERED_FILTER} {fast * 1e6:.0f} us from the "
+        f"postings, {slow * 1e6:.0f} us verified: {slow / fast:.1f}x, "
+        f"target >= {COVERED_FLOOR:.0f}x)"
+        f"\n(covered: fresh point find {clean * 1e6:.0f} us; with one stray "
+        f"array on the path {stray * 1e6:.0f} us -- the prover runs)"
     )
     return table
 

@@ -94,7 +94,11 @@ class SemanticsExplain:
     ``verdict`` is the proof outcome -- ``"empty"`` (schema ^ query
     unsatisfiable), ``"all"`` (schema entails the query), ``"residual"``
     (some conjuncts entailed, the rest still verified) or ``"none"`` --
-    and ``mode`` whether it was enforced (``"on"``) or merely reported
+    or ``"covered"``, which is no proof at all: the planner found the
+    filter's index predicate exact on this collection's array-free
+    paths and took the postings as the answer (``source="index"``,
+    nothing verified, nothing proved).  ``mode`` says whether the
+    verdict was enforced (``"on"``) or merely reported
     (``"proof-only"``).  ``source`` names the premise: ``"schema"`` for
     an enforced schema, ``"summary"`` for the inferred structural
     summary of a schemaless collection.  ``discharged`` lists the

@@ -592,8 +592,8 @@ def _tallied(
 
 
 def _scanned(kind: str, total: int, candidates: set[int] | None) -> int:
-    """Documents the leading match had to look at."""
-    if kind in ("empty", "all"):
+    """Documents the leading match had to verify."""
+    if kind in ("empty", "all", "covered"):
         return 0
     return total if candidates is None else len(candidates)
 
@@ -735,20 +735,20 @@ class CompiledPipeline:
         collection, in document-id order -- the one row source behind
         :meth:`stream`, :meth:`execute_partial` and :meth:`explain`.
 
-        ``kind`` is the enforced semantic verdict: ``"empty"`` yields
-        nothing, ``"all"`` every live document verify-free; otherwise
-        the candidates (index-pruned by :meth:`_candidates` and fetched
-        by id, so the pruned documents are never touched) are verified
-        by the value-space matcher.  A row is materialised once, through
-        the pipeline's read set, and the matcher runs on that same
-        projected row.
+        ``kind`` is the enforced decision: ``"empty"`` yields nothing,
+        ``"all"`` every live document and ``"covered"`` every candidate
+        verify-free; otherwise the candidates (index-pruned by
+        :meth:`_candidates` and fetched by id, so the pruned documents
+        are never touched) are verified by the value-space matcher.  A
+        row is materialised once, through the pipeline's read set, and
+        the matcher runs on that same projected row.
         """
         if kind == "empty":
             return
         reads = self.reads
         documents = collection.documents(candidates)
         lead_pred = self.lead_pred
-        if kind == "all" or lead_pred is None:
+        if kind in ("all", "covered") or lead_pred is None:
             for doc_id, tree in documents:
                 yield doc_id, tree.to_value(None, reads)
             return
@@ -811,7 +811,7 @@ class CompiledPipeline:
     ) -> Iterator[Any]:
         """Lazy variant of :meth:`execute` (one generator per stage)."""
         if hasattr(source, "documents") and hasattr(source, "indexes"):
-            decision = optimizer.semantic_plan(
+            decision = planner.decide(
                 source, self.lead_query, no_semantic=no_semantic
             )
             kind = optimizer.effective_kind(decision)
@@ -845,7 +845,7 @@ class CompiledPipeline:
         shard's own context).
         """
         if verdict is None:
-            decision = optimizer.semantic_plan(collection, self.lead_query)
+            decision = planner.decide(collection, self.lead_query)
             kind = optimizer.effective_kind(decision)
         elif verdict == "off":
             kind = "none"
@@ -925,7 +925,7 @@ class CompiledPipeline:
         """Run over an indexed collection, reporting what was pruned
         by indexes versus streamed (the find explain's aggregation
         sibling), including the semantic optimizer's verdict."""
-        decision = optimizer.semantic_plan(
+        decision = planner.decide(
             collection, self.lead_query, no_semantic=no_semantic
         )
         semantics = None if decision is None else decision.semantics_explain()

@@ -15,11 +15,13 @@ that middle layer.  Every front-end now lowers into a
   (:class:`Pred`) extracted from the payload, phrased in terms the
   secondary indexes of :mod:`repro.store.indexes` can answer: "a leaf
   with value ``v`` under key path ``a.b``", "key ``author`` occurs
-  somewhere", "the node at ``age`` is a number greater than 29".
+  somewhere", "the node at ``age`` is a number greater than 29"; and
+* the **cover** -- whether, and on which key paths, those predicates
+  are not just necessary but *equivalent* to the payload.
 
-The predicate extraction is deliberately *lossy but sound*: every
-predicate is implied by the payload (a document violating it cannot
-match), and anything the analysis cannot classify contributes
+The predicate extraction is *sound always, exact when the cover says
+so*: every predicate is implied by the payload (a document violating
+it cannot match), and anything the analysis cannot classify contributes
 :data:`TRUE` (no pruning) rather than an unsound restriction.  The
 planner (:mod:`repro.query.planner`) intersects index postings along
 the predicate tree to prune candidates, then runs the compiled payload
@@ -30,7 +32,14 @@ Key paths are *stripped*: array positions are dropped, so the leaf of
 ``{"a": {"b": [5]}}`` lies under the key path ``("a", "b")``.  This is
 what makes Mongo's array-containment equality (a scalar filter matching
 arrays containing the value) and negative/sliced index axes indexable
-with one table.
+with one table -- and it is the only place the predicates lose
+information.  JSON trees are deterministic (a key reaches at most one
+child), so a stripped path that crosses no array names *one node per
+document*, and "some node under ``a.b`` has value 5" is then the same
+statement as "the node ``a.b`` has value 5".  The walk that builds a
+predicate records whether each step was such an equivalence and which
+paths it rests on (:attr:`LogicalPlan.cover`); where the live index
+shows no array on them the planner takes the fold as the answer.
 
 Lowered plans are registered in the process-wide artifact cache of
 :mod:`repro.cache` (namespace ``"ir-plan"``, keyed on the AST itself),
@@ -75,6 +84,10 @@ __all__ = [
 # with array positions dropped.
 KeyPath = tuple[str, ...]
 
+# The paths on whose array-freeness a predicate is equivalent to the
+# formula it was lifted from; ``None`` = only a necessary condition.
+Cover = frozenset[KeyPath] | None
+
 
 # ---------------------------------------------------------------------------
 # Predicates: necessary conditions an index can answer.
@@ -86,7 +99,8 @@ class Pred:
 
     Semantics: a predicate *holds* of a document when the stated
     structure is present.  Lowering guarantees the implication
-    "payload matches => predicate holds", never the converse.
+    "payload matches => predicate holds"; the converse only on
+    documents whose :attr:`LogicalPlan.cover` paths are array-free.
     """
 
     __slots__ = ()
@@ -174,30 +188,42 @@ class AnyEq(Pred):
 
 def and_(parts: Iterable[Pred]) -> Pred:
     """Conjunction with simplification: drops TRUE, dedupes, flattens,
-    and drops ``PathExists(p)`` beside a ``PathEq``/``PathRange``/
-    ``PathKind`` on the same ``p`` (each of them implies it)."""
+    and drops ``PathExists(p)`` beside a part that implies it -- a
+    ``PathEq``/``PathRange``/``PathKind`` on the same ``p``, or a
+    disjunction whose every branch has one (``$in``)."""
     seen: list[Pred] = []
     for part in _flatten(parts, AndPred):
         if isinstance(part, TruePred):
             continue
         if part not in seen:
             seen.append(part)
-    located = {
-        part.path
+    seen = [
+        part
         for part in seen
-        if isinstance(part, (PathEq, PathRange, PathKind))
-    }
-    if located:
-        seen = [
-            part
-            for part in seen
-            if not (isinstance(part, PathExists) and part.path in located)
-        ]
+        if not (
+            isinstance(part, PathExists)
+            and any(
+                other is not part and _locates(other, part.path)
+                for other in seen
+            )
+        )
+    ]
     if not seen:
         return TRUE
     if len(seen) == 1:
         return seen[0]
     return AndPred(tuple(seen))
+
+
+def _locates(part: Pred, path: KeyPath) -> bool:
+    """Does ``part`` imply ``PathExists(path)``?"""
+    if isinstance(part, (PathExists, PathEq, PathRange, PathKind)):
+        return part.path == path
+    if isinstance(part, AndPred):
+        return any(_locates(sub, path) for sub in part.parts)
+    if isinstance(part, OrPred):
+        return all(_locates(sub, path) for sub in part.parts)
+    return False
 
 
 def or_(parts: Iterable[Pred]) -> Pred:
@@ -259,6 +285,13 @@ class LogicalPlan:
     node of the document to satisfy a filter formula -- what pruning a
     node-set selection over a filter plan must use, since a nested node
     can satisfy a formula whose root-anchored condition fails.
+
+    ``cover`` says when ``match_predicate`` is *exact*: the anchored
+    stripped paths such that, on a document with no array at any of
+    them or at any of their prefixes (the root included), the predicate
+    holds if and only if the payload matches at the root.  ``None``
+    means the predicate is only a necessary condition (every selector
+    plan, and any filter the rules of the lowering walk cannot certify).
     """
 
     mode: str
@@ -266,6 +299,7 @@ class LogicalPlan:
     path: jnl.Binary | None
     match_predicate: Pred
     node_predicate: Pred
+    cover: Cover = None
 
     @property
     def payload(self) -> jnl.Unary | jnl.Binary:
@@ -352,7 +386,34 @@ def _scalar_doc_value(doc: JSONTree) -> str | int | None:
 _BRANCH_BUDGET = 64
 
 
-def _lift_path(ctx: _Ctx, path: jnl.Binary, doc: JSONTree | None) -> Pred:
+# ---------------------------------------------------------------------------
+# The lowering walk.  Every function returns the predicate *and* its
+# cover, decided together at the place the predicate is built.
+#
+# Exactness invariant, at an anchored context with stripped path ``P``:
+# on a document with no array at a cover path or a prefix of one, at
+# most one node lies under ``P`` -- the one the keys of ``P`` reach --
+# and *if that node exists* the predicate holds exactly when the
+# formula holds there.  At the root it always exists.  Paths establish
+# existence themselves (their end contributes ``PathExists``/``PathEq``,
+# which puts ``P`` in the cover), so conjunction and disjunction
+# compose, and absorption, dedupe, ``PathExists`` subsumption and range
+# merging are equivalences of the predicate that cost nothing.
+# ---------------------------------------------------------------------------
+
+_NO_PATHS: Cover = frozenset()
+
+
+def _join(*covers: Cover) -> Cover:
+    """The cover of a connective: exact only when every part is."""
+    if None in covers:
+        return None
+    return _NO_PATHS.union(*covers)
+
+
+def _lift_path(
+    ctx: _Ctx, path: jnl.Binary, doc: JSONTree | None
+) -> tuple[Pred, Cover]:
     """Necessary conditions for ``[path]`` / ``EQ(path, doc)`` at ``ctx``.
 
     Recursively walks the composition chain, keeping the stripped key
@@ -374,10 +435,15 @@ def _analyze(
     at: int,
     doc: JSONTree | None,
     budget: list[int],
-) -> Pred:
+) -> tuple[Pred, Cover]:
     if budget[0] <= 0:
-        return TRUE
+        return TRUE, None
     conjuncts: list[Pred] = []
+    covers: list[Cover] = []
+    # Set by an array step taken at an anchored path ``P``: the walk
+    # now carries ``PathKind(P, ARRAY)``, so on an array-free ``P``
+    # predicate and formula are both false whatever the other steps do.
+    settled: Cover = None
     while at < len(steps):
         step = steps[at]
         at += 1
@@ -393,33 +459,35 @@ def _analyze(
             # descended *from* must be an array.
             if ctx.anchored:
                 conjuncts.append(PathKind(ctx.path, Kind.ARRAY))
+                settled = frozenset((ctx.path,))
         elif isinstance(step, jnl.Test):
-            conjuncts.append(_lift(ctx, step.condition))
+            condition, cover = _lift(ctx, step.condition)
+            conjuncts.append(condition)
+            covers.append(cover)
         elif isinstance(step, jnl.Compose):
             # Nested compositions inside union/star branches.
             steps = steps[: at - 1] + _flatten_compose(step) + steps[at:]
             at -= 1
         elif isinstance(step, jnl.Union):
             budget[0] -= 1
-            left = _analyze(ctx, [step.left] + steps[at:], 0, doc, budget)
-            right = _analyze(ctx, [step.right] + steps[at:], 0, doc, budget)
+            left, _ = _analyze(ctx, [step.left] + steps[at:], 0, doc, budget)
+            right, _ = _analyze(ctx, [step.right] + steps[at:], 0, doc, budget)
             conjuncts.append(or_([left, right]))
-            return and_(conjuncts)
+            return and_(conjuncts), settled
         elif isinstance(step, jnl.Star):
             if _index_only(step.inner):
-                if ctx.anchored:
-                    # Zero iterations need no array; one or more do,
-                    # but either way the stripped path is unchanged --
-                    # no constraint to add.
-                    pass
+                # Zero iterations need no array; one or more do, but
+                # either way the stripped path is unchanged -- no
+                # constraint to add, and nothing certified either.
+                covers.append(None)
                 continue
             budget[0] -= 1
-            skipped = _analyze(ctx, steps, at, doc, budget)
-            below = _analyze(ctx.unanchor(), steps, at, doc, budget)
+            skipped, _ = _analyze(ctx, steps, at, doc, budget)
+            below, _ = _analyze(ctx.unanchor(), steps, at, doc, budget)
             if ctx.anchored and ctx.path:
                 conjuncts.append(PathExists(ctx.path))
             conjuncts.append(or_([skipped, below]))
-            return and_(conjuncts)
+            return and_(conjuncts), settled
         elif isinstance(step, jnl.KeyRegex):
             # Descends through some object key: the current node must
             # be an object, the landing key is unknown.
@@ -430,69 +498,80 @@ def _analyze(
             if ctx.anchored and ctx.path:
                 conjuncts.append(PathExists(ctx.path))
             ctx = ctx.unanchor()
-    if doc is None:
-        if ctx.anchored and ctx.path:
-            conjuncts.append(PathExists(ctx.path))
-    else:
-        value = _scalar_doc_value(doc)
-        if ctx.anchored:
-            if value is not None:
-                conjuncts.append(PathEq(ctx.path, value))
-            else:
-                if ctx.path:
-                    conjuncts.append(PathExists(ctx.path))
-                conjuncts.append(PathKind(ctx.path, doc.kind(doc.root)))
-        elif value is not None:
+    value = None if doc is None else _scalar_doc_value(doc)
+    located = frozenset((ctx.path,))
+    if not ctx.anchored:
+        # Floating: "somewhere below" is never the one node of a path.
+        covers.append(None)
+        if value is not None:
             conjuncts.append(
                 TailEq(ctx.tail, value) if ctx.tail is not None
                 else AnyEq(value)
             )
-    return and_(conjuncts)
+    elif doc is None:
+        if ctx.path:
+            conjuncts.append(PathExists(ctx.path))
+        covers.append(located)
+    elif value is not None:
+        conjuncts.append(PathEq(ctx.path, value))
+        covers.append(located)
+    else:
+        # Equality against an object/array document lowers to a kind
+        # test: necessary only.
+        if ctx.path:
+            conjuncts.append(PathExists(ctx.path))
+        conjuncts.append(PathKind(ctx.path, doc.kind(doc.root)))
+        covers.append(None)
+    return and_(conjuncts), (settled if settled is not None else _join(*covers))
 
 
-def _lift_atom(ctx: _Ctx, test: nt.NodeTest) -> Pred:
+def _lift_atom(ctx: _Ctx, test: nt.NodeTest) -> tuple[Pred, Cover]:
     """Necessary condition for a NodeTest holding at ``ctx``."""
     if not ctx.anchored:
         if isinstance(test, nt.EqDocTest):
             value = _scalar_doc_value(test.doc)
             if value is not None:
                 if ctx.tail is not None:
-                    return TailEq(ctx.tail, value)
-                return AnyEq(value)
-        return TRUE
+                    return TailEq(ctx.tail, value), None
+                return AnyEq(value), None
+        return TRUE, None
     path = ctx.path
+    located = frozenset((path,))
     if isinstance(test, nt.IsObject):
-        return PathKind(path, Kind.OBJECT)
+        return PathKind(path, Kind.OBJECT), located
     if isinstance(test, nt.IsArray):
-        return PathKind(path, Kind.ARRAY)
+        return PathKind(path, Kind.ARRAY), located
     if isinstance(test, nt.IsString):
-        return PathKind(path, Kind.STRING)
+        return PathKind(path, Kind.STRING), located
     if isinstance(test, nt.IsNumber):
-        return PathKind(path, Kind.NUMBER)
+        return PathKind(path, Kind.NUMBER), located
     if isinstance(test, nt.Unique):
-        return PathKind(path, Kind.ARRAY)
+        return PathKind(path, Kind.ARRAY), None
     if isinstance(test, nt.Pattern):
-        return PathKind(path, Kind.STRING)
+        return PathKind(path, Kind.STRING), None
     if isinstance(test, (nt.MultOf,)):
-        return PathKind(path, Kind.NUMBER)
+        return PathKind(path, Kind.NUMBER), None
     if isinstance(test, nt.MinVal):
-        return PathRange(path, test.bound, None)
+        return PathRange(path, test.bound, None), located
     if isinstance(test, nt.MaxVal):
-        return PathRange(path, None, test.bound)
+        return PathRange(path, None, test.bound), located
     if isinstance(test, nt.EqDocTest):
         value = _scalar_doc_value(test.doc)
         if value is not None:
-            return PathEq(path, value)
-        return PathKind(path, test.doc.kind(test.doc.root))
+            return PathEq(path, value), located
+        return PathKind(path, test.doc.kind(test.doc.root)), None
     # MinCh/MaxCh and unknown tests: counting children prunes nothing
     # the kind indexes can answer soundly for MaxCh; MinCh >= 1 implies
     # an inner (object or array) node.
     if isinstance(test, nt.MinCh) and test.count >= 1:
-        return or_([PathKind(path, Kind.OBJECT), PathKind(path, Kind.ARRAY)])
-    return TRUE
+        return (
+            or_([PathKind(path, Kind.OBJECT), PathKind(path, Kind.ARRAY)]),
+            None,
+        )
+    return TRUE, None
 
 
-def _lift_and(ctx: _Ctx, formula: jnl.And) -> Pred:
+def _lift_and(ctx: _Ctx, formula: jnl.And) -> tuple[Pred, Cover]:
     """Necessary condition for a conjunction holding at ``ctx``.
 
     The conjunction is a node test: all its conjuncts hold of *one*
@@ -506,6 +585,7 @@ def _lift_and(ctx: _Ctx, formula: jnl.And) -> Pred:
     low: int | None = None
     high: int | None = None
     parts: list[Pred] = []
+    covers: list[Cover] = []
     stack: list[jnl.Unary] = [formula]
     while stack:
         conjunct = stack.pop()
@@ -520,39 +600,42 @@ def _lift_and(ctx: _Ctx, formula: jnl.And) -> Pred:
         elif isinstance(test, nt.MaxVal):
             high = test.bound if high is None else min(high, test.bound)
         else:
-            parts.append(_lift(ctx, conjunct))
+            part, cover = _lift(ctx, conjunct)
+            parts.append(part)
+            covers.append(cover)
     if low is not None or high is not None:
         parts.append(PathRange(ctx.path, low, high))
-    return and_(parts)
+        covers.append(frozenset((ctx.path,)))
+    return and_(parts), _join(*covers)
 
 
-def _lift(ctx: _Ctx, formula: jnl.Unary) -> Pred:
-    """Necessary condition for ``formula`` holding at ``ctx``."""
+def _lift(ctx: _Ctx, formula: jnl.Unary) -> tuple[Pred, Cover]:
+    """Necessary condition for ``formula`` holding at ``ctx``, and the
+    cover under which it is also sufficient."""
     if isinstance(formula, jnl.Top):
-        return TRUE
+        return TRUE, _NO_PATHS
     if isinstance(formula, jnl.Not):
         # Negations prune nothing: the index records presence, and
         # "absence of X" cannot be answered as a superset soundly.
-        return TRUE
+        return TRUE, None
     if isinstance(formula, jnl.And):
         return _lift_and(ctx, formula)
     if isinstance(formula, jnl.Or):
-        return or_([_lift(ctx, formula.left), _lift(ctx, formula.right)])
+        left, left_cover = _lift(ctx, formula.left)
+        right, right_cover = _lift(ctx, formula.right)
+        return or_([left, right]), _join(left_cover, right_cover)
     if isinstance(formula, jnl.Exists):
         return _lift_path(ctx, formula.path, None)
     if isinstance(formula, jnl.EqDoc):
         return _lift_path(ctx, formula.path, formula.doc)
     if isinstance(formula, jnl.EqPath):
         # Both paths must reach *something* for the equality to hold.
-        return and_(
-            [
-                _lift_path(ctx, formula.left, None),
-                _lift_path(ctx, formula.right, None),
-            ]
-        )
+        left, _ = _lift_path(ctx, formula.left, None)
+        right, _ = _lift_path(ctx, formula.right, None)
+        return and_([left, right]), None
     if isinstance(formula, jnl.Atom):
         return _lift_atom(ctx, formula.test)
-    return TRUE
+    return TRUE, None
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +651,15 @@ def lower_formula(formula: jnl.Unary) -> LogicalPlan:
     are extracted at the root context (for root matches) and at the
     floating context (for node-set selections).
     """
+    match_predicate, cover = _lift(_ROOT, formula)
+    node_predicate, _ = _lift(_FLOATING, formula)
     return LogicalPlan(
         mode=MODE_FILTER,
         formula=formula,
         path=None,
-        match_predicate=_lift(_ROOT, formula),
-        node_predicate=_lift(_FLOATING, formula),
+        match_predicate=match_predicate,
+        node_predicate=node_predicate,
+        cover=cover,
     )
 
 
@@ -584,7 +670,7 @@ def lower_path(path: jnl.Binary) -> LogicalPlan:
     starts at the root, so one root-anchored predicate covers both the
     "does anything match" and the node-selection questions.
     """
-    predicate = _lift_path(_ROOT, path, None)
+    predicate, _ = _lift_path(_ROOT, path, None)
     return LogicalPlan(
         mode=MODE_SELECT,
         formula=None,

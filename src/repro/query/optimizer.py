@@ -177,7 +177,9 @@ class SemanticContext:
 class SemanticVerdict:
     """The (cacheable) outcome of the proof obligations for one query."""
 
-    kind: str  # "empty" | "all" | "residual" | "none"
+    # "empty" | "all" | "residual" | "none" from the proofs below;
+    # "covered" (source "index") is the planner's own, never proved.
+    kind: str
     source: str
     discharged: tuple[str, ...] = ()
     residual: str | None = None

@@ -15,22 +15,33 @@ The execution model for a query over an indexed collection
    access in ascending id order, never a pass over the collection) and
    the PR-1 compiled per-tree evaluation (``matches``/``select``/
    ``apply``) runs on them only, so results are *identical* to a full
-   scan -- the indexes never decide a match, they only skip documents
-   that provably cannot match.
+   scan.
+
+The indexes decide a match in exactly one case, the **covered** read:
+the plan's predicate is equivalent to its payload on documents whose
+filtered paths cross no array (:attr:`~repro.query.ir.LogicalPlan.
+cover`), and the live ``kinds`` index shows no array there
+(``DocumentIndexes.array_free``).  The stripped paths then name one
+node per document, the candidate fold *is* the result, and stage 3
+fetches without verifying -- a count fetches nothing at all.  Everywhere
+else the indexes only skip documents that provably cannot match.
 
 A read therefore costs the postings its fold touches plus the survivors
-it fetches and verifies -- not the size of the collection.  Candidates
-are recomputed from the live indexes on every call (plans are
-tree-independent and cached process-wide; candidate sets never are),
-so a mutated collection can never serve stale answers.
+it fetches (and, outside the cover, verifies) -- not the size of the
+collection.  Candidates are recomputed from the live indexes on every
+call (plans are tree-independent and cached process-wide; candidate
+sets and cover checks never are), so a mutated collection can never
+serve stale answers.
 
-Before stages 2 and 3 the planner consults the schema-aware semantic
-optimizer (:mod:`repro.query.optimizer`): an enforced ``"empty"``
-verdict answers without touching an index, ``"all"`` streams every
-live document verify-free, and ``"residual"`` verifies only the
-conjuncts the schema could not discharge.  Collections opt in by
-exposing a ``semantic_context``; everything else (and every
-``no_semantic=True`` call) takes the classic prune-and-verify path.
+Before stages 2 and 3 :func:`decide` picks how the read executes.  Rung
+0 is the cover, which needs no premise, no proof and no cache; past it
+the schema-aware semantic optimizer (:mod:`repro.query.optimizer`)
+runs: an enforced ``"empty"`` verdict answers without touching an
+index, ``"all"`` streams every live document verify-free, and
+``"residual"`` verifies only the conjuncts the schema could not
+discharge.  Collections opt in by exposing a ``semantic_context``;
+everything else (and every ``no_semantic=True`` call) takes the classic
+prune-and-verify path.
 
 The module is deliberately ignorant of :mod:`repro.store` internals:
 anything with ``indexes``, ``__len__`` and ``documents(ids=None)`` --
@@ -47,7 +58,7 @@ from repro.explain import Explain, PlanExplain
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import ir, optimizer
 from repro.query.compiled import CompiledQuery
-from repro.query.optimizer import SemanticDecision
+from repro.query.optimizer import SemanticDecision, SemanticVerdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.store.collection import Collection
@@ -57,6 +68,7 @@ __all__ = [
     "PlanExplain",
     "candidate_ids",
     "survivors",
+    "decide",
     "match_ids",
     "match_flags",
     "count_matches",
@@ -181,6 +193,50 @@ def survivors(
 
 
 # ---------------------------------------------------------------------------
+# The decision every read consults: covered, a semantic verdict, or
+# plain prune-and-verify.
+# ---------------------------------------------------------------------------
+
+# Never cached: array-freeness is a property of one collection's live
+# index, not of a premise fingerprint.
+_COVERED = SemanticDecision(
+    verdict=SemanticVerdict(kind="covered", source="index"),
+    mode="on",
+    cached=False,
+)
+
+
+def decide(
+    collection: "Collection",
+    query: CompiledQuery | None,
+    *,
+    no_semantic: bool = False,
+) -> SemanticDecision | None:
+    """How a read of ``query`` over ``collection`` executes.
+
+    ``"covered"`` when the plan's predicate is exact on array-free
+    paths and the live index shows none of its cover paths crosses an
+    array: the candidate fold is the result, nothing is verified and
+    nothing is proved.  The rung applies exactly where an enforced
+    verdict would -- a ``SemanticContext`` in mode ``"on"`` and no
+    ``no_semantic`` hint -- so ``optimize="off"``/``"proof-only"`` and
+    hinted calls stay the prune-and-verify reference.  Otherwise the
+    decision is :func:`repro.query.optimizer.semantic_plan`'s.
+    """
+    if not no_semantic and query is not None and query.plan.cover is not None:
+        context = getattr(collection, "semantic_context", None)
+        indexes = getattr(collection, "indexes", None)
+        if (
+            context is not None
+            and context.mode == "on"
+            and indexes is not None
+            and indexes.array_free(query.plan.cover)
+        ):
+            return _COVERED
+    return optimizer.semantic_plan(collection, query, no_semantic=no_semantic)
+
+
+# ---------------------------------------------------------------------------
 # Stage 3: evaluate the compiled payload on the survivors.
 # ---------------------------------------------------------------------------
 
@@ -194,8 +250,9 @@ def _matching(
     """The matching ``(doc_id, tree)`` pairs, in document-id order.
 
     ``report`` is :func:`explain`'s out-parameter: it receives the
-    ``candidates`` count and the number of survivors ``scanned`` (both
-    stay unset when a semantic verdict answers without scanning).
+    ``candidates`` count and the number of survivors ``scanned``, i.e.
+    verified (both stay unset when a semantic verdict answers without
+    scanning; a covered read scans none of its candidates).
     """
     kind = optimizer.effective_kind(decision)
     if kind == "empty":
@@ -204,14 +261,18 @@ def _matching(
         # The premise entails the query: every live document matches.
         yield from collection.documents()
         return
+    pairs, candidates = survivors(collection, query.plan.match_predicate)
+    if report is not None:
+        report["candidates"] = candidates
+        report["scanned"] = 0 if kind == "covered" else len(pairs)
+    if kind == "covered":
+        # The predicate is exact here: the candidates are the matches.
+        yield from pairs
+        return
     if kind == "residual":
         verify = decision.verdict.residual_query.matches
     else:
         verify = query.matches
-    pairs, candidates = survivors(collection, query.plan.match_predicate)
-    if report is not None:
-        report["candidates"] = candidates
-        report["scanned"] = len(pairs)
     count = optimizer.count_verify
     for doc_id, tree in pairs:
         count()
@@ -227,9 +288,7 @@ def match_ids(
 ) -> list[int]:
     """Ids of the documents the query matches (root match / non-empty
     selection), in document-id order."""
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
+    decision = decide(collection, query, no_semantic=no_semantic)
     return [doc_id for doc_id, _ in _matching(collection, query, decision)]
 
 
@@ -254,14 +313,18 @@ def count_matches(
     *,
     no_semantic: bool = False,
 ) -> int:
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
+    decision = decide(collection, query, no_semantic=no_semantic)
     kind = optimizer.effective_kind(decision)
     if kind == "empty":
         return 0
     if kind == "all":
         return len(collection)
+    if kind == "covered":
+        # The fold is the answer: no document is fetched.
+        candidates = candidate_ids(
+            query.plan.match_predicate, collection.indexes
+        )
+        return len(collection) if candidates is None else len(candidates)
     return sum(1 for _ in _matching(collection, query, decision))
 
 
@@ -272,9 +335,7 @@ def find_documents(
     no_semantic: bool = False,
 ) -> list[JSONValue]:
     """Mongo ``find`` over a collection: (projected) matching documents."""
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
+    decision = decide(collection, query, no_semantic=no_semantic)
     results: list[JSONValue] = []
     projection = query.projection
     for _, tree in _matching(collection, query, decision):
@@ -297,9 +358,7 @@ def find_rows(
     rows by the globally unique doc-id, which reproduces the single
     collection's document-id answer order exactly.
     """
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
+    decision = decide(collection, query, no_semantic=no_semantic)
     rows: list[tuple[int, JSONValue]] = []
     projection = query.projection
     for doc_id, tree in _matching(collection, query, decision):
@@ -316,9 +375,7 @@ def find_trees(
     no_semantic: bool = False,
 ) -> list[JSONTree]:
     """The matching documents as trees (no projection applied)."""
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
+    decision = decide(collection, query, no_semantic=no_semantic)
     return [tree for _, tree in _matching(collection, query, decision)]
 
 
@@ -366,9 +423,7 @@ def explain(
     no_semantic: bool = False,
 ) -> Explain:
     """Run the match pipeline, reporting pruning effectiveness."""
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
+    decision = decide(collection, query, no_semantic=no_semantic)
     report: dict[str, int | None] = {}
     matched = sum(1 for _ in _matching(collection, query, decision, report))
     return Explain(

@@ -88,6 +88,13 @@ def _no_semantic(hint: "dict[str, Any] | None") -> bool:
     return bool(hint) and bool(hint.get("no_semantic"))
 
 
+def is_id_type(kind: type) -> bool:
+    """Whether values of type ``kind`` can be document ids: an id is an
+    ``int`` that is not a ``bool`` (``True`` must never address
+    document 1)."""
+    return issubclass(kind, int) and kind is not bool
+
+
 def slots_by_id(
     slots: "list[JSONTree | None]", ids: Iterable[int]
 ) -> "Iterator[tuple[int, JSONTree | None]]":
@@ -95,7 +102,8 @@ def slots_by_id(
     id->tree slot list -- the by-id half of ``documents()`` on a
     collection and on its snapshots.  Raises
     :class:`~repro.errors.StoreError` on an id that is not an ``int``
-    or was never assigned; the slot of a removed document is ``None``.
+    (a ``bool`` is not) or was never assigned; the slot of a removed
+    document is ``None``.
 
     Everything per id runs at C speed (one sort, one type sweep, one
     ``map`` over the slot list) and the range check looks at the two
@@ -106,7 +114,7 @@ def slots_by_id(
         ordered = sorted(ids)
     except TypeError:
         raise StoreError("document ids must be integers") from None
-    if not all(issubclass(kind, int) for kind in set(map(type, ordered))):
+    if not all(map(is_id_type, set(map(type, ordered)))):
         raise StoreError("document ids must be integers")
     if ordered and (ordered[0] < 0 or ordered[-1] >= len(slots)):
         unknown = ordered[0] if ordered[0] < 0 else ordered[-1]
@@ -314,13 +322,13 @@ class Collection:
 
     def __contains__(self, doc_id: int) -> bool:
         return (
-            isinstance(doc_id, int)
+            is_id_type(type(doc_id))
             and 0 <= doc_id < len(self._trees)
             and self._trees[doc_id] is not None
         )
 
     def get(self, doc_id: int) -> JSONTree:
-        if not isinstance(doc_id, int) or not 0 <= doc_id < len(self._trees):
+        if not is_id_type(type(doc_id)) or not 0 <= doc_id < len(self._trees):
             raise StoreError(f"unknown document id {doc_id}")
         tree = self._trees[doc_id]
         if tree is None:

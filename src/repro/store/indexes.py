@@ -625,6 +625,25 @@ class DocumentIndexes:
         stop = len(keys) if high is None else bisect_left(keys, high)
         return set().union(*[values[key] for key in keys[start:stop]])
 
+    def array_free(self, paths: Iterable[KeyPath]) -> bool:
+        """Whether no live document has an array at any of ``paths`` or
+        at a prefix of one (the root ``()`` included).
+
+        Arrays are the only place a stripped path stands for more than
+        one node of a document, so on array-free paths the postings of
+        the other look-ups are not a superset of the answer but the
+        answer (:attr:`repro.query.ir.LogicalPlan.cover`).  The
+        ``kinds`` table is exact for the live documents -- emptied
+        postings are deleted, so the last array-bearing document
+        leaving restores the property -- and costs one probe per prefix.
+        """
+        kinds = self._kinds
+        for path in paths:
+            for end in range(len(path) + 1):
+                if Kind.ARRAY in kinds.get(path[:end], _EMPTY):
+                    return False
+        return True
+
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------

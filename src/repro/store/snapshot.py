@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 from repro.errors import StoreError
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import planner
-from repro.store.collection import _no_semantic, slots_by_id
+from repro.store.collection import _no_semantic, is_id_type, slots_by_id
 from repro.query.compiled import (
     CompiledQuery,
     compile_mongo_find,
@@ -129,13 +129,13 @@ class CollectionSnapshot:
 
     def __contains__(self, doc_id: int) -> bool:
         return (
-            isinstance(doc_id, int)
+            is_id_type(type(doc_id))
             and 0 <= doc_id < len(self._trees)
             and self._trees[doc_id] is not None
         )
 
     def get(self, doc_id: int) -> JSONTree:
-        if not isinstance(doc_id, int) or not 0 <= doc_id < len(self._trees):
+        if not is_id_type(type(doc_id)) or not 0 <= doc_id < len(self._trees):
             raise StoreError(f"unknown document id {doc_id}")
         tree = self._trees[doc_id]
         if tree is None:

@@ -18,12 +18,16 @@ over randomised schemas x queries on every backend (memory, durable,
 sharded, remote).  Scaled by ``REPRO_DIFF_SCALE`` (the nightly CI job
 sweeps it at 20x) alongside adversarial cases: a prover starved to a
 zero budget, a summary that widens between proof and execution, and
-``not``-heavy schemas.
+``not``-heavy schemas.  Its exact-vs-verified axis races the planner's
+index cover (rung 0, no proof at all) against the hinted
+prune-and-verify path and brute force, with arrays, objects and the
+key ``"0"`` on the filtered paths and writes between the reads.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import random
@@ -119,11 +123,13 @@ class TestVerdicts:
         assert report.matched == 0 and report.scanned == 0
 
     def test_aggregate_lead_match_uses_the_same_verdicts(self, people):
+        # ``$not`` keeps both filters outside the index cover, so the
+        # prover -- not the postings -- is what answers them.
         assert people.aggregate(
-            [{"$match": {"age": {"$gt": 500}}}, {"$count": "n"}]
+            [{"$match": {"age": {"$not": {"$lte": 500}}}}, {"$count": "n"}]
         ) == []
         report = people.explain_aggregate(
-            [{"$match": {"age": {"$gte": 0}}}, {"$count": "n"}]
+            [{"$match": {"age": {"$not": {"$gt": 200}}}}, {"$count": "n"}]
         )
         assert report.semantics is not None
         assert report.semantics.verdict == "all"
@@ -296,7 +302,8 @@ class TestVerdictCache:
 class TestExplainSemantics:
     def test_unsat_find_reports_the_discharged_predicate(self):
         people = api.collection(age_docs(), schema=AGE_SCHEMA)
-        report = people.explain({"age": {"$gt": 500}})
+        # A negated bound: outside the index cover, so the proof runs.
+        report = people.explain({"age": {"$not": {"$lte": 500}}})
         assert isinstance(report, Explain)
         assert report.format == "repro-explain" and report.version == 1
         semantics = report.semantics
@@ -304,7 +311,7 @@ class TestExplainSemantics:
         assert semantics.verdict == "empty"
         assert semantics.source == "schema"
         assert semantics.enforced
-        assert list(semantics.discharged) == ["[X_age.<Min(500)>]"]
+        assert list(semantics.discharged) == ["[X_age.<~Max(501)>]"]
         assert report.scanned == 0 and report.matched == 0
 
     def test_implied_find_reports_every_discharged_conjunct(self):
@@ -319,7 +326,7 @@ class TestExplainSemantics:
         docs = [{"age": i, "score": i % 10} for i in range(15)]
         people = api.collection(docs, schema=schema)
         report = people.explain(
-            {"age": {"$gte": 0}, "score": {"$lte": 1000}}
+            {"age": {"$not": {"$lt": 0}}, "score": {"$not": {"$gt": 1000}}}
         )
         semantics = report.semantics
         assert semantics is not None and semantics.verdict == "all"
@@ -331,7 +338,7 @@ class TestExplainSemantics:
 
     def test_residual_reports_both_halves(self):
         people = api.collection(age_docs(), schema=AGE_SCHEMA)
-        report = people.explain({"age": {"$gte": 0}, "name": "p3"})
+        report = people.explain({"age": {"$not": {"$lt": 0}}, "name": "p3"})
         semantics = report.semantics
         assert semantics is not None and semantics.verdict == "residual"
         assert semantics.discharged and semantics.residual
@@ -485,6 +492,146 @@ def _random_filter(rng: random.Random, schema: dict) -> dict:
     return filter_doc
 
 
+# The exact-vs-verified axis: documents put scalars, objects, arrays,
+# nested arrays and the key "0" *on* the filtered paths, filters come
+# from both lists of the cover rules (repro.query.ir).
+
+_COVER_FIELDS = ("a", "b", "a.b", "a.0", "b.a", "c")
+
+
+def _cover_value(rng: random.Random, arrays: bool, depth: int = 0):
+    roll = rng.random()
+    if roll < 0.5 or depth >= 2:
+        return rng.choice([rng.randint(0, 9), rng.randint(0, 9), "s", "t"])
+    if arrays and roll < 0.75:
+        return [
+            _cover_value(rng, arrays, depth + 1)
+            for _ in range(rng.randint(0, 3))
+        ]
+    return {
+        key: _cover_value(rng, arrays, depth + 1)
+        for key in rng.sample(["a", "b", "0"], rng.randint(0, 2))
+    }
+
+
+def _cover_document(rng: random.Random, arrays: bool):
+    if arrays and rng.random() < 0.05:  # an array at the root
+        return [_cover_value(rng, arrays) for _ in range(rng.randint(0, 2))]
+    document = {
+        key: _cover_value(rng, arrays)
+        for key in rng.sample(["a", "b"], rng.randint(0, 2))
+    }
+    document["c"] = rng.randint(0, 5)  # what the random updates target
+    return document
+
+
+def _cover_condition(rng: random.Random):
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.choice([rng.randint(0, 9), "s"])
+    if roll < 0.5:
+        operators = rng.sample(["$gt", "$gte", "$lt", "$lte"], rng.randint(1, 2))
+        return {op: rng.randint(-1, 10) for op in operators}
+    if roll < 0.6:
+        return {"$in": [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]}
+    if roll < 0.7:
+        return rng.choice(
+            [
+                {"$exists": True},
+                {"$type": "number"},
+                {"$type": "object"},
+                {"$type": "array"},
+            ]
+        )
+    if roll < 0.78:
+        return {"$elemMatch": {"$gt": rng.randint(0, 9)}}
+    return rng.choice(
+        [
+            [1],
+            {"a": 1},
+            {"$ne": rng.randint(0, 9)},
+            {"$nin": [1, 2]},
+            {"$regex": "^s"},
+            {"$size": 1},
+            {"$exists": False},
+            {"$not": {"$gt": 4}},
+            {"$in": [1, [2]]},
+        ]
+    )
+
+
+def _cover_filter(rng: random.Random, depth: int = 0) -> dict:
+    if rng.random() < 0.2 and depth < 2:
+        return {
+            rng.choice(["$and", "$or"]): [
+                _cover_filter(rng, depth + 1)
+                for _ in range(rng.randint(1, 3))
+            ]
+        }
+    return {
+        field: _cover_condition(rng)
+        for field in rng.sample(_COVER_FIELDS, rng.randint(1, 2))
+    }
+
+
+_HINT = {"no_semantic": True}
+
+
+def _assert_reads(target, filter_doc: dict, rows: list) -> None:
+    """Every read of ``target``, hinted (verified) and not (covered
+    where the rung applies), answers exactly ``rows``."""
+    values = [value for _, value in rows]
+    ids = [doc_id for doc_id, _ in rows]
+    tally = [{"n": len(rows)}] if rows else []
+    pipeline = [{"$match": filter_doc}, {"$count": "n"}]
+    for hint in (None, _HINT):
+        assert target.find(filter_doc, hint=hint) == values, filter_doc
+        assert target.count(filter_doc, hint=hint) == len(rows), filter_doc
+        assert target.aggregate(pipeline, hint=hint) == tally, filter_doc
+        if hasattr(target, "find_trees"):  # a collection or a snapshot
+            query = compile_mongo_find(filter_doc)
+            assert target.match_ids(query, hint=hint) == ids, filter_doc
+        elif hasattr(target, "match_ids"):  # the fleet takes the filter
+            assert target.match_ids(filter_doc, hint=hint) == ids, filter_doc
+
+
+def _brute_force(view, filter_doc: dict) -> list:
+    query = compile_mongo_find(filter_doc)
+    return [
+        (doc_id, tree.to_value())
+        for doc_id, tree in view.documents()
+        if query.matches(tree)
+    ]
+
+@contextlib.contextmanager
+def _serving(database):
+    """A ``ReproServer`` over ``database`` on a background event loop;
+    yields its address."""
+    from repro.server import ReproServer
+
+    server = ReproServer(database)
+    loop = asyncio.new_event_loop()
+    started = threading.Event()
+
+    def runner() -> None:
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(server.start())
+        started.set()
+        loop.run_forever()
+
+    thread = threading.Thread(target=runner, daemon=True)
+    thread.start()
+    started.wait()
+    try:
+        yield server.address
+    finally:
+        future = asyncio.run_coroutine_threadsafe(server.aclose(), loop)
+        future.result(timeout=10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        loop.close()
+
+
 class TestRandomisedDifferential:
     def test_memory_on_equals_off(self):
         rng = random.Random(20170508)
@@ -540,32 +687,16 @@ class TestRandomisedDifferential:
                 )
 
     def test_remote_on_equals_off(self):
-        from repro.server import ReproServer
+        from repro.client import connect
 
         rng = random.Random(7)
         schema, docs = _random_schema(rng)
         database = api.connect()
         database.collection(documents=docs, schema=schema)
         local = api.collection(docs, schema=schema, optimize="off")
-
-        server = ReproServer(database)
-        loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def runner() -> None:
-            asyncio.set_event_loop(loop)
-            loop.run_until_complete(server.start())
-            started.set()
-            loop.run_forever()
-
-        thread = threading.Thread(target=runner, daemon=True)
-        thread.start()
-        started.wait()
-        try:
-            from repro.client import connect
-
-            with connect(server.address) as on_client, connect(
-                server.address, optimize="off"
+        with _serving(database) as address:
+            with connect(address) as on_client, connect(
+                address, optimize="off"
             ) as off_client:
                 on = on_client.collection()
                 off = off_client.collection()
@@ -575,15 +706,86 @@ class TestRandomisedDifferential:
                     assert on.find(filter_doc) == expected, filter_doc
                     assert off.find(filter_doc) == expected, filter_doc
                     assert on.count(filter_doc) == len(expected)
-                report = on.explain({"a": {"$gt": 10_000}})
+                report = on.explain({"a": {"$not": {"$lte": 10_000}}})
                 assert report.semantics is not None
                 assert report.semantics.verdict == "empty"
-        finally:
-            future = asyncio.run_coroutine_threadsafe(server.aclose(), loop)
-            future.result(timeout=10)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=10)
-            loop.close()
+
+    def test_exact_cover_equals_verified(self):
+        """Covered reads against the hinted prune-and-verify path and
+        against brute force, while documents come, go and change shape
+        -- on memory, a current and a stale snapshot, a 3-shard fleet
+        and a server over TCP."""
+        from repro.client import connect
+
+        rng = random.Random(20261002)
+        database = api.connect()
+        tally = {"checks": 0, "covered": 0, "stale": 0}
+        with _serving(database) as address, connect(address) as client:
+            for corpus in range(4 * _SCALE):
+                arrays = corpus % 2 == 1  # half the corpora array-free
+                docs = [
+                    _cover_document(rng, arrays)
+                    for _ in range(rng.randint(8, 40))
+                ]
+                database.collection(f"c{corpus}", documents=docs)
+                remote = client.collection(f"c{corpus}")
+                with api.collection(docs, shards=3, parallel=False) as fleet:
+                    self._cover_rounds(
+                        rng, arrays, api.collection(docs), fleet, remote, tally
+                    )
+        # The generator bites on both sides of the rung, and on stale
+        # views.
+        checks, covered = tally["checks"], tally["covered"]
+        assert covered >= checks // 5 and checks - covered >= checks // 5
+        assert tally["stale"] >= checks // 2
+
+    @staticmethod
+    def _cover_rounds(rng, arrays, memory, fleet, remote, tally) -> None:
+        """Four rounds of eight filters over one corpus kept in step on
+        three backends, with writes between the rounds."""
+        stale = None
+        for _ in range(4):
+            current = memory.snapshot_view()
+            for _ in range(8):
+                filter_doc = _cover_filter(rng)
+                decision = planner.decide(memory, compile_mongo_find(filter_doc))
+                tally["checks"] += 1
+                tally["covered"] += optimizer.effective_kind(decision) == "covered"
+                rows = _brute_force(memory, filter_doc)
+                for target in (memory, current, fleet, remote):
+                    _assert_reads(target, filter_doc, rows)
+                if stale is not None:
+                    # (Still current when the writes in between happened
+                    # to be no-ops.)
+                    tally["stale"] += not stale.current
+                    _assert_reads(
+                        stale, filter_doc, _brute_force(stale, filter_doc)
+                    )
+            stale = current
+            # Interleaved writes: mostly scalars, now and then an array
+            # lands on (or leaves) a path of an array-free corpus.
+            for _ in range(rng.randint(1, 4)):
+                roll = rng.random()
+                shaped = arrays or rng.random() < 0.15
+                if roll < 0.35:
+                    document = _cover_document(rng, shaped)
+                    for target in (memory, fleet, remote):
+                        target.insert(document)
+                elif roll < 0.6 and len(memory) > 4:
+                    doc_id = rng.choice(memory.doc_ids())
+                    for target in (memory, fleet, remote):
+                        target.remove(doc_id)
+                else:
+                    field = rng.choice(["a", "b"])
+                    update = rng.choice(
+                        [
+                            {"$set": {field: _cover_value(rng, shaped)}},
+                            {"$unset": {field: ""}},
+                        ]
+                    )
+                    selector = {"c": rng.randint(0, 5)}
+                    for target in (memory, fleet, remote):
+                        target.update_many(selector, update)
 
     # -- adversarial cases -------------------------------------------------
 

@@ -3,8 +3,9 @@
 The acceptance bar for the store refactor: every front-end, routed
 through IR -> planner -> indexes, returns results *identical* to the
 pre-refactor per-tree engines over a differential corpus -- and the
-candidate sets are always supersets of the true matches (pruning can
-skip work, never answers).
+candidate sets are always supersets of the true matches (pruning skips
+work; it answers only where ``TestCoveredReads`` pins that the index
+predicate is exact: array-free paths, checked against the live index).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 
 import pytest
 
+from repro.explain import Explain
 from repro.query import batch, compile_mongo_find, compile_query, planner
 from repro.workloads import people_collection
 from repro import api
@@ -187,12 +189,18 @@ class TestPruningEffectiveness:
             assert explain.total == len(collection)
             semantics = explain.semantics
             if semantics is not None and semantics.enforced and (
-                semantics.verdict in ("empty", "all")
+                semantics.verdict in ("empty", "all", "covered")
             ):
-                # A discharged verdict answers without scanning: the
-                # planner reports the honest zero-scan counters.
+                # A discharged verdict (or an exact index cover) answers
+                # without scanning: the planner reports the honest
+                # zero-scan counters.
                 assert explain.scanned == 0
-                expected = 0 if semantics.verdict == "empty" else explain.total
+                if semantics.verdict == "empty":
+                    expected = 0
+                elif explain.candidates is not None:
+                    expected = explain.candidates
+                else:
+                    expected = explain.total
                 assert explain.matched == expected
             else:
                 assert explain.matched <= explain.scanned <= explain.total
@@ -452,3 +460,226 @@ class TestSurvivorSource:
                     if report.candidates is None
                     else report.candidates
                 )
+
+
+# ---------------------------------------------------------------------------
+# Rung 0, the exact index cover: on array-free paths the postings are
+# the answer -- nothing is verified and nothing is proved.
+# ---------------------------------------------------------------------------
+
+HINT = {"no_semantic": True}
+
+
+def verdict_of(target, filter_doc, **kwargs):
+    """The explain verdict of a find; pins a covered report's shape."""
+    report = target.explain(filter_doc, **kwargs)
+    if report.semantics is None:
+        return None
+    if report.semantics.verdict == "covered":
+        assert report.semantics.mode == "on"
+        assert report.semantics.source == "index"
+        assert report.semantics.enforced
+        assert report.scanned == 0  # "scanned" still means "verified"
+        assert report.matched == (
+            report.total if report.candidates is None else report.candidates
+        )
+        wire = json.loads(json.dumps(report.to_json()))
+        assert Explain.from_json(wire) == report
+    return report.semantics.verdict
+
+
+class TestCoveredReads:
+    USER = {"user": 5}
+    NESTED = {"profile.age": {"$gte": 7, "$lt": 9}}
+
+    @pytest.fixture
+    def users(self):
+        return api.collection(
+            [
+                {
+                    "user": i % 10,
+                    "city": f"c{i % 3}",
+                    "profile": {"age": i % 12},
+                    "tags": ["x", f"t{i % 4}"],
+                }
+                for i in range(40)
+            ]
+        )
+
+    @staticmethod
+    def same_answers(target, filter_doc):
+        """Covered (or whatever the rung decides) == prune-and-verify
+        == brute force; returns the matching ids."""
+        query = compile_mongo_find(filter_doc)
+        full = [
+            (doc_id, tree.to_value())
+            for doc_id, tree in target.documents()
+            if query.matches(tree)
+        ]
+        values = [value for _, value in full]
+        tally = [{"n": len(full)}] if full else []
+        pipeline = [{"$match": filter_doc}, {"$count": "n"}]
+        for hint in (None, HINT):
+            assert target.find(filter_doc, hint=hint) == values
+            assert target.count(filter_doc, hint=hint) == len(full)
+            assert target.aggregate(pipeline, hint=hint) == tally
+            assert target.match_ids(query, hint=hint) == [i for i, _ in full]
+            assert [
+                tree.to_value()
+                for tree in target.find_trees(filter_doc, hint=hint)
+            ] == values
+        return [doc_id for doc_id, _ in full]
+
+    def test_array_free_paths_are_covered(self, users):
+        for filter_doc in (
+            {},
+            self.USER,
+            self.NESTED,
+            {"city": {"$in": ["c0", "c2"]}, "user": {"$gt": 6}},
+            {"$or": [{"user": 1}, {"profile.age": 11}]},
+            {"user.0": 5},  # exact, and empty: no array to step into
+            {"missing": {"$exists": True}},
+        ):
+            assert verdict_of(users, filter_doc) == "covered", filter_doc
+            self.same_answers(users, filter_doc)
+        # The flat array and everything the rules do not certify stay
+        # on the verified path.
+        for filter_doc in (
+            {"tags": "t1"},
+            {"user": {"$ne": 5}},
+            {"city": {"$regex": "^c1"}},
+            {"user": 5, "tags": "x"},
+        ):
+            assert verdict_of(users, filter_doc) != "covered", filter_doc
+            self.same_answers(users, filter_doc)
+
+    def test_an_array_on_the_path_uncovers_it_until_it_is_gone(self, users):
+        fives = self.same_answers(users, self.USER)
+        assert len(fives) == 4 and verdict_of(users, self.USER) == "covered"
+
+        # insert / remove
+        doc_id = users.insert({"user": [[5]]})  # in the posting, no match
+        assert verdict_of(users, self.USER) != "covered"
+        assert self.same_answers(users, self.USER) == fives
+        assert verdict_of(users, self.NESTED) == "covered"  # other paths
+        users.remove(doc_id)
+        assert verdict_of(users, self.USER) == "covered"
+
+        # $set to a list / updated back
+        users.update_one({"user": 3}, {"$set": {"user": [3, 5]}})
+        assert verdict_of(users, self.USER) != "covered"
+        assert len(self.same_answers(users, self.USER)) == 5  # containment
+        users.update_one({"user": [3, 5]}, {"$set": {"user": 3}})
+        assert verdict_of(users, self.USER) == "covered"
+        assert self.same_answers(users, self.USER) == fives
+
+        # $push onto a missing field / $unset
+        extra = {"extra": 1}
+        assert verdict_of(users, extra) == "covered"
+        assert users.count(extra) == 0
+        users.update_one({"user": 1}, {"$push": {"extra": 1}})
+        assert verdict_of(users, extra) != "covered"
+        assert len(self.same_answers(users, extra)) == 1
+        users.update_one({"user": 1}, {"$unset": {"extra": ""}})
+        assert verdict_of(users, extra) == "covered"
+        assert users.count(extra) == 0
+
+        # replace_one, there and back
+        users.replace_one({"user": 2}, {"user": [2], "was": 2})
+        assert verdict_of(users, self.USER) != "covered"
+        users.replace_one({"was": 2}, {"user": 2})
+        assert verdict_of(users, self.USER) == "covered"
+        assert self.same_answers(users, self.USER) == fives
+
+    def test_an_array_on_a_prefix_uncovers_it(self, users):
+        ages = self.same_answers(users, self.NESTED)
+        assert ages and verdict_of(users, self.NESTED) == "covered"
+        doc_id = users.insert({"profile": [{"age": 7}]})
+        assert verdict_of(users, self.NESTED) != "covered"
+        assert verdict_of(users, self.USER) == "covered"
+        assert self.same_answers(users, self.NESTED) == ages
+        users.remove(doc_id)
+        assert verdict_of(users, self.NESTED) == "covered"
+        # A root-array document is an array on every prefix.
+        doc_id = users.insert([{"user": 5, "profile": {"age": 7}}])
+        for filter_doc in (self.USER, self.NESTED):
+            assert verdict_of(users, filter_doc) != "covered"
+        assert self.same_answers(users, self.NESTED) == ages
+        assert verdict_of(users, {}) == "covered"  # needs no path at all
+        assert users.count({}) == len(users) == 41
+        users.remove(doc_id)
+        for filter_doc in (self.USER, self.NESTED):
+            assert verdict_of(users, filter_doc) == "covered"
+
+    def test_pending_updates_are_covered_and_current(self, users):
+        users.update_many(self.USER, {"$set": {"city": "moved"}})
+        assert users.pending_updates == 4
+        moved = {"city": "moved"}
+        # The postings are exact the moment the delta lands; a covered
+        # count reads them and leaves the rebuilds pending ...
+        assert users.count(moved) == 4 and users.pending_updates == 4
+        assert verdict_of(users, moved) == "covered"
+        # ... and a covered find hands out the post-update trees.
+        assert len(self.same_answers(users, moved)) == 4
+        assert users.pending_updates == 0
+
+    def test_snapshots_take_the_rung_only_while_current(self, users):
+        view = users.snapshot_view()
+        assert verdict_of(view, self.USER) == "covered"
+        pinned = self.same_answers(view, self.USER)
+        users.insert({"user": 5})
+        assert not view.current and view.indexes is None
+        assert verdict_of(view, self.USER) != "covered"
+        assert self.same_answers(view, self.USER) == pinned
+        assert len(self.same_answers(users, self.USER)) == len(pinned) + 1
+
+    def test_everything_that_is_not_mode_on_verifies(self, users):
+        docs = [tree.to_value() for _, tree in users.documents()]
+        assert verdict_of(users, self.USER, hint=HINT) is None
+        assert verdict_of(api.collection(docs, optimize="off"), self.USER) is None
+        proof_only = api.collection(docs, optimize="proof-only")
+        report = proof_only.explain(self.USER)
+        assert report.semantics.mode == "proof-only"
+        assert report.semantics.verdict != "covered"
+        assert report.scanned == report.candidates == 4
+        unindexed = api.collection(docs, indexed=False)
+        assert verdict_of(unindexed, self.USER) != "covered"
+        assert verdict_of(api.collection(docs, extended=True), self.USER) is None
+        for target in (proof_only, unindexed):
+            self.same_answers(target, self.USER)
+
+    def test_a_covered_read_verifies_and_proves_nothing(
+        self, users, monkeypatch
+    ):
+        from repro.mongo.aggregate import compile_pipeline
+        from repro.query import optimizer
+        from repro.query.compiled import CompiledQuery
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a covered read must not get here")
+
+        expected = users.find(self.USER, hint=HINT)
+        query = compile_mongo_find(self.USER)
+        pipeline = compile_pipeline(
+            [{"$match": self.USER}, {"$group": {"_id": "$city", "n": {"$sum": 1}}}],
+            cache=None,
+        )
+        grouped = pipeline.execute(users, no_semantic=True)
+        users.semantic_context  # the lazy summary is built, as any read would
+        monkeypatch.setattr(CompiledQuery, "matches", forbidden)
+        monkeypatch.setattr(optimizer, "semantic_plan", forbidden)
+        monkeypatch.setattr(optimizer, "unsat", forbidden)
+        pipeline.lead_pred = forbidden
+        optimizer.reset_verify_calls()
+        assert users.find(self.USER) == expected
+        assert users.match_ids(query) == [5, 15, 25, 35]
+        assert len(users.find_trees(self.USER)) == 4
+        assert users.explain(self.USER).matched == 4
+        assert pipeline.execute(users) == grouped
+        assert pipeline.explain(users).matched == 4
+        assert pipeline.execute_partial(users)["scanned"] == 0
+        # A count does not even fetch.
+        monkeypatch.setattr(type(users), "documents", forbidden)
+        assert users.count(self.USER) == 4
+        assert users.count({}) == 40
+        assert optimizer.verify_calls() == 0

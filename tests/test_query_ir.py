@@ -171,8 +171,23 @@ class TestNormalisation:
         assert ir.and_([exists, implying]) == implying
         elsewhere = ir.PathExists(("b",))
         assert ir.and_([implying, elsewhere]) == ir.AndPred((implying, elsewhere))
-        # A key-presence or disjunctive fact implies nothing about "a".
+        # A key-presence fact implies nothing about "a".
         assert ir.and_([self.C, exists]) == ir.AndPred((self.C, exists))
+
+    def test_exists_is_dropped_beside_a_disjunction_that_locates_it(self):
+        exists = ir.PathExists(("a",))
+        either = ir.OrPred((self.A, ir.AndPred((self.B, self.C))))
+        assert ir.and_([either, exists]) == either
+        assert ir.and_([exists, either]) == either
+        # One branch that says nothing about "a" keeps the look-up.
+        loose = ir.OrPred((self.A, self.C))
+        assert ir.and_([loose, exists]) == ir.AndPred((loose, exists))
+        elsewhere = ir.OrPred((self.A, ir.PathEq(("b",), 5)))
+        assert ir.and_([elsewhere, exists]) == ir.AndPred((elsewhere, exists))
+        # Mongo's ``$in`` is the union of its equalities and nothing else.
+        assert match_pred(compile_mongo_find({"a": {"$in": [1, 2]}})) == (
+            ir.OrPred((ir.PathEq(("a",), 1), ir.PathEq(("a",), 2)))
+        )
 
     def test_mongo_equality_is_one_lookup(self):
         assert match_pred(compile_mongo_find({"user": 5})) == ir.PathEq(
@@ -233,6 +248,114 @@ class TestNormalisation:
             merged.plan.match_predicate, collection.indexes
         ) == {1, 2}
         assert planner.match_ids(collection, merged) == [1]
+
+
+def _paths(*dotted: str) -> frozenset:
+    return frozenset(tuple(path.split(".")) if path else () for path in dotted)
+
+
+class TestCover:
+    """``plan.cover``: the paths on whose array-freeness the predicate
+    is equivalent to the payload, ``None`` when it is only necessary."""
+
+    @pytest.mark.parametrize(
+        "filter_doc, cover",
+        [
+            # -- exact: the postings are the answer on array-free paths
+            ({}, _paths()),
+            ({"user": 5}, _paths("user")),
+            ({"a.b": "x"}, _paths("a.b")),
+            ({"a": {"$in": [1, "s"]}}, _paths("a")),
+            ({"a": {"$exists": True}}, _paths("a")),
+            ({"a": {"$type": "string"}}, _paths("a")),
+            ({"a": {"$type": "array"}}, _paths("a")),
+            ({"a": {"$gt": 3}}, _paths("a")),
+            ({"a": {"$gte": 3, "$lt": 9}}, _paths("a")),
+            ({"a": 1, "b.c": {"$lte": 4}}, _paths("a", "b.c")),
+            ({"$or": [{"a": 1}, {"b.c": 2}]}, _paths("a", "b.c")),
+            (
+                {"$and": [{"a": 1}, {"$or": [{"b": 2}, {"c": {"$exists": True}}]}]},
+                _paths("a", "b", "c"),
+            ),
+            ({"$and": []}, _paths()),
+            # Positional forms match nothing on an array-free path, and
+            # their predicate (``PathKind(a, ARRAY) and ...``) says so:
+            # exact whatever follows the array step.
+            ({"a.0": 5}, _paths("a")),
+            ({"a.0.b": {"$ne": 5}}, _paths("a")),
+            ({"a": {"$elemMatch": {"$gt": 3}}}, _paths("a")),
+            ({"a": {"$elemMatch": {"b": {"$regex": "x"}}}}, _paths("a")),
+            # -- necessary only
+            ({"a": [1]}, None),
+            ({"a": {"b": 1}}, None),
+            ({"a": {"$in": [1, [2]]}}, None),
+            ({"a": {"$ne": 3}}, None),
+            ({"a": {"$nin": [1]}}, None),
+            ({"a": {"$exists": False}}, None),
+            ({"a": {"$not": {"$gt": 3}}}, None),
+            ({"$nor": [{"a": 1}]}, None),
+            ({"a": {"$regex": "^x"}}, None),
+            ({"a": {"$size": 2}}, None),
+            ({"a": 1, "b": {"$ne": 2}}, None),
+            ({"$or": [{"a": 1}, {"b": {"$regex": "x"}}]}, None),
+        ],
+    )
+    def test_mongo_filters(self, filter_doc, cover):
+        assert compile_mongo_find(filter_doc).plan.cover == cover
+
+    @pytest.mark.parametrize(
+        "text, cover",
+        [
+            ("true", _paths()),
+            ("has(.a.b)", _paths("a.b")),
+            ("matches(.a, 5)", _paths("a")),
+            (
+                "has(.a<test(object)>.b<test(min(2)) and test(max(9))>)",
+                _paths("a", "a.b"),
+            ),
+            ("test(object) and has(.a)", _paths("", "a")),
+            ("has(.a[1:3].b)", _paths("a")),
+            ("matches(.a, [5])", None),
+            ("eq(.a, .b)", None),
+            ('has(.a<test(pattern("x.*"))>)', None),
+            ("has(.a<test(multipleof(3))>)", None),
+            ("has(.a<test(unique)>)", None),
+            ("has(.a<test(minch(1))>)", None),
+            ("has(.a<test(maxch(1))>)", None),
+            ("has(.a|.b)", None),
+            ("has((.a)* .b)", None),
+            ("has(.a([0:])* <test(number)>)", None),
+            ("has(./a.*/)", None),
+            ("has(.* .b)", None),
+            ("not has(.a)", None),
+            ("has(.a) and not has(.b)", None),
+        ],
+    )
+    def test_jnl_formulas(self, text, cover):
+        assert compile_query(text, "jnl").plan.cover == cover
+
+    def test_selector_plans_are_never_exact(self):
+        assert compile_query("$.a.b", "jsonpath").plan.cover is None
+        assert compile_query(".a.b", "jnl-path").plan.cover is None
+
+    def test_floating_context_certifies_nothing(self):
+        # The node predicate is lifted at a floating context: its cover
+        # is dropped, and a floating walk inside an anchored formula
+        # (past a wildcard) takes exactness with it.
+        formula = compile_query("matches(.a, 5)", "jnl").formula
+        floating, cover = ir._lift(ir._FLOATING, formula)
+        assert floating == ir.AndPred((ir.HasKey("a"), ir.TailEq("a", 5)))
+        assert cover is None
+
+    def test_a_branch_cut_by_the_budget_is_not_exact(self):
+        forks = " ".join(["(.a|.b)"] * 8)  # 2**8 branches > the budget
+        plan = compile_query(f"has({forks})", "jnl").plan
+        assert plan.cover is None
+        # An array step in front still settles it: the predicate keeps
+        # ``PathKind(c, ARRAY)`` whatever the cut branches dissolve to.
+        plan = compile_query(f"has(.c[0] {forks})", "jnl").plan
+        assert plan.cover == _paths("c")
+        assert ir.PathKind(("c",), Kind.ARRAY) in conjuncts(plan.match_predicate)
 
 
 def _plain_and(parts):

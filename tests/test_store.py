@@ -245,6 +245,8 @@ class TestDocumentsById:
         assert 99 not in view and -1 not in view
         assert "x" not in view
         assert 1.0 not in view and 0.0 not in view
+        # ``False == 0`` and document 0 is live: a bool is still no id.
+        assert False not in view and True not in view
 
     def test_ascending_whatever_the_input_order(self, view):
         rows = list(view.documents([4, 0, 3]))
@@ -257,7 +259,21 @@ class TestDocumentsById:
         assert list(view.documents(None)) == list(view.documents())
 
     @pytest.mark.parametrize(
-        "ids", [[99], [-1], [0, 5], [1], [0, 1, 2], ["x"], [0, "x"], [1.0], [0, 2.5]]
+        "ids",
+        [
+            [99],
+            [-1],
+            [0, 5],
+            [1],
+            [0, 1, 2],
+            ["x"],
+            [0, "x"],
+            [1.0],
+            [0, 2.5],
+            [False],
+            [0, True],
+            [False, 2],
+        ],
     )
     def test_unknown_removed_and_non_int_ids_raise(self, view, ids):
         with pytest.raises(StoreError):
@@ -266,6 +282,13 @@ class TestDocumentsById:
             if doc_id not in view:
                 with pytest.raises(StoreError):
                     view.get(doc_id)
+
+    def test_a_boolean_never_removes_a_document(self, collection):
+        before = collection.doc_ids()
+        for doc_id in (False, True):
+            with pytest.raises(StoreError):
+                collection.remove(doc_id)
+        assert collection.doc_ids() == before and 0 in collection
 
     def test_pending_updates_are_rebuilt_on_the_way_out(self, collection):
         collection.update_many({"n": {"$gte": 3}}, {"$inc": {"n": 10}})
