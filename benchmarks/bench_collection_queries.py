@@ -115,6 +115,24 @@ def scaling() -> tuple[float, float, float]:
     return latencies[0], latencies[1], latencies[1] / latencies[0]
 
 
+def ingest() -> tuple[float, float]:
+    """``(documents/s, resident bytes/document)`` of building the larger
+    scaling corpus: trees, postings and the structural summary.  The
+    build is timed plain, then repeated under ``tracemalloc`` for the
+    bytes it keeps.  Reported, not pinned (machine-dependent)."""
+    import tracemalloc
+
+    docs = people_collection(SCALING_DOCS[1], seed=11)
+    rate = len(docs) / measure(lambda: api.collection(docs), repeat=1)
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    collection = api.collection(docs)
+    resident = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    assert len(collection) == len(docs)
+    return rate, resident / len(docs)
+
+
 # The covered rows.  ``age`` takes 73 values: a few hundred matches.
 COVERED_FILTER = {"age": 40}
 COVERED_FLOOR = 10.0
@@ -265,6 +283,11 @@ def main() -> str:
         f"{SCALING_DOCS[0]} docs, {large * 1e6:.0f} us over "
         f"{SCALING_DOCS[1]}: {ratio:.2f}x, target <= "
         f"{SCALING_CEILING:.0f}x)"
+    )
+    rate, resident = ingest()
+    table += (
+        f"\n(ingest: {rate:,.0f} docs/s, {resident:,.0f} resident bytes/doc "
+        f"over {SCALING_DOCS[1]} docs)"
     )
     fast, slow, clean, stray = covered()
     table += (

@@ -16,6 +16,12 @@ the performance story.  Three measurements:
 * **Compaction win** -- reopening from a checkpointed snapshot vs
   replaying the equivalent long WAL (inserts plus update churn).
   Pinned floor: snapshot-open >= 3x faster.
+* **Fresh data (no churn)** -- the case the churn scenario hides: the
+  same documents ingested in one batch, reopened by WAL replay and
+  reopened from a checkpoint.  All three rebuild trees and postings
+  from plain values (the one recovery path), so the timings are
+  reported, not pinned; what is pinned is the snapshot's size --
+  values only, <= 2x the documents as raw JSON lines.
 
 Recovered state is re-checked against the memory-engine result and the
 from-scratch index oracle before any timing is trusted --
@@ -25,6 +31,7 @@ from-scratch index oracle before any timing is trusted --
 from __future__ import annotations
 
 import copy
+import json
 import os
 import shutil
 import tempfile
@@ -51,6 +58,7 @@ _CHURN = people_collection(CHURN_DOCS, seed=13)
 #: most this multiple of memory), compaction win is a floor.
 INGEST_OVERHEAD_CEILING = 5.0
 COMPACTION_WIN_FLOOR = 3.0
+SNAPSHOT_BYTES_CEILING = 2.0
 
 #: Measured ratios of the last check_targets()/speedups() call.
 LAST_SPEEDUPS: dict[str, float] = {}
@@ -93,9 +101,9 @@ def _build_wal_only(directory: str) -> None:
     collection.close()
 
 
-def _reopen(directory: str) -> Collection:
+def _reopen(directory: str, documents: int = CHURN_DOCS) -> Collection:
     collection = _durable(directory)
-    assert len(collection) == CHURN_DOCS
+    assert len(collection) == documents
     collection.close()
     return collection
 
@@ -119,6 +127,39 @@ def _measure_recovery() -> tuple[float, float, float]:
     return replay, snapshot, replayed_values / replay
 
 
+def _ingest_batch(directory: str) -> None:
+    collection = _durable(directory)
+    collection.insert_many(copy.deepcopy(_PEOPLE))
+    collection.close()
+
+
+def _measure_fresh() -> tuple[float, float, float, float]:
+    """(ingest s, WAL-replay open s, snapshot open s, snapshot bytes /
+    raw JSON-lines bytes) over the same ``DOCS`` never-updated documents."""
+
+    def ingest() -> None:
+        with tempfile.TemporaryDirectory() as fresh:
+            _ingest_batch(fresh)
+
+    with tempfile.TemporaryDirectory() as scratch:
+        wal_dir = os.path.join(scratch, "wal-only")
+        snap_dir = os.path.join(scratch, "compacted")
+        _ingest_batch(wal_dir)
+        shutil.copytree(wal_dir, snap_dir)
+        compacted = _durable(snap_dir)
+        snapshot_bytes = compacted.compact().snapshot_bytes
+        compacted.close()
+        timings = (
+            measure(ingest, repeat=3),
+            measure(lambda: _reopen(wal_dir, DOCS), repeat=3),
+            measure(lambda: _reopen(snap_dir, DOCS), repeat=3),
+        )
+    raw_bytes = sum(
+        len(json.dumps(doc, separators=(",", ":"))) + 1 for doc in _PEOPLE
+    )
+    return (*timings, snapshot_bytes / raw_bytes)
+
+
 def _check_recovered_state_identical() -> None:
     """The durable collection must reopen to exactly the state the
     memory engine computes, with oracle-consistent indexes."""
@@ -138,13 +179,15 @@ def _check_recovered_state_identical() -> None:
 
 
 def speedups() -> dict[str, float]:
-    """Measured ratios (overhead is durable/memory, win is replay/snapshot)."""
+    """Measured ratios (overhead is durable/memory, win is
+    replay/snapshot, bytes is snapshot file/raw JSON lines)."""
     _check_recovered_state_identical()
     memory, durable_time = _measure_ingest()
     replay, snapshot, _rate = _measure_recovery()
     measured = {
         "wal ingest overhead (x memory)": durable_time / memory,
         "compaction win (x replay)": replay / snapshot,
+        "snapshot bytes (x raw json lines)": _measure_fresh()[3],
     }
     LAST_SPEEDUPS.clear()
     LAST_SPEEDUPS.update(measured)
@@ -167,6 +210,12 @@ def check_targets() -> list[str]:
             f"bench_durability: compacted-snapshot open {win:.1f}x < "
             f"{COMPACTION_WIN_FLOOR:.0f}x floor over WAL replay"
         )
+    size = measured["snapshot bytes (x raw json lines)"]
+    if size > SNAPSHOT_BYTES_CEILING:
+        failures.append(
+            f"bench_durability: snapshot is {size:.2f}x the raw JSON lines "
+            f"> {SNAPSHOT_BYTES_CEILING:.0f}x ceiling"
+        )
     return failures
 
 
@@ -178,9 +227,7 @@ def check_targets() -> list[str]:
 def test_durable_ingest(benchmark):
     def run():
         with tempfile.TemporaryDirectory() as scratch:
-            collection = _durable(scratch)
-            collection.insert_many(copy.deepcopy(_PEOPLE))
-            collection.close()
+            _ingest_batch(scratch)
 
     benchmark(run)
 
@@ -199,11 +246,14 @@ def main() -> str:
     _check_recovered_state_identical()
     memory, durable_time = _measure_ingest()
     replay, snapshot, rate = _measure_recovery()
+    fresh_ingest, fresh_replay, fresh_snapshot, size = _measure_fresh()
+    assert size <= SNAPSHOT_BYTES_CEILING, f"snapshot {size:.2f}x raw JSON lines"
     commits = DOCS
     table = format_table(
         "F7 / durable engine: WAL ingest, replay-on-open, compaction "
         f"(ceilings: ingest <= {INGEST_OVERHEAD_CEILING:.0f}x memory; "
-        f"snapshot open >= {COMPACTION_WIN_FLOOR:.0f}x replay)",
+        f"snapshot open >= {COMPACTION_WIN_FLOOR:.0f}x replay; "
+        f"snapshot <= {SNAPSHOT_BYTES_CEILING:.0f}x raw bytes)",
         ["measurement", "memory / snapshot", "durable / replay", "ratio"],
         [
             [
@@ -218,9 +268,20 @@ def main() -> str:
                 f"{replay * 1e3:.2f} ms",
                 f"{replay / snapshot:.1f}x win",
             ],
+            [
+                f"open {DOCS} fresh docs (no churn)",
+                f"{fresh_snapshot * 1e3:.2f} ms",
+                f"{fresh_replay * 1e3:.2f} ms",
+                f"{fresh_replay / fresh_snapshot:.1f}x",
+            ],
         ],
     )
     table += f"\n(WAL replay throughput: {rate:,.0f} post-images/s folded)"
+    table += (
+        f"\n(fresh data: one-batch ingest {fresh_ingest * 1e3:.2f} ms = "
+        f"{DOCS / fresh_ingest:,.0f} docs/s; snapshot is {size:.2f}x the "
+        "raw JSON lines)"
+    )
     return table
 
 

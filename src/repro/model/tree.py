@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.errors import DuplicateKeyError, ModelError, UnsupportedValueError
 
-__all__ = ["Kind", "JSONTree", "JSONValue"]
+__all__ = ["Kind", "JSONTree", "JSONValue", "kind_of"]
 
 # A Python-level JSON value in the paper's abstraction: str, int (natural
 # number), list of values, or dict with str keys.
@@ -174,7 +174,7 @@ class JSONTree:
         interned: dict[str, str] | None,
     ) -> "JSONTree":
         tree = cls()
-        root = tree._new_node(_kind_of(value, extended), _NO_PARENT, None)
+        root = tree._new_node(kind_of(value, extended), _NO_PARENT, None)
         # Work stack of (node_id, python_value) still to expand.
         stack: list[tuple[int, JSONValue]] = [(root, value)]
         while stack:
@@ -188,12 +188,12 @@ class JSONTree:
                         )
                     if interned is not None:
                         key = interned.setdefault(key, key)
-                    child = tree._new_node(_kind_of(sub, extended), node, key)
+                    child = tree._new_node(kind_of(sub, extended), node, key)
                     tree._attach(node, key, child)
                     stack.append((child, sub))
             elif kind is Kind.ARRAY:
                 for index, sub in enumerate(val):
-                    child = tree._new_node(_kind_of(sub, extended), node, index)
+                    child = tree._new_node(kind_of(sub, extended), node, index)
                     tree._attach(node, index, child)
                     stack.append((child, sub))
             elif kind is Kind.STRING:
@@ -651,7 +651,11 @@ class JSONTree:
                         )
 
 
-def _kind_of(value: JSONValue, extended: bool) -> Kind:
+def kind_of(value: JSONValue, extended: bool) -> Kind:
+    """Kind of a raw value's root: the one classification ``from_value``,
+    the index-entry deltas and the structural summary share.  Raises
+    :class:`~repro.errors.UnsupportedValueError` outside the (possibly
+    ``extended``) model."""
     if isinstance(value, dict):
         return Kind.OBJECT
     if isinstance(value, (list, tuple)):

@@ -29,7 +29,7 @@ serving::
 * :class:`~repro.store.engine.StorageEngine` -- the persistence seam:
   :class:`~repro.store.engine.MemoryEngine` (no-op),
   :class:`~repro.store.durable.DurableEngine` (write-ahead log +
-  versioned snapshots, replay-on-open, log compaction) and
+  versioned values-only snapshots, replay-on-open, log compaction) and
   :class:`~repro.store.sharded.ShardedEngine` (N engine-backed shards
   behind one coordinator);
 * :class:`~repro.store.sharded.ShardedCollection` -- the
@@ -37,7 +37,9 @@ serving::
   (``repro.api.collection(..., shards=N)`` is the volatile convenience
   constructor);
 * :class:`~repro.store.indexes.DocumentIndexes` -- path/value/kind/
-  key-presence postings with counted, incremental maintenance;
+  key-presence postings with counted, incremental maintenance (the
+  postings are the per-document record; repeats live in one sparse
+  table);
 * :class:`~repro.store.update.CompiledUpdate` -- dialect-neutral update
   programs whose mutation records drive delta index maintenance;
 * :mod:`repro.store.faults` -- the injectable I/O seam
@@ -76,8 +78,6 @@ from repro.store.indexes import (
     DeltaOps,
     DocumentIndexes,
     IndexStats,
-    decode_entry_counts,
-    encode_entry_counts,
     index_entries,
     tree_entry_counts,
     value_entry_counts,
@@ -130,8 +130,6 @@ __all__ = [
     "index_entries",
     "tree_entry_counts",
     "value_entry_counts",
-    "encode_entry_counts",
-    "decode_entry_counts",
     "CompiledUpdate",
     "Mutation",
     "mutation_delta",

@@ -54,7 +54,7 @@ from repro.store.indexes import (
     DeltaOps,
     DocumentIndexes,
     IndexStats,
-    encode_entry_counts,
+    tree_entry_counts,
 )
 from repro.store.summary import StructuralSummary
 from repro.store.update import CompiledUpdate, mutation_delta
@@ -177,7 +177,7 @@ class Collection:
         self._alive = 0
         self._interned: dict[str, str] = {}
         self._indexes: DocumentIndexes | None = (
-            DocumentIndexes() if indexed else None
+            DocumentIndexes(resolve=self.get) if indexed else None
         )
         self._schema_ast = None
         self._schema_source: str | None = None
@@ -189,10 +189,22 @@ class Collection:
             self._validator = validator
         self._extended = extended
         self._optimize = check_optimize_mode(optimize)
-        # Lazy semantic-optimizer state: the schema's JSL translation,
-        # or (schemaless) the inferred structural summary.
+        # Semantic-optimizer state: the schema's JSL translation (built
+        # on first use), or -- wherever ``semantic_context`` could ever
+        # answer from it -- the structural summary, fed by every write
+        # and by recovery so it is exact for the first query already.
+        # A prebuilt validator gets neither: it carries no schema AST
+        # to translate, and although the summary's invariant (every
+        # live doc was observed) would still hold, enforcement may rely
+        # on exotic validator features, so stay conservative.
         self._schema_formula = None
-        self._summary: StructuralSummary | None = None
+        self._summary: StructuralSummary | None = (
+            StructuralSummary()
+            if self._validator is None
+            and not extended
+            and self._optimize != "off"
+            else None
+        )
         self._version = 0
         # Updated documents live here as plain values until next read:
         # delta index maintenance keeps the postings exact immediately,
@@ -478,18 +490,8 @@ class Collection:
                 fingerprint=("schema", self._schema_source),
                 formula=formula,
             )
-        if self._validator is not None:
-            # A prebuilt validator carries no schema AST to translate;
-            # the summary's invariant (every live doc was observed)
-            # would still hold, but enforcement may rely on exotic
-            # validator features, so stay conservative.
-            return None
         summary = self._summary
-        if summary is None:
-            summary = StructuralSummary()
-            summary.observe_all(tree for _, tree in self.documents())
-            self._summary = summary
-        if summary.disabled:
+        if summary is None or summary.disabled:
             return None
         return SemanticContext(
             mode=self._optimize,
@@ -642,12 +644,12 @@ class Collection:
                 if self._indexes is not None:
                     self._indexes.remove(doc_id, old_tree)
                     self._indexes.add(doc_id, new_tree)
-                    counts = self._indexes.entry_counts(doc_id)
+                    entries = len(tree_entry_counts(new_tree))
                     ops.merge(
                         DeltaOps(
-                            entries_added=len(counts),
-                            entries_removed=len(counts),
-                            postings={"full-reinsert": 2 * len(counts)},
+                            entries_added=entries,
+                            entries_removed=entries,
+                            postings={"full-reinsert": 2 * entries},
                         )
                     )
                 self._trees[doc_id] = new_tree
@@ -853,31 +855,24 @@ class Collection:
     def snapshot(self) -> dict:
         """The collection as a versioned, JSON-able snapshot payload.
 
-        Serialises every live document (pending updates flushed) *and*
-        the counted index-entry refcounts, preserving document ids and
-        tombstones -- the durable engine's checkpoint format, and the
-        natural wire form of the paper's interned-tree model.  The
-        payload carries ``format`` and ``version`` fields;
+        Serialises every live document (pending updates flushed) as a
+        plain value, preserving document ids and tombstones -- the
+        durable engine's checkpoint format, and the natural wire form
+        of the paper's interned-tree model.  Values only: every index
+        posting is a function of the documents and is rebuilt on load.
+        The payload carries ``format`` and ``version`` fields;
         :meth:`from_snapshot` (and the durable loader) refuse payloads
         they do not understand instead of misreading them.
         """
-        docs = [[doc_id, tree.to_value()] for doc_id, tree in self.documents()]
-        entries = None
-        if self._indexes is not None:
-            entries = {
-                str(doc_id): encode_entry_counts(
-                    self._indexes.entry_counts(doc_id)
-                )
-                for doc_id, _ in docs
-            }
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "extended": self._extended,
             "next_id": len(self._trees),
             "ops": self._version,
-            "docs": docs,
-            "index_entries": entries,
+            "docs": [
+                [doc_id, tree.to_value()] for doc_id, tree in self.documents()
+            ],
         }
 
     @classmethod
@@ -893,20 +888,12 @@ class Collection:
 
         Validates the payload's format tag and version first (raising
         :class:`~repro.errors.StorageFormatError` on anything this
-        build does not read), then materialises documents through a
-        fresh intern table and loads index postings straight from the
-        persisted refcounts.  ``engine`` must be fresh (defaults to a
-        new :class:`~repro.store.engine.MemoryEngine`).
+        build does not read), then rebuilds trees (through a fresh
+        intern table) and index postings from the document values.
+        ``engine`` must be fresh (defaults to a new
+        :class:`~repro.store.engine.MemoryEngine`).
         """
         snapshot = decode_snapshot(data)
-        entries = {}
-        if snapshot.encoded_entries is not None:
-            from repro.store.indexes import decode_entry_counts
-
-            entries = {
-                doc_id: decode_entry_counts(encoded)
-                for doc_id, encoded in snapshot.encoded_entries.items()
-            }
         collection = cls(
             engine=engine if engine is not None else MemoryEngine(),
             validator=validator,
@@ -919,7 +906,6 @@ class Collection:
                 version=snapshot.ops,
                 extended=snapshot.extended,
                 docs=list(snapshot.docs),
-                entries=entries,
             )
         )
         return collection
@@ -928,9 +914,8 @@ class Collection:
         """Load recovered state (engine bind / snapshot restore).
 
         Only valid on an empty collection; documents keep their ids
-        (tombstoned slots stay ``None``), and documents whose counted
-        index entries survived recovery load their postings without a
-        tree walk.
+        (tombstoned slots stay ``None``) and are indexed and summarised
+        exactly as :meth:`insert_many` would.
         """
         if self._trees or self._dirty:
             raise StoreError(
@@ -947,15 +932,14 @@ class Collection:
             values, extended=self._extended, interned=self._interned
         )
         self._trees = [None] * state.next_id
+        summary = self._summary
         for (doc_id, _), tree in zip(state.docs, trees):
             self._trees[doc_id] = tree
             self._alive += 1
             if self._indexes is not None:
-                counts = state.entries.get(doc_id)
-                if counts:
-                    self._indexes.load_counts(doc_id, counts)
-                else:
-                    self._indexes.add(doc_id, tree)
+                self._indexes.add(doc_id, tree)
+            if summary is not None:
+                summary.observe_tree(tree)
         self._version = state.version
 
     def compact(self):

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.errors import StorageFormatError, StoreError
-from repro.store.indexes import Entry, decode_entry_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.store.collection import Collection
@@ -79,17 +78,13 @@ class SnapshotData:
     """A decoded (but not yet materialised) collection snapshot.
 
     ``docs`` preserves document ids -- ids are never reused, so the
-    tombstone layout matters; ``encoded_entries`` keeps the counted
-    index refcounts in their wire form (decode per document with
-    :func:`repro.store.indexes.decode_entry_counts` only for documents
-    the WAL replay left untouched).
+    tombstone layout matters.
     """
 
     next_id: int
     ops: int
     extended: bool
     docs: list[tuple[int, Any]]
-    encoded_entries: dict[int, list] | None
 
 
 @dataclass(frozen=True)
@@ -119,19 +114,17 @@ HEALTHY = EngineHealth(ok=True)
 class RecoveredState:
     """What an engine hands the collection to restore on open.
 
-    ``docs`` are ``(doc_id, value)`` pairs in id order; ``entries``
-    maps the ids whose counted index refcounts survived recovery
-    verbatim (snapshot documents no WAL record touched) -- the
-    collection loads those postings without re-walking the tree, and
-    walks the rest.  ``version`` seeds the collection's mutation
-    counter so it keeps increasing across restarts.
+    ``docs`` are ``(doc_id, value)`` pairs in id order -- values only:
+    trees, postings and the structural summary are rebuilt from them,
+    the one recovery path behind WAL replay, snapshot open and
+    ``Collection.from_snapshot``.  ``version`` seeds the collection's
+    mutation counter so it keeps increasing across restarts.
     """
 
     next_id: int
     version: int
     extended: bool
     docs: list[tuple[int, Any]]
-    entries: dict[int, dict[Entry, int]]
 
 
 def decode_snapshot(data: Any) -> SnapshotData:
@@ -140,7 +133,9 @@ def decode_snapshot(data: Any) -> SnapshotData:
     The loader-side half of the versioned format: a payload whose
     ``format`` tag or ``version`` is not recognised raises
     :class:`~repro.errors.StorageFormatError` instead of being
-    misread.
+    misread.  Version 1 payloads written before snapshots became
+    values-only carry an ``index_entries`` member (per-document index
+    refcounts); it is ignored -- postings are rebuilt from the values.
     """
     if not isinstance(data, dict):
         raise StorageFormatError(
@@ -175,21 +170,8 @@ def decode_snapshot(data: Any) -> SnapshotData:
                 f"malformed collection snapshot: document id {doc_id!r} "
                 f"outside [0, {next_id})"
             )
-    raw_entries = data.get("index_entries")
-    encoded: dict[int, list] | None = None
-    if raw_entries is not None:
-        if not isinstance(raw_entries, dict):
-            raise StorageFormatError(
-                "malformed collection snapshot: index_entries must be an object"
-            )
-        # JSON object keys are strings; ids travel as decimal text.
-        encoded = {int(doc_id): entries for doc_id, entries in raw_entries.items()}
     return SnapshotData(
-        next_id=next_id,
-        ops=ops,
-        extended=bool(extended),
-        docs=docs,
-        encoded_entries=encoded,
+        next_id=next_id, ops=ops, extended=bool(extended), docs=docs
     )
 
 

@@ -16,20 +16,34 @@ posting tables:
 * ``values``   -- leaf value           -> documents containing it
   (the anywhere-equality fallback for wildcard/descendant contexts).
 
-Maintenance is incremental and **counted**: every document's entry
-multiset (how many nodes contribute each index entry) is retained in
-:attr:`DocumentIndexes._doc_entries`, and a document belongs to a
-posting exactly while its count for that entry is positive.  Counting
-is what makes *delta* maintenance sound for in-place updates
-(:mod:`repro.store.update`): replacing one subtree only touches the
-entries whose counts cross zero, even when the same stripped path or
-leaf value is also contributed by siblings outside the mutated subtree.
-:meth:`DocumentIndexes.add` unions a document's entries into the
-postings, :meth:`DocumentIndexes.remove` discards the stored entry set,
-and :meth:`DocumentIndexes.apply_entry_delta` retires/re-adds only the
-entries a mutation changed -- after any insert/update/remove sequence
-the tables equal a from-scratch rebuild over the live documents (pinned
-by ``tests/test_store.py`` and the ``tests/test_update.py`` oracle).
+Maintenance is incremental and **counted**, and every fact is stored
+once.  How many nodes of a document contribute an entry is a function
+of the document's tree, so nothing per document is retained: a document
+contributes an entry exactly while its id is in that entry's posting,
+and the few entries a document contributes *more than once* (array
+siblings under one stripped path, equal leaves) are recorded in one
+sparse entry-major table ``entry -> {doc_id: extra}``
+(:attr:`DocumentIndexes._multi`), so ``count(entry, doc)`` is ``0`` off
+the posting and ``1 + extra`` on it.  Counting is what makes *delta*
+maintenance sound for in-place updates (:mod:`repro.store.update`):
+replacing one subtree only touches the entries whose counts cross zero,
+even when the same stripped path or leaf value is also contributed by
+siblings outside the mutated subtree.  :meth:`DocumentIndexes.add`
+walks the tree's arena arrays once and writes straight into the
+postings, :meth:`DocumentIndexes.remove` recomputes the entries from
+the tree it is handed, and :meth:`DocumentIndexes.apply_entry_delta`
+retires/re-adds only the entries a mutation changed -- after any
+insert/update/remove sequence the tables equal a from-scratch rebuild
+over the live documents (pinned by ``tests/test_store.py`` and the
+``tests/test_update.py`` oracle).
+
+A ``dict[Entry, int]`` per document would answer the same question, but
+costs ~37 long-lived GC-tracked containers per document (a 2.3 KB dict
+and ~35 tuples: 4.5 of the 11 KB a small document then keeps resident),
+and CPython's cyclic collector re-traversing that ever-growing heap
+measured ~60 % of index build time (2.11 s, against 0.87 s with the
+collector off, on 20 000 documents).  The multiplicity table of that
+whole corpus has two dozen entries.
 
 Postings are sets of document ids.  All lookups return live sets;
 callers (the planner) must treat them as read-only.
@@ -39,10 +53,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from repro.errors import UnsupportedValueError
-from repro.model.tree import JSONTree, Kind
+from repro.errors import StoreError, UnsupportedValueError
+from repro.model.tree import JSONTree, Kind, kind_of
 from repro.query.ir import KeyPath
 
 __all__ = [
@@ -54,8 +68,6 @@ __all__ = [
     "tree_entry_counts",
     "value_entry_counts",
     "leaf_entry_delta",
-    "encode_entry_counts",
-    "decode_entry_counts",
 ]
 
 _EMPTY: frozenset[int] = frozenset()
@@ -89,27 +101,14 @@ def index_entries(tree: JSONTree) -> IndexEntries:
     )
 
 
-# Cap on a collection's pool of shared entry tuples (see
-# :func:`tree_entry_counts`): past it, documents with yet more distinct
-# paths simply keep private tuples, so key churn cannot grow the pool
-# without bound.
-_SHARED_LIMIT = 1 << 14
-
-
-def tree_entry_counts(
-    tree: JSONTree, shared: dict[tuple, tuple] | None = None
-) -> dict[Entry, int]:
+def tree_entry_counts(tree: JSONTree) -> dict[Entry, int]:
     """A document's counted index entries, from one top-down walk.
 
     Multiplicity is the number of nodes (or edges, for ``"key"``
     entries) contributing the entry; posting membership is ``count >
-    0``.  The counts are what delta maintenance refcounts against.
-
-    ``shared`` is the caller's pool of the tuples that do not depend on
-    the document -- paths and the ``"path"``/``"kind"``/``"key"``
-    entries over them.  Documents of one collection mostly repeat the
-    same few, so every stored count dict pointing at one copy saves
-    about a sixth of the resident bytes per document.
+    0``.  The counts are what delta maintenance refcounts against --
+    :meth:`DocumentIndexes.add` posts exactly these entries, without
+    building them.
     """
     node_kinds = tree.node_kinds()
     labels = tree.node_labels()
@@ -118,16 +117,6 @@ def tree_entry_counts(
     # Stripped path per node; parents precede children in id order.
     path_of: list[KeyPath] = [()] * len(node_kinds)
     counts: dict[Entry, int] = {}
-    if shared is None:
-        shared = {}
-
-    def share(item: tuple) -> tuple:
-        pooled = shared.get(item)
-        if pooled is None:
-            if len(shared) >= _SHARED_LIMIT:
-                return item
-            shared[item] = pooled = item
-        return pooled
 
     def bump(entry: Entry) -> None:
         counts[entry] = counts.get(entry, 0) + 1
@@ -137,13 +126,13 @@ def tree_entry_counts(
             label = labels[node]
             path = path_of[parents[node]]
             if isinstance(label, str):
-                path = share(path + (label,))
-                bump(share(("key", label)))
+                path = path + (label,)
+                bump(("key", label))
             path_of[node] = path
         else:
             path = ()
-        bump(share(("path", path)))
-        bump(share(("kind", path, kind)))
+        bump(("path", path))
+        bump(("kind", path, kind))
         value = values[node]
         if value is not None:
             bump(("eq", path, value))
@@ -151,30 +140,6 @@ def tree_entry_counts(
             if path:
                 bump(("tail", path[-1], value))
     return counts
-
-
-def _value_kind(value: Any, extended: bool) -> Kind:
-    """Kind of a raw value, mirroring ``JSONTree.from_value`` exactly."""
-    if isinstance(value, dict):
-        return Kind.OBJECT
-    if isinstance(value, (list, tuple)):
-        return Kind.ARRAY
-    if isinstance(value, str):
-        return Kind.STRING
-    if isinstance(value, bool):
-        if extended:
-            return Kind.STRING
-        raise UnsupportedValueError(
-            "booleans are outside the paper's JSON abstraction "
-            "(use extended=True to coerce them to strings)"
-        )
-    if isinstance(value, int):
-        return Kind.NUMBER
-    if value is None and extended:
-        return Kind.STRING
-    raise UnsupportedValueError(
-        f"unsupported JSON value of type {type(value).__name__}: {value!r}"
-    )
 
 
 def _leaf_text(value: Any) -> str:
@@ -231,7 +196,7 @@ def value_entry_counts(
         bump(("key", edge_key))
     if not isinstance(value, (dict, list, tuple)):
         # Leaf fast path (the $set/$inc hot case): no walk machinery.
-        kind = _value_kind(value, extended)
+        kind = kind_of(value, extended)
         bump(("path", path))
         bump(("kind", path, kind))
         leaf = _leaf_text(value) if kind is Kind.STRING else value
@@ -243,7 +208,7 @@ def value_entry_counts(
     stack: list[tuple[Any, KeyPath]] = [(value, path)]
     while stack:
         sub, sub_path = stack.pop()
-        kind = _value_kind(sub, extended)
+        kind = kind_of(sub, extended)
         bump(("path", sub_path))
         bump(("kind", sub_path, kind))
         if kind is Kind.OBJECT:
@@ -282,8 +247,8 @@ def leaf_entry_delta(
     touched; only the leaf-value entries (and the kind entry, when the
     replacement changes kind) move.
     """
-    old_kind = _value_kind(old, extended)
-    new_kind = _value_kind(new, extended)
+    old_kind = kind_of(old, extended)
+    new_kind = kind_of(new, extended)
     if old_kind is not new_kind:
         _bump(counts, ("kind", path, old_kind), -1)
         _bump(counts, ("kind", path, new_kind), 1)
@@ -297,48 +262,6 @@ def leaf_entry_delta(
         tail = path[-1]
         _bump(counts, ("tail", tail, old_leaf), -1)
         _bump(counts, ("tail", tail, new_leaf), 1)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire form of counted entries (the snapshot format's refcounts).
-# ---------------------------------------------------------------------------
-
-_PATH_TAGS = ("path", "eq", "kind")  # entries whose first arg is a KeyPath
-
-
-def encode_entry_counts(counts: dict[Entry, int]) -> list:
-    """Counted entries as JSON-able ``[[tag, ...args], count]`` rows.
-
-    Key paths become lists, :class:`~repro.model.tree.Kind` becomes its
-    integer value; leaf values (``str | int``) survive JSON verbatim.
-    The inverse is :func:`decode_entry_counts`.
-    """
-    rows = []
-    for entry, count in counts.items():
-        tag = entry[0]
-        if tag in _PATH_TAGS:
-            encoded = [tag, list(entry[1]), *entry[2:]]
-            if tag == "kind":
-                encoded[2] = int(encoded[2])
-        else:
-            encoded = list(entry)
-        rows.append([encoded, count])
-    return rows
-
-
-def decode_entry_counts(rows: Iterable) -> dict[Entry, int]:
-    """Rebuild a counted entry dict from its JSON wire form."""
-    counts: dict[Entry, int] = {}
-    for encoded, count in rows:
-        tag = encoded[0]
-        if tag in _PATH_TAGS:
-            entry: Entry = (tag, tuple(encoded[1]), *encoded[2:])
-            if tag == "kind":
-                entry = (tag, entry[1], Kind(entry[2]))
-        else:
-            entry = tuple(encoded)
-        counts[entry] = count
-    return counts
 
 
 @dataclass
@@ -390,24 +313,37 @@ _TABLE_OF_TAG = {
 
 
 class DocumentIndexes:
-    """Incrementally maintained postings over a document collection."""
+    """Incrementally maintained postings over a document collection.
+
+    ``resolve`` maps a live document id to its tree; the owning
+    collection passes it so :meth:`entry_counts` can answer (nothing
+    per document is stored here to answer from).
+    """
 
     __slots__ = ("_paths", "_eq", "_kinds", "_keys", "_tails", "_values",
-                 "_doc_entries", "_documents", "_shared", "_range_keys")
+                 "_multi", "_documents", "_resolve", "_tables", "_range_keys")
 
-    def __init__(self) -> None:
+    def __init__(self, resolve: "Callable[[int], JSONTree] | None" = None) -> None:
         self._paths: dict[KeyPath, set[int]] = {}
         self._eq: dict[KeyPath, dict[str | int, set[int]]] = {}
         self._kinds: dict[KeyPath, dict[Kind, set[int]]] = {}
         self._keys: dict[str, set[int]] = {}
         self._tails: dict[str, dict[str | int, set[int]]] = {}
         self._values: dict[str | int, set[int]] = {}
-        # doc id -> counted entries (the refcounts delta maintenance
-        # transitions against; also makes remove() walk-free).
-        self._doc_entries: dict[int, dict[Entry, int]] = {}
+        # entry -> {doc id: contributions beyond the first}.  A document's
+        # count for an entry is 0 off the posting, 1 + extra on it.
+        self._multi: dict[Entry, dict[int, int]] = {}
         self._documents = 0
-        # The document-independent tuples every stored count dict shares.
-        self._shared: dict[tuple, tuple] = {}
+        self._resolve = resolve
+        # tag -> (table, whether it nests a second key level).
+        self._tables: dict[str, tuple[dict, bool]] = {
+            "path": (self._paths, False),
+            "eq": (self._eq, True),
+            "kind": (self._kinds, True),
+            "key": (self._keys, False),
+            "tail": (self._tails, True),
+            "val": (self._values, False),
+        }
         # path -> the sorted ``int`` keys of ``_eq[path]``, what a range
         # look-up bisects.  Derived state: built by the first range
         # query of a path, dropped whenever an ``eq`` posting at that
@@ -419,38 +355,96 @@ class DocumentIndexes:
     # ------------------------------------------------------------------
 
     def add(self, doc_id: int, tree: JSONTree) -> None:
-        counts = tree_entry_counts(tree, self._shared)
-        self._doc_entries[doc_id] = counts
-        for entry in counts:
-            self._add_entry(entry, doc_id)
-        self._documents += 1
+        """Post a document not yet in the indexes.
 
-    def load_counts(self, doc_id: int, counts: dict[Entry, int]) -> None:
-        """Register a document from stored entry refcounts (no walk).
-
-        The snapshot-restore fast path: equivalent to :meth:`add` with
-        the tree the counts were computed from, but skips the top-down
-        walk entirely -- recovery trusts the refcounts it persisted
-        (the crash-recovery suite pins them against a from-scratch
-        rebuild).
+        One walk of the arena arrays posting exactly the entries of
+        :func:`tree_entry_counts`, written straight into the tables:
+        no entry tuple is built unless the document contributes that
+        entry a second time (its id is already on the posting).
         """
-        self._doc_entries[doc_id] = dict(counts)
-        for entry in counts:
-            self._add_entry(entry, doc_id)
+        node_kinds = tree.node_kinds()
+        labels = tree.node_labels()
+        parents = tree.node_parents()
+        values = tree.node_values()
+        paths_table, eq_table, kinds_table = self._paths, self._eq, self._kinds
+        keys_table, tails_table, values_table = self._keys, self._tails, self._values
+        range_keys = self._range_keys
+        repeat = self._repeat
+        # Stripped path per node; parents precede children in id order.
+        path_of: list[KeyPath] = [()] * len(node_kinds)
+        path: KeyPath = ()
+        for node, kind in enumerate(node_kinds):
+            if node:
+                label = labels[node]
+                path = path_of[parents[node]]
+                if isinstance(label, str):
+                    path = path + (label,)
+                    postings = keys_table.get(label)
+                    if postings is None:
+                        keys_table[label] = {doc_id}
+                    elif doc_id in postings:
+                        repeat(("key", label), doc_id)
+                    else:
+                        postings.add(doc_id)
+                path_of[node] = path
+            postings = paths_table.get(path)
+            if postings is None:
+                paths_table[path] = {doc_id}
+            elif doc_id in postings:
+                repeat(("path", path), doc_id)
+            else:
+                postings.add(doc_id)
+            nested = kinds_table.get(path)
+            if nested is None:
+                nested = kinds_table[path] = {}
+            postings = nested.get(kind)
+            if postings is None:
+                nested[kind] = {doc_id}
+            elif doc_id in postings:
+                repeat(("kind", path, kind), doc_id)
+            else:
+                postings.add(doc_id)
+            value = values[node]
+            if value is None:
+                continue
+            nested = eq_table.get(path)
+            if nested is None:
+                nested = eq_table[path] = {}
+            postings = nested.get(value)
+            if postings is None:
+                nested[value] = {doc_id}
+                if range_keys:
+                    range_keys.pop(path, None)
+            elif doc_id in postings:
+                repeat(("eq", path, value), doc_id)
+            else:
+                postings.add(doc_id)
+            postings = values_table.get(value)
+            if postings is None:
+                values_table[value] = {doc_id}
+            elif doc_id in postings:
+                repeat(("val", value), doc_id)
+            else:
+                postings.add(doc_id)
+            if path:
+                nested = tails_table.get(path[-1])
+                if nested is None:
+                    nested = tails_table[path[-1]] = {}
+                postings = nested.get(value)
+                if postings is None:
+                    nested[value] = {doc_id}
+                elif doc_id in postings:
+                    repeat(("tail", path[-1], value), doc_id)
+                else:
+                    postings.add(doc_id)
         self._documents += 1
 
     def remove(self, doc_id: int, tree: JSONTree) -> None:
-        """Discard a document's postings (``tree`` as it was indexed).
-
-        Uses the stored entry counts when available (no tree walk);
-        the ``tree`` parameter is the fallback for indexes populated
-        before the counts existed.
-        """
-        counts = self._doc_entries.pop(doc_id, None)
-        if counts is None:
-            counts = tree_entry_counts(tree)
-        for entry in counts:
+        """Discard a document's postings (``tree`` as it was indexed)."""
+        for entry, count in tree_entry_counts(tree).items():
             self._discard_entry(entry, doc_id)
+            if count > 1:
+                self._set_extra(entry, doc_id, 0)
         self._documents -= 1
 
     def apply_entry_delta(
@@ -465,118 +459,124 @@ class DocumentIndexes:
 
         ``delta`` maps entries to count changes (new minus old, as
         accumulated by :func:`value_entry_counts` over the replaced and
-        replacement subtrees).  Only entries whose refcount crosses
-        zero touch a posting set -- never the document's unchanged
-        postings.  With ``commit=False`` nothing is mutated and the
-        returned :class:`DeltaOps` reports what *would* happen (the
-        explain dry run).  ``into`` accumulates the report into an
-        existing :class:`DeltaOps` (the batch-update hot path) instead
-        of allocating one per document.
+        replacement subtrees).  Only entries whose count crosses zero
+        touch a posting set -- never the document's unchanged postings.
+        The whole delta is checked before anything moves: one that
+        would drive a count below zero raises :class:`ValueError` with
+        the indexes (and ``into``) as they were.  With ``commit=False``
+        nothing is mutated and the returned :class:`DeltaOps` reports
+        what *would* happen (the explain dry run).  ``into``
+        accumulates the report into an existing :class:`DeltaOps` (the
+        batch-update hot path) instead of allocating one per document.
         """
-        counts = self._doc_entries.setdefault(doc_id, {})
-        ops = DeltaOps() if into is None else into
+        multi = self._multi
+        moves: list[tuple[Entry, int, int]] = []
         for entry, change in delta.items():
             if not change:
                 continue
-            before = counts.get(entry, 0)
+            postings = self._posting(entry)
+            if postings is None or doc_id not in postings:
+                before = 0
+            else:
+                extras = multi.get(entry)
+                before = 1 if extras is None else 1 + extras.get(doc_id, 0)
             after = before + change
             if after < 0:
                 raise ValueError(
                     f"entry delta drives {entry!r} below zero for "
                     f"document {doc_id}"
                 )
-            if commit:
-                if after:
-                    counts[entry] = after
-                else:
-                    counts.pop(entry, None)
-            if before == 0 and after > 0:
-                ops.entries_added += 1
-                table = _TABLE_OF_TAG[entry[0]]
-                ops.postings[table] = ops.postings.get(table, 0) + 1
-                if commit:
-                    self._add_entry(entry, doc_id)
-            elif before > 0 and after == 0:
-                ops.entries_removed += 1
-                table = _TABLE_OF_TAG[entry[0]]
-                ops.postings[table] = ops.postings.get(table, 0) + 1
-                if commit:
-                    self._discard_entry(entry, doc_id)
-            else:
+            moves.append((entry, before, after))
+        ops = DeltaOps() if into is None else into
+        for entry, before, after in moves:
+            if before and after:
                 ops.adjusted += 1
+            else:
+                if after:
+                    ops.entries_added += 1
+                else:
+                    ops.entries_removed += 1
+                table = _TABLE_OF_TAG[entry[0]]
+                ops.postings[table] = ops.postings.get(table, 0) + 1
+            if not commit:
+                continue
+            if not before:
+                self._add_entry(entry, doc_id)
+            elif not after:
+                self._discard_entry(entry, doc_id)
+            if before > 1 or after > 1:
+                self._set_extra(entry, doc_id, max(after - 1, 0))
         return ops
 
     def entry_counts(self, doc_id: int) -> dict[Entry, int]:
-        """The stored counted entries of a document (read-only view)."""
-        return self._doc_entries.get(doc_id, {})
+        """A live document's counted entries, recomputed from its tree
+        (introspection; needs the owning collection's ``resolve``)."""
+        if self._resolve is None:
+            raise StoreError(
+                "these indexes were built without a document resolver; "
+                "use tree_entry_counts(tree) instead"
+            )
+        return tree_entry_counts(self._resolve(doc_id))
+
+    def _repeat(self, entry: Entry, doc_id: int) -> None:
+        """One more contribution to an entry the document already posts."""
+        extras = self._multi.get(entry)
+        if extras is None:
+            self._multi[entry] = {doc_id: 1}
+        else:
+            extras[doc_id] = extras.get(doc_id, 0) + 1
+
+    def _set_extra(self, entry: Entry, doc_id: int, extra: int) -> None:
+        """Record the document's contributions beyond the first (0: none)."""
+        extras = self._multi.get(entry)
+        if extra:
+            if extras is None:
+                self._multi[entry] = {doc_id: extra}
+            else:
+                extras[doc_id] = extra
+        elif extras is not None:
+            extras.pop(doc_id, None)
+            if not extras:
+                del self._multi[entry]
+
+    def _posting(self, entry: Entry) -> "set[int] | None":
+        table, nested = self._tables[entry[0]]
+        if nested:
+            table = table.get(entry[1])
+            if table is None:
+                return None
+        return table.get(entry[-1])
 
     def _add_entry(self, entry: Entry, doc_id: int) -> None:
-        tag = entry[0]
-        if tag == "path":
-            self._paths.setdefault(entry[1], set()).add(doc_id)
-        elif tag == "eq":
-            values = self._eq.get(entry[1])
-            if values is None:
-                values = self._eq[entry[1]] = {}
-            postings = values.get(entry[2])
-            if postings is None:
-                values[entry[2]] = {doc_id}
+        table, nested = self._tables[entry[0]]
+        if nested:
+            outer = table
+            table = outer.get(entry[1])
+            if table is None:
+                table = outer[entry[1]] = {}
+        postings = table.get(entry[-1])
+        if postings is None:
+            table[entry[-1]] = {doc_id}
+            if entry[0] == "eq":
                 self._range_keys.pop(entry[1], None)
-            else:
-                postings.add(doc_id)
-        elif tag == "kind":
-            self._kinds.setdefault(entry[1], {}).setdefault(
-                entry[2], set()
-            ).add(doc_id)
-        elif tag == "key":
-            self._keys.setdefault(entry[1], set()).add(doc_id)
-        elif tag == "tail":
-            self._tails.setdefault(entry[1], {}).setdefault(
-                entry[2], set()
-            ).add(doc_id)
-        else:  # "val"
-            self._values.setdefault(entry[1], set()).add(doc_id)
+        else:
+            postings.add(doc_id)
 
     def _discard_entry(self, entry: Entry, doc_id: int) -> None:
-        tag = entry[0]
-        if tag == "path":
-            self._discard(self._paths, entry[1], doc_id)
-        elif tag == "eq":
-            if self._discard_nested(self._eq, entry[1], entry[2], doc_id):
-                self._range_keys.pop(entry[1], None)
-        elif tag == "kind":
-            self._discard_nested(self._kinds, entry[1], entry[2], doc_id)
-        elif tag == "key":
-            self._discard(self._keys, entry[1], doc_id)
-        elif tag == "tail":
-            self._discard_nested(self._tails, entry[1], entry[2], doc_id)
-        else:  # "val"
-            self._discard(self._values, entry[1], doc_id)
-
-    @staticmethod
-    def _discard(table: dict, key, doc_id: int) -> None:
-        postings = table.get(key)
-        if postings is not None:
-            postings.discard(doc_id)
-            if not postings:
-                del table[key]
-
-    @staticmethod
-    def _discard_nested(table: dict, outer, inner, doc_id: int) -> bool:
-        """Returns whether the ``inner`` posting itself was deleted."""
-        nested = table.get(outer)
-        if nested is None:
-            return False
-        postings = nested.get(inner)
+        """Emptied postings (and emptied nested tables) are deleted."""
+        outer, nested = self._tables[entry[0]]
+        table = outer.get(entry[1]) if nested else outer
+        postings = None if table is None else table.get(entry[-1])
         if postings is None:
-            return False
+            return
         postings.discard(doc_id)
         if postings:
-            return False
-        del nested[inner]
-        if not nested:
-            del table[outer]
-        return True
+            return
+        del table[entry[-1]]
+        if nested and not table:
+            del outer[entry[1]]
+        if entry[0] == "eq":
+            self._range_keys.pop(entry[1], None)
 
     # ------------------------------------------------------------------
     # Lookups (read-only sets; callers must not mutate).
@@ -662,9 +662,9 @@ class DocumentIndexes:
     def snapshot(self) -> dict:
         """A plain-dict copy of every table (test/debug equality aid).
 
-        Includes the per-document entry refcounts, so snapshot equality
-        between incrementally maintained and rebuilt-from-scratch
-        indexes also pins the counts delta maintenance relies on.
+        Includes the multiplicity table, so snapshot equality between
+        incrementally maintained and rebuilt-from-scratch indexes also
+        pins the counts delta maintenance relies on.
         """
         return {
             "paths": {path: set(docs) for path, docs in self._paths.items()},
@@ -684,8 +684,7 @@ class DocumentIndexes:
             "values": {
                 value: set(docs) for value, docs in self._values.items()
             },
-            "doc_entries": {
-                doc_id: dict(counts)
-                for doc_id, counts in self._doc_entries.items()
+            "multiplicity": {
+                entry: dict(extras) for entry, extras in self._multi.items()
             },
         }

@@ -50,12 +50,12 @@ always sound).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable
+from typing import Any
 
 from repro.automata.keylang import KeyLang
 from repro.jsl import ast as jsl
 from repro.logic import nodetests as nt
-from repro.model.tree import JSONTree, Kind
+from repro.model.tree import JSONTree, Kind, kind_of
 
 __all__ = ["StructuralSummary", "DEFAULT_MAX_PATHS"]
 
@@ -65,13 +65,17 @@ _uid_counter = itertools.count(1)
 
 
 class _PathFacts:
-    """Widen-only facts about one stripped key path."""
+    """Widen-only facts about one stripped key path.  ``children`` maps
+    each object key seen directly below the path to the child path's
+    facts -- its key set is the path's "keys seen", and it lets a
+    document walk step from a node's facts to its child's by label."""
 
-    __slots__ = ("kinds", "keys", "low", "high")
+    __slots__ = ("path", "kinds", "children", "low", "high")
 
-    def __init__(self) -> None:
+    def __init__(self, path: tuple[str, ...]) -> None:
+        self.path = path
         self.kinds: set[Kind] = set()
-        self.keys: set[str] = set()
+        self.children: dict[str, _PathFacts] = {}
         self.low: int | None = None
         self.high: int | None = None
 
@@ -117,99 +121,90 @@ class StructuralSummary:
     def fingerprint(self) -> tuple:
         return ("summary", self._uid, self._revision)
 
-    def _at(self, path: tuple[str, ...]) -> "_PathFacts | None":
-        facts = self._facts.get(path)
-        if facts is None:
-            if len(self._facts) >= self._max_paths:
-                self._disabled = True
-                return None
-            facts = self._facts[path] = _PathFacts()
-            self._revision += 1  # a new path is itself a widening
+    def _open(
+        self, parent: "_PathFacts | None", key: str | None
+    ) -> "_PathFacts | None":
+        """Start tracking the root (``parent is None``) or the path one
+        ``key`` below ``parent``; ``None`` (and disabled) past the cap."""
+        if len(self._facts) >= self._max_paths:
+            self._disabled = True
+            return None
+        facts = _PathFacts(() if parent is None else parent.path + (key,))
+        if parent is not None:
+            parent.children[key] = facts
+        self._facts[facts.path] = facts
+        self._revision += 1  # a new path (and key) is itself a widening
         return facts
 
-    def _widen(
-        self,
-        path: tuple[str, ...],
-        kind: Kind,
-        value: Any = None,
-        keys: "Iterable[str] | None" = None,
-    ) -> "_PathFacts | None":
-        facts = self._at(path)
-        if facts is None:
-            return None
-        widened = False
-        if kind not in facts.kinds:
-            facts.kinds.add(kind)
-            widened = True
+    def _widen(self, facts: _PathFacts, kind: Kind, value: Any) -> None:
+        """The slow path of an observation: it is news."""
+        facts.kinds.add(kind)
         if kind is Kind.NUMBER:
             if facts.low is None or value < facts.low:
                 facts.low = value
-                widened = True
             if facts.high is None or value > facts.high:
                 facts.high = value
-                widened = True
-        if keys is not None:
-            for key in keys:
-                if key not in facts.keys:
-                    facts.keys.add(key)
-                    widened = True
-        if widened:
-            self._revision += 1
-        return facts
+        self._revision += 1
 
     def observe_tree(self, tree: JSONTree) -> None:
-        """Fold one document (as a tree) into the summary."""
+        """Fold one document (as a tree) into the summary: one pass
+        over the arena arrays, each node's facts found from its
+        parent's by edge label (array positions keep the parent's).
+        ``revision`` moves only if the document widened something."""
         if self._disabled:
             return
-        stack: list[tuple[tuple[str, ...], int]] = [((), tree.root)]
-        while stack and not self._disabled:
-            path, node = stack.pop()
-            kind = tree.kind(node)
-            if kind is Kind.OBJECT:
-                edges = list(tree.edges(node))
-                self._widen(
-                    path, kind, keys=[label for label, _child in edges]
-                )
-                stack.extend(
-                    (path + (label,), child) for label, child in edges
-                )
-            elif kind is Kind.ARRAY:
-                self._widen(path, kind)
-                stack.extend(
-                    (path, child) for _label, child in tree.edges(node)
-                )
+        root = self._facts.get(()) or self._open(None, None)
+        if root is None:
+            return
+        labels = tree.node_labels()
+        parents = tree.node_parents()
+        values = tree.node_values()
+        number = Kind.NUMBER
+        facts_of: list[_PathFacts] = []
+        for node, kind in enumerate(tree.node_kinds()):
+            if node:
+                facts = facts_of[parents[node]]
+                label = labels[node]
+                if isinstance(label, str):
+                    below = facts.children.get(label)
+                    if below is None:
+                        below = self._open(facts, label)
+                        if below is None:
+                            return
+                    facts = below
             else:
-                self._widen(
-                    path,
-                    kind,
-                    tree.value(node) if kind is Kind.NUMBER else None,
-                )
+                facts = root
+            facts_of.append(facts)
+            if kind not in facts.kinds:
+                self._widen(facts, kind, values[node])
+            elif kind is number:
+                value = values[node]
+                if value < facts.low or value > facts.high:
+                    self._widen(facts, kind, value)
 
     def observe_value(self, value: Any) -> None:
         """Fold one document (as a plain value) into the summary."""
         if self._disabled:
             return
-        stack: list[tuple[tuple[str, ...], Any]] = [((), value)]
-        while stack and not self._disabled:
-            path, node = stack.pop()
-            if isinstance(node, dict):
-                self._widen(path, Kind.OBJECT, keys=node.keys())
+        root = self._facts.get(()) or self._open(None, None)
+        stack: list[tuple[_PathFacts | None, Any]] = [(root, value)]
+        while stack:
+            facts, node = stack.pop()
+            if facts is None:
+                return  # past the path cap: disabled
+            kind = kind_of(node, False)
+            if kind not in facts.kinds or (
+                kind is Kind.NUMBER and not facts.low <= node <= facts.high
+            ):
+                self._widen(facts, kind, node)
+            if kind is Kind.OBJECT:
+                children = facts.children
                 stack.extend(
-                    (path + (key,), child) for key, child in node.items()
+                    (children.get(key) or self._open(facts, key), child)
+                    for key, child in node.items()
                 )
-            elif isinstance(node, list):
-                self._widen(path, Kind.ARRAY)
-                stack.extend((path, child) for child in node)
-            elif isinstance(node, str):
-                self._widen(path, Kind.STRING)
-            else:
-                self._widen(path, Kind.NUMBER, node)
-
-    def observe_all(self, trees: Iterable[JSONTree]) -> None:
-        for tree in trees:
-            if self._disabled:
-                return
-            self.observe_tree(tree)
+            elif kind is Kind.ARRAY:
+                stack.extend((facts, child) for child in node)
 
     # ------------------------------------------------------------------
     # Rendering.
@@ -257,15 +252,13 @@ class StructuralSummary:
             branches.append(jsl.TestAtom(nt.IsString()))
         if Kind.OBJECT in facts.kinds:
             parts = [jsl.TestAtom(nt.IsObject())]
-            seen = [KeyLang.word(key) for key in sorted(facts.keys)]
-            complement = KeyLang.union(seen).complement()
+            keys = sorted(facts.children)
+            complement = KeyLang.union(map(KeyLang.word, keys)).complement()
             parts.append(jsl.BoxKey(complement, jsl.bottom()))
-            for key in sorted(facts.keys):
-                child = path + (key,)
-                if child in names:
-                    parts.append(
-                        jsl.BoxKey(KeyLang.word(key), jsl.Ref(names[child]))
-                    )
+            parts.extend(
+                jsl.BoxKey(KeyLang.word(key), jsl.Ref(names[path + (key,)]))
+                for key in keys
+            )
             branches.append(jsl.conj(parts))
         if Kind.ARRAY in facts.kinds:
             # Array positions are stripped from key paths: elements

@@ -353,6 +353,90 @@ class TestSnapshotVersioning:
         with pytest.raises(StorageFormatError):
             Collection.from_snapshot(snapshot, engine=MemoryEngine())
 
+    # A version-1 payload as builds before the values-only snapshot
+    # wrote it: per-document index refcounts ride along (document 2's
+    # were never complete -- loaders always walked what was missing).
+    OLD_PAYLOAD = {
+        "format": "repro-collection-snapshot",
+        "version": 1,
+        "extended": False,
+        "next_id": 3,
+        "ops": 4,
+        "docs": [[0, {"a": [5, 5], "b": "x"}], [2, {"a": [], "c": {"b": "x"}}]],
+        "index_entries": {
+            "0": [
+                [["path", []], 1],
+                [["kind", [], 0], 1],
+                [["key", "a"], 1],
+                [["path", ["a"]], 3],
+                [["kind", ["a"], 1], 1],
+                [["kind", ["a"], 3], 2],
+                [["eq", ["a"], 5], 2],
+                [["val", 5], 2],
+                [["tail", "a", 5], 2],
+                [["key", "b"], 1],
+                [["path", ["b"]], 1],
+                [["kind", ["b"], 2], 1],
+                [["eq", ["b"], "x"], 1],
+                [["val", "x"], 1],
+                [["tail", "b", "x"], 1],
+            ],
+            "2": [[["path", []], 1]],
+        },
+    }
+
+    def test_old_payload_with_index_entries_opens_like_one_without(self):
+        bare = {
+            key: value
+            for key, value in self.OLD_PAYLOAD.items()
+            if key != "index_entries"
+        }
+        opened = [
+            Collection.from_snapshot(payload, engine=MemoryEngine())
+            for payload in (self.OLD_PAYLOAD, bare, {**bare, "index_entries": None})
+        ]
+        for collection in opened:
+            assert values(collection) == dict(self.OLD_PAYLOAD["docs"])
+            assert collection.version == 4
+            assert collection.insert({"n": 1}) == 3  # the tombstone layout held
+            assert collection.indexes.snapshot() == opened[0].indexes.snapshot()
+            assert_oracle(collection)
+
+    def test_snapshot_is_values_only(self):
+        collection = api.collection(copy.deepcopy(PEOPLE))
+        snapshot = collection.snapshot()
+        assert sorted(snapshot) == [
+            "docs", "extended", "format", "next_id", "ops", "version",
+        ]
+        # What it costs on disk is the documents, give or take framing.
+        raw = sum(len(json.dumps(doc, separators=(",", ":"))) for doc in PEOPLE)
+        assert len(json.dumps(snapshot, separators=(",", ":"))) < 1.5 * raw
+
+    def test_old_snapshot_file_checkpoint_reopen_fsck_roundtrip(self, tmp_path):
+        from repro.store.durable import encode_snapshot_wrapper
+        from repro.store.fsck import verify
+
+        with open(str(tmp_path / "main.snapshot.json"), "wb") as handle:
+            handle.write(encode_snapshot_wrapper(self.OLD_PAYLOAD, 4))
+        assert verify(str(tmp_path)).ok  # (no WAL yet: a warning, not damage)
+        collection = durable(tmp_path)
+        assert values(collection) == dict(self.OLD_PAYLOAD["docs"])
+        assert_oracle(collection)
+        collection.update_many({}, {"$push": {"a": 5}})
+        expected = values(collection)
+        collection.compact()
+        collection.close()
+        wrapper = json.load(
+            open(str(tmp_path / "main.snapshot.json"), encoding="utf-8")
+        )
+        assert "index_entries" not in wrapper["collection"]
+        report = verify(str(tmp_path))
+        assert report.ok and report.clean
+        reopened = durable(tmp_path)
+        assert values(reopened) == expected
+        assert_oracle(reopened)
+        reopened.close()
+
     def test_durable_snapshot_file_version_checked(self, tmp_path):
         collection = durable(tmp_path, documents=[{"a": 1}])
         collection.compact()

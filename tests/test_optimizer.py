@@ -164,6 +164,52 @@ class TestStructuralSummary:
         plain.update_many({"n": 3}, {"$set": {"n": 300}})
         assert plain.count({"n": {"$gt": 100}}) == 1
 
+    def test_a_tuple_written_by_an_update_is_an_array(self):
+        # The model accepts tuples wherever it accepts lists; the
+        # summary must classify them the same way, or every read after
+        # the (legal) write dies rendering a NUMBER envelope of tuples.
+        plain = api.collection([{"a": 1, "n": 3}, {"a": 2, "n": 4}])
+        result = plain.update_one({"a": 1}, {"$set": {"t": (7, 8)}})
+        assert result.modified_count == 1
+        hint = {"no_semantic": True}
+        reads = [{"a": 1}, {"t": 7}, {"t": {"$gt": 7}}, {"n": {"$gt": 50}}, {}]
+        for filter_doc in reads:
+            assert plain.find(filter_doc) == plain.find(filter_doc, hint=hint)
+            assert plain.count(filter_doc) == plain.count(filter_doc, hint=hint)
+            pipeline = [{"$match": filter_doc}, {"$project": {"t": 1}}]
+            assert plain.aggregate(pipeline) == plain.aggregate(
+                pipeline, hint=hint
+            )
+        assert plain.find({"t": 8}) == [{"a": 1, "n": 3, "t": [7, 8]}]
+        assert plain.count({"t": {"$gt": 100}}) == 0
+        assert decision_for(plain, {"t": {"$gt": 100}}).verdict.kind == "empty"
+
+    def test_the_summary_is_there_before_the_first_query(
+        self, tmp_path, monkeypatch
+    ):
+        # Fed by insert and by recovery alike, so the first query finds
+        # its premise ready instead of walking the collection for it.
+        from repro.store import Collection
+
+        docs = [{"n": i, "t": [i, i]} for i in range(30)]
+        with api.connect(tmp_path) as database:
+            database.collection("c", documents=docs).compact()
+        with api.connect(tmp_path) as database:
+            reopened = database.collection("c")
+            restored = Collection.from_snapshot(reopened.snapshot())
+            fresh = api.collection(docs)
+            monkeypatch.setattr(Collection, "documents", None)
+            for collection in (fresh, reopened, restored):
+                decision = decision_for(collection, {"t": {"$gt": 1000}})
+                assert decision.verdict.kind == "empty"
+                assert decision.verdict.source == "summary"
+        for off in (
+            api.collection(docs, optimize="off"),
+            api.collection(docs, extended=True),
+            api.collection(docs, schema={"type": "object"}),
+        ):
+            assert off._summary is None
+
     def test_snapshot_pins_the_premise(self):
         plain = api.collection([{"n": i} for i in range(10)])
         view = plain.snapshot_view()

@@ -373,9 +373,6 @@ class TestSurvivorSource:
         ]
 
     def assert_fetched_by_id(self, view, indexes, spy):
-        # Building the structural summary walks the collection once, on
-        # the first query; that is not the read path under test.
-        assert view.semantic_context is not None
         for filter_doc in self.FILTERS:
             candidates = planner.candidate_ids(
                 compile_mongo_find(filter_doc).plan.match_predicate, indexes
@@ -665,7 +662,6 @@ class TestCoveredReads:
             cache=None,
         )
         grouped = pipeline.execute(users, no_semantic=True)
-        users.semantic_context  # the lazy summary is built, as any read would
         monkeypatch.setattr(CompiledQuery, "matches", forbidden)
         monkeypatch.setattr(optimizer, "semantic_plan", forbidden)
         monkeypatch.setattr(optimizer, "unsat", forbidden)

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import DocumentRejectedError, StoreError
 from repro.model.tree import JSONTree
 from repro.store import Collection, DocumentIndexes
-from repro.store.indexes import index_entries
+from repro.store.indexes import DeltaOps, index_entries
 from repro import api
 
 PEOPLE = [
@@ -138,6 +138,40 @@ class TestIndexMaintenance:
         assert (("a", "b"), 6) in entries.leaves  # nested array, same path
         assert ("b", 5) in entries.tails
         assert entries.keys == frozenset({"a", "b"})
+
+    def test_a_rejected_delta_commits_none_of_its_entries(self):
+        indexes = rebuilt(api.collection([{"v": [9, 9]}, {"v": 4}]))
+        before = indexes.snapshot()
+        into = DeltaOps()
+        # ("val", 3) is not on document 1: the whole delta is refused,
+        # also the entries that precede the offender.
+        with pytest.raises(ValueError, match="below zero"):
+            indexes.apply_entry_delta(
+                1, {("val", 9): 1, ("val", 4): -1, ("val", 3): -1}, into=into
+            )
+        assert indexes.snapshot() == before
+        assert into == DeltaOps()
+        # One contribution too many off a counted entry.
+        with pytest.raises(ValueError, match="below zero"):
+            indexes.apply_entry_delta(0, {("val", 4): 1, ("val", 9): -3})
+        assert indexes.snapshot() == before
+
+    def test_a_dry_run_delta_mutates_nothing(self):
+        indexes = rebuilt(api.collection([{"v": [9, 9]}]))
+        before = indexes.snapshot()
+        ops = indexes.apply_entry_delta(
+            0,
+            {("val", 9): -2, ("val", 3): 2, ("eq", ("v",), 9): -1},
+            commit=False,
+        )
+        assert (ops.entries_added, ops.entries_removed, ops.adjusted) == (1, 1, 1)
+        assert indexes.snapshot() == before
+        # An id the indexes never saw gets no record either.
+        ops = indexes.apply_entry_delta(
+            77, {("val", 9): 1, ("key", "w"): 2}, commit=False
+        )
+        assert ops.entries_added == 2
+        assert indexes.snapshot() == before
 
     def test_stats_counters(self):
         stats = api.collection(PEOPLE).index_stats()

@@ -22,12 +22,15 @@ import pytest
 from repro.errors import (
     DocumentRejectedError,
     ParseError,
+    StoreError,
     UnsupportedValueError,
     UpdateError,
 )
 from repro.mongo.aggregate import match_value
 from repro.mongo.update import compile_update, naive_update_value
+from repro.model.tree import JSONTree, Kind
 from repro.store import Collection, DocumentIndexes
+from repro.store.indexes import tree_entry_counts
 from repro.workloads import people_collection
 from repro import api
 
@@ -658,3 +661,136 @@ class TestRandomisedDifferential:
         for doc_id, tree in collection.documents():
             assert tree.to_value() == mirror[doc_id]
         assert_oracle(collection)
+
+
+# ---------------------------------------------------------------------------
+# Multiplicities: postings are the membership record, and the few
+# entries a document contributes more than once live in one sparse table.
+# ---------------------------------------------------------------------------
+
+
+def multiplicity(collection: Collection) -> dict:
+    return collection.indexes.snapshot()["multiplicity"]
+
+
+class TestMultiplicities:
+    def test_duplicates_leave_one_element_at_a_time(self):
+        collection = api.collection([{"a": [5, 5, 5]}])
+        # path/kind of the three elements + the array node; eq/tail/val
+        # of the three equal leaves.
+        assert multiplicity(collection) == {
+            ("path", ("a",)): {0: 3},
+            ("kind", ("a",), Kind.NUMBER): {0: 2},
+            ("eq", ("a",), 5): {0: 2},
+            ("tail", "a", 5): {0: 2},
+            ("val", 5): {0: 2},
+        }
+        steps = [
+            {"$pop": {"a": 1}},  # [5, 5]
+            {"$set": {"a.0": 6}},  # [6, 5]: the last duplicate leaf goes
+            {"$pull": {"a": 5}},  # [6]
+            {"$pop": {"a": -1}},  # []
+        ]
+        for step in steps:
+            assert collection.update_one({}, step).modified_count == 1
+            assert_oracle(collection)
+        assert collection.find({}) == [{"a": []}]
+        assert multiplicity(collection) == {}
+        assert collection.indexes.docs_with_any_value(5) == frozenset()
+
+    def test_equal_leaves_under_different_keys(self):
+        collection = api.collection([{"x": 7, "y": 7, "z": {"x": 7}}])
+        assert multiplicity(collection) == {
+            ("val", 7): {0: 2},
+            ("tail", "x", 7): {0: 1},
+            ("key", "x"): {0: 1},
+        }
+        collection.update_one({}, {"$set": {"y": 8}})
+        assert_oracle(collection)
+        assert multiplicity(collection)[("val", 7)] == {0: 1}
+        collection.update_one({}, {"$unset": {"z": ""}})
+        assert_oracle(collection)
+        assert multiplicity(collection) == {}
+        assert collection.indexes.docs_with_any_value(7) == {0}
+        collection.update_one({}, {"$inc": {"x": 1}})
+        assert_oracle(collection)
+        assert multiplicity(collection) == {("val", 8): {0: 1}}
+        assert 7 not in collection.indexes.snapshot()["values"]
+
+    def test_remove_then_reinsert_of_the_same_id_range(self):
+        docs = [{"t": ["a", "a", "b"], "n": index % 2} for index in range(6)]
+        collection = api.collection(docs)
+        before = collection.indexes.snapshot()
+        for doc_id in range(6):
+            collection.remove(doc_id)
+            assert_oracle(collection)
+        emptied = collection.indexes.snapshot()
+        assert all(not table for table in emptied.values()), emptied
+        # Ids are never reused by the collection, so re-post the same
+        # id range straight into the (emptied) indexes.
+        for doc_id, value in enumerate(docs):
+            collection.indexes.add(doc_id, JSONTree.from_value(value))
+        assert collection.indexes.snapshot() == before
+
+    def test_replace_one_there_and_back(self):
+        first = {"k": 1, "tags": ["x", "x"], "m": {"k": 1}}
+        second = {"k": 1, "tags": ["y"], "other": [1, 1, 1]}
+        collection = api.collection([first, {"k": 2}])
+        start = collection.indexes.snapshot()
+        collection.replace_one({"k": 1}, second)
+        assert_oracle(collection)
+        assert ("eq", ("tags",), "x") not in multiplicity(collection)
+        assert multiplicity(collection)[("val", 1)] == {0: 3}
+        collection.replace_one({"k": 1}, first)
+        assert_oracle(collection)
+        assert collection.indexes.snapshot() == start
+
+    def test_seeded_random_sequence_over_repeated_scalars(self):
+        rng = random.Random(2121)
+
+        def document() -> dict:
+            return {
+                "k": rng.randrange(4),
+                "a": [rng.randrange(3) for _ in range(rng.randrange(5))],
+                "b": {"k": rng.randrange(4), "a": [rng.choice("xy")] * 2},
+            }
+
+        updates = [
+            lambda: {"$push": {"a": rng.randrange(3)}},
+            lambda: {"$pull": {"a": rng.randrange(3)}},
+            lambda: {"$pop": {"a": rng.choice([1, -1])}},
+            lambda: {"$set": {"a.0": rng.randrange(3)}},
+            lambda: {"$set": {"b.k": rng.randrange(4)}},
+            lambda: {"$inc": {"k": rng.choice([-1, 1])}},
+            lambda: {"$addToSet": {"b.a": rng.choice("xyz")}},
+            lambda: {"$unset": {"b.a": ""}},
+            lambda: {"$set": {"b.a": [rng.choice("xy")] * rng.randrange(4)}},
+        ]
+        collection = api.collection([document() for _ in range(20)])
+        for _ in range(60 * _SCALE):
+            roll = rng.random()
+            target = {"k": rng.randrange(4)}
+            if roll < 0.15:
+                collection.insert_many([document() for _ in range(2)])
+            elif roll < 0.25 and collection.doc_ids():
+                collection.remove(rng.choice(collection.doc_ids()))
+            elif roll < 0.4:
+                collection.replace_one(target, document())
+            elif roll < 0.5:
+                collection.update_many(
+                    target, rng.choice(updates)(), maintenance="rebuild"
+                )
+            else:
+                collection.update_many(target, rng.choice(updates)())
+            # The comparison reads the documents, so every round also
+            # crosses the pending-value rebuild.
+            assert_oracle(collection)
+            for doc_id in collection.doc_ids():
+                assert collection.indexes.entry_counts(
+                    doc_id
+                ) == tree_entry_counts(collection.get(doc_id))
+
+    def test_entry_counts_needs_the_owning_collection(self):
+        bare = rebuilt(api.collection([{"a": 1}]))
+        with pytest.raises(StoreError):
+            bare.entry_counts(0)
