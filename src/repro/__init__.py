@@ -88,8 +88,6 @@ __all__ = [
     "Collection",
     "Database",
     "connect",
-    "open_database",
-    "memory_collection",
     "CompiledValidator",
     "compile_schema_validator",
     "compile_jsl_validator",
@@ -120,15 +118,11 @@ def __getattr__(name: str):  # pragma: no cover - thin convenience shim
         from repro.query import compile_query
 
         return compile_query
-    if name == "Collection":
-        from repro.store import Collection
-
-        return Collection
     if name == "connect":
         from repro.api import connect
 
         return connect
-    if name in ("Database", "open_database", "memory_collection"):
+    if name in ("Collection", "Database"):
         import repro.store as _store
 
         return getattr(_store, name)

@@ -1,14 +1,8 @@
 """The one front door: every backend behind ``connect`` and ``collection``.
 
-Before this module the repo had grown one entry point per subsystem --
-``repro.store.memory_collection`` and its ``repro.mongo`` twin,
-``open_database`` for durable stores, ``sharded_collection`` for the
-partitioned ones, ``repro.client.connect`` for a server.  This module
-is the redesigned surface: **two constructors** that cover all of them,
-returning objects that share one uniform collection protocol
-(``find``/``count``/``aggregate``/``select``/``get``/``explain``/
-``validate``/``insert_many``/``update_*``/``replace_one``/``remove``/
-``compact``), so call sites are written once and retargeted by
+**Two constructors** cover every backend -- volatile, durable, sharded
+and remote -- and return objects that share one uniform collection
+protocol, so call sites are written once and retargeted by
 configuration::
 
     import repro.api as repro
@@ -25,9 +19,24 @@ configuration::
     scratch = repro.collection([{"n": 1}])     # one-off volatile collection
     big = repro.collection(docs, shards=4)     # volatile and partitioned
 
-The old spellings keep working behind :class:`DeprecationWarning` shims
-(see ``memory_collection``/``open_database``/``sharded_collection``);
-new code -- and everything in this repo -- uses this module.
+The protocol every collection handle answers, with the same signature
+and the same return type whatever the backend (``tests/test_api.py::
+TestUniformProtocol`` runs each against all four):
+
+* reads -- ``find(filter, projection=None)``, ``count(filter)``,
+  ``aggregate(pipeline)``, ``len(collection)``;
+* writes -- ``insert(doc)``, ``insert_many(docs)``, ``remove(doc_id)``,
+  and ``update_one``/``update_many``/``replace_one``, each called as
+  ``(filter, doc, upsert=False)`` and returning an
+  :class:`~repro.mongo.update.UpdateResult`;
+* reports -- ``explain(filter)``, ``explain_aggregate(pipeline)`` and
+  ``explain_update(filter, update, first_only=False)``, each an
+  :class:`Explain` (a sharded ``explain``/``explain_update`` is a list
+  of them, one per shard).
+
+The in-process backends also answer ``find_rows(filter,
+projection=None)`` -- ``find`` with document ids.  Every read takes a
+per-query ``hint=``.
 """
 
 from __future__ import annotations
@@ -40,11 +49,15 @@ from repro.explain import Explain
 from repro.query.optimizer import check_optimize_mode
 from repro.store.collection import Collection
 from repro.store.database import Database
-from repro.store.engine import MemoryEngine
 from repro.store.faults import IOAdapter
 from repro.store.sharded import ShardedCollection
 
 __all__ = ["connect", "collection", "Explain", "ShardedDatabase"]
+
+_SHARDED_VALIDATOR = (
+    "sharded collections compile their own validators; pass schema= "
+    "instead of validator="
+)
 
 
 def connect(
@@ -126,11 +139,10 @@ def collection(
 ) -> "Collection | ShardedCollection":
     """A one-off volatile collection (tests, benchmarks, scripts).
 
-    The blessed spelling of what ``memory_collection`` (and, with
-    ``shards=N``, ``sharded_collection``) used to be.  Anything that
-    should survive a restart belongs behind :func:`connect` with a
-    path.  ``optimize`` sets the semantic-optimizer mode; per query,
-    ``hint={"no_semantic": True}`` opts a single read out.
+    Anything that should survive a restart belongs behind
+    :func:`connect` with a path.  ``optimize`` sets the
+    semantic-optimizer mode; per query, ``hint={"no_semantic": True}``
+    opts a single read out.
     """
     if shards < 1:
         raise StoreError(f"shard count must be >= 1, got {shards}")
@@ -141,14 +153,10 @@ def collection(
             validator=validator,
             extended=extended,
             indexed=indexed,
-            engine=MemoryEngine(),
             optimize=optimize,
         )
     if validator is not None:
-        raise StoreError(
-            "sharded collections compile their own validators; pass "
-            "schema= instead of validator="
-        )
+        raise StoreError(_SHARDED_VALIDATOR)
     return ShardedCollection(
         documents,
         shards=shards,
@@ -160,15 +168,14 @@ def collection(
     )
 
 
-class ShardedDatabase:
+class ShardedDatabase(Database):
     """Named hash-partitioned collections under one root.
 
-    The sharded twin of :class:`~repro.store.database.Database`: each
-    named collection is a :class:`~repro.store.sharded.ShardedCollection`
-    whose shard files live in ``<path>/<name>/`` (memory shards when
-    ``path`` is ``None``).  Handles are cached per name and
-    configuration keywords are honoured only at first creation, exactly
-    as in the unsharded database.
+    A :class:`~repro.store.database.Database` whose handles are
+    :class:`~repro.store.sharded.ShardedCollection` objects and whose
+    collections are directories: the shard files of ``name`` live in
+    ``<path>/<name>/`` (memory shards when ``path`` is ``None``).
+    Handle caching, reopen rules and maintenance are the base class's.
     """
 
     def __init__(
@@ -181,101 +188,38 @@ class ShardedDatabase:
         start_method: str | None = None,
         optimize: str = "on",
     ) -> None:
-        self._path = None if path is None else os.fspath(path)
+        super().__init__(path, sync=sync, optimize=optimize)
         self._shards = shards
-        self._sync = sync
         self._parallel = parallel
         self._start_method = start_method
-        self._optimize = check_optimize_mode(optimize)
-        self._collections: dict[str, ShardedCollection] = {}
-        if self._path is not None:
-            os.makedirs(self._path, exist_ok=True)
 
-    def collection(
+    def _open(
         self,
-        name: str = "main",
+        name: str,
+        documents: Iterable[Any],
         *,
-        documents: Iterable[Any] = (),
-        schema: Any | None = None,
-        extended: bool = False,
-        indexed: bool = True,
-        optimize: str | None = None,
+        validator: Any | None = None,
+        **config: Any,
     ) -> ShardedCollection:
-        existing = self._collections.get(name)
-        if existing is not None:
-            if schema is not None:
-                raise StoreError(
-                    f"collection {name!r} is already open; schema can only "
-                    "be set when the handle is first created"
-                )
-            documents = list(documents)
-            if documents:
-                existing.insert_many(documents)
-            return existing
-        shard_path = (
-            None if self._path is None else os.path.join(self._path, name)
-        )
-        handle = ShardedCollection(
+        if validator is not None:
+            raise StoreError(_SHARDED_VALIDATOR)
+        return ShardedCollection(
             documents,
             shards=self._shards,
-            path=shard_path,
-            schema=schema,
-            extended=extended,
-            indexed=indexed,
+            path=None if self._path is None else os.path.join(self._path, name),
             sync=self._sync,
             parallel=self._parallel,
             start_method=self._start_method,
-            optimize=self._optimize if optimize is None else optimize,
+            **config,
         )
-        self._collections[name] = handle
-        return handle
 
-    @property
-    def path(self) -> str | None:
-        return self._path
-
-    @property
-    def durable(self) -> bool:
-        return self._path is not None
+    def _stored_names(self) -> set[str]:
+        return {
+            entry
+            for entry in os.listdir(self._path)
+            if os.path.isdir(os.path.join(self._path, entry))
+        }
 
     @property
     def shards(self) -> int:
         return self._shards
-
-    def collection_names(self) -> list[str]:
-        """Open handles plus shard directories found on disk, sorted."""
-        names = set(self._collections)
-        if self._path is not None and os.path.isdir(self._path):
-            for entry in os.listdir(self._path):
-                if os.path.isdir(os.path.join(self._path, entry)):
-                    names.add(entry)
-        return sorted(names)
-
-    def health(self):
-        """Per-collection, per-shard engine health for open handles."""
-        return {
-            name: handle.health
-            for name, handle in sorted(self._collections.items())
-        }
-
-    def compact(self, name: str | None = None) -> dict[str, list]:
-        targets = [name] if name is not None else self.collection_names()
-        return {target: self.collection(target).compact() for target in targets}
-
-    def close(self) -> None:
-        for handle in self._collections.values():
-            handle.close()
-        self._collections.clear()
-
-    def __enter__(self) -> "ShardedDatabase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        where = "memory" if self._path is None else self._path
-        return (
-            f"ShardedDatabase({where!r}, {self._shards} shards, "
-            f"{len(self._collections)} open)"
-        )

@@ -355,18 +355,6 @@ def _load_tree(path: str):
         return JSONTree.from_json(handle.read())
 
 
-def _load_collection(path: str):
-    """A JSON-lines corpus as an indexed store collection.
-
-    Strict parsing (duplicate keys and floats rejected), matching the
-    single-document code path, with the store's shared key interning.
-    """
-    from repro.store import Collection
-
-    with open(path, encoding="utf-8") as handle:
-        return Collection.from_json_lines(handle.read())
-
-
 def _bad_input_combo(args: argparse.Namespace, positional: str) -> bool:
     """Exactly one document source is required.
 
@@ -403,29 +391,34 @@ def _bad_input_combo(args: argparse.Namespace, positional: str) -> bool:
     return False
 
 
-def _open_corpus(args: argparse.Namespace, stack: ExitStack):
-    """The indexed collection behind ``--collection`` or ``--db``.
+def _open_corpus(
+    args: argparse.Namespace, stack: ExitStack, *, indexed: bool = False
+):
+    """The collection a command reads and writes, whatever its source.
 
-    A ``--db`` collection is recovered through
-    :func:`repro.api.connect`; the database handle is pushed onto
-    ``stack`` so it is closed (WAL flushed) when the command finishes.
-    A ``--remote`` collection proxies a running server through
-    :mod:`repro.client` -- same uniform surface, nothing local.
+    ``--remote`` proxies a running server through :mod:`repro.client`;
+    ``--db`` recovers the named collection through
+    :func:`repro.api.connect`; ``--collection`` loads a JSON-lines
+    corpus (strict parsing -- duplicate keys and floats rejected --
+    hash-partitioned under ``--shards``); the positional file is a JSON
+    array, loaded as a throwaway collection that is ``indexed`` only
+    when the command gains from it (for one query, building secondary
+    indexes costs more than the single scan they could save).  Whatever
+    needs closing -- a connection, a WAL, a worker pool -- is pushed
+    onto ``stack``.  Every source answers the same uniform protocol.
     """
+    from repro import api
+
     if getattr(args, "remote", None) is not None:
         from repro.client import connect
 
         database = stack.enter_context(connect(args.remote))
         return database.collection(args.name)
     if getattr(args, "db", None) is not None:
-        from repro import api
-
         database = stack.enter_context(api.connect(args.db))
         return database.collection(args.name)
-    shards = getattr(args, "shards", None)
-    if shards is not None:
+    if args.collection is not None:
         from repro.model.tree import JSONTree
-        from repro.store import ShardedCollection
 
         with open(args.collection, encoding="utf-8") as handle:
             documents = [
@@ -433,10 +426,16 @@ def _open_corpus(args: argparse.Namespace, stack: ExitStack):
                 for line in handle
                 if line.strip()
             ]
-        corpus = ShardedCollection(documents, shards=shards)
+        corpus = api.collection(
+            documents, shards=getattr(args, "shards", None) or 1
+        )
         stack.callback(corpus.close)
         return corpus
-    return _load_collection(args.collection)
+    with open(args.documents, encoding="utf-8") as handle:
+        documents = json.load(handle)
+    if not isinstance(documents, list):
+        raise ReproError("the collection file must hold a JSON array")
+    return api.collection(documents, indexed=indexed)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -537,105 +536,43 @@ def _print_explain(report) -> int:
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
-    from repro import api
-
     if _bad_input_combo(args, "documents"):
         return 2
     filter_doc = _parse_json_arg("--filter", args.filter)
     projection = (
         _parse_json_arg("--project", args.project) if args.project else None
     )
-
-    if args.remote is not None:
-        with ExitStack() as stack:
-            corpus = _open_corpus(args, stack)
-            if args.explain:
-                return _print_explain(corpus.explain(filter_doc))
+    with ExitStack() as stack:
+        corpus = _open_corpus(args, stack)
+        if args.explain:
+            return _print_explain(corpus.explain(filter_doc))
+        if args.collection is not None or args.db is not None:
+            # A corpus on local storage has stable ids worth printing.
+            rows = corpus.find_rows(filter_doc, projection)
+            for doc_id, value in rows:
+                print(f"{doc_id}\t{json.dumps(value)}")
+        else:
             rows = corpus.find(filter_doc, projection)
             for row in rows:
                 print(json.dumps(row))
-        return 0 if rows else 1
-
-    if args.collection is not None or args.db is not None:
-        from repro.query import compile_mongo_find, planner
-
-        with ExitStack() as stack:
-            corpus = _open_corpus(args, stack)
-            if args.explain:
-                return _print_explain(corpus.explain(filter_doc))
-            if args.shards is not None:
-                rows = corpus.find_rows(filter_doc, projection)
-                for doc_id, value in rows:
-                    print(f"{doc_id}\t{json.dumps(value)}")
-                return 0 if rows else 1
-            query = compile_mongo_find(filter_doc, projection)
-            matched = planner.match_ids(corpus, query)
-            applied = query.projection
-            for doc_id in matched:
-                value = corpus.get(doc_id).to_value()
-                if applied is not None:
-                    value = applied.apply_value(value)
-                print(f"{doc_id}\t{json.dumps(value)}")
-        return 0 if matched else 1
-
-    with open(args.documents, encoding="utf-8") as handle:
-        documents = json.load(handle)
-    if not isinstance(documents, list):
-        raise ReproError("the collection file must hold a JSON array")
-    # One query over a throwaway collection: building secondary indexes
-    # would cost more than the single scan they could save.
-    collection = api.collection(documents, indexed=False)
-    if args.explain:
-        return _print_explain(collection.explain(filter_doc))
-    results = collection.find(filter_doc, projection)
-    for result in results:
-        print(json.dumps(result))
-    return 0 if results else 1
+    return 0 if rows else 1
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    from repro.mongo.aggregate import compile_pipeline
-
     if _bad_input_combo(args, "documents"):
         return 2
     pipeline = _parse_json_arg("--pipeline", args.pipeline)
-
-    if args.remote is not None:
-        with ExitStack() as stack:
-            corpus = _open_corpus(args, stack)
-            if args.explain:
-                return _print_explain(corpus.explain(pipeline=pipeline))
-            results = corpus.aggregate(pipeline)
-        for row in results:
-            print(json.dumps(row))
-        return 0 if results else 1
-
-    compiled = compile_pipeline(pipeline)
-
     with ExitStack() as stack:
-        if args.collection is not None or args.db is not None:
-            corpus = _open_corpus(args, stack)
-        else:
-            from repro import api
-
-            with open(args.documents, encoding="utf-8") as handle:
-                documents = json.load(handle)
-            if not isinstance(documents, list):
-                raise ReproError("the collection file must hold a JSON array")
-            # One pipeline over a throwaway collection: skip index builds.
-            corpus = api.collection(documents, indexed=False)
-
+        corpus = _open_corpus(args, stack)
         if args.explain:
-            return _print_explain(compiled.explain(corpus))
-        results = compiled.execute(corpus)
+            return _print_explain(corpus.explain_aggregate(pipeline))
+        results = corpus.aggregate(pipeline)
     for row in results:
         print(json.dumps(row))
     return 0 if results else 1
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
-    from repro.mongo.update import explain_update, update_many, update_one
-
     if _bad_input_combo(args, "documents"):
         return 2
     if args.explain and (args.upsert or args.out):
@@ -646,63 +583,22 @@ def _cmd_update(args: argparse.Namespace) -> int:
         )
     filter_doc = _parse_json_arg("--filter", args.filter)
     update_doc = _parse_json_arg("--update", args.update)
-
-    if args.remote is not None:
-        if args.out:
-            return _fail(
-                USAGE_CODE,
-                "--out is a local operation; it cannot be combined "
-                "with --remote",
-            )
-        with ExitStack() as stack:
-            corpus = _open_corpus(args, stack)
-            if args.explain:
-                return _print_explain(
-                    corpus.explain(
-                        filter_doc, update=update_doc, first_only=args.one
-                    )
-                )
-            run = corpus.update_one if args.one else corpus.update_many
-            result = run(filter_doc, update_doc, upsert=args.upsert)
-        upserted = (
-            ""
-            if result["upserted_id"] is None
-            else f" upserted_id={result['upserted_id']}"
+    if args.remote is not None and args.out:
+        return _fail(
+            USAGE_CODE,
+            "--out is a local operation; it cannot be combined "
+            "with --remote",
         )
-        print(
-            f"matched={result['matched']} "
-            f"modified={result['modified']}{upserted}"
-        )
-        return (
-            0
-            if result["matched"] or result["upserted_id"] is not None
-            else 1
-        )
-
     with ExitStack() as stack:
-        if args.collection is not None or args.db is not None:
-            corpus = _open_corpus(args, stack)
-        else:
-            from repro import api
-
-            with open(args.documents, encoding="utf-8") as handle:
-                documents = json.load(handle)
-            if not isinstance(documents, list):
-                raise ReproError("the collection file must hold a JSON array")
-            corpus = api.collection(documents)
-
-        if args.shards is not None:
-            return _update_sharded(args, corpus, filter_doc, update_doc)
-
+        corpus = _open_corpus(args, stack, indexed=True)
         if args.explain:
             return _print_explain(
-                explain_update(
-                    corpus, filter_doc, update_doc, first_only=args.one
+                corpus.explain_update(
+                    filter_doc, update_doc, first_only=args.one
                 )
             )
-
-        run = update_one if args.one else update_many
-        result = run(corpus, filter_doc, update_doc, upsert=args.upsert)
+        run = corpus.update_one if args.one else corpus.update_many
+        result = run(filter_doc, update_doc, upsert=args.upsert)
         upserted = (
             ""
             if result.upserted_id is None
@@ -714,35 +610,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
         )
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
-                for _, tree in corpus.documents():
-                    handle.write(tree.to_json() + "\n")
-    return 0 if result.matched_count or result.upserted_id is not None else 1
-
-
-def _update_sharded(
-    args: argparse.Namespace, corpus, filter_doc, update_doc
-) -> int:
-    """The ``--shards`` half of ``repro update``: shard-routed writes,
-    per-shard dry-run reports."""
-    if args.explain:
-        return _print_explain(
-            corpus.explain_update(filter_doc, update_doc, first_only=args.one)
-        )
-    run = corpus.update_one if args.one else corpus.update_many
-    result = run(filter_doc, update_doc, upsert=args.upsert)
-    upserted = (
-        ""
-        if result.upserted_id is None
-        else f" upserted_id={result.upserted_id}"
-    )
-    print(
-        f"matched={result.matched_count} "
-        f"modified={result.modified_count}{upserted}"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for _, value in corpus.values():
-                handle.write(json.dumps(value) + "\n")
+                for value in corpus.find({}):
+                    handle.write(json.dumps(value) + "\n")
     return 0 if result.matched_count or result.upserted_id is not None else 1
 
 

@@ -4,8 +4,11 @@
 asyncio counterpart.  Both speak the protocol of
 :mod:`repro.server.protocol` and expose remote collections through the
 same uniform surface as local ones (``find``/``count``/``aggregate``/
-``select``/``get``/``validate``/``explain``/``insert``/``update_one``/
-``update_many``/``replace_one``/``remove``), so code written against
+``select``/``get``/``validate``/``explain``/``explain_aggregate``/
+``explain_update``/``insert``/``insert_many``/``update_one``/
+``update_many``/``replace_one``/``remove``/``compact``), returning the
+same types (:class:`~repro.mongo.update.UpdateResult`,
+:class:`~repro.explain.Explain`), so code written against
 :func:`repro.api.connect` works unchanged against a server::
 
     import repro.client
@@ -14,6 +17,11 @@ same uniform surface as local ones (``find``/``count``/``aggregate``/
         people = db.collection("people")
         people.insert_many([{"name": "Sue", "age": 35}])
         rows = people.find({"age": {"$gt": 30}})
+
+Every operation is written once, on a base class whose methods build
+the request and hand it to ``_call``; the blocking and asyncio classes
+differ only in how they connect, send one request and close (an
+asyncio method returns an awaitable of what the blocking one returns).
 
 Server-side failures rehydrate to the *same* exception classes local
 code raises -- a write against a degraded engine raises
@@ -26,10 +34,12 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable
 
 from repro.errors import StoreError, WireProtocolError, from_wire
 from repro.explain import Explain
+from repro.mongo.update import UpdateResult
 from repro.server import protocol
 
 __all__ = [
@@ -75,18 +85,10 @@ def _check_optimize(optimize: str) -> str:
     return optimize
 
 
-def _merge_hint(
-    optimize: str, hint: "dict[str, Any] | None"
-) -> "dict[str, Any] | None":
-    """The per-request hint, folding in a client-wide ``optimize="off"``."""
-    if optimize == "off":
-        merged = dict(hint or {})
-        merged["no_semantic"] = True
-        return merged
-    return hint
-
-
-def _check_greeting(greeting: dict[str, Any]) -> None:
+def _check_greeting(line: bytes) -> None:
+    if not line:
+        raise WireProtocolError("server closed the connection")
+    greeting = protocol.decode(line)
     if greeting.get("server") != "repro":
         raise WireProtocolError(
             f"remote end is not a repro server (greeting {greeting!r})"
@@ -99,8 +101,11 @@ def _check_greeting(greeting: dict[str, Any]) -> None:
         )
 
 
-def _unwrap(request_id: int, response: dict[str, Any]) -> Any:
+def _unwrap(request_id: int, line: bytes) -> Any:
     """Check the envelope, rehydrate errors, return the result."""
+    if not line:
+        raise WireProtocolError("server closed the connection")
+    response = protocol.decode(line)
     got = response.get("id")
     if got is not None and got != request_id:
         raise WireProtocolError(
@@ -114,111 +119,23 @@ def _unwrap(request_id: int, response: dict[str, Any]) -> Any:
     raise from_wire(error)
 
 
+def _select_rows(rows: list) -> list[tuple[int, list[Any]]]:
+    return [(doc_id, values) for doc_id, values in rows]
+
+
 # ---------------------------------------------------------------------------
-# Blocking client.
+# Every operation, once.  ``_call(op, fields, post)`` is the transport:
+# one round trip, then ``post`` (when given) turns the wire result into
+# the return type the local backends use.
 # ---------------------------------------------------------------------------
 
 
-class RemoteDatabase:
-    """One connection to a server; collection handles multiplex it.
-
-    Not thread-safe: requests run strictly in sequence on the one
-    socket (open one client per thread, as with any connection handle).
-    """
-
-    def __init__(
-        self,
-        address: "str | tuple[str, int]",
-        *,
-        optimize: str = "on",
-    ) -> None:
-        self._optimize = _check_optimize(optimize)
-        host, port = parse_address(address)
-        self._address = (host, port)
-        self._socket = socket.create_connection((host, port))
-        self._file = self._socket.makefile("rwb")
-        self._next_id = 0
-        self._closed = False
-        _check_greeting(protocol.decode(self._readline()))
-
-    def _readline(self) -> bytes:
-        line = self._file.readline(protocol.MAX_LINE_BYTES + 2)
-        if not line:
-            raise WireProtocolError("server closed the connection")
-        return line
-
-    def request(self, op: str, **fields: Any) -> Any:
-        """One raw protocol round-trip (the escape hatch)."""
-        if self._closed:
-            raise StoreError("client is closed")
-        self._next_id += 1
-        request_id = self._next_id
-        message = {"id": request_id, "op": op, **fields}
-        self._file.write(protocol.encode(message))
-        self._file.flush()
-        return _unwrap(request_id, protocol.decode(self._readline()))
-
-    # -- database surface --------------------------------------------------
-
-    def collection(self, name: str = "main") -> "RemoteCollection":
-        return RemoteCollection(self, name, optimize=self._optimize)
-
-    @property
-    def optimize(self) -> str:
-        """The client-wide semantic-optimizer knob (``on``/``off``)."""
-        return self._optimize
-
-    def collection_names(self) -> list[str]:
-        return self.request("collections")
-
-    def ping(self) -> bool:
-        return self.request("ping") == "pong"
-
-    def stats(self) -> dict[str, Any]:
-        return self.request("stats")
-
-    def compact(self, name: str = "main") -> Any:
-        return self.request("compact", collection=name)
-
-    def shutdown(self) -> None:
-        """Ask the server to stop serving (acknowledged, then closed)."""
-        self.request("shutdown")
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._address
-
-    @property
-    def durable(self) -> bool:
-        return bool(self.stats()["durable"])
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._file.close()
-        finally:
-            self._socket.close()
-
-    def __enter__(self) -> "RemoteDatabase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        host, port = self._address
-        state = "closed" if self._closed else "open"
-        return f"RemoteDatabase({host}:{port}, {state})"
-
-
-class RemoteCollection:
+class _RemoteCollectionOps:
     """The uniform collection surface, proxied over the wire."""
 
     def __init__(
         self,
-        database: RemoteDatabase,
+        database: "_RemoteDatabaseOps",
         name: str,
         *,
         optimize: str = "on",
@@ -227,15 +144,24 @@ class RemoteCollection:
         self.name = name
         self._optimize = _check_optimize(optimize)
 
-    def _request(self, op: str, **fields: Any) -> Any:
-        return self._database.request(op, collection=self.name, **fields)
+    def _call(
+        self,
+        op: str,
+        fields: dict[str, Any],
+        post: Callable[[Any], Any] | None = None,
+    ) -> Any:
+        fields["collection"] = self.name
+        return self._database._call(op, fields, post)
 
     def _read_fields(
         self, hint: "dict[str, Any] | None", **fields: Any
     ) -> dict[str, Any]:
-        merged = _merge_hint(self._optimize, hint)
-        if merged is not None:
-            fields["hint"] = merged
+        """Request fields plus the per-request hint, folding in a
+        client-wide ``optimize="off"``."""
+        if self._optimize == "off":
+            hint = {**(hint or {}), "no_semantic": True}
+        if hint is not None:
+            fields["hint"] = hint
         return fields
 
     @property
@@ -254,7 +180,7 @@ class RemoteCollection:
         fields = self._read_fields(hint, filter=filter_doc)
         if projection is not None:
             fields["projection"] = projection
-        return self._request("find", **fields)
+        return self._call("find", fields)
 
     def count(
         self,
@@ -262,66 +188,78 @@ class RemoteCollection:
         *,
         hint: dict[str, Any] | None = None,
     ) -> int:
-        return self._request(
-            "count", **self._read_fields(hint, filter=filter_doc or {})
+        return self._call(
+            "count", self._read_fields(hint, filter=filter_doc or {})
         )
 
     def aggregate(
         self, pipeline: list, *, hint: dict[str, Any] | None = None
     ) -> list[Any]:
-        return self._request(
-            "aggregate", **self._read_fields(hint, pipeline=pipeline)
+        return self._call(
+            "aggregate", self._read_fields(hint, pipeline=pipeline)
         )
 
     def select(
         self, query: str, dialect: str = "jsonpath"
     ) -> list[tuple[int, list[Any]]]:
-        rows = self._request("select", query=query, dialect=dialect)
-        return [(doc_id, values) for doc_id, values in rows]
+        return self._call(
+            "select", {"query": query, "dialect": dialect}, _select_rows
+        )
 
     def get(self, doc_id: int) -> Any:
-        return self._request("get", doc_id=doc_id)
+        return self._call("get", {"doc_id": doc_id})
 
     def validate(self, document: Any, schema: Any | None = None) -> bool:
         fields: dict[str, Any] = {"document": document}
         if schema is not None:
             fields["schema"] = schema
-        return self._request("validate", **fields)
+        return self._call("validate", fields)
+
+    # The three explains share the one ``explain`` wire operation (the
+    # server tells them apart by the field present) and all rehydrate
+    # the server's :class:`~repro.explain.Explain`.
 
     def explain(
         self,
-        filter_doc: dict[str, Any] | None = None,
+        filter_doc: dict[str, Any],
         *,
-        pipeline: list | None = None,
-        update: dict[str, Any] | None = None,
+        hint: dict[str, Any] | None = None,
+    ) -> Explain:
+        return self._call(
+            "explain",
+            self._read_fields(hint, filter=filter_doc),
+            Explain.from_json,
+        )
+
+    def explain_aggregate(
+        self, pipeline: list, *, hint: dict[str, Any] | None = None
+    ) -> Explain:
+        return self._call(
+            "explain",
+            self._read_fields(hint, pipeline=pipeline),
+            Explain.from_json,
+        )
+
+    def explain_update(
+        self,
+        filter_doc: dict[str, Any],
+        update_doc: dict[str, Any],
+        *,
         first_only: bool = False,
         hint: dict[str, Any] | None = None,
     ) -> Explain:
-        """The server's :class:`~repro.explain.Explain`, rehydrated.
-
-        Pass ``pipeline=`` for an aggregation explain, ``update=`` for
-        an update dry run, or a bare filter for a find explain --
-        exactly the local collection surface.
-        """
-        fields = self._read_fields(hint, filter=filter_doc or {})
-        if pipeline is not None:
-            fields["pipeline"] = pipeline
-        elif update is not None:
-            fields["update"] = update
-            if first_only:
-                fields["first_only"] = True
-        return Explain.from_json(self._request("explain", **fields))
-
-    def __len__(self) -> int:
-        return self.count({})
+        fields = self._read_fields(hint, filter=filter_doc, update=update_doc)
+        if first_only:
+            fields["first_only"] = True
+        return self._call("explain", fields, Explain.from_json)
 
     # -- writes ------------------------------------------------------------
 
     def insert(self, document: Any) -> int:
-        return self._request("insert", documents=[document])[0]
+        return self._call("insert", {"documents": [document]}, itemgetter(0))
 
     def insert_many(self, documents: list[Any]) -> list[int]:
-        return self._request("insert", documents=list(documents))
+        return self._call("insert", {"documents": list(documents)})
 
     def update_one(
         self,
@@ -329,13 +267,16 @@ class RemoteCollection:
         update_doc: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return self._request(
+    ) -> UpdateResult:
+        return self._call(
             "update",
-            filter=filter_doc,
-            update=update_doc,
-            one=True,
-            upsert=upsert,
+            {
+                "filter": filter_doc,
+                "update": update_doc,
+                "one": True,
+                "upsert": upsert,
+            },
+            UpdateResult.from_json,
         )
 
     def update_many(
@@ -344,9 +285,11 @@ class RemoteCollection:
         update_doc: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return self._request(
-            "update", filter=filter_doc, update=update_doc, upsert=upsert
+    ) -> UpdateResult:
+        return self._call(
+            "update",
+            {"filter": filter_doc, "update": update_doc, "upsert": upsert},
+            UpdateResult.from_json,
         )
 
     def replace_one(
@@ -355,22 +298,149 @@ class RemoteCollection:
         replacement: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return self._request(
+    ) -> UpdateResult:
+        return self._call(
             "replace",
-            filter=filter_doc,
-            replacement=replacement,
-            upsert=upsert,
+            {
+                "filter": filter_doc,
+                "replacement": replacement,
+                "upsert": upsert,
+            },
+            UpdateResult.from_json,
         )
 
     def remove(self, doc_id: int) -> Any:
-        return self._request("remove", doc_id=doc_id)
+        return self._call("remove", {"doc_id": doc_id})
 
     def compact(self) -> Any:
-        return self._request("compact")
+        return self._call("compact", {})
 
     def __repr__(self) -> str:
-        return f"RemoteCollection({self.name!r}, {self._database!r})"
+        return f"{type(self).__name__}({self.name!r}, {self._database!r})"
+
+
+class _RemoteDatabaseOps:
+    """One connection to a server; collection handles multiplex it.
+
+    Requests run strictly in sequence on the one connection --
+    concurrency comes from opening many clients, matching how separate
+    processes would connect.  The transport subclasses supply
+    ``request`` and ``_call``.
+    """
+
+    _collection_type: type[_RemoteCollectionOps]
+
+    def __init__(self, address: tuple[str, int], optimize: str) -> None:
+        self._optimize = _check_optimize(optimize)
+        self._address = address
+        self._next_id = 0
+        self._closed = False
+
+    def collection(self, name: str = "main") -> Any:
+        return self._collection_type(self, name, optimize=self._optimize)
+
+    @property
+    def optimize(self) -> str:
+        """The client-wide semantic-optimizer knob (``on``/``off``)."""
+        return self._optimize
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._address
+
+    def collection_names(self) -> list[str]:
+        return self._call("collections", {})
+
+    def ping(self) -> bool:
+        return self._call("ping", {}, lambda reply: reply == "pong")
+
+    def stats(self) -> dict[str, Any]:
+        return self._call("stats", {})
+
+    def compact(self, name: str = "main") -> Any:
+        return self._call("compact", {"collection": name})
+
+    def shutdown(self) -> None:
+        """Ask the server to stop serving (acknowledged, then closed)."""
+        return self._call("shutdown", {}, lambda _: None)
+
+    @property
+    def durable(self) -> bool:
+        return self._call("stats", {}, lambda stats: bool(stats["durable"]))
+
+    def __repr__(self) -> str:
+        host, port = self._address
+        state = "closed" if self._closed else "open"
+        return f"{type(self).__name__}({host}:{port}, {state})"
+
+
+# ---------------------------------------------------------------------------
+# Blocking transport.
+# ---------------------------------------------------------------------------
+
+
+class RemoteCollection(_RemoteCollectionOps):
+    """A remote collection on a blocking connection."""
+
+    def __len__(self) -> int:
+        return self.count({})
+
+
+class RemoteDatabase(_RemoteDatabaseOps):
+    """The blocking client.  Not thread-safe: open one per thread, as
+    with any connection handle."""
+
+    _collection_type = RemoteCollection
+
+    def __init__(
+        self,
+        address: "str | tuple[str, int]",
+        *,
+        optimize: str = "on",
+    ) -> None:
+        super().__init__(parse_address(address), optimize)
+        self._socket = socket.create_connection(self._address)
+        self._file = self._socket.makefile("rwb")
+        _check_greeting(self._readline())
+
+    def _readline(self) -> bytes:
+        return self._file.readline(protocol.MAX_LINE_BYTES + 2)
+
+    def request(self, op: str, **fields: Any) -> Any:
+        """One raw protocol round-trip (the escape hatch)."""
+        if self._closed:
+            raise StoreError("client is closed")
+        self._next_id += 1
+        request_id = self._next_id
+        self._file.write(
+            protocol.encode({"id": request_id, "op": op, **fields})
+        )
+        self._file.flush()
+        return _unwrap(request_id, self._readline())
+
+    def _call(
+        self,
+        op: str,
+        fields: dict[str, Any],
+        post: Callable[[Any], Any] | None = None,
+    ) -> Any:
+        result = self.request(op, **fields)
+        return result if post is None else post(result)
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._file.close()
+        finally:
+            self._socket.close()
+
+    def __enter__(self) -> "RemoteDatabase":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def connect(
@@ -386,52 +456,37 @@ def connect(
 
 
 # ---------------------------------------------------------------------------
-# Asyncio client (the differential tests' concurrent readers).
+# Asyncio transport (the differential tests' concurrent readers).
 # ---------------------------------------------------------------------------
 
 
-class AsyncRemoteDatabase:
-    """The asyncio twin of :class:`RemoteDatabase`.
+class AsyncRemoteCollection(_RemoteCollectionOps):
+    """A remote collection on an asyncio connection: every operation
+    returns an awaitable of what :class:`RemoteCollection` returns."""
 
-    One connection, strictly sequential request/response -- concurrency
-    comes from opening many clients (as the differential suite and the
-    benchmark's reader fleets do), matching how separate processes
-    would connect.
-    """
+
+class AsyncRemoteDatabase(_RemoteDatabaseOps):
+    """The asyncio client: every operation returns an awaitable of what
+    :class:`RemoteDatabase` returns (``await db.durable`` included).
+    Open one with :func:`aconnect`."""
+
+    _collection_type = AsyncRemoteCollection
 
     def __init__(
         self,
+        address: tuple[str, int],
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         *,
         optimize: str = "on",
     ) -> None:
+        super().__init__(address, optimize)
         self._reader = reader
         self._writer = writer
-        self._next_id = 0
-        self._closed = False
         self._lock = asyncio.Lock()
-        self._optimize = _check_optimize(optimize)
-
-    @classmethod
-    async def open(
-        cls,
-        address: "str | tuple[str, int]",
-        *,
-        optimize: str = "on",
-    ) -> "AsyncRemoteDatabase":
-        host, port = parse_address(address)
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=protocol.MAX_LINE_BYTES
-        )
-        client = cls(reader, writer, optimize=optimize)
-        greeting = await reader.readline()
-        if not greeting:
-            raise WireProtocolError("server closed the connection")
-        _check_greeting(protocol.decode(greeting))
-        return client
 
     async def request(self, op: str, **fields: Any) -> Any:
+        """One raw protocol round-trip (the escape hatch)."""
         if self._closed:
             raise StoreError("client is closed")
         async with self._lock:  # one in-flight request per connection
@@ -442,28 +497,16 @@ class AsyncRemoteDatabase:
             )
             await self._writer.drain()
             line = await self._reader.readline()
-        if not line:
-            raise WireProtocolError("server closed the connection")
-        return _unwrap(request_id, protocol.decode(line))
+        return _unwrap(request_id, line)
 
-    def collection(self, name: str = "main") -> "AsyncRemoteCollection":
-        return AsyncRemoteCollection(self, name, optimize=self._optimize)
-
-    @property
-    def optimize(self) -> str:
-        return self._optimize
-
-    async def collection_names(self) -> list[str]:
-        return await self.request("collections")
-
-    async def ping(self) -> bool:
-        return await self.request("ping") == "pong"
-
-    async def stats(self) -> dict[str, Any]:
-        return await self.request("stats")
-
-    async def shutdown(self) -> None:
-        await self.request("shutdown")
+    async def _call(
+        self,
+        op: str,
+        fields: dict[str, Any],
+        post: Callable[[Any], Any] | None = None,
+    ) -> Any:
+        result = await self.request(op, **fields)
+        return result if post is None else post(result)
 
     async def aclose(self) -> None:
         if self._closed:
@@ -482,147 +525,14 @@ class AsyncRemoteDatabase:
         await self.aclose()
 
 
-class AsyncRemoteCollection:
-    """Awaitable twin of :class:`RemoteCollection`."""
-
-    def __init__(
-        self,
-        database: AsyncRemoteDatabase,
-        name: str,
-        *,
-        optimize: str = "on",
-    ) -> None:
-        self._database = database
-        self.name = name
-        self._optimize = _check_optimize(optimize)
-
-    def _request(self, op: str, **fields: Any) -> Any:
-        return self._database.request(op, collection=self.name, **fields)
-
-    def _read_fields(
-        self, hint: "dict[str, Any] | None", **fields: Any
-    ) -> dict[str, Any]:
-        merged = _merge_hint(self._optimize, hint)
-        if merged is not None:
-            fields["hint"] = merged
-        return fields
-
-    async def find(
-        self,
-        filter_doc: dict[str, Any],
-        projection: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> list[Any]:
-        fields = self._read_fields(hint, filter=filter_doc)
-        if projection is not None:
-            fields["projection"] = projection
-        return await self._request("find", **fields)
-
-    async def count(
-        self,
-        filter_doc: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> int:
-        return await self._request(
-            "count", **self._read_fields(hint, filter=filter_doc or {})
-        )
-
-    async def aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ) -> list[Any]:
-        return await self._request(
-            "aggregate", **self._read_fields(hint, pipeline=pipeline)
-        )
-
-    async def select(
-        self, query: str, dialect: str = "jsonpath"
-    ) -> list[tuple[int, list[Any]]]:
-        rows = await self._request("select", query=query, dialect=dialect)
-        return [(doc_id, values) for doc_id, values in rows]
-
-    async def get(self, doc_id: int) -> Any:
-        return await self._request("get", doc_id=doc_id)
-
-    async def validate(
-        self, document: Any, schema: Any | None = None
-    ) -> bool:
-        fields: dict[str, Any] = {"document": document}
-        if schema is not None:
-            fields["schema"] = schema
-        return await self._request("validate", **fields)
-
-    async def explain(
-        self,
-        filter_doc: dict[str, Any] | None = None,
-        *,
-        pipeline: list | None = None,
-        update: dict[str, Any] | None = None,
-        first_only: bool = False,
-        hint: dict[str, Any] | None = None,
-    ) -> Explain:
-        fields = self._read_fields(hint, filter=filter_doc or {})
-        if pipeline is not None:
-            fields["pipeline"] = pipeline
-        elif update is not None:
-            fields["update"] = update
-            if first_only:
-                fields["first_only"] = True
-        return Explain.from_json(await self._request("explain", **fields))
-
-    async def insert(self, document: Any) -> int:
-        return (await self._request("insert", documents=[document]))[0]
-
-    async def insert_many(self, documents: list[Any]) -> list[int]:
-        return await self._request("insert", documents=list(documents))
-
-    async def update_one(
-        self,
-        filter_doc: dict[str, Any],
-        update_doc: dict[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> dict[str, Any]:
-        return await self._request(
-            "update",
-            filter=filter_doc,
-            update=update_doc,
-            one=True,
-            upsert=upsert,
-        )
-
-    async def update_many(
-        self,
-        filter_doc: dict[str, Any],
-        update_doc: dict[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> dict[str, Any]:
-        return await self._request(
-            "update", filter=filter_doc, update=update_doc, upsert=upsert
-        )
-
-    async def replace_one(
-        self,
-        filter_doc: dict[str, Any],
-        replacement: dict[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> dict[str, Any]:
-        return await self._request(
-            "replace",
-            filter=filter_doc,
-            replacement=replacement,
-            upsert=upsert,
-        )
-
-    async def remove(self, doc_id: int) -> Any:
-        return await self._request("remove", doc_id=doc_id)
-
-
 async def aconnect(
     address: "str | tuple[str, int]", *, optimize: str = "on"
 ) -> AsyncRemoteDatabase:
     """Open an asyncio client to a ``repro serve`` address."""
-    return await AsyncRemoteDatabase.open(address, optimize=optimize)
+    _check_optimize(optimize)  # before there is a connection to leak
+    host, port = parse_address(address)
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=protocol.MAX_LINE_BYTES
+    )
+    _check_greeting(await reader.readline())
+    return AsyncRemoteDatabase((host, port), reader, writer, optimize=optimize)

@@ -1,12 +1,9 @@
 """The one explain report: every front-end, every backend, one shape.
 
-Before this module the repo had three unrelated explain dataclasses --
-``repro.query.planner.PlanExplain`` (find), ``repro.mongo.aggregate.
-AggregateExplain`` (pipelines) and ``repro.mongo.update.UpdateExplain``
-(writes) -- with three CLI print formats and no wire story.
-:class:`Explain` is the redesigned surface: one versioned structure
-(``format``/``version`` header, nested stage tree, per-table posting
-stats, per-shard breakdowns) constructed by every backend, carrying a
+:class:`Explain` is the report of every find, aggregation and update
+dry run: one versioned structure (``format``/``version`` header, nested
+stage tree, per-table posting stats, per-shard breakdowns)
+constructed by every backend, carrying a
 :class:`SemanticsExplain` section whenever the schema-aware optimizer
 (:mod:`repro.query.optimizer`) examined the query, round-tripping
 through :meth:`Explain.to_json`/:meth:`Explain.from_json` over the wire
@@ -24,16 +21,10 @@ Field population by ``kind``:
   (``modified``/``entries_added``/``entries_removed``/
   ``refcount_adjusted``/``postings``); a sharded update explain is a
   list of these with ``shard`` set.
-
-The old class names remain importable from their old homes as
-:class:`DeprecationWarning` shims (instantiation warns; the instances
-are real :class:`Explain` objects, so ``isinstance``/``asdict``/wire
-encoding keep working).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,9 +35,6 @@ __all__ = [
     "SemanticsExplain",
     "StageExplain",
     "ShardExplain",
-    "PlanExplain",
-    "AggregateExplain",
-    "UpdateExplain",
 ]
 
 EXPLAIN_FORMAT = "repro-explain"
@@ -299,117 +287,3 @@ class Explain:
                 else SemanticsExplain.from_json(semantics)
             ),
         )
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims: the three pre-unification explain classes.
-#
-# Plain (non-dataclass) subclasses so importing them stays silent under
-# the warnings-as-errors gate while *instantiating* them warns.  They
-# inherit ``__dataclass_fields__``, so ``dataclasses.asdict``, wire
-# encoding and ``isinstance(report, Explain)`` all keep working.
-# ---------------------------------------------------------------------------
-
-
-def _shim_warning(old: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use repro.api.Explain (one versioned "
-        "report for find/aggregate/update) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class PlanExplain(Explain):
-    """Deprecated spelling of a ``kind="find"`` :class:`Explain`."""
-
-    def __init__(
-        self,
-        dialect: str,
-        source: str,
-        total: int,
-        candidates: int | None,
-        scanned: int,
-        matched: int,
-    ) -> None:
-        _shim_warning("PlanExplain")
-        super().__init__(
-            kind="find",
-            dialect=dialect,
-            source=source,
-            total=total,
-            candidates=candidates,
-            scanned=scanned,
-            matched=matched,
-        )
-
-
-class AggregateExplain(Explain):
-    """Deprecated spelling of a ``kind="aggregate"`` :class:`Explain`."""
-
-    def __init__(
-        self,
-        dialect: str,
-        source: str,
-        total: int,
-        candidates: int | None,
-        scanned: int,
-        matched: int,
-        results: int,
-        stages: tuple[StageExplain, ...],
-        shards: tuple[ShardExplain, ...] = (),
-        merge: str | None = None,
-    ) -> None:
-        _shim_warning("AggregateExplain")
-        super().__init__(
-            kind="aggregate",
-            dialect=dialect,
-            source=source,
-            total=total,
-            candidates=candidates,
-            scanned=scanned,
-            matched=matched,
-            results=results,
-            stages=tuple(stages),
-            shards=tuple(shards),
-            merge=merge,
-        )
-
-
-class UpdateExplain(Explain):
-    """Deprecated spelling of a ``kind="update"`` :class:`Explain`."""
-
-    def __init__(
-        self,
-        filter_source: str,
-        update_source: str,
-        total: int,
-        candidates: int | None,
-        scanned: int,
-        matched: int,
-        modified: int,
-        entries_added: int,
-        entries_removed: int,
-        refcount_adjusted: int,
-        postings: dict[str, int],
-    ) -> None:
-        _shim_warning("UpdateExplain")
-        super().__init__(
-            kind="update",
-            source=filter_source,
-            update_source=update_source,
-            total=total,
-            candidates=candidates,
-            scanned=scanned,
-            matched=matched,
-            modified=modified,
-            entries_added=entries_added,
-            entries_removed=entries_removed,
-            refcount_adjusted=refcount_adjusted,
-            postings=dict(postings),
-        )
-
-    @property
-    def filter_source(self) -> str | None:
-        """The pre-unification name of :attr:`Explain.source`."""
-        return self.source

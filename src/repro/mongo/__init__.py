@@ -3,17 +3,15 @@ Section-6 projection transformation, and aggregation pipelines compiled
 onto the store/IR/planner stack."""
 
 from repro.mongo.aggregate import (
-    AggregateExplain,
     CompiledPipeline,
     aggregate,
     compile_pipeline,
     match_value,
     naive_aggregate,
 )
-from repro.mongo.find import Collection, compile_filter, memory_collection
+from repro.mongo.find import compile_filter
 from repro.mongo.projection import Projection
 from repro.mongo.update import (
-    UpdateExplain,
     UpdateResult,
     compile_update,
     naive_update_value,
@@ -23,17 +21,13 @@ from repro.mongo.update import (
 )
 
 __all__ = [
-    "Collection",
-    "memory_collection",
     "compile_filter",
     "Projection",
-    "AggregateExplain",
     "CompiledPipeline",
     "aggregate",
     "compile_pipeline",
     "match_value",
     "naive_aggregate",
-    "UpdateExplain",
     "UpdateResult",
     "compile_update",
     "naive_update_value",

@@ -58,7 +58,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import ParseError
-from repro.explain import AggregateExplain, Explain, ShardExplain, StageExplain
+from repro.explain import Explain, ShardExplain, StageExplain
 from repro.model.tree import JSONTree
 from repro.mongo.find import _is_operator_doc, _require_int, _require_list
 from repro.mongo.projection import Projection
@@ -92,7 +92,6 @@ from repro.query.stages import (
 
 __all__ = [
     "STAGE_OPS",
-    "AggregateExplain",
     "StageExplain",
     "ShardExplain",
     "CompiledPipeline",
@@ -551,11 +550,6 @@ def _build_stage(op: str, spec: Any) -> Stage:
 # ---------------------------------------------------------------------------
 # The compiled pipeline.
 # ---------------------------------------------------------------------------
-
-
-# StageExplain/ShardExplain moved to repro.explain (the unified report);
-# AggregateExplain survives there as a deprecated constructor shim.  All
-# three stay importable from this module for source compatibility.
 
 
 def _window_bound(stages: tuple[Stage, ...]) -> int | None:

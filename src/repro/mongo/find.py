@@ -28,10 +28,8 @@ from repro.jnl import builder as q
 from repro.logic import nodetests as nt
 from repro.model.tree import JSONTree, JSONValue
 from repro.query.stages import is_index_segment
-from repro.store.collection import Collection as _StoreCollection
-from repro.store.engine import MemoryEngine as _MemoryEngine
 
-__all__ = ["compile_filter", "Collection", "memory_collection"]
+__all__ = ["compile_filter"]
 
 _TYPE_TESTS: dict[str, nt.NodeTest] = {
     "object": nt.IsObject(),
@@ -186,45 +184,3 @@ def compile_filter(filter_doc: dict[str, Any]) -> jnl.Unary:
         else:
             parts.append(_navigate(key, _scalar_eq(value)))
     return q.conj(parts)
-
-
-class Collection(_StoreCollection):
-    """A queryable collection of JSON documents (the Mongo-facing view).
-
-    Since the store refactor this is the indexed
-    :class:`repro.store.Collection`: filters compile once through the
-    shared logical-plan IR (cached process-wide, keyed on canonical
-    JSON text), the planner prunes candidate documents via the
-    secondary indexes, and only the survivors pay the per-document
-    Proposition-1 reachability.  The class is kept as a thin alias so
-    Mongo-flavoured call sites read naturally.
-
-    Like the store class, constructing one without a storage engine is
-    deprecated: acquire collections through :func:`repro.api.connect`
-    or :func:`repro.api.collection`.
-
-    >>> from repro import api
-    >>> people = api.collection([{"name": "Sue"}, {"name": "Bob"}])
-    >>> people.find({"name": {"$eq": "Sue"}})
-    [{'name': 'Sue'}]
-    """
-
-
-def memory_collection(
-    documents: "list[JSONValue] | tuple" = (), **kwargs: Any
-) -> Collection:
-    """Deprecated spelling of :func:`repro.api.collection`.
-
-    The Mongo-facing class is a thin alias of the store collection, so
-    the consolidated constructor covers this use unchanged.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.mongo.memory_collection is deprecated; use "
-        "repro.api.collection() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    kwargs.setdefault("engine", _MemoryEngine())
-    return Collection(documents, **kwargs)

@@ -39,7 +39,7 @@ from typing import Any
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import ParseError, UpdateError
-from repro.explain import Explain, UpdateExplain
+from repro.explain import Explain
 from repro.mongo.aggregate import (
     _op_holds,
     _validate_operator_doc,
@@ -73,7 +73,6 @@ from repro.store.update import (
 __all__ = [
     "UPDATE_OPS",
     "UpdateResult",
-    "UpdateExplain",
     "parse_update",
     "compile_update",
     "update_cache_key",
@@ -110,10 +109,20 @@ class UpdateResult:
     modified_count: int
     upserted_id: int | None = None
 
+    def to_json(self) -> dict[str, Any]:
+        """The three-key form a write's result takes on the wire."""
+        return {
+            "matched": self.matched_count,
+            "modified": self.modified_count,
+            "upserted_id": self.upserted_id,
+        }
 
-# UpdateExplain moved to repro.explain as a deprecated constructor shim
-# over the unified Explain report; it stays importable from this module
-# for source compatibility.
+    @staticmethod
+    def from_json(document: dict[str, Any]) -> "UpdateResult":
+        """Rehydrate a result encoded by :meth:`to_json`."""
+        return UpdateResult(
+            document["matched"], document["modified"], document["upserted_id"]
+        )
 
 
 # ---------------------------------------------------------------------------

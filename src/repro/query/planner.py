@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.explain import Explain, PlanExplain
+from repro.explain import Explain
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import ir, optimizer
 from repro.query.compiled import CompiledQuery
@@ -65,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.store.indexes import DocumentIndexes
 
 __all__ = [
-    "PlanExplain",
     "candidate_ids",
     "survivors",
     "decide",

@@ -328,6 +328,10 @@ class ReproServer:
         if op == "validate":
             return self._execute_validate(message)
         if op == "explain":
+            if "pipeline" in message and "update" in message:
+                raise WireProtocolError(
+                    "explain takes a 'pipeline' or an 'update', not both"
+                )
             if "pipeline" in message:
                 report = snapshot.explain_aggregate(
                     _require_list(message, "pipeline"), hint=hint
@@ -489,36 +493,23 @@ class ReproServer:
             filter_doc = _require_dict(message, "filter", default={})
             update_doc = _require_dict(message, "update")
             upsert = bool(message.get("upsert", False))
-            if message.get("one", False):
-                result = collection.update_one(
-                    filter_doc, update_doc, upsert=upsert
-                )
-            else:
-                result = collection.update_many(
-                    filter_doc, update_doc, upsert=upsert
-                )
-            return {
-                "matched": result.matched_count,
-                "modified": result.modified_count,
-                "upserted_id": result.upserted_id,
-            }
+            run = (
+                collection.update_one
+                if message.get("one", False)
+                else collection.update_many
+            )
+            return run(filter_doc, update_doc, upsert=upsert).to_json()
         if op == "replace":
-            result = collection.replace_one(
+            return collection.replace_one(
                 _require_dict(message, "filter", default={}),
                 _require_dict(message, "replacement"),
                 upsert=bool(message.get("upsert", False)),
-            )
-            return {
-                "matched": result.matched_count,
-                "modified": result.modified_count,
-                "upserted_id": result.upserted_id,
-            }
+            ).to_json()
         if op == "remove":
             doc_id = message.get("doc_id")
             if not isinstance(doc_id, int):
                 raise WireProtocolError("remove needs an integer 'doc_id'")
-            removed = collection.remove(doc_id)
-            return removed.to_value() if hasattr(removed, "to_value") else removed
+            return collection.remove(doc_id).to_value()
         if op == "compact":
             return _jsonable(collection.compact())
         raise WireProtocolError(f"unhandled write operation {op!r}")

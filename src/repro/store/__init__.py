@@ -50,8 +50,8 @@ serving::
   repairer behind ``repro db verify`` / ``repro db repair``.
 """
 
-from repro.store.collection import Collection, memory_collection
-from repro.store.database import Database, open_database
+from repro.store.collection import Collection
+from repro.store.database import Database
 from repro.store.durable import CompactionReport, DurableEngine, ReplayFolder
 from repro.store.engine import (
     EngineHealth,
@@ -88,7 +88,6 @@ from repro.store.sharded import (
     ShardedEngine,
     shard_name,
     shard_of,
-    sharded_collection,
 )
 from repro.store.update import CompiledUpdate, Mutation, mutation_delta
 from repro.store.wal import WriteAheadLog, scan_wal
@@ -96,15 +95,12 @@ from repro.store.wal import WriteAheadLog, scan_wal
 __all__ = [
     "Collection",
     "CollectionSnapshot",
-    "memory_collection",
     "Database",
-    "open_database",
     "StorageEngine",
     "MemoryEngine",
     "DurableEngine",
     "ShardedEngine",
     "ShardedCollection",
-    "sharded_collection",
     "shard_of",
     "shard_name",
     "CompactionReport",

@@ -8,8 +8,8 @@ enforces a schema through the PR-2 compiled-validation pipeline
 (reject-on-insert), and answers queries from any front-end through the
 planner of :mod:`repro.query.planner`:
 
->>> from repro.store import memory_collection
->>> people = memory_collection([
+>>> from repro import api
+>>> people = api.collection([
 ...     {"name": "Sue", "age": 35},
 ...     {"name": "Bob", "age": 28},
 ... ])
@@ -29,7 +29,6 @@ answers.
 from __future__ import annotations
 
 import json as _json
-import warnings
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import DocumentRejectedError, StoreError
@@ -61,7 +60,7 @@ from repro.store.update import CompiledUpdate, mutation_delta
 from repro.validate.bulk import validate_corpus
 from repro.validate.compiled import CompiledValidator, compile_schema_validator
 
-__all__ = ["Collection", "memory_collection"]
+__all__ = ["Collection"]
 
 
 def _compile_schema(schema: Any):
@@ -135,10 +134,10 @@ class Collection:
     compiled full scan.
 
     Commits route through a :class:`~repro.store.engine.StorageEngine`
-    (memory vs. durable WAL + snapshots); acquire collections through
-    :class:`repro.store.Database` / :func:`repro.store.memory_collection`
-    or pass ``engine=`` explicitly -- engine-less construction is a
-    deprecated shim.
+    (memory vs. durable WAL + snapshots): :func:`repro.api.connect` /
+    :func:`repro.api.collection` choose one, ``engine=`` passes one
+    explicitly, and ``engine=None`` means a fresh
+    :class:`~repro.store.engine.MemoryEngine`.
     """
 
     __slots__ = ("_trees", "_alive", "_interned", "_indexes", "_validator",
@@ -160,18 +159,6 @@ class Collection:
         if schema is not None and validator is not None:
             raise StoreError("pass either schema or validator, not both")
         if engine is None:
-            # The pre-engine construction path: kept working through an
-            # implicit MemoryEngine shim, but deprecated -- acquire
-            # collections through repro.open_database()/Database,
-            # repro.store.memory_collection(), or pass an engine.
-            warnings.warn(
-                "constructing a Collection without a storage engine is "
-                "deprecated; use repro.open_database()/Database."
-                "collection(), repro.store.memory_collection(), or pass "
-                "engine=MemoryEngine()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
             engine = MemoryEngine()
         self._trees: list[JSONTree | None] = []
         self._alive = 0
@@ -747,6 +734,20 @@ class Collection:
             no_semantic=_no_semantic(hint),
         )
 
+    def find_rows(
+        self,
+        filter_doc: dict[str, Any],
+        projection: dict[str, Any] | None = None,
+        *,
+        hint: dict[str, Any] | None = None,
+    ) -> list[tuple[int, JSONValue]]:
+        """:meth:`find` with ids: ``(doc_id, projected value)`` pairs."""
+        return planner.find_rows(
+            self,
+            compile_mongo_find(filter_doc, projection),
+            no_semantic=_no_semantic(hint),
+        )
+
     def find_trees(
         self,
         filter_doc: dict[str, Any],
@@ -895,7 +896,7 @@ class Collection:
         """
         snapshot = decode_snapshot(data)
         collection = cls(
-            engine=engine if engine is not None else MemoryEngine(),
+            engine=engine,
             validator=validator,
             extended=snapshot.extended,
             indexed=indexed,
@@ -978,25 +979,4 @@ class Collection:
             for line in text.splitlines()
             if line.strip()
         ]
-        kwargs.setdefault("engine", MemoryEngine())
         return cls(documents, **kwargs)
-
-
-def memory_collection(
-    documents: Iterable["JSONTree | JSONValue"] = (), **kwargs: Any
-) -> Collection:
-    """Deprecated spelling of :func:`repro.api.collection`.
-
-    Kept as a working shim so existing scripts survive the API
-    consolidation; new code acquires volatile collections through
-    ``repro.api.collection`` and durable ones through
-    ``repro.api.connect``.
-    """
-    warnings.warn(
-        "repro.store.memory_collection is deprecated; use "
-        "repro.api.collection() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    kwargs.setdefault("engine", MemoryEngine())
-    return Collection(documents, **kwargs)

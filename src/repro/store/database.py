@@ -1,29 +1,28 @@
 """The database handle: one factory for every collection acquisition.
 
-Before this module, every layer constructed collections its own way --
-the CLI parsed JSON-lines into ad-hoc ``Collection(...)`` calls, the
-Mongo front-end had its subclass constructor, benchmarks built theirs
-inline.  :class:`Database` is the redesigned entry point: it owns named
-collections, decides their storage engine (memory when ``path`` is
-``None``, WAL + snapshot :class:`~repro.store.durable.DurableEngine`
-under ``path`` otherwise), and hands out one cached handle per name.
+:class:`Database` owns named collections, decides their storage engine
+(memory when ``path`` is ``None``, WAL + snapshot
+:class:`~repro.store.durable.DurableEngine` under ``path`` otherwise),
+and hands out one cached handle per name.  Open one through
+:func:`repro.api.connect`::
 
-Quickstart::
+    from repro import api
 
-    import repro
-
-    with repro.open_database("./mydb") as db:
+    with api.connect("./mydb") as db:
         people = db.collection("people")
         people.insert_many([{"name": "Sue"}, {"name": "Bob"}])
 
     # ...process restarts...
-    with repro.open_database("./mydb") as db:
+    with api.connect("./mydb") as db:
         assert len(db.collection("people")) == 2
         db.compact("people")       # fold the WAL into a snapshot
 
-``Database()`` (no path) is the volatile variant -- same API, memory
+``api.connect()`` (no path) is the volatile variant -- same API, memory
 engines -- so code can be written against the factory once and flipped
-to durable by configuration.
+to durable by configuration.  The handle cache, the reopen rules and
+the maintenance sweep are written here once; a subclass
+(:class:`repro.api.ShardedDatabase`) overrides only how a handle is
+opened and what a collection looks like on disk.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.store.durable import CompactionReport, DurableEngine
 from repro.store.engine import EngineHealth, MemoryEngine
 from repro.store.faults import IOAdapter
 
-__all__ = ["Database", "open_database"]
+__all__ = ["Database"]
 
 _SNAPSHOT_SUFFIX = ".snapshot.json"
 _WAL_SUFFIX = ".wal"
@@ -110,6 +109,22 @@ class Database:
             if documents:
                 existing.insert_many(documents)
             return existing
+        collection = self._open(
+            name,
+            documents,
+            schema=schema,
+            validator=validator,
+            extended=extended,
+            indexed=indexed,
+            optimize=self._optimize if optimize is None else optimize,
+        )
+        self._collections[name] = collection
+        return collection
+
+    def _open(
+        self, name: str, documents: Iterable[Any], **config: Any
+    ) -> Collection:
+        """A fresh handle on ``name`` (recovering whatever is on disk)."""
         if self._path is None:
             engine: Any = MemoryEngine()
         else:
@@ -120,17 +135,16 @@ class Database:
                 compact_threshold=self._threshold,
                 io=self._io,
             )
-        collection = Collection(
-            documents,
-            schema=schema,
-            validator=validator,
-            extended=extended,
-            indexed=indexed,
-            engine=engine,
-            optimize=self._optimize if optimize is None else optimize,
-        )
-        self._collections[name] = collection
-        return collection
+        return Collection(documents, engine=engine, **config)
+
+    def _stored_names(self) -> set[str]:
+        """The collections that have files under the storage root."""
+        return {
+            filename[: -len(suffix)]
+            for filename in os.listdir(self._path)
+            for suffix in (_SNAPSHOT_SUFFIX, _WAL_SUFFIX)
+            if filename.endswith(suffix)
+        }
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -164,10 +178,7 @@ class Database:
         """Open handles plus any collections found on disk, sorted."""
         names = set(self._collections)
         if self._path is not None and os.path.isdir(self._path):
-            for filename in os.listdir(self._path):
-                for suffix in (_SNAPSHOT_SUFFIX, _WAL_SUFFIX):
-                    if filename.endswith(suffix):
-                        names.add(filename[: -len(suffix)])
+            names |= self._stored_names()
         return sorted(names)
 
     # ------------------------------------------------------------------
@@ -209,29 +220,7 @@ class Database:
 
     def __repr__(self) -> str:
         where = "memory" if self._path is None else self._path
-        return f"Database({where!r}, {len(self._collections)} open)"
-
-
-def open_database(
-    path: "str | os.PathLike | None",
-    *,
-    sync: str = "fsync",
-    compact_threshold: int | None = None,
-    io: IOAdapter | None = None,
-) -> Database:
-    """Deprecated spelling of :func:`repro.api.connect`.
-
-    Kept as a working shim through the API consolidation; ``connect``
-    covers this call exactly (and adds ``shards=``/remote addresses).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.open_database is deprecated; use repro.api.connect() "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Database(
-        path, sync=sync, compact_threshold=compact_threshold, io=io
-    )
+        return (
+            f"{type(self).__name__}({where!r}, "
+            f"{len(self._collections)} open)"
+        )

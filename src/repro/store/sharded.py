@@ -63,7 +63,12 @@ from repro.model.tree import JSONTree, JSONValue
 from repro.query import optimizer, planner
 from repro.query.compiled import compile_mongo_find
 from repro.query.optimizer import SemanticContext, check_optimize_mode
-from repro.store.collection import Collection, _compile_schema, _no_semantic
+from repro.store.collection import (
+    Collection,
+    _compile_schema,
+    _no_semantic,
+    is_id_type,
+)
 from repro.store.durable import DurableEngine
 from repro.store.engine import EngineHealth, MemoryEngine
 
@@ -75,7 +80,6 @@ __all__ = [
     "shard_name",
     "ShardedEngine",
     "ShardedCollection",
-    "sharded_collection",
 ]
 
 SHARDING_META = "sharding.json"
@@ -96,6 +100,11 @@ def shard_name(index: int) -> str:
 # ---------------------------------------------------------------------------
 # Shard operations: one function per RPC op, shared by both modes.
 # ---------------------------------------------------------------------------
+
+
+def _payload_hint(payload: dict[str, Any]) -> dict[str, Any] | None:
+    """The per-query hint a scatter payload's ``no_semantic`` stands for."""
+    return {"no_semantic": True} if payload.get("no_semantic") else None
 
 
 def _op_insert(collection: Collection, payload: Any) -> None:
@@ -133,9 +142,8 @@ def _op_values(collection: Collection, payload: Any) -> list:
 
 
 def _op_find(collection: Collection, payload: Any) -> list:
-    query = compile_mongo_find(payload["filter"], payload["projection"])
-    return planner.find_rows(
-        collection, query, no_semantic=payload.get("no_semantic", False)
+    return collection.find_rows(
+        payload["filter"], payload["projection"], hint=_payload_hint(payload)
     )
 
 
@@ -156,10 +164,7 @@ def _op_match_ids(collection: Collection, payload: Any) -> list[int]:
 
 
 def _op_explain(collection: Collection, payload: Any):
-    hint = (
-        {"no_semantic": True} if payload.get("no_semantic") else None
-    )
-    return collection.explain(payload["filter"], hint=hint)
+    return collection.explain(payload["filter"], hint=_payload_hint(payload))
 
 
 def _op_agg_partial(collection: Collection, payload: Any) -> dict[str, Any]:
@@ -194,14 +199,11 @@ def _op_replace_one(collection: Collection, payload: Any) -> tuple[int, int]:
 
 
 def _op_explain_update(collection: Collection, payload: Any):
-    hint = (
-        {"no_semantic": True} if payload.get("no_semantic") else None
-    )
     return collection.explain_update(
         payload["filter"],
         payload["update"],
         first_only=payload["first_only"],
-        hint=hint,
+        hint=_payload_hint(payload),
     )
 
 
@@ -672,8 +674,14 @@ class ShardedCollection:
     def remove(self, doc_id: int) -> JSONValue:
         """Remove a document by id on its owning shard; returns its
         value (a sharded collection never materialises trees here)."""
-        owner = shard_of(doc_id, self._engine.shard_count)
-        return self._engine.request(owner, "remove", doc_id)
+        return self._engine.request(self._owner(doc_id), "remove", doc_id)
+
+    def _owner(self, doc_id: int) -> int:
+        """The shard a document id routes to; anything that is not an
+        id (an ``int`` that is not a ``bool``) is unknown right here."""
+        if not is_id_type(type(doc_id)):
+            raise StoreError(f"unknown document id {doc_id}")
+        return shard_of(doc_id, self._engine.shard_count)
 
     # ------------------------------------------------------------------
     # Inspection.
@@ -692,8 +700,7 @@ class ShardedCollection:
 
     def get_value(self, doc_id: int) -> JSONValue:
         """The document under a global id, as a plain value."""
-        owner = shard_of(doc_id, self._engine.shard_count)
-        return self._engine.request(owner, "get", doc_id)
+        return self._engine.request(self._owner(doc_id), "get", doc_id)
 
     def doc_ids(self) -> list[int]:
         return list(heapq.merge(*self._engine.broadcast("doc_ids")))
@@ -1061,25 +1068,3 @@ class ShardedCollection:
             f"{'parallel' if self.parallel else 'serial'}, "
             f"next_id={self._next_id})"
         )
-
-
-def sharded_collection(
-    documents: Iterable["JSONTree | JSONValue"] = (),
-    *,
-    shards: int = 4,
-    parallel: bool | str = "auto",
-    **kwargs: Any,
-) -> ShardedCollection:
-    """Deprecated spelling of ``repro.api.collection(..., shards=N)``
-    (or ``repro.api.connect(path, shards=N)`` for durable ones)."""
-    import warnings
-
-    warnings.warn(
-        "repro.store.sharded_collection is deprecated; use "
-        "repro.api.collection(..., shards=N) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ShardedCollection(
-        documents, shards=shards, parallel=parallel, **kwargs
-    )

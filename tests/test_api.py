@@ -10,13 +10,22 @@ partitions, TCP round-trips) is invisible to the caller.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import inspect
 import threading
 
 import pytest
 
 from repro import api
-from repro.client import RemoteDatabase
+from repro.client import (
+    AsyncRemoteCollection,
+    AsyncRemoteDatabase,
+    RemoteCollection,
+    RemoteDatabase,
+)
 from repro.errors import DocumentRejectedError, StoreError
+from repro.explain import Explain
+from repro.mongo import UpdateResult
 from repro.server import ReproServer
 from repro.store import Collection, Database, MemoryEngine, ShardedCollection
 from repro.workloads import people_collection
@@ -147,12 +156,12 @@ PIPELINE = [
 ]
 
 
-@pytest.fixture(
-    params=["memory", "durable", "sharded", "remote"], scope="module"
-)
-def backend(request, tmp_path_factory):
-    """The same documents behind each backend's collection handle."""
-    kind = request.param
+BACKENDS = ["memory", "durable", "sharded", "remote"]
+
+
+@contextlib.contextmanager
+def open_backend(kind, tmp_path_factory):
+    """The same documents behind one backend's collection handle."""
     if kind == "memory":
         yield api.collection(PEOPLE)
     elif kind == "durable":
@@ -170,6 +179,22 @@ def backend(request, tmp_path_factory):
         yield remote.collection()
         remote.close()
         served.stop()
+
+
+@pytest.fixture(params=BACKENDS, scope="module")
+def backend(request, tmp_path_factory):
+    """One handle per backend, shared by the tests that leave it as
+    they found it."""
+    with open_backend(request.param, tmp_path_factory) as collection:
+        yield collection
+
+
+@pytest.fixture(params=BACKENDS)
+def fresh(request, tmp_path_factory):
+    """A backend and a reference nothing else has written to, so the
+    ids the two assign line up."""
+    with open_backend(request.param, tmp_path_factory) as collection:
+        yield collection, api.collection(PEOPLE)
 
 
 REFERENCE = api.collection(PEOPLE)
@@ -200,3 +225,103 @@ class TestUniformProtocol:
         finally:
             backend.remove(doc_id)
         assert backend.count({"name.first": "Api"}) == 0
+
+    def test_writes_return_the_references_update_results(self, fresh):
+        backend, reference = fresh
+        nobody = {"name.first": "Nobody"}
+        somebody = {"name": {"first": "Some", "last": "Body"}, "age": 1}
+        writes = [
+            ("update_one", {"age": {"$gt": 30}}, {"$inc": {"age": 1}}, {}),
+            ("update_many", {"age": {"$gt": 30}}, {"$set": {"seen": 1}}, {}),
+            # Matched again, nothing left to modify.
+            ("update_many", {"age": {"$gt": 30}}, {"$set": {"seen": 1}}, {}),
+            ("update_one", nobody, {"$set": {"age": 1}}, {}),
+            ("update_one", nobody, {"$set": {"age": 1}}, {"upsert": True}),
+            ("replace_one", nobody, somebody, {}),
+            ("replace_one", nobody, somebody, {"upsert": True}),
+            ("update_many", nobody, {"$set": {"age": 2}}, {"upsert": True}),
+        ]
+        for method, filter_doc, document, options in writes:
+            result = getattr(backend, method)(filter_doc, document, **options)
+            assert type(result) is UpdateResult
+            assert result == getattr(reference, method)(
+                filter_doc, document, **options
+            ), (method, filter_doc, options)
+        assert backend.find({}) == reference.find({})
+
+    def test_explain_trio(self, backend):
+        filter_doc = {"age": {"$gt": 40}}
+        update_doc = {"$inc": {"age": 1}}
+        for report, expected in [
+            (backend.explain(filter_doc), REFERENCE.explain(filter_doc)),
+            (
+                backend.explain_aggregate(PIPELINE),
+                REFERENCE.explain_aggregate(PIPELINE),
+            ),
+            (
+                backend.explain_update(filter_doc, update_doc),
+                REFERENCE.explain_update(filter_doc, update_doc),
+            ),
+        ]:
+            # A sharded find/update explain is one report per shard.
+            parts = report if isinstance(report, list) else [report]
+            assert all(type(part) is Explain for part in parts)
+            assert {part.kind for part in parts} == {expected.kind}
+            assert sum(part.matched for part in parts) == expected.matched
+        # A dry run changes nothing.
+        assert backend.count(filter_doc) == REFERENCE.count(filter_doc)
+
+    def test_find_rows_in_process(self, backend):
+        if isinstance(backend, RemoteCollection):
+            pytest.skip("document ids are a property of local storage")
+        for filter_doc, projection in [
+            ({}, None),
+            ({"age": {"$gt": 40}}, {"name": 1}),
+            ({"address.city": "Talca"}, {"age": 0}),
+        ]:
+            assert backend.find_rows(
+                filter_doc, projection
+            ) == REFERENCE.find_rows(filter_doc, projection)
+
+
+# ---------------------------------------------------------------------------
+# The asyncio client is the blocking client with another transport.
+# ---------------------------------------------------------------------------
+
+
+def public_surface(cls):
+    """Public name -> signature (``"property"`` for properties)."""
+    surface = {}
+    for name in dir(cls):
+        if not name.startswith("_"):
+            member = inspect.getattr_static(cls, name)
+            surface[name] = (
+                "property"
+                if isinstance(member, property)
+                else inspect.signature(member)
+            )
+    return surface
+
+
+class TestClientParity:
+    @pytest.mark.parametrize(
+        "blocking, asynchronous",
+        [
+            (RemoteCollection, AsyncRemoteCollection),
+            (RemoteDatabase, AsyncRemoteDatabase),
+        ],
+    )
+    def test_asyncio_surface_is_the_blocking_surface(
+        self, blocking, asynchronous
+    ):
+        expected = public_surface(blocking)
+        if "close" in expected:
+            expected["aclose"] = expected.pop("close")
+        assert public_surface(asynchronous) == expected
+
+    def test_only_the_blocking_classes_have_the_sync_dunders(self):
+        for dunder in ("__len__", "__enter__", "__exit__"):
+            assert not hasattr(AsyncRemoteCollection, dunder)
+            assert not hasattr(AsyncRemoteDatabase, dunder)
+        assert hasattr(RemoteCollection, "__len__")
+        assert hasattr(RemoteDatabase, "__enter__")

@@ -489,15 +489,11 @@ class TestDatabase:
 
 
 class TestDeprecationShim:
-    def test_engineless_construction_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="storage engine"):
-            collection = Collection([{"a": 1}])
-        assert len(collection) == 1
-        assert isinstance(collection.engine, MemoryEngine)
-
     def test_blessed_spellings_do_not_warn(self, recwarn):
         api.collection([{"a": 1}])
         Collection([{"a": 1}], engine=MemoryEngine())
+        # engine=None simply means a fresh MemoryEngine.
+        assert isinstance(Collection([{"a": 1}]).engine, MemoryEngine)
         with api.connect() as db:
             db.collection(documents=[{"a": 1}])
         assert not [
@@ -505,26 +501,6 @@ class TestDeprecationShim:
             for warning in recwarn.list
             if issubclass(warning.category, DeprecationWarning)
         ]
-
-    def test_old_spellings_warn_but_work(self, tmp_path):
-        from repro.mongo import memory_collection as mongo_memory
-        from repro.store import (
-            memory_collection,
-            open_database,
-            sharded_collection,
-        )
-
-        with pytest.warns(DeprecationWarning, match="repro.api.collection"):
-            assert len(memory_collection([{"a": 1}])) == 1
-        with pytest.warns(DeprecationWarning, match="repro.api.collection"):
-            people = mongo_memory([{"name": "Sue"}])
-        assert people.find({"name": "Sue"})
-        with pytest.warns(DeprecationWarning, match="repro.api.connect"):
-            with open_database(tmp_path) as db:
-                db.collection(documents=[{"a": 1}])
-        with pytest.warns(DeprecationWarning, match="shards=N"):
-            with sharded_collection([{"a": 1}], shards=2, parallel=False) as sc:
-                assert len(sc) == 1
 
 
 def _random_op(rng, collection, mirror):

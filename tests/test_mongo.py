@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ParseError
 from repro.jnl import ast
-from repro.mongo import Collection, compile_filter
+from repro.mongo import compile_filter
+from repro.store import Collection
 from repro.workloads import people_collection
 from repro import api
 

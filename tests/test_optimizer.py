@@ -36,13 +36,7 @@ import threading
 import pytest
 
 from repro import api
-from repro.explain import (
-    AggregateExplain,
-    Explain,
-    PlanExplain,
-    SemanticsExplain,
-    UpdateExplain,
-)
+from repro.explain import Explain, SemanticsExplain
 from repro.errors import StoreError
 from repro.query import compile_mongo_find, optimizer, planner
 
@@ -406,54 +400,6 @@ class TestExplainSemantics:
         assert optimizer.verify_calls() == 0
         people.find({"age": {"$gte": 0}}, hint={"no_semantic": True})
         assert optimizer.verify_calls() == len(people)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims.
-# ---------------------------------------------------------------------------
-
-
-class TestExplainShims:
-    def test_old_constructors_warn(self):
-        with pytest.warns(DeprecationWarning):
-            PlanExplain("mongo-find", "{}", 4, None, 4, 2)
-        with pytest.warns(DeprecationWarning):
-            AggregateExplain("mongo-find", "{}", 4, None, 4, 2, 1, ())
-        with pytest.warns(DeprecationWarning):
-            UpdateExplain("{}", "{}", 4, None, 4, 2, 2, 0, 0, 0, {})
-
-    def test_shim_field_parity(self):
-        with pytest.warns(DeprecationWarning):
-            shim = PlanExplain("mongo-find", "{}", 4, 2, 2, 1)
-        base = Explain(
-            kind="find",
-            dialect="mongo-find",
-            source="{}",
-            total=4,
-            candidates=2,
-            scanned=2,
-            matched=1,
-        )
-        assert isinstance(shim, Explain)
-        assert shim.to_json() == base.to_json()
-        assert shim.pruned == base.pruned
-
-    def test_shim_round_trips_through_the_wire_format(self):
-        with pytest.warns(DeprecationWarning):
-            shim = UpdateExplain("{}", "$inc", 4, 1, 1, 1, 1, 2, 2, 0, {"eq": 2})
-        rehydrated = Explain.from_json(shim.to_json())
-        assert rehydrated.to_json() == shim.to_json()
-        assert rehydrated.kind == "update"
-        assert shim.filter_source == shim.source
-
-    def test_legacy_import_paths_resolve_to_the_shims(self):
-        from repro.mongo import AggregateExplain as FromMongo
-        from repro.mongo import UpdateExplain as UpdateFromMongo
-        from repro.query import PlanExplain as FromQuery
-
-        assert FromQuery is PlanExplain
-        assert FromMongo is AggregateExplain
-        assert UpdateFromMongo is UpdateExplain
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.errors import (
     from_wire,
     to_wire,
 )
+from repro.mongo import UpdateResult
 from repro.server import PROTOCOL_VERSION, ReproServer
 from repro.store import Collection, DurableEngine
 from repro.store.faults import FaultPlan, FaultyIO, SimulatedCrash
@@ -164,25 +165,23 @@ class TestRoundTrip:
         result = collection.update_one(
             {"name": "Zoe"}, {"$inc": {"age": 1}}
         )
-        assert result == {"matched": 1, "modified": 1, "upserted_id": None}
+        assert result == UpdateResult(1, 1)
         assert collection.get(doc_id)["age"] == 32
 
         result = collection.update_many(
             {"name": {"$in": ["Ana", "Bo"]}}, {"$set": {"seen": 1}}
         )
-        assert result["matched"] == 2 and result["modified"] == 2
+        assert result == UpdateResult(2, 2)
 
         result = collection.update_one(
             {"name": "Nix"}, {"$set": {"name": "Nix"}}, upsert=True
         )
-        assert result["matched"] == 0
-        assert collection.get(result["upserted_id"]) == {"name": "Nix"}
+        assert result.matched_count == 0
+        assert collection.get(result.upserted_id) == {"name": "Nix"}
 
-        assert collection.replace_one({"name": "Nix"}, {"name": "Pix"}) == {
-            "matched": 1,
-            "modified": 1,
-            "upserted_id": None,
-        }
+        assert collection.replace_one(
+            {"name": "Nix"}, {"name": "Pix"}
+        ) == UpdateResult(1, 1)
         removed = collection.remove(doc_id)
         assert removed["name"] == "Zoe"
         assert collection.count({"name": "Zoe"}) == 0
@@ -228,6 +227,23 @@ class TestErrorRehydration:
         remote, _ = served
         with pytest.raises(WireProtocolError):
             remote.request("frobnicate")
+
+    def test_explain_of_a_pipeline_and_an_update_is_refused(self, served):
+        """One explain request names one thing to explain; both at once
+        used to answer the pipeline and silently drop the update."""
+        remote, _ = served
+        with pytest.raises(WireProtocolError, match="not both"):
+            remote.request(
+                "explain",
+                pipeline=[{"$match": {"age": {"$gt": 30}}}],
+                update={"$inc": {"age": 1}},
+            )
+        # Either alone still answers, on the same connection.
+        assert remote.request("explain", pipeline=[])["kind"] == "aggregate"
+        assert (
+            remote.request("explain", update={"$inc": {"age": 1}})["kind"]
+            == "update"
+        )
 
     def test_malformed_line_is_answered_then_dropped(self, served):
         _, handle = served

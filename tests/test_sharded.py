@@ -146,6 +146,18 @@ class TestShardRouting:
         assert -1 not in sharded
         assert len(PEOPLE) + 10 not in sharded
 
+    @pytest.mark.parametrize("bad_id", ["x", 1.5, True, -1])
+    def test_point_ops_answer_a_non_id_like_a_collection(self, single, bad_id):
+        """Anything that is not a live id is a StoreError, never a raw
+        TypeError out of the routing arithmetic."""
+        with api.collection([{"n": 0}, {"n": 1}], shards=2, parallel=False) as fleet:
+            for point_op in (fleet.remove, fleet.get_value):
+                with pytest.raises(StoreError, match="unknown document id"):
+                    point_op(bad_id)
+            assert len(fleet) == 2
+        with pytest.raises(StoreError, match="unknown document id"):
+            single.get(bad_id)
+
     def test_insert_ids_are_global_and_dense(self):
         with api.collection(shards=4, parallel=False) as fleet:
             ids = fleet.insert_many([{"n": index} for index in range(10)])

@@ -370,11 +370,18 @@ class TestValidatorCaching:
 
     def test_query_plans_and_validators_share_one_cache(self):
         from repro.cache import artifact_cache
-        from repro.query import compile_query, query_cache
+        from repro.query import compile_query
 
-        # The PR-1 query cache and the validator cache are the same
-        # process-wide instance (unified stats).
-        assert query_cache() is artifact_cache()
+        # By default both compilers register in the same process-wide
+        # instance (unified stats).
+        clear_artifact_cache()
+        try:
+            compile_query("$.shared", "jsonpath")
+            plans = len(artifact_cache())
+            compile_schema_validator(parse_schema({"type": "string"}))
+            assert len(artifact_cache()) > plans > 0
+        finally:
+            clear_artifact_cache()
         cache = LRUCache(capacity=8)
         compile_query("$.a", "jsonpath", cache=cache)
         compile_schema_validator(parse_schema({"type": "string"}), cache=cache)
