@@ -68,7 +68,8 @@ class ShardExplain:
 
     @property
     def pruned(self) -> int:
-        return self.total - self.scanned
+        """Documents of this shard the index fold eliminated."""
+        return 0 if self.candidates is None else self.total - self.candidates
 
     @property
     def used_indexes(self) -> bool:
@@ -83,8 +84,9 @@ class SemanticsExplain:
     unsatisfiable), ``"all"`` (schema entails the query), ``"residual"``
     (some conjuncts entailed, the rest still verified) or ``"none"`` --
     or ``"covered"``, which is no proof at all: the planner found the
-    filter's index predicate exact on this collection's array-free
-    paths and took the postings as the answer (``source="index"``,
+    filter's index predicate exact on this collection's paths as the
+    live index shows them (array-free, or ending in one flat array)
+    and took the postings as the answer (``source="index"``,
     nothing verified, nothing proved).  ``mode`` says whether the
     verdict was enforced (``"on"``) or merely reported
     (``"proof-only"``).  ``source`` names the premise: ``"schema"`` for
@@ -171,15 +173,23 @@ class Explain:
         """Documents the secondary indexes (or a semantic ``empty``
         verdict) eliminated before any value-space work.
 
-        Update explains count against ``candidates`` rather than
-        ``scanned`` -- a ``first_only`` early exit leaves documents
-        unscanned without them being pruned.
+        Counted against ``candidates``, not ``scanned``: a covered read
+        scans none of the documents it returns, and a ``first_only``
+        update exits early, without either having pruned them.  Where
+        no fold ran, an enforced ``empty`` verdict pruned everything
+        and anything else (an ``all`` verdict, a full scan) nothing.
         """
-        if self.kind == "update":
-            if self.candidates is None:
-                return 0
+        if self.candidates is not None:
             return self.total - self.candidates
-        return self.total - self.scanned
+        semantics = self.semantics
+        if (
+            self.kind != "update"
+            and semantics is not None
+            and semantics.enforced
+            and semantics.verdict == "empty"
+        ):
+            return self.total
+        return 0
 
     @property
     def used_indexes(self) -> bool:

@@ -16,8 +16,10 @@ that middle layer.  Every front-end now lowers into a
   secondary indexes of :mod:`repro.store.indexes` can answer: "a leaf
   with value ``v`` under key path ``a.b``", "key ``author`` occurs
   somewhere", "the node at ``age`` is a number greater than 29"; and
-* the **cover** -- whether, and on which key paths, those predicates
-  are not just necessary but *equivalent* to the payload.
+* the **cover** -- whether those predicates are not just necessary but
+  *equivalent* to the payload, and what each key path they name must
+  look like in the live index for that to hold: array-free
+  (*scalar*), or at most one array of non-array elements (*flat*).
 
 The predicate extraction is *sound always, exact when the cover says
 so*: every predicate is implied by the payload (a document violating
@@ -36,10 +38,14 @@ with one table -- and it is the only place the predicates lose
 information.  JSON trees are deterministic (a key reaches at most one
 child), so a stripped path that crosses no array names *one node per
 document*, and "some node under ``a.b`` has value 5" is then the same
-statement as "the node ``a.b`` has value 5".  The walk that builds a
-predicate records whether each step was such an equivalence and which
-paths it rests on (:attr:`LogicalPlan.cover`); where the live index
-shows no array on them the planner takes the fold as the answer.
+statement as "the node ``a.b`` has value 5".  One array at the end of
+the path loses almost as little: the nodes under ``tags`` are then the
+array and its elements, and "some leaf under ``tags`` is ``t``" is the
+same statement as MongoDB's ``{"tags": t}`` -- equals it or is an array
+containing it.  The walk that builds a predicate records whether each
+step was such an equivalence, on which paths and at which of the two
+strengths (:attr:`LogicalPlan.cover`); where the live index shows the
+paths to be so the planner takes the fold as the answer.
 
 Lowered plans are registered in the process-wide artifact cache of
 :mod:`repro.cache` (namespace ``"ir-plan"``, keyed on the AST itself),
@@ -50,6 +56,7 @@ share one plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
@@ -73,6 +80,8 @@ __all__ = [
     "TRUE",
     "and_",
     "or_",
+    "SCALAR",
+    "FLAT",
     "LogicalPlan",
     "lower_formula",
     "lower_path",
@@ -84,9 +93,16 @@ __all__ = [
 # with array positions dropped.
 KeyPath = tuple[str, ...]
 
-# The paths on whose array-freeness a predicate is equivalent to the
-# formula it was lifted from; ``None`` = only a necessary condition.
-Cover = frozenset[KeyPath] | None
+# What a path must look like, in every live document, for a predicate
+# to be equivalent to the formula it was lifted from.  SCALAR: no array
+# at the path or at any prefix of it.  FLAT: no array at any proper
+# prefix (the root included) and, at the path itself, at most an array
+# whose elements are not arrays.  A cover is a set of ``(path, need)``
+# entries -- never both needs for one path, SCALAR being the stronger --
+# and ``None`` means the predicate is only a necessary condition.
+SCALAR = "scalar"
+FLAT = "flat"
+Cover = frozenset[tuple[KeyPath, str]] | None
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +116,7 @@ class Pred:
     Semantics: a predicate *holds* of a document when the stated
     structure is present.  Lowering guarantees the implication
     "payload matches => predicate holds"; the converse only on
-    documents whose :attr:`LogicalPlan.cover` paths are array-free.
+    documents that meet the plan's :attr:`LogicalPlan.cover`.
     """
 
     __slots__ = ()
@@ -284,21 +300,29 @@ class LogicalPlan:
     ``node_predicate`` is the weaker necessary condition for *any*
     node of the document to satisfy a filter formula -- what pruning a
     node-set selection over a filter plan must use, since a nested node
-    can satisfy a formula whose root-anchored condition fails.
+    can satisfy a formula whose root-anchored condition fails.  Only
+    :func:`repro.query.planner.select_nodes` reads it, so it is lowered
+    on first use, not with the plan.
 
-    ``cover`` says when ``match_predicate`` is *exact*: the anchored
-    stripped paths such that, on a document with no array at any of
-    them or at any of their prefixes (the root included), the predicate
-    holds if and only if the payload matches at the root.  ``None``
-    means the predicate is only a necessary condition (every selector
-    plan, and any filter the rules of the lowering walk cannot certify).
+    ``cover`` says when ``match_predicate`` is *exact*: ``(path,
+    need)`` entries over anchored stripped paths such that, on a
+    document that shows every path as its need demands, the predicate
+    holds if and only if the payload matches at the root.
+    :data:`SCALAR` demands no array at the path or at any of its
+    prefixes (the root included); :data:`FLAT` demands none at any
+    *proper* prefix and lets the path itself hold one array of
+    non-array elements -- the shape of ``{"tags": ["a", "b"]}``, on
+    which ``{"tags": t}``, ``$in``, ``$exists``, ``$type: "array"`` and
+    a one-comparison ``$elemMatch`` are answered by the postings.
+    ``None`` means the predicate is only a necessary condition (every
+    selector plan, and any filter the rules of the lowering walk cannot
+    certify).
     """
 
     mode: str
     formula: jnl.Unary | None
     path: jnl.Binary | None
     match_predicate: Pred
-    node_predicate: Pred
     cover: Cover = None
 
     @property
@@ -306,6 +330,13 @@ class LogicalPlan:
         payload = self.formula if self.formula is not None else self.path
         assert payload is not None
         return payload
+
+    @cached_property
+    def node_predicate(self) -> Pred:
+        if self.formula is None:
+            # Selection starts at the root: one predicate answers both.
+            return self.match_predicate
+        return _lift(_FLOATING, self.formula)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +422,77 @@ _BRANCH_BUDGET = 64
 # cover, decided together at the place the predicate is built.
 #
 # Exactness invariant, at an anchored context with stripped path ``P``:
-# on a document with no array at a cover path or a prefix of one, at
-# most one node lies under ``P`` -- the one the keys of ``P`` reach --
-# and *if that node exists* the predicate holds exactly when the
-# formula holds there.  At the root it always exists.  Paths establish
+# on a document that meets the cover, *if the node ``n`` the keys of
+# ``P`` reach exists*, the predicate holds exactly when the formula
+# holds at ``n``.  At the root ``n`` always exists.  Paths establish
 # existence themselves (their end contributes ``PathExists``/``PathEq``,
 # which puts ``P`` in the cover), so conjunction and disjunction
 # compose, and absorption, dedupe, ``PathExists`` subsumption and range
 # merging are equivalences of the predicate that cost nothing.
+#
+# What a predicate on ``P`` quantifies over is the nodes under stripped
+# ``P``.  On a SCALAR ``P`` that is ``n`` alone (keys are deterministic
+# and no array multiplies them), so every leaf-or-kind atom of ``n`` is
+# exact.  On a FLAT ``P`` it is ``n`` and, if ``n`` is an array, its
+# elements, none of them an array; three rules certify there:
+#
+# (a) ``PathExists(P)`` and ``PathKind(P, ARRAY)`` (``$exists``,
+#     ``$type: "array"``): an element exists only below an ``n`` that
+#     does, and only ``n`` can be the array.
+# (b) The full axis ``X_{0:inf}`` taken at ``P`` and followed by one
+#     *element atom* ``A`` -- ``PathEq``/``PathRange``/non-array
+#     ``PathKind`` on ``P``, or a disjunction of such: the walk carries
+#     ``PathKind(P, ARRAY)``, which pins ``n`` as the array, and no
+#     array satisfies ``A``, so ``A``'s witness is an element.  The
+#     formula behind the axis is exact at an element ``e`` because it
+#     is exact on the SCALAR document that has ``e`` in ``n``'s place.
+#     Two atoms behind the axis are not one: different elements may
+#     witness each.
+# (c) ``A`` at ``n``, or else the array step of (b) followed by the same
+#     ``A`` (Mongo's "equals it or is an array containing it"), is
+#     exact as the single atom ``A`` that ``or_``'s absorption leaves:
+#     a witness is ``n`` itself, not an array, and the document SCALAR
+#     -- or an element, and (b) applies.
+#
+# Any other array step at ``P`` *settles* the walk as exact on SCALAR
+# ``P``: its predicate keeps ``PathKind(P, ARRAY)``, so on an array-free
+# ``P`` predicate and formula are both false whatever else the path does.
 # ---------------------------------------------------------------------------
 
 _NO_PATHS: Cover = frozenset()
+_ANY_INDEX = jnl.IndexRange(0, None)
+
+
+def _needs(path: KeyPath, need: str) -> Cover:
+    return frozenset(((path, need),))
 
 
 def _join(*covers: Cover) -> Cover:
-    """The cover of a connective: exact only when every part is."""
+    """The cover of a connective: exact only when every part is, on
+    documents meeting every part's needs (SCALAR implies FLAT)."""
     if None in covers:
         return None
-    return _NO_PATHS.union(*covers)
+    merged = _NO_PATHS.union(*covers)
+    if len(merged) < 2:
+        return merged
+    return merged.difference(
+        [(path, FLAT) for path, need in merged if need == SCALAR]
+    )
+
+
+def _rests_on(cover: Cover, path: KeyPath) -> bool:
+    """Is the cover exact, and about ``path`` alone?"""
+    return cover is not None and all(at == path for at, _ in cover)
+
+
+def _element_atoms(pred: Pred, path: KeyPath) -> bool:
+    """Is ``pred`` one atom on ``path`` that no array satisfies, or a
+    disjunction of such?  (What rules (b) and (c) call ``A``.)"""
+    if isinstance(pred, OrPred):
+        return all(_element_atoms(part, path) for part in pred.parts)
+    if isinstance(pred, PathKind):
+        return pred.path == path and pred.kind is not Kind.ARRAY
+    return isinstance(pred, (PathEq, PathRange)) and pred.path == path
 
 
 def _lift_path(
@@ -444,6 +528,9 @@ def _analyze(
     # now carries ``PathKind(P, ARRAY)``, so on an array-free ``P``
     # predicate and formula are both false whatever the other steps do.
     settled: Cover = None
+    # How many conjuncts and covers the walk held when its first array
+    # step was the full axis, i.e. where rule (b)'s element atom starts.
+    axis: tuple[int, int, KeyPath] | None = None
     while at < len(steps):
         step = steps[at]
         at += 1
@@ -459,7 +546,9 @@ def _analyze(
             # descended *from* must be an array.
             if ctx.anchored:
                 conjuncts.append(PathKind(ctx.path, Kind.ARRAY))
-                settled = frozenset((ctx.path,))
+                if settled is None and step == _ANY_INDEX:
+                    axis = len(conjuncts), len(covers), ctx.path
+                settled = _needs(ctx.path, SCALAR)
         elif isinstance(step, jnl.Test):
             condition, cover = _lift(ctx, step.condition)
             conjuncts.append(condition)
@@ -499,7 +588,6 @@ def _analyze(
                 conjuncts.append(PathExists(ctx.path))
             ctx = ctx.unanchor()
     value = None if doc is None else _scalar_doc_value(doc)
-    located = frozenset((ctx.path,))
     if not ctx.anchored:
         # Floating: "somewhere below" is never the one node of a path.
         covers.append(None)
@@ -511,10 +599,10 @@ def _analyze(
     elif doc is None:
         if ctx.path:
             conjuncts.append(PathExists(ctx.path))
-        covers.append(located)
+        covers.append(_needs(ctx.path, FLAT))  # rule (a)
     elif value is not None:
         conjuncts.append(PathEq(ctx.path, value))
-        covers.append(located)
+        covers.append(_needs(ctx.path, SCALAR))
     else:
         # Equality against an object/array document lowers to a kind
         # test: necessary only.
@@ -522,7 +610,21 @@ def _analyze(
             conjuncts.append(PathExists(ctx.path))
         conjuncts.append(PathKind(ctx.path, doc.kind(doc.root)))
         covers.append(None)
-    return and_(conjuncts), (settled if settled is not None else _join(*covers))
+    if settled is None:
+        return and_(conjuncts), _join(*covers)
+    if axis is not None:
+        # Rule (b): the steps behind the axis stayed at its path, are
+        # exact there and amount to one element atom; the steps before
+        # it must be exact too.  (A second array step fails the shape:
+        # its ``PathKind(P, ARRAY)`` is no element atom.)
+        atom_at, cover_at, path = axis
+        if _rests_on(_join(*covers[cover_at:]), path) and _element_atoms(
+            and_(conjuncts[atom_at:]), path
+        ):
+            cover = _join(_needs(path, FLAT), *covers[:cover_at])
+            if cover is not None:
+                return and_(conjuncts), cover
+    return and_(conjuncts), settled
 
 
 def _lift_atom(ctx: _Ctx, test: nt.NodeTest) -> tuple[Pred, Cover]:
@@ -536,11 +638,11 @@ def _lift_atom(ctx: _Ctx, test: nt.NodeTest) -> tuple[Pred, Cover]:
                 return AnyEq(value), None
         return TRUE, None
     path = ctx.path
-    located = frozenset((path,))
+    located = _needs(path, SCALAR)
     if isinstance(test, nt.IsObject):
         return PathKind(path, Kind.OBJECT), located
     if isinstance(test, nt.IsArray):
-        return PathKind(path, Kind.ARRAY), located
+        return PathKind(path, Kind.ARRAY), _needs(path, FLAT)  # rule (a)
     if isinstance(test, nt.IsString):
         return PathKind(path, Kind.STRING), located
     if isinstance(test, nt.IsNumber):
@@ -605,7 +707,7 @@ def _lift_and(ctx: _Ctx, formula: jnl.And) -> tuple[Pred, Cover]:
             covers.append(cover)
     if low is not None or high is not None:
         parts.append(PathRange(ctx.path, low, high))
-        covers.append(frozenset((ctx.path,)))
+        covers.append(_needs(ctx.path, SCALAR))
     return and_(parts), _join(*covers)
 
 
@@ -623,6 +725,13 @@ def _lift(ctx: _Ctx, formula: jnl.Unary) -> tuple[Pred, Cover]:
     if isinstance(formula, jnl.Or):
         left, left_cover = _lift(ctx, formula.left)
         right, right_cover = _lift(ctx, formula.right)
+        if (
+            right_cover == _needs(ctx.path, FLAT)
+            and _rests_on(left_cover, ctx.path)
+            and _element_atoms(left, ctx.path)
+            and right == and_([PathKind(ctx.path, Kind.ARRAY), left])
+        ):
+            return left, right_cover  # rule (c)
         return or_([left, right]), _join(left_cover, right_cover)
     if isinstance(formula, jnl.Exists):
         return _lift_path(ctx, formula.path, None)
@@ -647,18 +756,16 @@ def lower_formula(formula: jnl.Unary) -> LogicalPlan:
     """Lower a unary JNL formula (filter) into a logical plan.
 
     Used by the textual-JNL and Mongo-find front-ends: both produce a
-    unary formula, which stays the evaluation payload; the predicates
-    are extracted at the root context (for root matches) and at the
-    floating context (for node-set selections).
+    unary formula, which stays the evaluation payload; the root-match
+    predicate and its cover are extracted at the root context (the
+    node-set predicate, at the floating context, when first asked for).
     """
     match_predicate, cover = _lift(_ROOT, formula)
-    node_predicate, _ = _lift(_FLOATING, formula)
     return LogicalPlan(
         mode=MODE_FILTER,
         formula=formula,
         path=None,
         match_predicate=match_predicate,
-        node_predicate=node_predicate,
         cover=cover,
     )
 
@@ -676,7 +783,6 @@ def lower_path(path: jnl.Binary) -> LogicalPlan:
         formula=None,
         path=path,
         match_predicate=predicate,
-        node_predicate=predicate,
     )
 
 

@@ -19,12 +19,15 @@ The execution model for a query over an indexed collection
 
 The indexes decide a match in exactly one case, the **covered** read:
 the plan's predicate is equivalent to its payload on documents whose
-filtered paths cross no array (:attr:`~repro.query.ir.LogicalPlan.
-cover`), and the live ``kinds`` index shows no array there
-(``DocumentIndexes.array_free``).  The stripped paths then name one
-node per document, the candidate fold *is* the result, and stage 3
-fetches without verifying -- a count fetches nothing at all.  Everywhere
-else the indexes only skip documents that provably cannot match.
+filtered paths have the shape its :attr:`~repro.query.ir.LogicalPlan.
+cover` names -- no array at all, or for membership-style conditions
+(``{"tags": t}``, ``$in``, a one-comparison ``$elemMatch``) at most one
+flat array at the end -- and the live index shows every document so
+shaped (``DocumentIndexes.covers``).  The stripped paths then name one
+node per document, or one array and its elements; the candidate fold
+*is* the result, and stage 3 fetches without verifying -- a count
+fetches nothing at all.  Everywhere else the indexes only skip
+documents that provably cannot match.
 
 A read therefore costs the postings its fold touches plus the survivors
 it fetches (and, outside the cover, verifies) -- not the size of the
@@ -196,8 +199,8 @@ def survivors(
 # plain prune-and-verify.
 # ---------------------------------------------------------------------------
 
-# Never cached: array-freeness is a property of one collection's live
-# index, not of a premise fingerprint.
+# Never cached: the shape of a path is a property of one collection's
+# live index, not of a premise fingerprint.
 _COVERED = SemanticDecision(
     verdict=SemanticVerdict(kind="covered", source="index"),
     mode="on",
@@ -213,14 +216,15 @@ def decide(
 ) -> SemanticDecision | None:
     """How a read of ``query`` over ``collection`` executes.
 
-    ``"covered"`` when the plan's predicate is exact on array-free
-    paths and the live index shows none of its cover paths crosses an
-    array: the candidate fold is the result, nothing is verified and
-    nothing is proved.  The rung applies exactly where an enforced
-    verdict would -- a ``SemanticContext`` in mode ``"on"`` and no
-    ``no_semantic`` hint -- so ``optimize="off"``/``"proof-only"`` and
-    hinted calls stay the prune-and-verify reference.  Otherwise the
-    decision is :func:`repro.query.optimizer.semantic_plan`'s.
+    ``"covered"`` when the plan's predicate is exact on paths shaped
+    as its cover says (array-free, or ending in one flat array) and the
+    live index shows every document's are: the candidate fold is the
+    result, nothing is verified and nothing is proved.  The rung
+    applies exactly where an enforced verdict would -- a
+    ``SemanticContext`` in mode ``"on"`` and no ``no_semantic`` hint --
+    so ``optimize="off"``/``"proof-only"`` and hinted calls stay the
+    prune-and-verify reference.  Otherwise the decision is
+    :func:`repro.query.optimizer.semantic_plan`'s.
     """
     if not no_semantic and query is not None and query.plan.cover is not None:
         context = getattr(collection, "semantic_context", None)
@@ -229,7 +233,7 @@ def decide(
             context is not None
             and context.mode == "on"
             and indexes is not None
-            and indexes.array_free(query.plan.cover)
+            and indexes.covers(query.plan.cover)
         ):
             return _COVERED
     return optimizer.semantic_plan(collection, query, no_semantic=no_semantic)

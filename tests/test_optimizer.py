@@ -38,7 +38,7 @@ import pytest
 from repro import api
 from repro.explain import Explain, SemanticsExplain
 from repro.errors import StoreError
-from repro.query import compile_mongo_find, optimizer, planner
+from repro.query import compile_mongo_find, ir, optimizer, planner
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
 
@@ -486,31 +486,37 @@ def _random_filter(rng: random.Random, schema: dict) -> dict:
 
 # The exact-vs-verified axis: documents put scalars, objects, arrays,
 # nested arrays and the key "0" *on* the filtered paths, filters come
-# from both lists of the cover rules (repro.query.ir).
+# from both lists of the cover rules (repro.query.ir).  A corpus has
+# one of three shapes: no array anywhere; flat arrays -- of scalars and
+# of objects, never directly of arrays -- at the filtered paths and at
+# their prefixes; or arrays nested at will.
 
 _COVER_FIELDS = ("a", "b", "a.b", "a.0", "b.a", "c")
+_COVER_SHAPES = ("scalar", "flat", "nested")
 
 
-def _cover_value(rng: random.Random, arrays: bool, depth: int = 0):
+def _cover_value(
+    rng: random.Random, shape: str, depth: int = 0, element: bool = False
+):
     roll = rng.random()
     if roll < 0.5 or depth >= 2:
         return rng.choice([rng.randint(0, 9), rng.randint(0, 9), "s", "t"])
-    if arrays and roll < 0.75:
+    if roll < 0.75 and shape != "scalar" and not (shape == "flat" and element):
         return [
-            _cover_value(rng, arrays, depth + 1)
+            _cover_value(rng, shape, depth + 1, element=True)
             for _ in range(rng.randint(0, 3))
         ]
     return {
-        key: _cover_value(rng, arrays, depth + 1)
+        key: _cover_value(rng, shape, depth + 1)
         for key in rng.sample(["a", "b", "0"], rng.randint(0, 2))
     }
 
 
-def _cover_document(rng: random.Random, arrays: bool):
-    if arrays and rng.random() < 0.05:  # an array at the root
-        return [_cover_value(rng, arrays) for _ in range(rng.randint(0, 2))]
+def _cover_document(rng: random.Random, shape: str):
+    if shape == "nested" and rng.random() < 0.05:  # an array at the root
+        return [_cover_value(rng, shape) for _ in range(rng.randint(0, 2))]
     document = {
-        key: _cover_value(rng, arrays)
+        key: _cover_value(rng, shape)
         for key in rng.sample(["a", "b"], rng.randint(0, 2))
     }
     document["c"] = rng.randint(0, 5)  # what the random updates target
@@ -535,8 +541,20 @@ def _cover_condition(rng: random.Random):
                 {"$type": "array"},
             ]
         )
-    if roll < 0.78:
-        return {"$elemMatch": {"$gt": rng.randint(0, 9)}}
+    if roll < 0.8:
+        low = rng.randint(0, 9)
+        return {
+            "$elemMatch": rng.choice(
+                [
+                    {"$gt": low},
+                    {"$gte": low, "$lt": low + rng.randint(0, 4)},
+                    {"$in": [low, "s"]},
+                    {"$type": "object"},
+                    {"$gt": low, "$type": "number"},  # two atoms
+                    {"a": low, "b": rng.randint(0, 9)},
+                ]
+            )
+        }
     return rng.choice(
         [
             [1],
@@ -705,44 +723,71 @@ class TestRandomisedDifferential:
     def test_exact_cover_equals_verified(self):
         """Covered reads against the hinted prune-and-verify path and
         against brute force, while documents come, go and change shape
-        -- on memory, a current and a stale snapshot, a 3-shard fleet
-        and a server over TCP."""
+        -- array-free, flat and nested corpora on memory, a current and
+        a stale snapshot, a 3-shard fleet and a server over TCP."""
         from repro.client import connect
 
-        rng = random.Random(20261002)
+        rng = random.Random(20261004)
         database = api.connect()
-        tally = {"checks": 0, "covered": 0, "stale": 0}
+        tally = dict.fromkeys(("checks", "covered", "stale", "a", "b", "c"), 0)
         with _serving(database) as address, connect(address) as client:
-            for corpus in range(4 * _SCALE):
-                arrays = corpus % 2 == 1  # half the corpora array-free
+            for corpus in range(6 * _SCALE):
+                shape = _COVER_SHAPES[corpus % 3]
                 docs = [
-                    _cover_document(rng, arrays)
+                    _cover_document(rng, shape)
                     for _ in range(rng.randint(8, 40))
                 ]
                 database.collection(f"c{corpus}", documents=docs)
                 remote = client.collection(f"c{corpus}")
                 with api.collection(docs, shards=3, parallel=False) as fleet:
                     self._cover_rounds(
-                        rng, arrays, api.collection(docs), fleet, remote, tally
+                        rng, shape, api.collection(docs), fleet, remote, tally
                     )
-        # The generator bites on both sides of the rung, and on stale
-        # views.
+        # The generator bites on both sides of the rung, on stale views,
+        # and on each rule that certifies a flat array.
         checks, covered = tally["checks"], tally["covered"]
-        assert covered >= checks // 5 and checks - covered >= checks // 5
+        assert covered >= 3 * checks // 10 and checks - covered >= checks // 5
         assert tally["stale"] >= checks // 2
+        assert tally["a"] and tally["b"] and tally["c"], tally
 
     @staticmethod
-    def _cover_rounds(rng, arrays, memory, fleet, remote, tally) -> None:
-        """Four rounds of eight filters over one corpus kept in step on
-        three backends, with writes between the rounds."""
+    def _flat_rule(filter_doc: dict) -> str | None:
+        """The rule of ``repro.query.ir`` that certifies a one-condition
+        filter on a flat array, if one does."""
+        if len(filter_doc) != 1:
+            return None
+        (condition,) = filter_doc.values()
+        if condition in ({"$exists": True}, {"$type": "array"}):
+            return "a"
+        if isinstance(condition, dict):
+            return {"$elemMatch": "b", "$in": "c"}.get(next(iter(condition), None))
+        return None if isinstance(condition, list) else "c"
+
+    @classmethod
+    def _cover_rounds(cls, rng, shape, memory, fleet, remote, tally) -> None:
+        """Four rounds of eight random filters, and one aimed at each
+        flat-array rule, over one corpus kept in step on three
+        backends, with writes between the rounds."""
         stale = None
         for _ in range(4):
             current = memory.snapshot_view()
-            for _ in range(8):
-                filter_doc = _cover_filter(rng)
-                decision = planner.decide(memory, compile_mongo_find(filter_doc))
+            field = rng.choice(["a", "b"])
+            for filter_doc in [_cover_filter(rng) for _ in range(8)] + [
+                {field: rng.choice([{"$exists": True}, {"$type": "array"}])},
+                {field: {"$elemMatch": {"$gt": rng.randint(0, 9)}}},
+                {field: rng.randint(0, 9)},
+            ]:
+                query = compile_mongo_find(filter_doc)
+                decision = planner.decide(memory, query)
+                covered = optimizer.effective_kind(decision) == "covered"
                 tally["checks"] += 1
-                tally["covered"] += optimizer.effective_kind(decision) == "covered"
+                tally["covered"] += covered
+                rule = cls._flat_rule(filter_doc)
+                if covered and rule and not memory.indexes.covers(
+                    (path, ir.SCALAR) for path, _ in query.plan.cover
+                ):
+                    # Covered only because an array may be flat.
+                    tally[rule] += 1
                 rows = _brute_force(memory, filter_doc)
                 for target in (memory, current, fleet, remote):
                     _assert_reads(target, filter_doc, rows)
@@ -754,28 +799,38 @@ class TestRandomisedDifferential:
                         stale, filter_doc, _brute_force(stale, filter_doc)
                     )
             stale = current
-            # Interleaved writes: mostly scalars, now and then an array
-            # lands on (or leaves) a path of an array-free corpus.
+            # Interleaved writes, mostly in the corpus's own shape: now
+            # and then an array lands on (or leaves) a path of an
+            # array-free corpus, and a list pushed into a flat array
+            # nests it until it is pulled out, set over or replaced.
             for _ in range(rng.randint(1, 4)):
                 roll = rng.random()
-                shaped = arrays or rng.random() < 0.15
-                if roll < 0.35:
-                    document = _cover_document(rng, shaped)
+                written = shape if rng.random() < 0.8 else rng.choice(_COVER_SHAPES)
+                field = rng.choice(["a", "b"])
+                selector = {"c": rng.randint(0, 5)}
+                is_array = {**selector, field: {"$type": "array"}}
+                if roll < 0.4:
+                    document = _cover_document(rng, written)
+                    # (An array at the root is no replacement document.)
+                    replace = roll >= 0.3 and isinstance(document, dict)
                     for target in (memory, fleet, remote):
-                        target.insert(document)
+                        if replace:
+                            target.replace_one(selector, document)
+                        else:
+                            target.insert(document)
                 elif roll < 0.6 and len(memory) > 4:
                     doc_id = rng.choice(memory.doc_ids())
                     for target in (memory, fleet, remote):
                         target.remove(doc_id)
                 else:
-                    field = rng.choice(["a", "b"])
-                    update = rng.choice(
+                    selector, update = rng.choice(
                         [
-                            {"$set": {field: _cover_value(rng, shaped)}},
-                            {"$unset": {field: ""}},
+                            (selector, {"$set": {field: _cover_value(rng, written)}}),
+                            (selector, {"$unset": {field: ""}}),
+                            (is_array, {"$push": {field: [rng.randint(0, 9)]}}),
+                            (is_array, {"$pull": {field: {"$type": "array"}}}),
                         ]
                     )
-                    selector = {"c": rng.randint(0, 5)}
                     for target in (memory, fleet, remote):
                         target.update_many(selector, update)
 

@@ -5,7 +5,8 @@ through IR -> planner -> indexes, returns results *identical* to the
 pre-refactor per-tree engines over a differential corpus -- and the
 candidate sets are always supersets of the true matches (pruning skips
 work; it answers only where ``TestCoveredReads`` pins that the index
-predicate is exact: array-free paths, checked against the live index).
+predicate is exact: array-free paths, or one flat array at the end of a
+path, checked against the live index).
 """
 
 from __future__ import annotations
@@ -212,6 +213,48 @@ class TestPruningEffectiveness:
             assert explain.semantics is None
             assert explain.total == len(collection)
             assert explain.matched <= explain.scanned <= explain.total
+
+
+    def test_pruned_counts_the_fold_not_the_scan(self):
+        # A read that scans nothing has not pruned what it returns.
+        docs = [{"a": i % 3} for i in range(9)]
+        plain = api.collection(docs)
+        report = plain.explain({"a": 1})
+        assert report.semantics.verdict == "covered"
+        assert (report.total, report.candidates, report.scanned) == (9, 3, 0)
+        assert report.matched == 3 and report.pruned == 6
+        for covered in ({"a": 1}, {"a": {"$in": [0, 2]}}, {"a": 7}, {}):
+            report = plain.explain(covered)
+            assert report.semantics.verdict == "covered"
+            assert report.pruned + report.matched == report.total
+        piped = plain.explain_aggregate([{"$match": {"a": 1}}, {"$count": "n"}])
+        assert piped.scanned == 0 and piped.pruned == 6
+        # Verified reads scan their candidates: the same number.
+        assert plain.explain({"a": 1}, hint={"no_semantic": True}).pruned == 6
+        with api.collection(docs, shards=3, parallel=False) as fleet:
+            sharded = fleet.explain_aggregate(
+                [{"$match": {"a": 1}}, {"$group": {"_id": "$a"}}]
+            )
+            assert sharded.pruned == 6
+            for shard in sharded.shards:
+                assert shard.scanned == 0
+                assert shard.pruned + shard.matched == shard.total
+        # Where no fold ran: everything for a proved-empty filter,
+        # nothing for a proved-all one (and nothing for a full scan).
+        schema = {
+            "type": "object",
+            "required": ["a"],
+            "properties": {"a": {"type": "integer", "minimum": 0, "maximum": 2}},
+        }
+        typed = api.collection(docs, schema=schema)
+        empty = typed.explain({"a": {"$not": {"$lte": 100}}})
+        assert empty.semantics.verdict == "empty"
+        assert (empty.matched, empty.pruned) == (0, 9)
+        everything = typed.explain({"a": {"$not": {"$gt": 100}}})
+        assert everything.semantics.verdict == "all"
+        assert (everything.matched, everything.pruned) == (9, 0)
+        scan = plain.explain({"a": {"$exists": False}}, hint={"no_semantic": True})
+        assert (scan.scanned, scan.pruned) == (9, 0)
 
 
 class TestBatchRouting:
@@ -536,17 +579,31 @@ class TestCoveredReads:
             {"$or": [{"user": 1}, {"profile.age": 11}]},
             {"user.0": 5},  # exact, and empty: no array to step into
             {"missing": {"$exists": True}},
+            # ``tags`` is a flat array: membership is a posting look-up.
+            {"tags": "t1"},
+            {"user": 5, "tags": "x"},
+            {"tags": {"$in": ["t0", "t3", "nope"]}},
+            {"tags": {"$elemMatch": {"$in": ["t2"]}}},
+            {"tags": {"$type": "array"}},
         ):
             assert verdict_of(users, filter_doc) == "covered", filter_doc
             self.same_answers(users, filter_doc)
-        # The flat array and everything the rules do not certify stay
-        # on the verified path.
-        for filter_doc in (
-            {"tags": "t1"},
+        # What reads the array node itself, what needs one element to
+        # witness two atoms and everything the rules do not certify
+        # stay on the verified path ...
+        uncovered = (
+            {"tags": {"$type": "string"}},
+            {"tags.1": "t1"},
+            {"tags": {"$elemMatch": {"$regex": "^t", "$ne": "t1"}}},
             {"user": {"$ne": 5}},
             {"city": {"$regex": "^c1"}},
-            {"user": 5, "tags": "x"},
-        ):
+        )
+        for filter_doc in uncovered:
+            assert verdict_of(users, filter_doc) != "covered", filter_doc
+            self.same_answers(users, filter_doc)
+        # ... joined by membership once an array sits inside the array.
+        users.insert({"user": 5, "tags": ["x", ["t1"]]})
+        for filter_doc in uncovered + ({"tags": "t1"}, {"user": 5, "tags": "x"}):
             assert verdict_of(users, filter_doc) != "covered", filter_doc
             self.same_answers(users, filter_doc)
 
@@ -562,10 +619,16 @@ class TestCoveredReads:
         users.remove(doc_id)
         assert verdict_of(users, self.USER) == "covered"
 
-        # $set to a list / updated back
+        # $set to a flat list: still covered, now by containment ...
         users.update_one({"user": 3}, {"$set": {"user": [3, 5]}})
+        assert verdict_of(users, self.USER) == "covered"
+        assert len(self.same_answers(users, self.USER)) == 5
+        # ... a list pushed into it nests it / pulled out again
+        users.update_one({"user": 3}, {"$push": {"user": [5]}})
         assert verdict_of(users, self.USER) != "covered"
-        assert len(self.same_answers(users, self.USER)) == 5  # containment
+        assert len(self.same_answers(users, self.USER)) == 5
+        users.update_one({"user": 3}, {"$pull": {"user": [5]}})
+        assert verdict_of(users, self.USER) == "covered"
         users.update_one({"user": [3, 5]}, {"$set": {"user": 3}})
         assert verdict_of(users, self.USER) == "covered"
         assert self.same_answers(users, self.USER) == fives
@@ -574,17 +637,19 @@ class TestCoveredReads:
         extra = {"extra": 1}
         assert verdict_of(users, extra) == "covered"
         assert users.count(extra) == 0
-        users.update_one({"user": 1}, {"$push": {"extra": 1}})
+        users.update_one({"user": 1}, {"$push": {"extra": [1]}})
         assert verdict_of(users, extra) != "covered"
+        assert len(self.same_answers(users, extra)) == 0
+        users.update_one({"user": 1}, {"$push": {"extra": 1}})
         assert len(self.same_answers(users, extra)) == 1
         users.update_one({"user": 1}, {"$unset": {"extra": ""}})
         assert verdict_of(users, extra) == "covered"
         assert users.count(extra) == 0
 
         # replace_one, there and back
-        users.replace_one({"user": 2}, {"user": [2], "was": 2})
+        users.replace_one({"user": 2}, {"user": [[2]], "was": 2})
         assert verdict_of(users, self.USER) != "covered"
-        users.replace_one({"was": 2}, {"user": 2})
+        users.replace_one({"was": 2}, {"user": [2]})
         assert verdict_of(users, self.USER) == "covered"
         assert self.same_answers(users, self.USER) == fives
 
@@ -674,8 +739,11 @@ class TestCoveredReads:
         assert pipeline.execute(users) == grouped
         assert pipeline.explain(users).matched == 4
         assert pipeline.execute_partial(users)["scanned"] == 0
-        # A count does not even fetch.
+        # A count does not even fetch -- array membership included.
         monkeypatch.setattr(type(users), "documents", forbidden)
         assert users.count(self.USER) == 4
         assert users.count({}) == 40
+        assert users.count({"tags": "t1"}) == 10
+        assert users.count({"tags": {"$in": ["t1", "t2"]}}) == 20
+        assert users.count({"city": "c0", "tags": "x"}) == 14
         assert optimizer.verify_calls() == 0

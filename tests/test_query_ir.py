@@ -133,6 +133,25 @@ class TestSargableExtraction:
             ir.HasKey("first"),
         }
 
+    def test_node_predicate_is_lowered_on_first_use(self, monkeypatch):
+        # Only select_nodes reads it: a find pays one walk, not two.
+        contexts = []
+        lift = ir._lift
+
+        def spy(ctx, formula):
+            contexts.append(ctx)
+            return lift(ctx, formula)
+
+        monkeypatch.setattr(ir, "_lift", spy)
+        plan = ir.lower_formula(compile_query("has(.name.first)", "jnl").formula)
+        assert ir._FLOATING not in contexts
+        assert plan.match_predicate == ir.PathExists(("name", "first"))
+        floating = plan.node_predicate
+        assert contexts.count(ir._FLOATING) == 1
+        assert plan.node_predicate is floating  # lowered once
+        selector = compile_query("$.a.b", "jsonpath").plan
+        assert selector.node_predicate is selector.match_predicate
+
     def test_true_is_absorbing(self):
         assert ir.and_([ir.TRUE, ir.TRUE]) == ir.TRUE
         assert ir.or_([ir.PathExists(("a",)), ir.TRUE]) == ir.TRUE
@@ -250,41 +269,73 @@ class TestNormalisation:
         assert planner.match_ids(collection, merged) == [1]
 
 
+def _needs(need: str, dotted: tuple[str, ...]) -> frozenset:
+    return frozenset(
+        (tuple(path.split(".")) if path else (), need) for path in dotted
+    )
+
+
 def _paths(*dotted: str) -> frozenset:
-    return frozenset(tuple(path.split(".")) if path else () for path in dotted)
+    """Cover entries that want the path and its prefixes array-free."""
+    return _needs(ir.SCALAR, dotted)
+
+
+def _flat(*dotted: str) -> frozenset:
+    """Cover entries that let the path end in one flat array."""
+    return _needs(ir.FLAT, dotted)
 
 
 class TestCover:
-    """``plan.cover``: the paths on whose array-freeness the predicate
-    is equivalent to the payload, ``None`` when it is only necessary."""
+    """``plan.cover``: what each path must look like for the predicate
+    to be equivalent to the payload -- array-free (``_paths``) or at
+    most one flat array at its end (``_flat``) -- and ``None`` when the
+    predicate is only necessary."""
 
     @pytest.mark.parametrize(
         "filter_doc, cover",
         [
-            # -- exact: the postings are the answer on array-free paths
+            # -- exact on a flat array: equality and ``$in`` traverse,
+            # existence and ``$type: "array"`` see the one array
             ({}, _paths()),
-            ({"user": 5}, _paths("user")),
-            ({"a.b": "x"}, _paths("a.b")),
-            ({"a": {"$in": [1, "s"]}}, _paths("a")),
-            ({"a": {"$exists": True}}, _paths("a")),
-            ({"a": {"$type": "string"}}, _paths("a")),
-            ({"a": {"$type": "array"}}, _paths("a")),
-            ({"a": {"$gt": 3}}, _paths("a")),
-            ({"a": {"$gte": 3, "$lt": 9}}, _paths("a")),
-            ({"a": 1, "b.c": {"$lte": 4}}, _paths("a", "b.c")),
-            ({"$or": [{"a": 1}, {"b.c": 2}]}, _paths("a", "b.c")),
+            ({"user": 5}, _flat("user")),
+            ({"a.b": "x"}, _flat("a.b")),
+            ({"a": {"$in": [1, "s"]}}, _flat("a")),
+            ({"a": {"$exists": True}}, _flat("a")),
+            ({"a": {"$type": "array"}}, _flat("a")),
+            ({"a": {"$eq": 1}}, _flat("a")),
+            ({"$or": [{"a": 1}, {"b.c": 2}]}, _flat("a", "b.c")),
             (
                 {"$and": [{"a": 1}, {"$or": [{"b": 2}, {"c": {"$exists": True}}]}]},
-                _paths("a", "b", "c"),
+                _flat("a", "b", "c"),
             ),
             ({"$and": []}, _paths()),
-            # Positional forms match nothing on an array-free path, and
-            # their predicate (``PathKind(a, ARRAY) and ...``) says so:
-            # exact whatever follows the array step.
+            # ... and so does an ``$elemMatch`` that puts one comparison
+            # -- a bound, a folded range, an ``$in`` -- on one element.
+            ({"a": {"$elemMatch": {"$gt": 3}}}, _flat("a")),
+            ({"a": {"$elemMatch": {"$gte": 3, "$lt": 9}}}, _flat("a")),
+            ({"a": {"$elemMatch": {"$in": [1, "s"]}}}, _flat("a")),
+            ({"a": {"$elemMatch": {"$type": "object"}}}, _flat("a")),
+            # -- exact on array-free paths only: a comparison or type on
+            # the node itself does not traverse here ...
+            ({"a": {"$type": "string"}}, _paths("a")),
+            ({"a": {"$gt": 3}}, _paths("a")),
+            ({"a": {"$gte": 3}}, _paths("a")),
+            ({"a": {"$gte": 3, "$lt": 9}}, _paths("a")),
+            ({"a": 1, "b.c": {"$lte": 4}}, _flat("a") | _paths("b.c")),
+            # ... a path wanted both ways is wanted the stronger way ...
+            ({"a": {"$exists": True, "$gt": 3}}, _paths("a")),
+            ({"$and": [{"a": 1}, {"a": {"$lt": 4}}]}, _paths("a")),
+            # ... positional forms match nothing on an array-free path,
+            # and their predicate (``PathKind(a, ARRAY) and ...``) says
+            # so: exact whatever follows the array step ...
             ({"a.0": 5}, _paths("a")),
             ({"a.0.b": {"$ne": 5}}, _paths("a")),
-            ({"a": {"$elemMatch": {"$gt": 3}}}, _paths("a")),
+            # ... and two atoms behind one array step may be witnessed
+            # by different elements.
             ({"a": {"$elemMatch": {"b": {"$regex": "x"}}}}, _paths("a")),
+            ({"a": {"$elemMatch": {"b": 1, "c": 2}}}, _paths("a")),
+            ({"a": {"$elemMatch": {"$gt": 1, "$type": "number"}}}, _paths("a")),
+            ({"a": {"$elemMatch": {"$type": "array"}}}, _paths("a")),
             # -- necessary only
             ({"a": [1]}, None),
             ({"a": {"b": 1}}, None),
@@ -307,14 +358,28 @@ class TestCover:
         "text, cover",
         [
             ("true", _paths()),
-            ("has(.a.b)", _paths("a.b")),
-            ("matches(.a, 5)", _paths("a")),
+            ("has(.a.b)", _flat("a.b")),
+            ("matches(.a, 5)", _paths("a")),  # the node itself: no axis
             (
                 "has(.a<test(object)>.b<test(min(2)) and test(max(9))>)",
                 _paths("a", "a.b"),
             ),
-            ("test(object) and has(.a)", _paths("", "a")),
+            ("test(object) and has(.a)", _paths("") | _flat("a")),
             ("has(.a[1:3].b)", _paths("a")),
+            ("has(.a[0])", _paths("a")),
+            # The full axis followed by one element atom ...
+            ("matches(.a[0:], 5)", _flat("a")),
+            ("has(.a[0:]<test(min(2)) and test(max(9))>)", _flat("a")),
+            ("has([0:]<test(string)>)", _flat("")),
+            ("has(.a<test(object)>.b[0:]<test(min(2))>)", _paths("a") | _flat("a.b")),
+            ("has(.a<matches(eps, 5) or matches([0:], 5)>)", _flat("a")),
+            # ... but not by none, by two, by another array step, or by
+            # a step further down.
+            ("has(.a[0:])", _paths("a")),
+            ("has(.a[0:]<test(min(2))><test(number)>)", _paths("a")),
+            ("has(.a[0:][0:]<test(min(2))>)", _paths("a")),
+            ("has(.a[0:].b<test(min(2))>)", _paths("a")),
+            ('has(.a[0:]<test(pattern("x.*"))>)', _paths("a")),
             ("matches(.a, [5])", None),
             ("eq(.a, .b)", None),
             ('has(.a<test(pattern("x.*"))>)', None),

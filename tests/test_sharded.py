@@ -331,7 +331,7 @@ class TestShardedExplain:
         assert sum(shard.scanned for shard in report.shards) == report.scanned
         assert all(shard.used_indexes for shard in report.shards)
         assert all(
-            shard.pruned == shard.total - shard.scanned
+            shard.pruned == shard.total - shard.candidates
             for shard in report.shards
         )
         flat = compile_pipeline(pipeline).explain(single)

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from repro.errors import DocumentRejectedError, StoreError
-from repro.model.tree import JSONTree
+from repro.model.tree import JSONTree, Kind
 from repro.store import Collection, DocumentIndexes
-from repro.store.indexes import DeltaOps, index_entries
+from repro.store.indexes import DeltaOps, index_entries, value_entry_counts
 from repro import api
 
 PEOPLE = [
@@ -172,6 +172,102 @@ class TestIndexMaintenance:
         )
         assert ops.entries_added == 2
         assert indexes.snapshot() == before
+
+    # One entry in each of the six tables (besides the root's own).
+    LEAF = {"k": {"t": "v"}}
+
+    @staticmethod
+    def holds(indexes: DocumentIndexes, members: int) -> None:
+        """Every posting the ``LEAF`` subtree feeds holds ``members``
+        ids -- as the bare id while it is alone."""
+        nested = [
+            indexes._eq.get(("k", "t"), {}).get("v"),
+            indexes._kinds.get(("k", "t"), {}).get(Kind.STRING),
+            indexes._tails.get("t", {}).get("v"),
+        ]
+        flat = [
+            indexes._paths.get(("k", "t")),
+            indexes._keys.get("t"),
+            indexes._values.get("v"),
+        ]
+        for postings in nested + flat:
+            if members == 0:
+                assert postings is None
+            elif members == 1:
+                assert type(postings) is int
+            else:
+                assert type(postings) is set and len(postings) == members
+
+    @staticmethod
+    def reference(documents: dict) -> dict:
+        fresh = DocumentIndexes()
+        for doc_id, value in documents.items():
+            fresh.add(doc_id, JSONTree.from_value(value))
+        return fresh.snapshot()
+
+    @pytest.mark.parametrize("first_out", [0, 1])
+    def test_postings_walk_0_1_2_1_0_by_add_and_remove(self, first_out):
+        indexes = DocumentIndexes()
+        tree = JSONTree.from_value(self.LEAF)
+        live: dict = {}
+        self.holds(indexes, 0)
+        for doc_id in (0, 1):
+            indexes.add(doc_id, tree)
+            live[doc_id] = self.LEAF
+            self.holds(indexes, len(live))
+            assert indexes.snapshot() == self.reference(live)
+        for doc_id in (first_out, 1 - first_out):
+            indexes.remove(doc_id, tree)
+            del live[doc_id]
+            self.holds(indexes, len(live))
+            assert indexes.snapshot() == self.reference(live)
+        assert all(not table for table in indexes.snapshot().values())
+
+    @pytest.mark.parametrize("first_out", [0, 1])
+    def test_postings_walk_0_1_2_1_0_by_entry_deltas(self, first_out):
+        indexes = DocumentIndexes()
+        live: dict = {0: {}, 1: {}}
+        for doc_id in live:
+            indexes.add(doc_id, JSONTree.from_value({}))
+        grow = value_entry_counts(self.LEAF["k"], ("k",), "k")
+        shrink = value_entry_counts(self.LEAF["k"], ("k",), "k", sign=-1)
+        steps = [(0, grow), (1, grow), (first_out, shrink), (1 - first_out, shrink)]
+        for members, (doc_id, delta) in zip((1, 2, 1, 0), steps):
+            before = indexes.snapshot()
+            # Shrinking a document that never grew is refused whole ...
+            if not live[1 - doc_id]:
+                with pytest.raises(ValueError, match="below zero"):
+                    indexes.apply_entry_delta(1 - doc_id, shrink)
+                assert indexes.snapshot() == before
+            # ... the dry run reports the real run and moves nothing.
+            planned = indexes.apply_entry_delta(doc_id, delta, commit=False)
+            assert indexes.snapshot() == before
+            assert indexes.apply_entry_delta(doc_id, delta) == planned
+            live[doc_id] = self.LEAF if delta is grow else {}
+            self.holds(indexes, members)
+            assert indexes.snapshot() == self.reference(live)
+
+    def test_a_lone_posting_is_handed_out_as_a_fresh_set(self):
+        collection = api.collection([self.LEAF, {"other": 1}])
+        indexes = collection.indexes
+        before = indexes.snapshot()
+        lookups = [
+            lambda: indexes.docs_with_path(("k", "t")),
+            lambda: indexes.docs_with_value(("k", "t"), "v"),
+            lambda: indexes.docs_with_kind(("k", "t"), Kind.STRING),
+            lambda: indexes.docs_with_key("t"),
+            lambda: indexes.docs_with_tail_value("t", "v"),
+            lambda: indexes.docs_with_any_value("v"),
+        ]
+        for lookup in lookups:
+            found = lookup()
+            assert found == {0}
+            found.add(99)
+            found.discard(0)
+            assert lookup() == {0}
+        assert indexes.docs_in_range(("other",), 0, 2) == {1}
+        assert indexes.snapshot() == before == rebuilt(collection).snapshot()
+        assert collection.count({"k.t": "v"}) == 1
 
     def test_stats_counters(self):
         stats = api.collection(PEOPLE).index_stats()
