@@ -1,4 +1,4 @@
-"""A1 -- Ablations of the design choices DESIGN.md calls out.
+"""A1 -- Ablations of two evaluator design choices.
 
 (a) *Product reachability vs naive semantics*: the Proposition-1
     evaluator against the textbook denotational evaluator (explicit

@@ -3,7 +3,7 @@
 Reproduction targets: linear evaluation without Unique (slope ~1);
 with Unique, the naive pairwise comparison the paper prices quadratic
 (slope ~2 on duplicate-heavy arrays) against the hash-grouped variant
-that stays near-linear -- the ablation DESIGN.md calls out.
+that stays near-linear (``exact_unique`` selects the pairwise one).
 """
 
 from __future__ import annotations

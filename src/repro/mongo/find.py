@@ -14,7 +14,8 @@ of JNL (Theorem 2's "atomic predicates" point).  As in MongoDB, an
 equality against a scalar also matches arrays *containing* the value.
 
 Dotted paths navigate keys; an all-digit segment is an array index
-(MongoDB would try both readings; see DESIGN.md).
+only, never an object key spelled with digits (MongoDB would try both
+readings).
 """
 
 from __future__ import annotations

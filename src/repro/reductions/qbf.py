@@ -10,7 +10,7 @@ whose choices falsify the clause -- precisely QBF semantics.
 
 (The paper's construction interleaves ``X``-labelled levels because it
 quantifies with ``Sigma*`` boxes; using the explicit key language
-``T|F`` makes the padding unnecessary, see DESIGN.md.)
+``T|F`` makes the padding unnecessary.)
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Schema kinds:
   into the reserved top-level ``definitions`` section (Section 5.3);
 * the empty schema ``{}`` which validates everything.
 
-Semantic conventions (documented in DESIGN.md):
+Semantic conventions:
 
 * a ``type`` schema validates only documents of that type;
 * ``minimum`` / ``maximum`` are **inclusive** (the paper's node tests

@@ -1,8 +1,9 @@
 """Theorem 1, forward direction: JSON Schema --> JSL.
 
 The construction follows the appendix proof of Theorem 1 keyword by
-keyword (with 0-based indices and the inclusive/strict offset for
-``minimum``/``maximum`` documented in DESIGN.md):
+keyword, with 0-based indices; ``minimum``/``maximum`` are inclusive
+while the node tests ``Min``/``Max`` are strict, hence the offset by
+one:
 
 * string schema     -> ``Str ^ Pattern(e)``
 * number schema     -> ``Int ^ Min(min-1) ^ Max(max+1) ^ MultOf(k)``

@@ -5,8 +5,11 @@
 recursive ``definitions`` / ``$ref`` mechanism (checked well-formed
 first, so validation always terminates).
 
-Theorem 1 is tested by running this validator against the
-``schema -> JSL -> evaluate`` pipeline on random schema/document pairs.
+It is the independent reference: every production validator
+(:func:`repro.validate.compile_schema_validator`, streaming, the
+optimizer's schema premise) goes ``schema -> JSL`` by Theorem 1, and
+the differential tests and theorem benches check that pipeline
+against this keyword-by-keyword interpreter.
 """
 
 from __future__ import annotations

@@ -64,22 +64,22 @@ __all__ = ["Collection"]
 
 
 def _compile_schema(schema: Any):
-    """``(validator, parsed document, canonical text)`` for a schema.
+    """``(validator, JSL formula, canonical text)`` for a schema.
 
-    The parsed document and its canonical rendering feed the semantic
-    optimizer: the document translates to the JSL proof premise
-    (Theorem 1), the text is the premise's cache fingerprint -- shared
-    across collections enforcing an identical schema.
+    The formula is the Theorem-1 translation the validator runs; it and
+    the schema's canonical rendering feed the semantic optimizer as its
+    proof premise and the premise's cache fingerprint -- shared across
+    collections enforcing an identical schema.
     """
     from repro.schema.parser import parse_schema
 
-    document = parse_schema(schema)
+    validator = compile_schema_validator(parse_schema(schema))
     canonical = _json.dumps(
         _json.loads(schema) if isinstance(schema, str) else schema,
         sort_keys=True,
         separators=(",", ":"),
     )
-    return compile_schema_validator(document), document, canonical
+    return validator, validator.formula, canonical
 
 
 def _no_semantic(hint: "dict[str, Any] | None") -> bool:
@@ -142,8 +142,7 @@ class Collection:
 
     __slots__ = ("_trees", "_alive", "_interned", "_indexes", "_validator",
                  "_extended", "_version", "_dirty", "_engine", "_optimize",
-                 "_schema_ast", "_schema_source", "_schema_formula",
-                 "_summary")
+                 "_schema_formula", "_schema_source", "_summary")
 
     def __init__(
         self,
@@ -166,25 +165,20 @@ class Collection:
         self._indexes: DocumentIndexes | None = (
             DocumentIndexes(resolve=self.get) if indexed else None
         )
-        self._schema_ast = None
+        self._schema_formula = None
         self._schema_source: str | None = None
         if schema is not None:
-            self._validator, self._schema_ast, self._schema_source = (
+            self._validator, self._schema_formula, self._schema_source = (
                 _compile_schema(schema)
             )
         else:
             self._validator = validator
         self._extended = extended
         self._optimize = check_optimize_mode(optimize)
-        # Semantic-optimizer state: the schema's JSL translation (built
-        # on first use), or -- wherever ``semantic_context`` could ever
-        # answer from it -- the structural summary, fed by every write
-        # and by recovery so it is exact for the first query already.
-        # A prebuilt validator gets neither: it carries no schema AST
-        # to translate, and although the summary's invariant (every
-        # live doc was observed) would still hold, enforcement may rely
-        # on exotic validator features, so stay conservative.
-        self._schema_formula = None
+        # The schemaless premise: the structural summary, fed by every
+        # write and by recovery so it is exact for the first query
+        # already.  A prebuilt validator gets no premise at all:
+        # enforcement may rely on exotic validator features.
         self._summary: StructuralSummary | None = (
             StructuralSummary()
             if self._validator is None
@@ -458,24 +452,12 @@ class Collection:
         """
         if self._optimize == "off" or self._extended:
             return None
-        if self._schema_ast is not None:
-            formula = self._schema_formula
-            if formula is None:
-                from repro.errors import SchemaError
-                from repro.schema.to_jsl import schema_to_jsl
-
-                try:
-                    formula = schema_to_jsl(self._schema_ast)
-                except SchemaError:
-                    formula = False  # untranslatable: remember, skip
-                self._schema_formula = formula
-            if formula is False:
-                return None
+        if self._schema_formula is not None:
             return SemanticContext(
                 mode=self._optimize,
                 source="schema",
                 fingerprint=("schema", self._schema_source),
-                formula=formula,
+                formula=self._schema_formula,
             )
         summary = self._summary
         if summary is None or summary.disabled:
@@ -894,21 +876,14 @@ class Collection:
         ``engine`` must be fresh (defaults to a new
         :class:`~repro.store.engine.MemoryEngine`).
         """
-        snapshot = decode_snapshot(data)
+        state = decode_snapshot(data)
         collection = cls(
             engine=engine,
             validator=validator,
-            extended=snapshot.extended,
+            extended=state.extended,
             indexed=indexed,
         )
-        collection._restore(
-            RecoveredState(
-                next_id=snapshot.next_id,
-                version=snapshot.ops,
-                extended=snapshot.extended,
-                docs=list(snapshot.docs),
-            )
-        )
+        collection._restore(state)
         return collection
 
     def _restore(self, state: RecoveredState) -> None:

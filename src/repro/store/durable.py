@@ -72,7 +72,6 @@ from repro.errors import (
 from repro.store.engine import (
     EngineHealth,
     RecoveredState,
-    SnapshotData,
     StorageEngine,
     decode_snapshot,
 )
@@ -183,7 +182,7 @@ class ReplayFolder:
 
     def __init__(
         self,
-        snapshot: SnapshotData | None,
+        snapshot: RecoveredState | None,
         snapshot_lsn: int,
         *,
         wal_path: str = "<wal>",
@@ -196,7 +195,7 @@ class ReplayFolder:
         if snapshot is not None:
             self.slots.update(snapshot.docs)
             self.next_id = snapshot.next_id
-            self.ops = snapshot.ops
+            self.ops = snapshot.version
             self.extended = snapshot.extended
         self.expected = snapshot_lsn
 
@@ -247,7 +246,7 @@ class ReplayFolder:
 
 
 def replay_records(
-    snapshot: SnapshotData | None,
+    snapshot: RecoveredState | None,
     snapshot_lsn: int,
     records: Iterable[dict],
     *,
@@ -375,7 +374,7 @@ class DurableEngine(StorageEngine):
             snapshot, snapshot_lsn, records, wal_path=self._wal_path
         )
 
-    def _load_snapshot_file(self) -> tuple[SnapshotData | None, int, bool]:
+    def _load_snapshot_file(self) -> tuple[RecoveredState | None, int, bool]:
         """Load the snapshot; ``(data, covering_lsn, damaged)``.
 
         ``damaged=True`` means the file exists but its checksum no

@@ -57,7 +57,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "EngineHealth",
     "RecoveredState",
-    "SnapshotData",
     "StorageEngine",
     "MemoryEngine",
     "decode_snapshot",
@@ -71,20 +70,6 @@ SNAPSHOT_FORMAT = "repro-collection-snapshot"
 #: versions they know how to read; anything newer (or unrecognisably
 #: older) raises :class:`~repro.errors.StorageFormatError`.
 SNAPSHOT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SnapshotData:
-    """A decoded (but not yet materialised) collection snapshot.
-
-    ``docs`` preserves document ids -- ids are never reused, so the
-    tombstone layout matters.
-    """
-
-    next_id: int
-    ops: int
-    extended: bool
-    docs: list[tuple[int, Any]]
 
 
 @dataclass(frozen=True)
@@ -112,13 +97,16 @@ HEALTHY = EngineHealth(ok=True)
 
 @dataclass(frozen=True)
 class RecoveredState:
-    """What an engine hands the collection to restore on open.
+    """A collection's state as values: a decoded snapshot, or what an
+    engine hands the collection to restore on open.
 
-    ``docs`` are ``(doc_id, value)`` pairs in id order -- values only:
-    trees, postings and the structural summary are rebuilt from them,
-    the one recovery path behind WAL replay, snapshot open and
-    ``Collection.from_snapshot``.  ``version`` seeds the collection's
-    mutation counter so it keeps increasing across restarts.
+    ``docs`` are ``(doc_id, value)`` pairs in id order (ids are never
+    reused, so the tombstone layout matters) -- values only: trees,
+    postings and the structural summary are rebuilt from them, the one
+    recovery path behind WAL replay, snapshot open and
+    ``Collection.from_snapshot``.  ``version`` (a snapshot's ``ops``)
+    seeds the collection's mutation counter so it keeps increasing
+    across restarts.
     """
 
     next_id: int
@@ -127,7 +115,7 @@ class RecoveredState:
     docs: list[tuple[int, Any]]
 
 
-def decode_snapshot(data: Any) -> SnapshotData:
+def decode_snapshot(data: Any) -> RecoveredState:
     """Validate and decode a :meth:`Collection.snapshot` payload.
 
     The loader-side half of the versioned format: a payload whose
@@ -170,8 +158,8 @@ def decode_snapshot(data: Any) -> SnapshotData:
                 f"malformed collection snapshot: document id {doc_id!r} "
                 f"outside [0, {next_id})"
             )
-    return SnapshotData(
-        next_id=next_id, ops=ops, extended=bool(extended), docs=docs
+    return RecoveredState(
+        next_id=next_id, version=ops, extended=bool(extended), docs=docs
     )
 
 

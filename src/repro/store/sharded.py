@@ -619,14 +619,13 @@ class ShardedCollection:
         self._engine = engine
         self._extended = extended
         if schema is not None:
-            self._validator, self._schema_ast, self._schema_source = (
+            self._validator, self._schema_formula, self._schema_source = (
                 _compile_schema(schema)
             )
         else:
             self._validator = None
-            self._schema_ast = None
+            self._schema_formula = None
             self._schema_source = None
-        self._schema_formula: Any = None
         metas = engine.broadcast("meta")
         self._next_id = max(meta["next_id"] for meta in metas)
         documents = list(documents)
@@ -751,25 +750,13 @@ class ShardedCollection:
         """
         if self._optimize == "off" or self._extended:
             return None
-        if self._schema_ast is None:
-            return None
-        formula = self._schema_formula
-        if formula is None:
-            from repro.errors import SchemaError
-            from repro.schema.to_jsl import schema_to_jsl
-
-            try:
-                formula = schema_to_jsl(self._schema_ast)
-            except SchemaError:
-                formula = False  # untranslatable: remember, skip
-            self._schema_formula = formula
-        if formula is False:
+        if self._schema_formula is None:
             return None
         return SemanticContext(
             mode=self._optimize,
             source="schema",
             fingerprint=("schema", self._schema_source),
-            formula=formula,
+            formula=self._schema_formula,
         )
 
     @property

@@ -2,10 +2,12 @@
 
 The validation-side twin of :mod:`repro.query`:
 
-* :class:`~repro.validate.compiled.CompiledValidator` -- a schema or
-  JSL formula lowered to a flat program of per-kind closures, with a
-  raw-value fast path that never materialises a
-  :class:`~repro.model.tree.JSONTree`;
+* :class:`~repro.validate.compiled.CompiledValidator` -- a JSL formula
+  lowered to a flat program of per-kind closures
+  (:mod:`~repro.validate.jsl_compiler`), with a raw-value fast path
+  that never materialises a :class:`~repro.model.tree.JSONTree`; a
+  JSON Schema compiles to the same program through its Theorem-1
+  translation;
 * :func:`~repro.validate.compiled.compile_schema_validator` /
   :func:`~repro.validate.compiled.compile_jsl_validator` /
   :func:`~repro.validate.compiled.compile_stream_validator` -- cached

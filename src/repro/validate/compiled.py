@@ -3,8 +3,9 @@
 A :class:`CompiledValidator` is the validation-side analogue of
 :class:`repro.query.CompiledQuery`: it captures exactly the reusable,
 document-independent part of a validation task -- references resolved,
-well-formedness checked, key sets / pattern matchers / enum canonical
-forms prebuilt, everything lowered to per-kind closures.  Validation
+well-formedness checked, key lookups / pattern matchers / enum
+canonical forms prebuilt, everything lowered to per-kind closures by
+the one program compiler, :mod:`repro.validate.jsl_compiler`.  Validation
 state (the reference memo) is per-call, so one validator can be shared
 freely across documents and threads.
 
@@ -12,7 +13,7 @@ Three artifacts compile through the process-wide cache of
 :mod:`repro.cache` (shared with the query plans, unified stats):
 
 * :func:`compile_schema_validator` -- a parsed JSON Schema document or
-  fragment (Table 1 core);
+  fragment (Table 1 core), translated to JSL by Theorem 1 first;
 * :func:`compile_jsl_validator` -- a JSL formula or well-formed
   recursive expression (point evaluation of ``J |= phi``);
 * :func:`compile_stream_validator` -- a deterministic-fragment formula
@@ -27,16 +28,14 @@ as structurally equal Mongo filters share one query plan.
 from __future__ import annotations
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
+from repro.errors import SchemaError
 from repro.jsl import ast as jsl_ast
 from repro.model.tree import JSONTree, JSONValue
 from repro.schema import ast as schema_ast
+from repro.schema.refs import all_schema_refs, check_schema_well_formed
+from repro.schema.to_jsl import schema_to_jsl
 from repro.streaming.validator import StreamingJSLValidator
-from repro.validate.jsl_compiler import compile_jsl_program
-from repro.validate.schema_compiler import (
-    TreeFn,
-    ValueFn,
-    compile_schema_program,
-)
+from repro.validate.jsl_compiler import TreeFn, ValueFn, compile_jsl_program
 
 __all__ = [
     "CompiledValidator",
@@ -51,14 +50,21 @@ DIALECT_STREAM = "stream-validator"
 
 
 class CompiledValidator:
-    """An executable validation program, reusable across documents."""
+    """An executable validation program, reusable across documents.
 
-    __slots__ = ("dialect", "source", "exact_unique", "_tree_fn", "_value_fn")
+    ``formula`` is the JSL the program was compiled from (a schema's
+    Theorem-1 translation).
+    """
+
+    __slots__ = (
+        "dialect", "source", "formula", "exact_unique", "_tree_fn", "_value_fn"
+    )
 
     def __init__(
         self,
         dialect: str,
         source: object,
+        formula: "jsl_ast.Formula | jsl_ast.RecursiveJSL",
         tree_fn: TreeFn,
         value_fn: ValueFn,
         *,
@@ -66,6 +72,7 @@ class CompiledValidator:
     ) -> None:
         self.dialect = dialect
         self.source = source
+        self.formula = formula
         self.exact_unique = exact_unique
         self._tree_fn = tree_fn
         self._value_fn = value_fn
@@ -111,16 +118,28 @@ def compile_schema_validator(
 ) -> CompiledValidator:
     """Compile a parsed schema into a validator, through the LRU cache.
 
-    Pass ``cache=None`` for a fresh, uncached compilation, or an
+    The schema is translated to (recursive) JSL by Theorem 1 and
+    compiled by :func:`compile_jsl_program`: one program behind every
+    validator.  Pass ``cache=None`` for a fresh, uncached compilation, or an
     explicit :class:`~repro.cache.LRUCache` to use a private cache.
     """
 
     def build() -> CompiledValidator:
-        tree_fn, value_fn = compile_schema_program(
-            document, exact_unique=exact_unique
+        if isinstance(document, schema_ast.SchemaDocument):
+            check_schema_well_formed(document)
+        elif refs := all_schema_refs(document):
+            raise SchemaError(f"unresolved $ref #/definitions/{min(refs)}")
+        formula = schema_to_jsl(document)
+        tree_fn, value_fn = compile_jsl_program(
+            formula, exact_unique=exact_unique, check_keys=True
         )
         return CompiledValidator(
-            DIALECT_SCHEMA, document, tree_fn, value_fn, exact_unique=exact_unique
+            DIALECT_SCHEMA,
+            document,
+            formula,
+            tree_fn,
+            value_fn,
+            exact_unique=exact_unique,
         )
 
     resolved = resolve_cache(cache)
@@ -142,7 +161,12 @@ def compile_jsl_validator(
             formula, exact_unique=exact_unique
         )
         return CompiledValidator(
-            DIALECT_JSL, formula, tree_fn, value_fn, exact_unique=exact_unique
+            DIALECT_JSL,
+            formula,
+            formula,
+            tree_fn,
+            value_fn,
+            exact_unique=exact_unique,
         )
 
     resolved = resolve_cache(cache)
@@ -168,8 +192,6 @@ def compile_stream_validator(
     def build() -> StreamingJSLValidator:
         formula = source
         if isinstance(formula, schema_ast.Schema):
-            from repro.schema.to_jsl import schema_to_jsl
-
             formula = schema_to_jsl(formula)
         return StreamingJSLValidator(formula)
 

@@ -26,7 +26,7 @@ from typing import Any, Hashable
 
 from repro.errors import UnsupportedValueError
 
-__all__ = ["check_supported", "canonical_value", "children_count"]
+__all__ = ["check_supported", "check_key", "canonical_value", "children_count"]
 
 
 def check_supported(value: Any) -> None:
@@ -41,6 +41,14 @@ def check_supported(value: Any) -> None:
     ):
         raise UnsupportedValueError(
             f"unsupported JSON value of type {type(value).__name__}: {value!r}"
+        )
+
+
+def check_key(key: Any) -> None:
+    """Raise unless ``key`` is a string (the model's object keys are)."""
+    if not isinstance(key, str):
+        raise UnsupportedValueError(
+            f"object keys must be strings, got {type(key).__name__}"
         )
 
 
@@ -71,10 +79,7 @@ def canonical_value(value: Any) -> Hashable:
     if isinstance(value, dict):
         pairs = []
         for key, sub in value.items():
-            if not isinstance(key, str):
-                raise UnsupportedValueError(
-                    f"object keys must be strings, got {type(key).__name__}"
-                )
+            check_key(key)
             pairs.append((key, canonical_value(sub)))
         return frozenset(pairs)
     if isinstance(value, (list, tuple)):

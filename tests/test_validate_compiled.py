@@ -51,22 +51,113 @@ def both_backends(validator, value):
     return value_verdict
 
 
+# Recursive schemas: the paper's Section 5.3 email schema, the
+# Theorem-1 bench's binary trees, guarded recursion through uniqueItems
+# arrays (where ``exact_unique`` changes the code path), and several
+# definitions reaching equal values (the memo must key on the slot).
+RECURSIVE_SCHEMAS = {
+    "email": {
+        "definitions": {
+            "email": {"type": "string", "pattern": "[A-z]*@ciws\\.cl"}
+        },
+        "not": {"$ref": "#/definitions/email"},
+    },
+    "binary-tree": {
+        "definitions": {
+            "tree": {
+                "anyOf": [
+                    {"type": "number"},
+                    {
+                        "type": "object",
+                        "required": ["left", "right"],
+                        "properties": {
+                            "left": {"$ref": "#/definitions/tree"},
+                            "right": {"$ref": "#/definitions/tree"},
+                        },
+                    },
+                ]
+            }
+        },
+        "$ref": "#/definitions/tree",
+    },
+    "unique-nest": {
+        "definitions": {
+            "t": {
+                "anyOf": [
+                    {"type": "string"},
+                    {"type": "number"},
+                    {
+                        "type": "array",
+                        "uniqueItems": True,
+                        "additionalItems": {"$ref": "#/definitions/t"},
+                    },
+                    {
+                        "type": "object",
+                        "properties": {"left": {"$ref": "#/definitions/t"}},
+                        "additionalProperties": {"$ref": "#/definitions/t"},
+                    },
+                ]
+            }
+        },
+        "$ref": "#/definitions/t",
+    },
+    "two-slots": {
+        "definitions": {
+            "small": {"type": "number", "maximum": 0},
+            "big": {"type": "number", "minimum": 1},
+            "pair": {
+                "type": "object",
+                "properties": {
+                    "left": {
+                        "anyOf": [
+                            {"$ref": "#/definitions/small"},
+                            {"$ref": "#/definitions/pair"},
+                        ]
+                    }
+                },
+                "additionalProperties": {
+                    "anyOf": [
+                        {"$ref": "#/definitions/big"},
+                        {"$ref": "#/definitions/pair"},
+                    ]
+                },
+            },
+        },
+        "$ref": "#/definitions/pair",
+    },
+}
+RECURSIVE_SHAPE = TreeShape(
+    max_depth=4,
+    max_children=3,
+    array_weight=0.15,
+    string_weight=0.15,
+    key_pool=("left", "right", "a"),
+    string_pool=("x", "ada@ciws.cl", "ada@ciws.org"),
+    int_range=(0, 1),
+)
+
+
 class TestCompiledSchemaDifferential:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_schemas_on_random_documents(self, seed):
-        rng = random.Random(seed)
-        schema = parse_schema(random_schema_value(rng, depth=3))
-        compiled = compile_schema_validator(schema, cache=None)
-        reference = SchemaValidator(schema)
-        for doc_seed in range(6):
+    @pytest.mark.parametrize("exact_unique", [False, True])
+    @pytest.mark.parametrize("source", [*range(40), *RECURSIVE_SCHEMAS])
+    def test_random_schemas_on_random_documents(self, source, exact_unique):
+        if isinstance(source, int):
+            schema = parse_schema(random_schema_value(random.Random(source), 3))
+            shape, seed, docs = TreeShape(max_depth=4, max_children=4), source, 6
+        else:
+            schema = parse_schema(RECURSIVE_SCHEMAS[source])
+            shape, seed, docs = RECURSIVE_SHAPE, len(source), 40
+        compiled = compile_schema_validator(
+            schema, exact_unique=exact_unique, cache=None
+        )
+        reference = SchemaValidator(schema, exact_unique=exact_unique)
+        for doc_seed in range(docs):
             doc_rng = random.Random(1000 * seed + doc_seed)
-            value = random_value(
-                doc_rng, TreeShape(max_depth=4, max_children=4)
-            )
-            tree = JSONTree.from_value(value)
-            expected = reference.validate(tree)
-            assert compiled.validate_tree(tree) == expected
-            assert compiled.validate_value(value) == expected
+            tree = JSONTree.from_value(random_value(doc_rng, shape))
+            for node in tree.nodes():
+                expected = reference.validate(tree, node)
+                assert compiled.validate_tree(tree, node) == expected
+                assert compiled.validate_value(tree.to_value(node)) == expected
 
     @pytest.mark.parametrize("seed", range(12))
     def test_streaming_agrees_on_supported_fragment(self, seed):
@@ -210,6 +301,41 @@ class TestCompiledSchemaEdgeCases:
         ]:
             assert both_backends(compiled, value) == expected
 
+    def test_wide_enum_of_objects(self):
+        members = [{"code": i, "tag": [f"t{i}"]} for i in range(64)]
+        schema = parse_schema({"enum": members})
+        compiled = compile_schema_validator(schema, cache=None)
+        reference = SchemaValidator(schema)
+        for value in [*members[::7], {"code": 3, "tag": ["t4"]}, {"code": 3}, 3]:
+            expected = reference.validate(JSONTree.from_value(value))
+            assert both_backends(compiled, value) == expected
+
+    def test_additional_properties_beside_overlapping_boxes(self):
+        # "ab" is both a property and a pattern key: both bodies apply and
+        # additionalProperties does not; "a" is a pattern key only, and "z"
+        # falls to additionalProperties.
+        schema = parse_schema(
+            {
+                "type": "object",
+                "properties": {"ab": {"type": "string"}, "c": {}},
+                "patternProperties": {"^a": {"type": "string", "pattern": "^x"}},
+                "additionalProperties": {"type": "integer"},
+            }
+        )
+        compiled = compile_schema_validator(schema, cache=None)
+        reference = SchemaValidator(schema)
+        for value in [
+            {"ab": "xy", "c": [], "z": 1},
+            {"ab": "y"},
+            {"ab": 1},
+            {"a": "x", "c": "any", "z": "s"},
+            {"a": "x", "z": 1},
+            {"a": 1},
+            {"c": {"k": 1}, "zz": 2},
+        ]:
+            expected = reference.validate(JSONTree.from_value(value))
+            assert both_backends(compiled, value) == expected
+
     def test_recursion_guarded_by_structure(self):
         schema = parse_schema(
             {
@@ -237,6 +363,15 @@ class TestCompiledSchemaEdgeCases:
 
         with pytest.raises(SchemaError, match="unresolved"):
             compile_schema_validator(ast.RefSchema("nope"), cache=None)
+
+    def test_non_string_keys_rejected_on_value_path(self):
+        from repro.errors import UnsupportedValueError
+
+        schema = parse_schema(
+            {"type": "object", "properties": {"a": {"type": "string"}}}
+        )
+        with pytest.raises(UnsupportedValueError, match="keys must be strings"):
+            compile_schema_validator(schema).validate_value({1: "x"})
 
     def test_ill_formed_recursion_rejected(self):
         source = {
@@ -323,6 +458,21 @@ class TestCompiledJSL:
     def test_plain_formula_with_ref_rejected(self):
         with pytest.raises(TranslationError):
             compile_jsl_validator(jsl.Ref("loose"), cache=None)
+
+    def test_non_string_keys_rejected_under_key_language(self):
+        from repro.errors import UnsupportedValueError
+
+        formula = schema_to_jsl(
+            parse_schema(
+                {
+                    "type": "object",
+                    "patternProperties": {"^a": {"type": "string"}},
+                    "additionalProperties": {"type": "integer"},
+                }
+            )
+        )
+        with pytest.raises(UnsupportedValueError, match="keys must be strings"):
+            compile_jsl_validator(formula, cache=None).validate_value({1: "x"})
 
     def test_parsed_formula_smoke(self):
         formula = parse_jsl_formula(
