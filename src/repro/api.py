@@ -46,7 +46,6 @@ from typing import Any, Iterable
 
 from repro.errors import StoreError
 from repro.explain import Explain
-from repro.query.optimizer import check_optimize_mode
 from repro.store.collection import Collection
 from repro.store.database import Database
 from repro.store.faults import IOAdapter
@@ -69,7 +68,6 @@ def connect(
     compact_threshold: int | None = None,
     parallel: "bool | str" = "auto",
     start_method: str | None = None,
-    optimize: str = "on",
 ):
     """Open a database handle over any backend.
 
@@ -85,13 +83,11 @@ def connect(
       local storage keywords.
 
     ``io`` swaps the filesystem adapter on durable backends (fault
-    injection; see :mod:`repro.store.faults`).  ``optimize`` sets the
-    database-wide semantic-optimizer mode (``"on"``/``"off"``/
-    ``"proof-only"``; remote connections accept ``on``/``off`` only).
-    Every return value is a context manager whose collections share
-    the uniform protocol.
+    injection; see :mod:`repro.store.faults`).  Every return value is a
+    context manager whose collections share the uniform protocol.  The
+    semantic optimizer is always on; ``hint={"no_semantic": True}`` opts
+    a single read out, on every backend.
     """
-    check_optimize_mode(optimize)
     if isinstance(path, str) and path.startswith("tcp://"):
         if shards != 1 or io is not None:
             raise StoreError(
@@ -100,7 +96,7 @@ def connect(
             )
         from repro.client import connect as client_connect
 
-        return client_connect(path, optimize=optimize)
+        return client_connect(path)
     if shards < 1:
         raise StoreError(f"shard count must be >= 1, got {shards}")
     if shards == 1:
@@ -109,7 +105,6 @@ def connect(
             sync=sync,
             compact_threshold=compact_threshold,
             io=io,
-            optimize=optimize,
         )
     if io is not None:
         raise StoreError(
@@ -122,7 +117,6 @@ def connect(
         sync=sync,
         parallel=parallel,
         start_method=start_method,
-        optimize=optimize,
     )
 
 
@@ -135,14 +129,12 @@ def collection(
     extended: bool = False,
     indexed: bool = True,
     parallel: "bool | str" = "auto",
-    optimize: str = "on",
 ) -> "Collection | ShardedCollection":
     """A one-off volatile collection (tests, benchmarks, scripts).
 
     Anything that should survive a restart belongs behind
-    :func:`connect` with a path.  ``optimize`` sets the
-    semantic-optimizer mode; per query, ``hint={"no_semantic": True}``
-    opts a single read out.
+    :func:`connect` with a path.  Per query, ``hint={"no_semantic":
+    True}`` opts a single read out of the semantic optimizer.
     """
     if shards < 1:
         raise StoreError(f"shard count must be >= 1, got {shards}")
@@ -153,7 +145,6 @@ def collection(
             validator=validator,
             extended=extended,
             indexed=indexed,
-            optimize=optimize,
         )
     if validator is not None:
         raise StoreError(_SHARDED_VALIDATOR)
@@ -164,7 +155,6 @@ def collection(
         extended=extended,
         indexed=indexed,
         parallel=parallel,
-        optimize=optimize,
     )
 
 
@@ -186,9 +176,8 @@ class ShardedDatabase(Database):
         sync: str = "fsync",
         parallel: "bool | str" = "auto",
         start_method: str | None = None,
-        optimize: str = "on",
     ) -> None:
-        super().__init__(path, sync=sync, optimize=optimize)
+        super().__init__(path, sync=sync)
         self._shards = shards
         self._parallel = parallel
         self._start_method = start_method

@@ -71,20 +71,6 @@ def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _check_optimize(optimize: str) -> str:
-    """The remote spelling of the semantic-optimizer knob.
-
-    ``"proof-only"`` is a collection-side mode (prove, report, never
-    enforce); a client cannot impose it on a server's collections, so
-    asking for it here is an error rather than a silent downgrade.
-    """
-    if optimize not in ("on", "off"):
-        raise StoreError(
-            f"remote optimize mode must be 'on' or 'off', got {optimize!r}"
-        )
-    return optimize
-
-
 def _check_greeting(line: bytes) -> None:
     if not line:
         raise WireProtocolError("server closed the connection")
@@ -133,16 +119,9 @@ def _select_rows(rows: list) -> list[tuple[int, list[Any]]]:
 class _RemoteCollectionOps:
     """The uniform collection surface, proxied over the wire."""
 
-    def __init__(
-        self,
-        database: "_RemoteDatabaseOps",
-        name: str,
-        *,
-        optimize: str = "on",
-    ) -> None:
+    def __init__(self, database: "_RemoteDatabaseOps", name: str) -> None:
         self._database = database
         self.name = name
-        self._optimize = _check_optimize(optimize)
 
     def _call(
         self,
@@ -153,20 +132,12 @@ class _RemoteCollectionOps:
         fields["collection"] = self.name
         return self._database._call(op, fields, post)
 
-    def _read_fields(
-        self, hint: "dict[str, Any] | None", **fields: Any
-    ) -> dict[str, Any]:
-        """Request fields plus the per-request hint, folding in a
-        client-wide ``optimize="off"``."""
-        if self._optimize == "off":
-            hint = {**(hint or {}), "no_semantic": True}
+    @staticmethod
+    def _read_fields(hint: "dict[str, Any] | None", **fields: Any) -> dict[str, Any]:
+        """Request fields plus the per-request hint, when given."""
         if hint is not None:
             fields["hint"] = hint
         return fields
-
-    @property
-    def optimize(self) -> str:
-        return self._optimize
 
     # -- reads -------------------------------------------------------------
 
@@ -330,19 +301,13 @@ class _RemoteDatabaseOps:
 
     _collection_type: type[_RemoteCollectionOps]
 
-    def __init__(self, address: tuple[str, int], optimize: str) -> None:
-        self._optimize = _check_optimize(optimize)
+    def __init__(self, address: tuple[str, int]) -> None:
         self._address = address
         self._next_id = 0
         self._closed = False
 
     def collection(self, name: str = "main") -> Any:
-        return self._collection_type(self, name, optimize=self._optimize)
-
-    @property
-    def optimize(self) -> str:
-        """The client-wide semantic-optimizer knob (``on``/``off``)."""
-        return self._optimize
+        return self._collection_type(self, name)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -392,13 +357,8 @@ class RemoteDatabase(_RemoteDatabaseOps):
 
     _collection_type = RemoteCollection
 
-    def __init__(
-        self,
-        address: "str | tuple[str, int]",
-        *,
-        optimize: str = "on",
-    ) -> None:
-        super().__init__(parse_address(address), optimize)
+    def __init__(self, address: "str | tuple[str, int]") -> None:
+        super().__init__(parse_address(address))
         self._socket = socket.create_connection(self._address)
         self._file = self._socket.makefile("rwb")
         _check_greeting(self._readline())
@@ -443,16 +403,13 @@ class RemoteDatabase(_RemoteDatabaseOps):
         self.close()
 
 
-def connect(
-    address: "str | tuple[str, int]", *, optimize: str = "on"
-) -> RemoteDatabase:
+def connect(address: "str | tuple[str, int]") -> RemoteDatabase:
     """Open a blocking client to a ``repro serve`` address.
 
-    ``optimize="off"`` makes every read from this client carry a
-    ``{"no_semantic": true}`` hint, disabling the server's semantic
-    optimizer for exactly this connection's queries.
+    A read passed ``hint={"no_semantic": True}`` carries the hint to
+    the server, which skips its semantic optimizer for that one query.
     """
-    return RemoteDatabase(address, optimize=optimize)
+    return RemoteDatabase(address)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +434,8 @@ class AsyncRemoteDatabase(_RemoteDatabaseOps):
         address: tuple[str, int],
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        *,
-        optimize: str = "on",
     ) -> None:
-        super().__init__(address, optimize)
+        super().__init__(address)
         self._reader = reader
         self._writer = writer
         self._lock = asyncio.Lock()
@@ -525,14 +480,11 @@ class AsyncRemoteDatabase(_RemoteDatabaseOps):
         await self.aclose()
 
 
-async def aconnect(
-    address: "str | tuple[str, int]", *, optimize: str = "on"
-) -> AsyncRemoteDatabase:
+async def aconnect(address: "str | tuple[str, int]") -> AsyncRemoteDatabase:
     """Open an asyncio client to a ``repro serve`` address."""
-    _check_optimize(optimize)  # before there is a connection to leak
     host, port = parse_address(address)
     reader, writer = await asyncio.open_connection(
         host, port, limit=protocol.MAX_LINE_BYTES
     )
     _check_greeting(await reader.readline())
-    return AsyncRemoteDatabase((host, port), reader, writer, optimize=optimize)
+    return AsyncRemoteDatabase((host, port), reader, writer)

@@ -87,19 +87,19 @@ class SemanticsExplain:
     filter's index predicate exact on this collection's paths as the
     live index shows them (array-free, or ending in one flat array)
     and took the postings as the answer (``source="index"``,
-    nothing verified, nothing proved).  ``mode`` says whether the
-    verdict was enforced (``"on"``) or merely reported
-    (``"proof-only"``).  ``source`` names the premise: ``"schema"`` for
+    nothing verified, nothing proved).  Execution acts on every verdict
+    but ``"none"``; a read with ``hint={"no_semantic": True}`` reports
+    no section at all.  ``source`` names the premise: ``"schema"`` for
     an enforced schema, ``"summary"`` for the inferred structural
     summary of a schemaless collection.  ``discharged`` lists the
     predicates whose per-document verification the proof eliminated;
     ``residual`` renders what still runs.  ``timed_out`` flags a prover
     that hit its budget (the query fell through unoptimized), and
     ``cached`` that the verdict came from the process-wide artifact
-    cache rather than a fresh proof.
+    cache rather than a fresh proof.  :meth:`from_json` ignores the
+    ``mode`` field older documents carry.
     """
 
-    mode: str
     verdict: str
     source: str | None
     discharged: tuple[str, ...] = ()
@@ -108,13 +108,8 @@ class SemanticsExplain:
     timed_out: bool = False
     cached: bool = False
 
-    @property
-    def enforced(self) -> bool:
-        return self.mode == "on" and self.verdict != "none"
-
     def to_json(self) -> dict[str, Any]:
         return {
-            "mode": self.mode,
             "verdict": self.verdict,
             "source": self.source,
             "discharged": list(self.discharged),
@@ -127,7 +122,6 @@ class SemanticsExplain:
     @staticmethod
     def from_json(document: dict[str, Any]) -> "SemanticsExplain":
         return SemanticsExplain(
-            mode=document["mode"],
             verdict=document["verdict"],
             source=document.get("source"),
             discharged=tuple(document.get("discharged", ())),
@@ -176,8 +170,8 @@ class Explain:
         Counted against ``candidates``, not ``scanned``: a covered read
         scans none of the documents it returns, and a ``first_only``
         update exits early, without either having pruned them.  Where
-        no fold ran, an enforced ``empty`` verdict pruned everything
-        and anything else (an ``all`` verdict, a full scan) nothing.
+        no fold ran, an ``empty`` verdict pruned everything and
+        anything else (an ``all`` verdict, a full scan) nothing.
         """
         if self.candidates is not None:
             return self.total - self.candidates
@@ -185,7 +179,6 @@ class Explain:
         if (
             self.kind != "update"
             and semantics is not None
-            and semantics.enforced
             and semantics.verdict == "empty"
         ):
             return self.total

@@ -24,7 +24,6 @@ the paper cites).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.automata.keylang import KeyLang
 from repro.jnl import ast
@@ -191,11 +190,3 @@ def edge_matches(
         low, high = payload  # type: ignore[misc]
         return low <= label and (high is None or label <= high)
     return False
-
-
-def moving_transitions(automaton: PathAutomaton) -> Iterable[Transition]:
-    """All axis (downward-moving) transitions of the automaton."""
-    for edges in automaton.outgoing:
-        for transition in edges:
-            if transition.kind in (KEY, KEY_LANG, INDEX, INDEX_RANGE):
-                yield transition

@@ -672,7 +672,7 @@ class CompiledPipeline:
                 self.lead_query = compile_mongo_find(self.lead_filter)
             except ParseError:
                 # Valid in value space but outside the find compiler's
-                # dialect (float comparison bounds, a $regex beyond the
+                # dialect (a float operand, a $regex beyond the
                 # KeyLang subset): keep the match leading, without the
                 # logical plan -- so no index pruning, a full scan.
                 self.lead_query = None
@@ -768,24 +768,21 @@ class CompiledPipeline:
                 yield item
 
     def _scatter_payload(
-        self, source: Any, no_semantic: bool
-    ) -> "dict[str, Any] | None":
+        self, decision: "optimizer.SemanticDecision | None", no_semantic: bool
+    ) -> dict[str, Any]:
         """The scatter envelope, with the coordinator's verdict attached.
 
-        The coordinator proves once (against the fleet-wide schema, when
-        there is one) and the shards inherit: ``"semantic"`` carries an
-        enforced ``"empty"``/``"all"`` verdict, ``None`` to let each
+        The coordinator decides once (against the fleet-wide schema,
+        when there is one) and the shards inherit: ``"semantic"``
+        carries an ``"empty"``/``"all"`` verdict, ``None`` to let each
         shard consult its own summary, or ``"off"`` to disable the
-        pass shard-side too.  Returns ``None`` when the coordinator's
-        ``"empty"`` verdict makes scattering itself unnecessary.
+        pass shard-side too.
         """
         if no_semantic:
-            return {"pipeline": self.pipeline, "semantic": "off"}
-        decision = optimizer.semantic_plan(source, self.lead_query)
-        kind = optimizer.effective_kind(decision)
-        if kind == "empty":
-            return None
-        semantic = kind if kind == "all" else None
+            semantic = "off"
+        else:
+            kind = optimizer.effective_kind(decision)
+            semantic = kind if kind in ("empty", "all") else None
         return {"pipeline": self.pipeline, "semantic": semantic}
 
     def execute(self, source: Any, *, no_semantic: bool = False) -> list[Any]:
@@ -794,8 +791,11 @@ class CompiledPipeline:
         (streamed), returning the result rows."""
         scatter = getattr(source, "scatter_partial_aggregate", None)
         if scatter is not None:
-            payload = self._scatter_payload(source, no_semantic)
-            if payload is None:  # coordinator proved "empty": no scatter
+            decision = planner.decide(
+                source, self.lead_query, no_semantic=no_semantic
+            )
+            payload = self._scatter_payload(decision, no_semantic)
+            if payload["semantic"] == "empty":  # nothing to scatter for
                 return self.merge_partials([])
             return self.merge_partials(scatter(payload))
         return list(self.stream(source, no_semantic=no_semantic))
@@ -925,16 +925,7 @@ class CompiledPipeline:
         semantics = None if decision is None else decision.semantics_explain()
         scatter = getattr(collection, "scatter_partial_aggregate", None)
         if scatter is not None:
-            kind = optimizer.effective_kind(decision)
-            if no_semantic:
-                semantic = "off"
-            elif kind in ("empty", "all"):
-                semantic = kind
-            else:
-                semantic = None
-            partials = scatter(
-                {"pipeline": self.pipeline, "semantic": semantic}
-            )
+            partials = scatter(self._scatter_payload(decision, no_semantic))
             return self._explain_sharded(partials, semantics)
         total = len(collection)
         kind = optimizer.effective_kind(decision)

@@ -63,8 +63,11 @@ def _scalar_eq(value: JSONValue) -> jnl.Unary:
     """Equality at the reached node, MongoDB-style.
 
     Matching a scalar also matches arrays containing it; matching an
-    array/object is exact.
+    array/object is exact.  A float operand is outside the dialect (the
+    model's numbers are naturals), as it is for ``$gt``.
     """
+    if isinstance(value, float):
+        raise ParseError(f"equality against a float ({value!r}) is unsupported")
     doc = JSONTree.from_value(value)
     exact = q.eq_doc(q.eps(), doc)
     if isinstance(value, (dict, list)):

@@ -57,7 +57,6 @@ from repro.query.compiled import CompiledQuery, compile_formula
 from repro.translate.jnl_to_jsl import jnl_to_jsl
 
 __all__ = [
-    "OPTIMIZE_MODES",
     "OptimizerConfig",
     "SemanticContext",
     "SemanticVerdict",
@@ -65,25 +64,10 @@ __all__ = [
     "semantic_plan",
     "effective_kind",
     "describe_formula",
-    "check_optimize_mode",
     "count_verify",
     "reset_verify_calls",
     "verify_calls",
 ]
-
-OPTIMIZE_MODES = ("on", "off", "proof-only")
-
-
-def check_optimize_mode(mode: str) -> str:
-    """Validate an ``optimize=`` knob value (shared by every facade)."""
-    if mode not in OPTIMIZE_MODES:
-        from repro.errors import StoreError
-
-        raise StoreError(
-            f"optimize must be one of {', '.join(OPTIMIZE_MODES)}, "
-            f"got {mode!r}"
-        )
-    return mode
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +147,9 @@ class SemanticContext:
     (and every document a snapshot of the collection can pin);
     ``source`` names where it came from (``"schema"``/``"summary"``);
     ``fingerprint`` is a hashable identity that changes whenever the
-    premise does -- the verdict-cache key component.  ``mode`` is the
-    collection's ``optimize`` knob (``"off"`` never builds a context).
+    premise does -- the verdict-cache key component.
     """
 
-    mode: str
     source: str
     fingerprint: tuple
     formula: Any
@@ -190,28 +172,20 @@ class SemanticVerdict:
 
 @dataclass(frozen=True)
 class SemanticDecision:
-    """A verdict plus how this collection applies it.
-
-    ``mode="on"`` enforces the verdict (execution short-circuits);
-    ``mode="proof-only"`` reports it in explain output while execution
-    stays byte-identical to ``optimize="off"``.
+    """A verdict for one read, always enforced: ``"empty"``/``"all"``
+    short-circuit execution, ``"residual"`` verifies only what the
+    proof left over.  ``cached`` says the verdict came from the
+    artifact cache.  A read that must not act on a proof passes
+    ``hint={"no_semantic": True}`` and gets no decision at all.
     """
 
     verdict: SemanticVerdict
-    mode: str
     cached: bool
-
-    @property
-    def effective(self) -> str:
-        """The verdict kind execution may act on (``"none"`` unless
-        the collection's mode enforces verdicts)."""
-        return self.verdict.kind if self.mode == "on" else "none"
 
     def semantics_explain(self):
         from repro.explain import SemanticsExplain
 
         return SemanticsExplain(
-            mode=self.mode,
             verdict=self.verdict.kind,
             source=self.verdict.source,
             discharged=self.verdict.discharged,
@@ -223,8 +197,8 @@ class SemanticDecision:
 
 
 def effective_kind(decision: SemanticDecision | None) -> str:
-    """The enforceable verdict kind of a possibly-absent decision."""
-    return "none" if decision is None else decision.effective
+    """The verdict kind of a possibly-absent decision."""
+    return "none" if decision is None else decision.verdict.kind
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +431,7 @@ def semantic_plan(
 
     Returns ``None`` -- proceed exactly as before -- when the
     collection exposes no :class:`SemanticContext` (no schema/summary,
-    ``optimize="off"``, extended values, a duck-typed source), when the
+    extended values, a duck-typed source), when the
     per-query ``hint={"no_semantic": True}`` escape hatch is set, or
     when the payload is not a filter formula.  Verdicts are memoised on
     ``(context fingerprint, dialect, source)`` in the process-wide
@@ -492,6 +466,4 @@ def semantic_plan(
             config.solver_key,
         )
         verdict = resolved.get_or_compute(key, build)
-    return SemanticDecision(
-        verdict=verdict, mode=context.mode, cached=not computed
-    )
+    return SemanticDecision(verdict=verdict, cached=not computed)

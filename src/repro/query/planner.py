@@ -202,9 +202,7 @@ def survivors(
 # Never cached: the shape of a path is a property of one collection's
 # live index, not of a premise fingerprint.
 _COVERED = SemanticDecision(
-    verdict=SemanticVerdict(kind="covered", source="index"),
-    mode="on",
-    cached=False,
+    verdict=SemanticVerdict(kind="covered", source="index"), cached=False
 )
 
 
@@ -220,18 +218,17 @@ def decide(
     as its cover says (array-free, or ending in one flat array) and the
     live index shows every document's are: the candidate fold is the
     result, nothing is verified and nothing is proved.  The rung
-    applies exactly where an enforced verdict would -- a
-    ``SemanticContext`` in mode ``"on"`` and no ``no_semantic`` hint --
-    so ``optimize="off"``/``"proof-only"`` and hinted calls stay the
+    applies exactly where a verdict would -- a ``SemanticContext`` and
+    no ``no_semantic`` hint -- so hinted calls stay the
     prune-and-verify reference.  Otherwise the decision is
-    :func:`repro.query.optimizer.semantic_plan`'s.
+    :func:`repro.query.optimizer.semantic_plan`'s.  Every read path
+    decides here; only update target selection, which never takes the
+    covered rung, asks the optimizer directly.
     """
     if not no_semantic and query is not None and query.plan.cover is not None:
-        context = getattr(collection, "semantic_context", None)
         indexes = getattr(collection, "indexes", None)
         if (
-            context is not None
-            and context.mode == "on"
+            getattr(collection, "semantic_context", None) is not None
             and indexes is not None
             and indexes.covers(query.plan.cover)
         ):

@@ -40,7 +40,7 @@ from repro.query.compiled import (
     compile_mongo_find,
     compile_query,
 )
-from repro.query.optimizer import SemanticContext, check_optimize_mode
+from repro.query.optimizer import SemanticContext
 from repro.store.engine import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
@@ -63,13 +63,12 @@ from repro.validate.compiled import CompiledValidator, compile_schema_validator
 __all__ = ["Collection"]
 
 
-def _compile_schema(schema: Any):
-    """``(validator, JSL formula, canonical text)`` for a schema.
+def _compile_schema(schema: Any) -> tuple[CompiledValidator, SemanticContext]:
+    """A schema's validator and the semantic optimizer's premise.
 
-    The formula is the Theorem-1 translation the validator runs; it and
-    the schema's canonical rendering feed the semantic optimizer as its
-    proof premise and the premise's cache fingerprint -- shared across
-    collections enforcing an identical schema.
+    The premise formula is the Theorem-1 translation the validator
+    runs, fingerprinted by the schema's canonical rendering -- so
+    collections enforcing an identical schema share cached verdicts.
     """
     from repro.schema.parser import parse_schema
 
@@ -79,7 +78,11 @@ def _compile_schema(schema: Any):
         sort_keys=True,
         separators=(",", ":"),
     )
-    return validator, validator.formula, canonical
+    return validator, SemanticContext(
+        source="schema",
+        fingerprint=("schema", canonical),
+        formula=validator.formula,
+    )
 
 
 def _no_semantic(hint: "dict[str, Any] | None") -> bool:
@@ -141,8 +144,8 @@ class Collection:
     """
 
     __slots__ = ("_trees", "_alive", "_interned", "_indexes", "_validator",
-                 "_extended", "_version", "_dirty", "_engine", "_optimize",
-                 "_schema_formula", "_schema_source", "_summary")
+                 "_extended", "_version", "_dirty", "_engine",
+                 "_schema_context", "_summary")
 
     def __init__(
         self,
@@ -152,7 +155,6 @@ class Collection:
         validator: CompiledValidator | None = None,
         extended: bool = False,
         indexed: bool = True,
-        optimize: str = "on",
         engine: StorageEngine | None = None,
     ) -> None:
         if schema is not None and validator is not None:
@@ -165,25 +167,19 @@ class Collection:
         self._indexes: DocumentIndexes | None = (
             DocumentIndexes(resolve=self.get) if indexed else None
         )
-        self._schema_formula = None
-        self._schema_source: str | None = None
+        self._schema_context: SemanticContext | None = None
         if schema is not None:
-            self._validator, self._schema_formula, self._schema_source = (
-                _compile_schema(schema)
-            )
+            self._validator, self._schema_context = _compile_schema(schema)
         else:
             self._validator = validator
         self._extended = extended
-        self._optimize = check_optimize_mode(optimize)
         # The schemaless premise: the structural summary, fed by every
         # write and by recovery so it is exact for the first query
         # already.  A prebuilt validator gets no premise at all:
         # enforcement may rely on exotic validator features.
         self._summary: StructuralSummary | None = (
             StructuralSummary()
-            if self._validator is None
-            and not extended
-            and self._optimize != "off"
+            if self._validator is None and not extended
             else None
         )
         self._version = 0
@@ -432,38 +428,27 @@ class Collection:
         return self._version
 
     @property
-    def optimize(self) -> str:
-        """The semantic-optimizer knob (``on``/``off``/``proof-only``)."""
-        return self._optimize
-
-    @property
     def semantic_context(self) -> SemanticContext | None:
         """What the semantic optimizer may assume about every document.
 
-        ``None`` -- and hence no optimization -- when the knob is
-        ``"off"``, when the collection holds ``extended`` values (the
-        solver's model class is the paper's 4-kind universe), or when
-        no sound premise exists.  Schema-enforced collections return
-        the schema's JSL translation (Theorem 1), fingerprinted by the
-        canonical schema text so identical schemas share cached
-        verdicts; schemaless collections return the inferred
-        widen-only structural summary (:mod:`repro.store.summary`),
-        fingerprinted by its revision.
+        ``None`` -- and hence no optimization -- when the collection
+        holds ``extended`` values (the solver's model class is the
+        paper's 4-kind universe), or when no sound premise exists.
+        Schema-enforced collections return the premise built with
+        their validator: the schema's JSL translation (Theorem 1),
+        fingerprinted by the canonical schema text so identical schemas
+        share cached verdicts; schemaless collections return the
+        inferred widen-only structural summary
+        (:mod:`repro.store.summary`), fingerprinted by its revision.
         """
-        if self._optimize == "off" or self._extended:
+        if self._extended:
             return None
-        if self._schema_formula is not None:
-            return SemanticContext(
-                mode=self._optimize,
-                source="schema",
-                fingerprint=("schema", self._schema_source),
-                formula=self._schema_formula,
-            )
+        if self._schema_context is not None:
+            return self._schema_context
         summary = self._summary
         if summary is None or summary.disabled:
             return None
         return SemanticContext(
-            mode=self._optimize,
             source="summary",
             fingerprint=summary.fingerprint,
             formula=summary.formula(),

@@ -61,15 +61,11 @@ class Database:
         sync: str = "fsync",
         compact_threshold: int | None = None,
         io: IOAdapter | None = None,
-        optimize: str = "on",
     ) -> None:
-        from repro.query.optimizer import check_optimize_mode
-
         self._path = None if path is None else os.fspath(path)
         self._sync = sync
         self._threshold = compact_threshold
         self._io = io
-        self._optimize = check_optimize_mode(optimize)
         self._collections: dict[str, Collection] = {}
         if self._path is not None:
             os.makedirs(self._path, exist_ok=True)
@@ -87,7 +83,6 @@ class Database:
         validator: Any | None = None,
         extended: bool = False,
         indexed: bool = True,
-        optimize: str | None = None,
     ) -> Collection:
         """The named collection, opened (and recovered) on first use.
 
@@ -116,7 +111,6 @@ class Database:
             validator=validator,
             extended=extended,
             indexed=indexed,
-            optimize=self._optimize if optimize is None else optimize,
         )
         self._collections[name] = collection
         return collection

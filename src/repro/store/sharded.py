@@ -58,11 +58,11 @@ import os
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import StorageFormatError, StoreError
+from repro.errors import ParseError, StorageFormatError, StoreError
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import optimizer, planner
 from repro.query.compiled import compile_mongo_find
-from repro.query.optimizer import SemanticContext, check_optimize_mode
+from repro.query.optimizer import SemanticContext
 from repro.store.collection import (
     Collection,
     _compile_schema,
@@ -251,7 +251,6 @@ def _build_shard(config: dict[str, Any]) -> Collection:
         schema=config["schema"],
         extended=config["extended"],
         indexed=config["indexed"],
-        optimize=config.get("optimize", "on"),
     )
 
 
@@ -384,7 +383,6 @@ class ShardedEngine:
         sync: str = "fsync",
         parallel: bool | str = "auto",
         start_method: str | None = None,
-        optimize: str = "on",
     ) -> None:
         self._path = os.fspath(path) if path is not None else None
         self._closed = False
@@ -400,7 +398,6 @@ class ShardedEngine:
                 "extended": extended,
                 "indexed": indexed,
                 "sync": sync,
-                "optimize": check_optimize_mode(optimize),
             }
             for index in range(resolved)
         ]
@@ -601,9 +598,7 @@ class ShardedCollection:
         parallel: bool | str = "auto",
         start_method: str | None = None,
         engine: ShardedEngine | None = None,
-        optimize: str = "on",
     ) -> None:
-        self._optimize = check_optimize_mode(optimize)
         if engine is None:
             engine = ShardedEngine(
                 shards,
@@ -614,18 +609,13 @@ class ShardedCollection:
                 sync=sync,
                 parallel=parallel,
                 start_method=start_method,
-                optimize=self._optimize,
             )
         self._engine = engine
         self._extended = extended
+        self._validator = None
+        self._schema_context: SemanticContext | None = None
         if schema is not None:
-            self._validator, self._schema_formula, self._schema_source = (
-                _compile_schema(schema)
-            )
-        else:
-            self._validator = None
-            self._schema_formula = None
-            self._schema_source = None
+            self._validator, self._schema_context = _compile_schema(schema)
         metas = engine.broadcast("meta")
         self._next_id = max(meta["next_id"] for meta in metas)
         documents = list(documents)
@@ -733,11 +723,6 @@ class ShardedCollection:
         return self._validator is not None
 
     @property
-    def optimize(self) -> str:
-        """The semantic-optimizer knob (``on``/``off``/``proof-only``)."""
-        return self._optimize
-
-    @property
     def semantic_context(self) -> SemanticContext | None:
         """The coordinator-side semantic premise: the enforced schema.
 
@@ -748,16 +733,7 @@ class ShardedCollection:
         fingerprint is the canonical schema text, so coordinator and
         shard verdicts share one cache entry per schema.
         """
-        if self._optimize == "off" or self._extended:
-            return None
-        if self._schema_formula is None:
-            return None
-        return SemanticContext(
-            mode=self._optimize,
-            source="schema",
-            fingerprint=("schema", self._schema_source),
-            formula=self._schema_formula,
-        )
+        return None if self._extended else self._schema_context
 
     @property
     def health(self) -> list[EngineHealth]:
@@ -771,12 +747,13 @@ class ShardedCollection:
     def _read_decision(
         self, filter_doc: dict[str, Any], no_semantic: bool
     ) -> "optimizer.SemanticDecision | None":
-        """The coordinator's one-proof verdict for a scatter read."""
+        """The coordinator's one-proof verdict for a scatter read; a
+        filter outside the find dialect gets none (the shards scan)."""
         try:
             query = compile_mongo_find(filter_doc)
-        except Exception:
+        except ParseError:
             return None
-        return optimizer.semantic_plan(self, query, no_semantic=no_semantic)
+        return planner.decide(self, query, no_semantic=no_semantic)
 
     def find_rows(
         self,

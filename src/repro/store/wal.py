@@ -357,18 +357,6 @@ class WriteAheadLog:
             self._records_since_reset = self._batch_start_records
             self._rollback_append(start, exc)
 
-    def abort_batch(self) -> None:
-        """Discard an open batch (nothing was acknowledged): truncate
-        back to the pre-batch offset and rewind the LSN counter."""
-        if self._batch_start is None:
-            return
-        start = self._batch_start
-        self._abort_batch()
-        try:
-            self._rollback_append(start, OSError("batch aborted"))
-        except StorageIOError:
-            pass
-
     def _abort_batch(self) -> None:
         """Rewind the in-memory batch state (file handled by caller)."""
         self._batch_start = None

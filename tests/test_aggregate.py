@@ -432,8 +432,9 @@ class TestIndexPruning:
 
 class TestFindDialectFallback:
     """Filters valid in value space but outside the find compiler's
-    dialect (float comparison bounds, $regex beyond the KeyLang subset)
-    run in any position -- a leading one just scans instead of pruning.
+    dialect (float comparison bounds and equalities, $regex beyond the
+    KeyLang subset) run in any position -- a leading one just scans
+    instead of pruning.
     """
 
     DOCS = [{"x": 1}, {"x": 1.4}, {"x": 1.6}, {"x": 2}, {"x": "s"}]
@@ -447,6 +448,19 @@ class TestFindDialectFallback:
             self.DOCS,
             [{"$limit": 5}, {"$match": {"x": {"$gte": 1.4, "$lt": 1.7}}}],
         ) == [{"x": 1.4}, {"x": 1.6}]
+
+    def test_float_equality_matches_in_any_position(self):
+        for match, expected in (
+            ({"x": 1.5}, []),
+            ({"x": 1.4}, [{"x": 1.4}]),
+            ({"x": {"$in": [2, 2.5]}}, [{"x": 2}]),
+        ):
+            assert run(self.DOCS, [{"$match": match}]) == expected, match
+            assert run(
+                self.DOCS, [{"$limit": 5}, {"$match": match}]
+            ) == expected, match
+            compiled = compile_pipeline([{"$match": match}], cache=None)
+            assert compiled.lead_query is None  # scans, never raises
 
     def test_float_bound_on_pipeline_products(self):
         """$avg output is a float; a downstream $match must be able to

@@ -3,9 +3,10 @@
 Covers the verdict ladder (unsat => empty, implied => all, partial =>
 residual, unknown => none), the widen-only structural summary for
 schemaless collections, process-wide verdict caching keyed by schema
-fingerprint, the ``optimize=`` modes and the ``hint={"no_semantic":
-True}`` escape hatch, the versioned Explain ``semantics`` section, and
-the deprecated explain shims.
+fingerprint, the ``hint={"no_semantic": True}`` switch -- the one way
+to turn the optimizer off -- and the single read-side door to the
+prover (``planner.decide``), and the versioned Explain ``semantics``
+section.
 
 ``TestProverSession`` pins the warm prover session behind the verdicts:
 it answers as the cold one-shot solver does, in any order, without
@@ -13,10 +14,11 @@ growing, and never across a premise change; every verdict it yields is
 cross-checked by brute force over the live documents.
 
 ``TestRandomisedDifferential`` pins the optimizer's first law -- it is
-invisible in results -- by racing ``optimize="on"`` against ``"off"``
-over randomised schemas x queries on every backend (memory, durable,
-sharded, remote).  Scaled by ``REPRO_DIFF_SCALE`` (the nightly CI job
-sweeps it at 20x) alongside adversarial cases: a prover starved to a
+invisible in results -- by racing the default read against the same
+read with the hint over randomised schemas x queries on every backend
+(memory, durable, sharded, remote).  Scaled by ``REPRO_DIFF_SCALE``
+(the nightly CI job sweeps it at 20x) alongside adversarial cases: a
+prover starved to a
 zero budget, a summary that widens between proof and execution, and
 ``not``-heavy schemas.  Its exact-vs-verified axis races the planner's
 index cover (rung 0, no proof at all) against the hinted
@@ -37,7 +39,6 @@ import pytest
 
 from repro import api
 from repro.explain import Explain, SemanticsExplain
-from repro.errors import StoreError
 from repro.query import compile_mongo_find, ir, optimizer, planner
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
@@ -75,7 +76,6 @@ class TestVerdicts:
     def test_unsat_filter_proves_empty(self, people):
         decision = decision_for(people, {"age": {"$gt": 500}})
         assert decision.verdict.kind == "empty"
-        assert decision.effective == "empty"
         assert people.find({"age": {"$gt": 500}}) == []
         assert people.count({"age": {"$gt": 500}}) == 0
 
@@ -198,7 +198,6 @@ class TestStructuralSummary:
                 assert decision.verdict.kind == "empty"
                 assert decision.verdict.source == "summary"
         for off in (
-            api.collection(docs, optimize="off"),
             api.collection(docs, extended=True),
             api.collection(docs, schema={"type": "object"}),
         ):
@@ -244,30 +243,11 @@ class TestStructuralSummary:
 
 
 # ---------------------------------------------------------------------------
-# Modes, hints, and the api knobs.
+# The one switch, and the one door to the prover.
 # ---------------------------------------------------------------------------
 
 
-class TestModesAndHints:
-    def test_optimize_off_disables_the_premise(self):
-        off = api.collection(age_docs(), schema=AGE_SCHEMA, optimize="off")
-        assert off.semantic_context is None
-        report = off.explain({"age": {"$gt": 500}})
-        assert report.semantics is None
-        assert report.scanned > 0 or report.candidates == 0
-
-    def test_proof_only_reports_without_enforcing(self):
-        proof = api.collection(
-            age_docs(), schema=AGE_SCHEMA, optimize="proof-only"
-        )
-        report = proof.explain({"age": {"$gte": 0}})
-        assert report.semantics is not None
-        assert report.semantics.mode == "proof-only"
-        assert report.semantics.verdict == "all"
-        assert not report.semantics.enforced
-        # Enforcement is off: the classic path scanned every survivor.
-        assert report.scanned == len(proof)
-
+class TestOneSwitch:
     def test_hint_escape_hatch(self):
         people = api.collection(age_docs(), schema=AGE_SCHEMA)
         report = people.explain(
@@ -276,25 +256,46 @@ class TestModesAndHints:
         assert report.semantics is None
         assert people.count({"age": {"$gt": 500}}, hint={"no_semantic": True}) == 0
 
-    def test_connect_validates_the_mode(self):
-        with pytest.raises(StoreError):
-            api.connect(optimize="sometimes")
-        with pytest.raises(StoreError):
-            api.collection([], optimize="sometimes")
+    def test_reads_reach_the_prover_only_through_decide(self, monkeypatch):
+        """Every read -- local and sharded, coordinator included --
+        asks ``planner.decide``, never ``semantic_plan`` directly."""
+        deciding = [0]
+        planned: list = []
+        decide, semantic_plan = planner.decide, optimizer.semantic_plan
 
-    def test_database_threads_the_mode_through(self, tmp_path):
-        with api.connect(tmp_path / "db", optimize="proof-only") as db:
-            handle = db.collection(documents=age_docs(), schema=AGE_SCHEMA)
-            assert handle.optimize == "proof-only"
-        with api.connect(tmp_path / "db2", optimize="on") as db:
-            handle = db.collection(optimize="off", documents=[{"n": 1}])
-            assert handle.optimize == "off"
+        def spy_decide(*args, **kwargs):
+            deciding[0] += 1
+            try:
+                return decide(*args, **kwargs)
+            finally:
+                deciding[0] -= 1
 
-    def test_remote_rejects_proof_only(self):
-        from repro.client import RemoteCollection
+        def spy_plan(collection, *args, **kwargs):
+            assert deciding[0], "semantic_plan reached outside planner.decide"
+            planned.append(collection)
+            return semantic_plan(collection, *args, **kwargs)
 
-        with pytest.raises(StoreError):
-            RemoteCollection(None, "main", optimize="proof-only")
+        monkeypatch.setattr(planner, "decide", spy_decide)
+        monkeypatch.setattr(optimizer, "semantic_plan", spy_plan)
+        # A negation: outside the index cover, so the prover answers.
+        refuted = {"age": {"$not": {"$lte": 500}}}
+        pipeline = [{"$match": refuted}, {"$count": "n"}]
+        local = api.collection(age_docs(), schema=AGE_SCHEMA)
+        assert local.aggregate(pipeline) == []
+        assert local in planned
+        with api.collection(
+            age_docs(), schema=AGE_SCHEMA, shards=2, parallel=False
+        ) as fleet:
+            for read, expected in (
+                (lambda: fleet.find(refuted), []),
+                (lambda: fleet.count(refuted), 0),
+                (lambda: fleet.match_ids(refuted), []),
+                (lambda: fleet.aggregate(pipeline), []),
+                (lambda: fleet.explain_aggregate(pipeline).results, 0),
+            ):
+                del planned[:]
+                assert read() == expected
+                assert fleet in planned  # the coordinator decided
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +321,18 @@ class TestVerdictCache:
         assert two.verdict.kind == "empty"
         assert two.cached  # same canonical schema text, same query
         assert two.verdict == one.verdict
+
+    def test_schema_premise_is_built_once(self):
+        people = api.collection(age_docs(), schema=AGE_SCHEMA)
+        context = people.semantic_context
+        assert context.source == "schema"
+        assert people.semantic_context is context
+        assert people.snapshot_view().semantic_context is context
+        with api.collection(
+            age_docs(), schema=AGE_SCHEMA, shards=2, parallel=False
+        ) as fleet:
+            assert fleet.semantic_context is fleet.semantic_context
+            assert fleet.semantic_context.fingerprint == context.fingerprint
 
     def test_budget_is_part_of_the_cache_key(self):
         people = api.collection(age_docs(), schema=AGE_SCHEMA)
@@ -350,7 +363,6 @@ class TestExplainSemantics:
         assert semantics is not None
         assert semantics.verdict == "empty"
         assert semantics.source == "schema"
-        assert semantics.enforced
         assert list(semantics.discharged) == ["[X_age.<~Max(501)>]"]
         assert report.scanned == 0 and report.matched == 0
 
@@ -392,6 +404,13 @@ class TestExplainSemantics:
         )
         assert rehydrated == report
         assert isinstance(rehydrated.semantics, SemanticsExplain)
+
+    def test_semantics_decode_an_older_mode_field(self):
+        people = api.collection(age_docs(), schema=AGE_SCHEMA)
+        semantics = people.explain({"age": {"$not": {"$lte": 500}}}).semantics
+        wire = semantics.to_json()
+        assert "mode" not in wire
+        assert SemanticsExplain.from_json({**wire, "mode": "on"}) == semantics
 
     def test_verify_counter_counts_only_real_verification(self):
         people = api.collection(age_docs(), schema=AGE_SCHEMA)
@@ -642,32 +661,39 @@ def _serving(database):
         loop.close()
 
 
+def _assert_hint_invisible(target, filter_doc: dict, aggregate=True) -> None:
+    """The default read of ``target`` answers as the hinted one does."""
+    assert target.find(filter_doc) == target.find(
+        filter_doc, hint=_HINT
+    ), filter_doc
+    assert target.count(filter_doc) == target.count(filter_doc, hint=_HINT)
+    if aggregate:
+        pipeline = [{"$match": filter_doc}, {"$count": "n"}]
+        assert target.aggregate(pipeline) == target.aggregate(
+            pipeline, hint=_HINT
+        ), filter_doc
+
+
 class TestRandomisedDifferential:
-    def test_memory_on_equals_off(self):
+    def test_memory_default_equals_hinted(self):
         rng = random.Random(20170508)
         for _ in range(10 * _SCALE):
             schema, docs = _random_schema(rng)
-            on = api.collection(docs, schema=schema)
-            off = api.collection(docs, schema=schema, optimize="off")
+            people = api.collection(docs, schema=schema)
             for _ in range(8):
-                filter_doc = _random_filter(rng, schema)
-                assert on.find(filter_doc) == off.find(filter_doc), filter_doc
-                assert on.count(filter_doc) == off.count(filter_doc)
-                pipeline = [{"$match": filter_doc}, {"$count": "n"}]
-                assert on.aggregate(pipeline) == off.aggregate(pipeline)
+                _assert_hint_invisible(people, _random_filter(rng, schema))
 
-    def test_memory_summary_on_equals_off(self):
+    def test_memory_summary_default_equals_hinted(self):
         rng = random.Random(1138)
         for _ in range(10 * _SCALE):
             schema, docs = _random_schema(rng)
-            on = api.collection(docs)  # schemaless: summary premise
-            off = api.collection(docs, optimize="off")
+            plain = api.collection(docs)  # schemaless: summary premise
             for _ in range(8):
-                filter_doc = _random_filter(rng, schema)
-                assert on.find(filter_doc) == off.find(filter_doc), filter_doc
-                assert on.count(filter_doc) == off.count(filter_doc)
+                _assert_hint_invisible(
+                    plain, _random_filter(rng, schema), aggregate=False
+                )
 
-    def test_durable_on_equals_off(self, tmp_path):
+    def test_durable_default_equals_hinted(self, tmp_path):
         rng = random.Random(4)
         schema, docs = _random_schema(rng)
         with api.connect(tmp_path / "db") as db:
@@ -675,50 +701,36 @@ class TestRandomisedDifferential:
             for _ in range(10 * _SCALE):
                 filter_doc = _random_filter(rng, schema)
                 assert handle.find(filter_doc) == handle.find(
-                    filter_doc, hint={"no_semantic": True}
+                    filter_doc, hint=_HINT
                 ), filter_doc
 
-    def test_sharded_on_equals_off(self):
+    def test_sharded_default_equals_hinted(self):
         rng = random.Random(99)
         schema, docs = _random_schema(rng)
-        reference = api.collection(docs, schema=schema, optimize="off")
         with api.collection(
             docs, schema=schema, shards=3, parallel=False
         ) as fleet:
             for _ in range(10 * _SCALE):
-                filter_doc = _random_filter(rng, schema)
-                assert fleet.find(filter_doc) == reference.find(
-                    filter_doc
-                ), filter_doc
-                assert fleet.count(filter_doc) == reference.count(filter_doc)
-                pipeline = [{"$match": filter_doc}, {"$count": "n"}]
-                assert fleet.aggregate(pipeline) == reference.aggregate(
-                    pipeline
-                )
+                _assert_hint_invisible(fleet, _random_filter(rng, schema))
 
-    def test_remote_on_equals_off(self):
+    def test_remote_default_equals_hinted(self):
         from repro.client import connect
 
         rng = random.Random(7)
         schema, docs = _random_schema(rng)
         database = api.connect()
         database.collection(documents=docs, schema=schema)
-        local = api.collection(docs, schema=schema, optimize="off")
-        with _serving(database) as address:
-            with connect(address) as on_client, connect(
-                address, optimize="off"
-            ) as off_client:
-                on = on_client.collection()
-                off = off_client.collection()
-                for _ in range(10 * _SCALE):
-                    filter_doc = _random_filter(rng, schema)
-                    expected = local.find(filter_doc)
-                    assert on.find(filter_doc) == expected, filter_doc
-                    assert off.find(filter_doc) == expected, filter_doc
-                    assert on.count(filter_doc) == len(expected)
-                report = on.explain({"a": {"$not": {"$lte": 10_000}}})
-                assert report.semantics is not None
-                assert report.semantics.verdict == "empty"
+        with _serving(database) as address, connect(address) as client:
+            remote = client.collection()
+            for _ in range(10 * _SCALE):
+                _assert_hint_invisible(
+                    remote, _random_filter(rng, schema), aggregate=False
+                )
+            refuted = {"a": {"$not": {"$lte": 10_000}}}
+            report = remote.explain(refuted)
+            assert report.semantics is not None
+            assert report.semantics.verdict == "empty"
+            assert remote.explain(refuted, hint=_HINT).semantics is None
 
     def test_exact_cover_equals_verified(self):
         """Covered reads against the hinted prune-and-verify path and
@@ -879,16 +891,14 @@ class TestRandomisedDifferential:
             },
         }
         docs = [{"v": i} for i in range(10)]
-        on = api.collection(docs, schema=schema)
-        off = api.collection(docs, schema=schema, optimize="off")
+        values = api.collection(docs, schema=schema)
         for filter_doc in (
             {"v": {"$gt": 100}},
             {"v": {"$gte": 0}},
             {"v": {"$lt": 5}},
             {"v": "text"},
         ):
-            assert on.find(filter_doc) == off.find(filter_doc), filter_doc
-            assert on.count(filter_doc) == off.count(filter_doc)
+            _assert_hint_invisible(values, filter_doc, aggregate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ class TestPruningEffectiveness:
             explain = planner.explain(collection, query)
             assert explain.total == len(collection)
             semantics = explain.semantics
-            if semantics is not None and semantics.enforced and (
+            if semantics is not None and (
                 semantics.verdict in ("empty", "all", "covered")
             ):
                 # A discharged verdict (or an exact index cover) answers
@@ -516,9 +516,7 @@ def verdict_of(target, filter_doc, **kwargs):
     if report.semantics is None:
         return None
     if report.semantics.verdict == "covered":
-        assert report.semantics.mode == "on"
         assert report.semantics.source == "index"
-        assert report.semantics.enforced
         assert report.scanned == 0  # "scanned" still means "verified"
         assert report.matched == (
             report.total if report.candidates is None else report.candidates
@@ -695,20 +693,15 @@ class TestCoveredReads:
         assert self.same_answers(view, self.USER) == pinned
         assert len(self.same_answers(users, self.USER)) == len(pinned) + 1
 
-    def test_everything_that_is_not_mode_on_verifies(self, users):
+    def test_hinted_unindexed_and_extended_reads_verify(self, users):
         docs = [tree.to_value() for _, tree in users.documents()]
         assert verdict_of(users, self.USER, hint=HINT) is None
-        assert verdict_of(api.collection(docs, optimize="off"), self.USER) is None
-        proof_only = api.collection(docs, optimize="proof-only")
-        report = proof_only.explain(self.USER)
-        assert report.semantics.mode == "proof-only"
-        assert report.semantics.verdict != "covered"
+        report = users.explain(self.USER, hint=HINT)
         assert report.scanned == report.candidates == 4
         unindexed = api.collection(docs, indexed=False)
         assert verdict_of(unindexed, self.USER) != "covered"
         assert verdict_of(api.collection(docs, extended=True), self.USER) is None
-        for target in (proof_only, unindexed):
-            self.same_answers(target, self.USER)
+        self.same_answers(unindexed, self.USER)
 
     def test_a_covered_read_verifies_and_proves_nothing(
         self, users, monkeypatch

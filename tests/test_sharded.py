@@ -254,6 +254,26 @@ class TestRandomisedDifferential:
                 single.get(doc_id).to_value() for doc_id in expected_ids
             ], filter_doc
 
+    def test_out_of_dialect_filters_scan_as_on_one_collection(
+        self, single, sharded
+    ):
+        """A float operand is outside the find dialect: the coordinator
+        decides nothing, and aggregation and update target selection
+        scan every shard."""
+        update = {"$inc": {"age": 1}}
+        for match in (
+            {"age": 40.5},
+            {"age": {"$in": [30, 40.5]}},
+            {"age": {"$gt": 39.5}},
+        ):
+            pipeline = [{"$match": match}, {"$count": "n"}]
+            assert sharded.aggregate(pipeline) == single.aggregate(pipeline)
+            reports = sharded.explain_update(match, update)
+            assert not any(report.used_indexes for report in reports)
+            assert sum(report.matched for report in reports) == (
+                single.explain_update(match, update).matched
+            ), match
+
     def test_sharded_updates_equal_single(self):
         updates = [
             ({"age": {"$gt": 60}}, {"$inc": {"age": 1}}),

@@ -480,16 +480,15 @@ class TestPlannerIntegration:
         assert report.pruned == report.total - report.scanned
 
     def test_dialect_fallback_scans(self, people):
-        # A float bound is valid in value space but outside the find
-        # compiler's dialect: the update still runs, as a scan.
-        report = people.explain_update(
-            {"age": {"$gt": 50.5}}, {"$inc": {"age": 1}}
-        )
-        assert not report.used_indexes
-        assert report.scanned == report.total
-        result = people.update_many({"age": {"$gt": 50.5}}, {"$inc": {"age": 1}})
-        assert result.matched_count == report.matched
-        assert_oracle(people)
+        # A float bound or equality is valid in value space but outside
+        # the find compiler's dialect: the update still runs, as a scan.
+        for filter_doc in ({"age": {"$gt": 50.5}}, {"age": 50.5}):
+            report = people.explain_update(filter_doc, {"$inc": {"age": 1}})
+            assert not report.used_indexes
+            assert report.scanned == report.total
+            result = people.update_many(filter_doc, {"$inc": {"age": 1}})
+            assert result.matched_count == report.matched
+            assert_oracle(people)
 
     def test_explain_first_only_previews_update_one(self, people):
         many = people.explain_update(
