@@ -22,16 +22,20 @@ exact index cover answers from the postings alone.  Two counts are
 gated >= 10x against the same call under ``hint={"no_semantic": True}``
 (prune and verify every survivor): an equality on an array-free path
 with a few hundred matches, and an array membership -- ``hobbies`` is a
-flat array, a third of the documents match.  The last row is reported
-only: a point ``find`` with a fresh constant on every call -- no cached
-plan or verdict -- on the corpus as is, then with one stray document
-carrying a *flat* array on the filtered path (asserted still covered:
-no cliff), then with one carrying a *nested* array; the cover declines
-there and the prover runs, so the row shows what that costs.
+flat array, a third of the documents match.  The last row times a
+point ``find`` with a fresh constant on every call -- no cached verdict,
+and a plan bound from its shape's template -- on the corpus as is, then
+with one stray document carrying a *flat* array on the filtered path
+(asserted still covered: no cliff), then with one carrying a *nested*
+array; the cover declines there and the prover runs, so the row shows
+what that costs.  The fresh-constant read on the clean corpus is gated
+at <= 3x the same read with one constant repeated (a cached plan), so
+the shape cache cannot silently stop binding.
 
-The ingest row's resident bytes per document are gated <= 6 800: a
-posting that holds one id is stored as the id, and the gate keeps
-posting memory from creeping back unnoticed.
+The ingest row's resident bytes per document are gated <= 4 000: a
+posting that holds one id is stored as the id, one that holds every id
+as the live-id set itself, and the gate keeps posting memory from
+creeping back unnoticed.
 """
 
 from __future__ import annotations
@@ -145,7 +149,8 @@ def ingest() -> tuple[float, float]:
 COVERED_FILTER = {"age": 40}
 MEMBER_FILTER = {"hobbies": "yoga"}
 COVERED_FLOOR = 10.0
-RESIDENT_CEILING = 6_800.0  # bytes/doc over the larger scaling corpus
+FRESH_CEILING = 3.0  # fresh-constant point find vs the cached-plan one
+RESIDENT_CEILING = 4_000.0  # bytes/doc over the larger scaling corpus
 _COVERED_LABEL = f"Covered count vs verified ({SCALING_DOCS[1]} docs)"
 _MEMBER_LABEL = f"Covered array membership count vs verified ({SCALING_DOCS[1]} docs)"
 _VERIFIED = {"no_semantic": True}
@@ -154,8 +159,9 @@ _VERIFIED = {"no_semantic": True}
 def covered() -> dict[str, float]:
     """Seconds per call: each count ``covered`` and ``verified``
     (``count_*`` the equality, ``member_*`` the array membership), and
-    a fresh point find on the corpus as is (``clean``), with one stray
-    flat array on its path (``flat``) and with one nested (``nested``)."""
+    a point find repeating one constant (``cached``), a fresh point find
+    on the corpus as is (``clean``), with one stray flat array on its
+    path (``flat``) and with one nested (``nested``)."""
     collection = api.collection(people_collection(SCALING_DOCS[1], seed=11))
     timings = {}
     for name, filter_doc, calls in (
@@ -177,6 +183,7 @@ def covered() -> dict[str, float]:
         return collection.find({"id": next(fresh)})
 
     assert len(point()) == 1
+    timings["cached"] = measure_amortised(lambda: collection.find({"id": 7}))
     timings["clean"] = measure_amortised(point)
     collection.insert({"id": [-1]})
     assert collection.explain({"id": 0}).semantics.verdict == "covered"
@@ -255,6 +262,14 @@ def check_targets() -> list[str]:
                 f"than verified ({slow * 1e6:.0f} us) "
                 f"< {COVERED_FLOOR:.0f}x target"
             )
+    fresh, cached = timings["clean"], timings["cached"]
+    if fresh / cached > FRESH_CEILING:
+        failures.append(
+            f"bench_collection_queries: a fresh-constant point find "
+            f"({fresh * 1e6:.0f} us) takes {fresh / cached:.1f}x the "
+            f"cached-plan one ({cached * 1e6:.0f} us) "
+            f"> {FRESH_CEILING:.0f}x ceiling"
+        )
     _, resident = ingest()
     if resident > RESIDENT_CEILING:
         failures.append(
@@ -330,7 +345,10 @@ def main() -> str:
             f"target >= {COVERED_FLOOR:.0f}x)"
         )
     table += (
-        f"\n(covered: fresh point find {timings['clean'] * 1e6:.0f} us; "
+        f"\n(covered: cached-plan point find {timings['cached'] * 1e6:.0f} us, "
+        f"fresh point find {timings['clean'] * 1e6:.0f} us "
+        f"({timings['clean'] / timings['cached']:.1f}x, target <= "
+        f"{FRESH_CEILING:.0f}x); "
         f"with one stray flat array on the path {timings['flat'] * 1e6:.0f} us "
         f"-- still covered; with one nested {timings['nested'] * 1e6:.0f} us "
         f"-- the prover runs)"

@@ -15,7 +15,14 @@ document, including one that changed since the last call, without ever
 returning stale results.  Keys are namespaced by a dialect string
 (``"jnl"``, ``"jsonpath"``, ``"mongo-find"``, ``"schema-validator"``,
 ``"jsl-validator"``, ``"stream-validator"``) so the subsystems can
-never collide.
+never collide.  Most are keyed on the canonical source text; a
+``"mongo-find"`` plan is keyed on the filter's *shape* -- its int and
+str constants as kind-typed holes -- plus the projection, so fresh
+constants bind into one entry.  What can depend on a constant's value
+stays literal: the filter's payload (``"mongo-payload"``, its JNL
+formula and path automata) and the prover's ``"semantic-verdict"``
+entries are keyed on the literal text, and made only for a read that
+verifies or proves.
 """
 
 from __future__ import annotations

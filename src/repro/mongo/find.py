@@ -20,17 +20,19 @@ readings).
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from typing import Any, Iterator
 
 from repro.automata.keylang import KeyLang
 from repro.errors import ParseError
 from repro.jnl import ast as jnl
 from repro.jnl import builder as q
 from repro.logic import nodetests as nt
-from repro.model.tree import JSONTree, JSONValue
+from repro.model.tree import JSONTree, JSONValue, Kind
+from repro.query import ir
 from repro.query.stages import is_index_segment
 
-__all__ = ["compile_filter"]
+__all__ = ["compile_filter", "filter_shape", "unshape"]
 
 _TYPE_TESTS: dict[str, nt.NodeTest] = {
     "object": nt.IsObject(),
@@ -160,6 +162,158 @@ def _is_operator_doc(value: Any) -> bool:
     return isinstance(value, dict) and value and all(
         isinstance(key, str) and key.startswith("$") for key in value
     )
+
+
+#: How each comparison lowers its operand: ``$gte: c`` is ``Min(c - 1)``.
+_BOUND_SHIFT = {"$gt": 0, "$gte": -1, "$lt": 0, "$lte": 1}
+
+# Shape nodes: an object is ``(dict, key, node, key, node, ...)`` in key
+# order, an array ``(list, node, ...)``, a hole an ``ir.Param``, a
+# literal scalar ``(its class, value)`` -- so ``1``, ``1.0`` and ``True``
+# stay apart -- and any other literal ``(_TEXT, its canonical JSON)``.
+_TEXT = object()
+_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=repr
+).encode
+_SCALARS = (int, str, float, bool, type(None))
+_PARAMS: dict[tuple[type, int], ir.Param] = {}
+
+
+def _literal(value: Any) -> tuple:
+    if value.__class__ in _SCALARS:
+        return (value.__class__, value)
+    return (_TEXT, _canonical(value))
+
+
+class _Shape:
+    """One walk of a filter in :func:`compile_filter`'s terms, replacing
+    every constant the plan can bind with a hole."""
+
+    __slots__ = ("constants", "classes", "bounds", "raws")
+
+    def __init__(self) -> None:
+        self.constants: list[str | int] = []  # one lowered value per hole
+        self.classes: dict[tuple[type, str | int], int] = {}
+        self.bounds: list[int] = []  # holes used as range bounds
+        self.raws: list[str | int] = []  # every constant as written
+
+    def hole(self, raw: str | int, lowered: str | int, bound: bool = False) -> ir.Param:
+        self.raws.append(raw)
+        # Constants that lower to one value share one hole: the lowering
+        # dedupes and absorbs predicates by equality, so which of them
+        # are equal is part of the shape.
+        cls = lowered.__class__
+        index = self.classes.get((cls, lowered))
+        if index is None:
+            index = self.classes[cls, lowered] = len(self.constants)
+            self.constants.append(lowered)
+        if bound:
+            self.bounds.append(index)
+        param = _PARAMS.get((cls, index))
+        if param is None:
+            kind = Kind.NUMBER if cls is int else Kind.STRING
+            param = _PARAMS[cls, index] = ir.Param(index, kind)
+        return param
+
+    def equality(self, value: Any) -> Any:
+        if value.__class__ is int or value.__class__ is str:
+            return self.hole(value, value)
+        return _literal(value)  # bool, float, object, array: stays literal
+
+    def filter(self, document: Any) -> tuple:
+        if not isinstance(document, dict):
+            return _literal(document)
+        shaped: list[Any] = [dict]
+        # Keys in sorted order, so holes are numbered the same however
+        # the caller ordered an otherwise equal filter.
+        items = document.items()
+        for key, value in sorted(items) if len(items) > 1 else items:
+            shaped.append(key)
+            cls = value.__class__
+            if (cls is int or cls is str) and key.__class__ is str and key[:1] != "$":
+                shaped.append(self.hole(value, value))  # the common point read
+            elif key in ("$and", "$or", "$nor") and isinstance(value, list):
+                shaped.append((list, *[self.filter(sub) for sub in value]))
+            elif not isinstance(key, str) or key.startswith("$"):
+                shaped.append(_literal(value))
+            elif _is_operator_doc(value):
+                shaped.append(self.operators(value))
+            else:
+                shaped.append(self.equality(value))
+        return tuple(shaped)
+
+    def operators(self, document: dict[str, Any]) -> tuple:
+        shaped: list[Any] = [dict]
+        for operator, operand in sorted(document.items()):
+            shaped.append(operator)
+            if operator in ("$eq", "$ne"):
+                shaped.append(self.equality(operand))
+            elif operator in ("$in", "$nin") and isinstance(operand, list):
+                shaped.append((list, *[self.equality(item) for item in operand]))
+            elif operator in _BOUND_SHIFT and operand.__class__ is int:
+                lowered = operand + _BOUND_SHIFT[operator]
+                shaped.append(self.hole(operand, lowered, True))
+            elif operator == "$elemMatch" and isinstance(operand, dict):
+                shaped.append(
+                    self.operators(operand)
+                    if _is_operator_doc(operand)
+                    else self.filter(operand)
+                )
+            elif operator == "$not" and isinstance(operand, dict):
+                shaped.append(self.operators(operand))
+            else:  # $exists, $type, $size, $regex: stay literal
+                shaped.append(_literal(operand))
+        return tuple(shaped)
+
+
+def filter_shape(
+    filter_doc: dict[str, Any],
+) -> tuple[tuple, list[str | int], list[str | int]]:
+    """A filter's shape: ``(key, constants, raws)``.
+
+    The key is ``filter_doc`` with each int or str constant of an
+    equality, ``$in``/``$nin`` item or comparison replaced by a hole
+    (an :class:`~repro.query.ir.Param` typed by the constant's kind),
+    plus the *bound order*.  ``constants[i]`` is hole ``i``'s value as
+    lowered -- ``{"$gte": 5}`` and ``{"$gt": 4}`` both lower to
+    ``Min(4)`` and so share one hole -- and the bound order lists the
+    holes used as comparison bounds by increasing value, which is what
+    the lowering's ``max``/``min`` interval folding reads.  Two filters
+    with equal keys compile to formulas that differ only in those
+    constants, and lower to the same predicate up to them.  Everything
+    else -- ``$size``, ``$regex``, ``$type``, ``$exists``, object/array,
+    boolean and float operands -- stays literal.  ``raws`` are the
+    constants as written, in walk order: with the key they give the
+    filter back (:func:`unshape`).
+    """
+    shape = _Shape()
+    shaped = shape.filter(filter_doc)
+    bounds = shape.bounds
+    if bounds:
+        order = tuple(sorted(set(bounds), key=shape.constants.__getitem__))
+    else:
+        order = ()
+    return (shaped, order), shape.constants, shape.raws
+
+
+def unshape(key: tuple, raws: list[str | int]) -> Any:
+    """The filter a :func:`filter_shape` key and its raws were taken of."""
+    return _unshape(key[0], iter(raws))
+
+
+def _unshape(node: Any, constants: Iterator[str | int]) -> Any:
+    if node.__class__ is ir.Param:
+        return next(constants)
+    tag = node[0]
+    if tag is dict:
+        return {
+            node[at]: _unshape(node[at + 1], constants) for at in range(1, len(node), 2)
+        }
+    if tag is list:
+        return [_unshape(item, constants) for item in node[1:]]
+    if tag is _TEXT:
+        return json.loads(node[1])
+    return node[1]
 
 
 def compile_filter(filter_doc: dict[str, Any]) -> jnl.Unary:

@@ -23,15 +23,17 @@ Three surface dialects compile to plans: JNL text (``jnl`` for unary
 formulas, ``jnl-path`` for paths), JSONPath (``jsonpath``) and MongoDB
 find filters (:func:`compile_mongo_find`).  The module-level entry
 points consult the process-wide LRU cache of :mod:`repro.cache` keyed
-on ``(dialect, canonical query text)``.
+on ``(dialect, canonical query text)`` -- except that a Mongo filter's
+plan is keyed on its *shape*, the text with its constants as holes, and
+bound to each call's constants; only its payload stays literal.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.cache import USE_DEFAULT_CACHE, resolve_cache
+from repro.cache import USE_DEFAULT_CACHE, LRUCache, resolve_cache
 from repro.errors import ParseError
 from repro.jnl import ast as jnl
 from repro.query import ir
@@ -44,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (frontends)
 
 __all__ = [
     "CompiledQuery",
+    "Payload",
     "DIALECTS",
     "compile_query",
     "compile_formula",
@@ -85,23 +88,41 @@ def _collect_paths(root: jnl.Unary | jnl.Binary) -> list[jnl.Binary]:
     return paths
 
 
+class Payload:
+    """What per-tree evaluation runs: exactly one of ``formula`` (a
+    unary node filter) and ``path`` (a binary node selector), plus the
+    automaton of every path in it -- built eagerly, so no evaluation
+    ever pays the Thompson construction."""
+
+    __slots__ = ("formula", "path", "automata")
+
+    def __init__(
+        self, formula: jnl.Unary | None = None, path: jnl.Binary | None = None
+    ) -> None:
+        if (formula is None) == (path is None):
+            raise ValueError("exactly one of formula/path must be given")
+        self.formula = formula
+        self.path = path
+        self.automata: dict[jnl.Binary, PathAutomaton] = {}
+        for subpath in _collect_paths(formula if formula is not None else path):
+            if subpath not in self.automata:
+                self.automata[subpath] = compile_path(subpath)
+
+
 class CompiledQuery:
     """An executable query plan, reusable across documents.
 
     Exactly one of ``formula`` (a unary node filter) and ``path`` (a
     binary node selector) is set; ``projection`` optionally post-
     processes matched documents (Mongo find's second argument).
+
+    A Mongo query is *bound* from its shape's plan template
+    (:func:`compile_mongo_find`): it carries its plan from the start and
+    builds its :class:`Payload` on first use, i.e. only when a read
+    verifies a document or proves a verdict.
     """
 
-    __slots__ = (
-        "dialect",
-        "source",
-        "formula",
-        "path",
-        "_plan",
-        "projection",
-        "automata",
-    )
+    __slots__ = ("dialect", "projection", "_source", "_payload", "_plan", "_literal")
 
     def __init__(
         self,
@@ -112,20 +133,58 @@ class CompiledQuery:
         path: jnl.Binary | None = None,
         projection: "Projection | None" = None,
     ) -> None:
-        if (formula is None) == (path is None):
-            raise ValueError("exactly one of formula/path must be given")
         self.dialect = dialect
-        self.source = source
-        self.formula = formula
-        self.path = path
-        self._plan: ir.LogicalPlan | None = None
         self.projection = projection
-        # Eagerly build every path automaton the evaluator needs, so no
-        # per-evaluation call ever pays the Thompson construction.
-        self.automata: dict[jnl.Binary, PathAutomaton] = {}
-        for subpath in _collect_paths(formula if formula is not None else path):
-            if subpath not in self.automata:
-                self.automata[subpath] = compile_path(subpath)
+        self._source: str | None = source
+        self._payload: Payload | None = Payload(formula, path)
+        self._plan: ir.LogicalPlan | None = None
+        self._literal: _LiteralPayload | None = None
+
+    @classmethod
+    def bound(
+        cls,
+        literal: "_LiteralPayload",
+        plan: ir.LogicalPlan,
+        projection: "Projection | None",
+    ) -> "CompiledQuery":
+        """A Mongo query whose plan is already bound, and whose source
+        and payload ``literal`` makes when first asked for."""
+        query = cls.__new__(cls)
+        query.dialect = DIALECT_MONGO_FIND
+        query.projection = projection
+        query._source = None
+        query._payload = None
+        query._plan = plan
+        query._literal = literal
+        return query
+
+    @property
+    def source(self) -> str:
+        """The canonical query text (what caches and ``Explain`` show)."""
+        source = self._source
+        if source is None:
+            assert self._literal is not None
+            source = self._source = self._literal.source
+        return source
+
+    def _resolved(self) -> Payload:
+        payload = self._payload
+        if payload is None:
+            assert self._literal is not None
+            payload = self._payload = self._literal()
+        return payload
+
+    @property
+    def formula(self) -> jnl.Unary | None:
+        return self._resolved().formula
+
+    @property
+    def path(self) -> jnl.Binary | None:
+        return self._resolved().path
+
+    @property
+    def automata(self) -> dict[jnl.Binary, PathAutomaton]:
+        return self._resolved().automata
 
     @property
     def plan(self) -> ir.LogicalPlan:
@@ -135,11 +194,13 @@ class CompiledQuery:
         needs it; per-tree evaluation reads the payload directly) and
         registered in the process-wide artifact cache keyed on the AST,
         so structurally equal queries compiled through any front-end
-        share one plan.
+        share one plan.  A bound Mongo query's plan is its shape's
+        template with the call's constants substituted.
         """
         plan = self._plan
         if plan is None:
-            plan = ir.plan_for(formula=self.formula, path=self.path)
+            payload = self._resolved()
+            plan = ir.plan_for(formula=payload.formula, path=payload.path)
             self._plan = plan
         return plan
 
@@ -154,12 +215,13 @@ class CompiledQuery:
     def _selected(
         self, tree: JSONTree, evaluator: JNLEvaluator | None
     ) -> frozenset[int]:
+        payload = self._resolved()
         if evaluator is None:
-            evaluator = self.evaluator(tree)
-        if self.path is not None:
-            return evaluator.target_nodes(self.path)
-        assert self.formula is not None
-        return evaluator.nodes_satisfying(self.formula)
+            evaluator = JNLEvaluator(tree, automata=payload.automata)
+        if payload.path is not None:
+            return evaluator.target_nodes(payload.path)
+        assert payload.formula is not None
+        return evaluator.nodes_satisfying(payload.formula)
 
     def select(
         self, tree: JSONTree, *, evaluator: JNLEvaluator | None = None
@@ -190,15 +252,16 @@ class CompiledQuery:
         plans it asks whether the path selects anything at all (``node``
         then names the origin of the traversal).
         """
+        payload = self._resolved()
         if evaluator is None:
-            evaluator = self.evaluator(tree)
-        if self.formula is not None:
+            evaluator = JNLEvaluator(tree, automata=payload.automata)
+        if payload.formula is not None:
             target = tree.root if node is None else node
             # Point evaluation: a root match only visits the nodes the
             # paths can reach, not the whole arena.
-            return evaluator.satisfies_at(target, self.formula)
-        assert self.path is not None
-        return bool(evaluator.target_nodes(self.path, node))
+            return evaluator.satisfies_at(target, payload.formula)
+        assert payload.path is not None
+        return bool(evaluator.target_nodes(payload.path, node))
 
     def apply(
         self, tree: JSONTree, *, evaluator: JNLEvaluator | None = None
@@ -241,27 +304,88 @@ def _compile_text(source: str, dialect: str) -> CompiledQuery:
     )
 
 
+_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=repr
+).encode
+
+
 def mongo_cache_key(
     filter_doc: dict[str, Any], projection: dict[str, Any] | None = None
 ) -> str:
-    """Canonical text of a Mongo find call, the compile-cache key."""
-    return json.dumps(
-        [filter_doc, projection], sort_keys=True, separators=(",", ":"), default=repr
-    )
+    """Canonical text of a Mongo find call: the query's ``source``, and
+    the key its payload and the prover's verdicts are cached under."""
+    return _canonical([filter_doc, projection])
 
 
-def _compile_mongo(
-    filter_doc: dict[str, Any], projection: dict[str, Any] | None
-) -> CompiledQuery:
+def _mongo_shape(
+    filter_doc: dict[str, Any],
+    constants: list[str | int],
+    projection: dict[str, Any] | None,
+) -> "tuple[ir.PlanTemplate, Projection | None]":
+    """What every filter of one shape shares: the plan template lowered
+    from this instance, and the parsed projection."""
     from repro.mongo.find import compile_filter
     from repro.mongo.projection import Projection
 
-    return CompiledQuery(
-        DIALECT_MONGO_FIND,
-        mongo_cache_key(filter_doc, projection),
-        formula=compile_filter(filter_doc),
-        projection=Projection(projection) if projection else None,
+    plan = ir.lower_formula(compile_filter(filter_doc))
+    return (
+        ir.PlanTemplate(plan, constants),
+        Projection(projection) if projection else None,
     )
+
+
+class _LiteralPayload:
+    """A bound Mongo query's literal side: its source text and payload,
+    both made on first use from the shape and the constants as written
+    (never from the caller's dict, which may have changed since).  The
+    payload is cached under the text: it is the one artifact a fresh
+    constant still pays for, and only on a read that verifies or proves.
+    Shared by the query and its plan, so they build it once."""
+
+    __slots__ = ("shape", "raws", "projection", "cache", "_source", "_built")
+
+    def __init__(
+        self,
+        shape: tuple,
+        raws: list[str | int],
+        projection: str | None,
+        cache: "LRUCache | None",
+    ) -> None:
+        self.shape = shape
+        self.raws = raws
+        self.projection = projection  # canonical text, if any
+        self.cache = cache
+        self._source: str | None = None
+        self._built: Payload | None = None
+
+    @property
+    def source(self) -> str:
+        """The canonical text :func:`mongo_cache_key` gives the call."""
+        if self._source is None:
+            from repro.mongo.find import unshape
+
+            filter_text = _canonical(unshape(self.shape, self.raws))
+            self._source = f"[{filter_text},{self.projection or 'null'}]"
+        return self._source
+
+    def __call__(self) -> Payload:
+        if self._built is None:
+            if self.cache is None:
+                self._built = self.build()
+            else:
+                key = ("mongo-payload", self.source)
+                self._built = self.cache.get_or_compute(key, self.build)
+        return self._built
+
+    def build(self) -> Payload:
+        from repro.mongo.find import compile_filter, unshape
+
+        return Payload(formula=compile_filter(unshape(self.shape, self.raws)))
+
+    def formula(self) -> jnl.Unary:
+        formula = self().formula
+        assert formula is not None
+        return formula
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +432,32 @@ def compile_mongo_find(
 ) -> CompiledQuery:
     """Compile a Mongo find filter (+ optional projection) into a plan.
 
-    The cache key is the canonical (sorted-keys) JSON text of both
-    arguments, so structurally equal filter documents share one plan.
+    The plan is cached per *shape*
+    (:func:`~repro.mongo.find.filter_shape`): the filter with its
+    int/str constants as kind-typed holes, plus the canonical text of
+    the projection.  A call looks
+    its shape up and binds its own constants into the template's
+    predicate; the cover is the template's.  Filters that differ only in
+    such constants -- ``{"user": 5}`` and ``{"user": 6}`` -- therefore
+    share one entry and cost a substitution each, not a compile.  The
+    payload (formula and automata) is keyed on the literal text and
+    built only if a read verifies or proves.
     """
+    from repro.mongo.find import filter_shape
+
     resolved = _resolve_cache(cache)
+    shape, constants, raws = filter_shape(filter_doc)
+    projected = None if projection is None else _canonical(projection)
+
+    def build() -> "tuple[ir.PlanTemplate, Projection | None]":
+        return _mongo_shape(filter_doc, constants, projection)
+
     if resolved is None:
-        return _compile_mongo(filter_doc, projection)
-    key = (DIALECT_MONGO_FIND, mongo_cache_key(filter_doc, projection))
-    return resolved.get_or_compute(
-        key, lambda: _compile_mongo(filter_doc, projection)
+        template, parsed = build()
+    else:
+        key = (DIALECT_MONGO_FIND, shape, projected)
+        template, parsed = resolved.get_or_compute(key, build)
+    literal = _LiteralPayload(shape, raws, projected, resolved)
+    return CompiledQuery.bound(
+        literal, template.bind(constants, literal.formula), parsed
     )

@@ -50,14 +50,16 @@ paths to be so the planner takes the fold as the answer.
 Lowered plans are registered in the process-wide artifact cache of
 :mod:`repro.cache` (namespace ``"ir-plan"``, keyed on the AST itself),
 so structurally equal formulas compiled through different entry points
-share one plan.
+share one plan.  Mongo ``find`` filters go one step further: a
+:class:`PlanTemplate` lowers one filter per *shape* (its constants as
+kind-typed :class:`Param` holes) and binds each call's constants into
+the predicate, so a fresh constant costs a substitution, not a lowering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.jnl import ast as jnl
@@ -83,6 +85,8 @@ __all__ = [
     "SCALAR",
     "FLAT",
     "LogicalPlan",
+    "Param",
+    "PlanTemplate",
     "lower_formula",
     "lower_path",
     "plan_for",
@@ -285,7 +289,6 @@ MODE_FILTER = "filter"
 MODE_SELECT = "select"
 
 
-@dataclass(frozen=True)
 class LogicalPlan:
     """A dialect-neutral query plan.
 
@@ -293,7 +296,10 @@ class LogicalPlan:
     or ``"select"`` (a binary path selecting nodes from the root).
     Exactly one of ``formula``/``path`` is set -- the evaluation
     payload, preserved verbatim from the front-end so compiled
-    execution matches the pre-IR engines exactly.
+    execution matches the pre-IR engines exactly.  The payload may be
+    handed over as a zero-argument callable instead: a plan bound from
+    a :class:`PlanTemplate` builds it only when a read verifies or
+    proves, never for a read the cover answers.
 
     ``match_predicate`` is a necessary condition for a **root match**
     (filter plans) or for a **non-empty selection** (selector plans).
@@ -319,24 +325,144 @@ class LogicalPlan:
     certify).
     """
 
-    mode: str
-    formula: jnl.Unary | None
-    path: jnl.Binary | None
-    match_predicate: Pred
-    cover: Cover = None
+    __slots__ = ("mode", "match_predicate", "cover", "_payload", "_node_predicate")
+
+    def __init__(
+        self,
+        mode: str,
+        payload: "jnl.Unary | jnl.Binary | Callable[[], jnl.Unary | jnl.Binary]",
+        match_predicate: Pred,
+        cover: Cover = None,
+    ) -> None:
+        self.mode = mode
+        self.match_predicate = match_predicate
+        self.cover = cover
+        self._payload = payload
+        self._node_predicate: Pred | None = None
 
     @property
     def payload(self) -> jnl.Unary | jnl.Binary:
-        payload = self.formula if self.formula is not None else self.path
-        assert payload is not None
+        payload = self._payload
+        if not isinstance(payload, (jnl.Unary, jnl.Binary)):
+            payload = self._payload = payload()
         return payload
 
-    @cached_property
+    @property
+    def formula(self) -> jnl.Unary | None:
+        return self.payload if self.mode == MODE_FILTER else None
+
+    @property
+    def path(self) -> jnl.Binary | None:
+        return self.payload if self.mode == MODE_SELECT else None
+
+    @property
     def node_predicate(self) -> Pred:
-        if self.formula is None:
+        if self.mode != MODE_FILTER:
             # Selection starts at the root: one predicate answers both.
             return self.match_predicate
-        return _lift(_FLOATING, self.formula)[0]
+        if self._node_predicate is None:
+            self._node_predicate = _lift(_FLOATING, self.payload)[0]
+        return self._node_predicate
+
+
+# ---------------------------------------------------------------------------
+# Plan templates: a filter lowered once per shape, bound per call.
+#
+# A Mongo filter's constants only sit at ``EQ(., c)``/``MinVal``/
+# ``MaxVal`` leaves (the paper's Section 4.1 reading of ``find``), and
+# the walk below branches on them only through their kind, through which
+# of them are equal, and through the order of the range bounds a
+# conjunction folds with ``max``/``min``.  A front-end that keys a plan
+# on a *shape* fixing those three facts can therefore lower one instance
+# and bind the constants of every other into the predicate's leaves; the
+# cover does not mention a constant at all and is shared as it stands.
+# ---------------------------------------------------------------------------
+
+
+class Param(NamedTuple):
+    """A hole of a plan template: the ``index``-th constant, of ``kind``.
+
+    A tuple, so a shape key holding it hashes and compares at C speed on
+    every lookup."""
+
+    index: int
+    kind: Kind
+
+
+_HOLE_KINDS = {int: Kind.NUMBER, str: Kind.STRING}
+
+
+class PlanTemplate:
+    """A filter plan's predicate with :class:`Param` holes for its
+    constants, and its cover, shared by every binding of one shape."""
+
+    __slots__ = ("match_predicate", "cover")
+
+    def __init__(self, plan: LogicalPlan, constants: Sequence[str | int]) -> None:
+        holes = {
+            value: Param(index, _HOLE_KINDS[value.__class__])
+            for index, value in enumerate(constants)
+        }
+        self.match_predicate = _parameterize(plan.match_predicate, holes)
+        self.cover = plan.cover
+
+    def bind(
+        self,
+        constants: Sequence[str | int],
+        payload: "Callable[[], jnl.Unary]",
+    ) -> LogicalPlan:
+        """The plan of the instance with these constants (in hole order)."""
+        return LogicalPlan(
+            MODE_FILTER, payload, _bind(self.match_predicate, constants), self.cover
+        )
+
+
+def _parameterize(pred: Pred, holes: dict) -> Pred:
+    """``pred`` with every constant that is a hole's value replaced by
+    that hole (the shape makes holes of distinct values distinct)."""
+    if isinstance(pred, (AndPred, OrPred)):
+        return type(pred)(tuple(_parameterize(part, holes) for part in pred.parts))
+    if isinstance(pred, PathEq):
+        return PathEq(pred.path, holes.get(pred.value, pred.value))
+    if isinstance(pred, TailEq):
+        return TailEq(pred.key, holes.get(pred.value, pred.value))
+    if isinstance(pred, AnyEq):
+        return AnyEq(holes.get(pred.value, pred.value))
+    if isinstance(pred, PathRange):
+        return PathRange(
+            pred.path, holes.get(pred.low, pred.low), holes.get(pred.high, pred.high)
+        )
+    return pred
+
+
+def _bind(pred: Pred, constants: Sequence[str | int]) -> Pred:
+    """Substitute the constants into a template predicate's holes."""
+    cls = pred.__class__
+    if cls is PathEq:
+        value = pred.value
+        if value.__class__ is Param:
+            return PathEq(pred.path, constants[value.index])
+        return pred
+    if cls is AndPred or cls is OrPred:
+        return cls(tuple([_bind(part, constants) for part in pred.parts]))
+    if cls is PathRange:
+        low, high = pred.low, pred.high
+        if low.__class__ is Param:
+            low = constants[low.index]
+        if high.__class__ is Param:
+            high = constants[high.index]
+        return PathRange(pred.path, low, high)
+    if cls is TailEq:
+        value = pred.value
+        if value.__class__ is Param:
+            return TailEq(pred.key, constants[value.index])
+        return pred
+    if cls is AnyEq:
+        value = pred.value
+        if value.__class__ is Param:
+            return AnyEq(constants[value.index])
+        return pred
+    return pred
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +887,7 @@ def lower_formula(formula: jnl.Unary) -> LogicalPlan:
     node-set predicate, at the floating context, when first asked for).
     """
     match_predicate, cover = _lift(_ROOT, formula)
-    return LogicalPlan(
-        mode=MODE_FILTER,
-        formula=formula,
-        path=None,
-        match_predicate=match_predicate,
-        cover=cover,
-    )
+    return LogicalPlan(MODE_FILTER, formula, match_predicate, cover)
 
 
 def lower_path(path: jnl.Binary) -> LogicalPlan:
@@ -778,12 +898,7 @@ def lower_path(path: jnl.Binary) -> LogicalPlan:
     "does anything match" and the node-selection questions.
     """
     predicate, _ = _lift_path(_ROOT, path, None)
-    return LogicalPlan(
-        mode=MODE_SELECT,
-        formula=None,
-        path=path,
-        match_predicate=predicate,
-    )
+    return LogicalPlan(MODE_SELECT, path, predicate)
 
 
 def plan_for(

@@ -443,7 +443,7 @@ def semantic_plan(
     if context is None:
         return None
     plan = query.plan
-    if plan.mode != ir.MODE_FILTER or plan.formula is None:
+    if plan.mode != ir.MODE_FILTER:
         return None
     config = config or DEFAULT_CONFIG
     resolved = resolve_cache(cache)

@@ -95,12 +95,13 @@ def candidate_ids(
     Sound by construction: the returned set is a superset of the
     documents where the predicate holds, hence (the predicate being a
     necessary condition) of the documents the query matches.  The
-    returned set is the caller's to keep (never an index internal).
+    returned set is read-only and only valid until the next write: it
+    may be a live index posting, or
+    :attr:`~repro.store.indexes.DocumentIndexes.live_ids` itself when
+    every document is a candidate.  Every caller takes its length or
+    sorts it at once, so a count or a point read copies nothing.
     """
-    result, owned = _fold_candidates(predicate, indexes)
-    if result is None or owned:
-        return result
-    return set(result)
+    return _fold_candidates(predicate, indexes)[0]
 
 
 def _fold_candidates(
@@ -113,7 +114,9 @@ def _fold_candidates(
     combine -- a conjunction copies just its smallest operand, a
     disjunction with one non-empty branch passes it through.  So a
     selective query never materialises the big ``PathExists``-style
-    postings it intersects against.
+    postings it intersects against, and an every-document posting (the
+    live-id set itself) is never combined at all: ``ALL and X`` is
+    ``X``, ``ALL or X`` is ``ALL``.
     """
     if isinstance(predicate, ir.TruePred):
         return None, True
@@ -125,6 +128,10 @@ def _fold_candidates(
         ]
         if not narrowed:
             return None, True
+        live = indexes.live_ids
+        narrowed = [folded for folded in narrowed if folded[0] is not live] or [
+            (live, False)
+        ]
         narrowed.sort(key=lambda folded: len(folded[0]))
         smallest, owned = narrowed[0]
         if len(narrowed) == 1:
@@ -145,33 +152,35 @@ def _fold_candidates(
                 parts.append(folded)
         if not parts:
             return set(), True
+        live = indexes.live_ids
+        if any(folded[0] is live for folded in parts):
+            return live, False
         if len(parts) == 1:
             return parts[0]
         result = set(parts[0][0])
         for other, _ in parts[1:]:
             result |= other
         return result, True
-    if isinstance(predicate, ir.PathExists):
-        return indexes.docs_with_path(predicate.path), False
-    if isinstance(predicate, ir.PathEq):
-        return indexes.docs_with_value(predicate.path, predicate.value), False
-    if isinstance(predicate, ir.PathKind):
-        return indexes.docs_with_kind(predicate.path, predicate.kind), False
     if isinstance(predicate, ir.PathRange):
         return (
             indexes.docs_in_range(predicate.path, predicate.low, predicate.high),
             True,
         )
-    if isinstance(predicate, ir.HasKey):
-        return indexes.docs_with_key(predicate.key), False
-    if isinstance(predicate, ir.TailEq):
-        return (
-            indexes.docs_with_tail_value(predicate.key, predicate.value),
-            False,
-        )
-    if isinstance(predicate, ir.AnyEq):
-        return indexes.docs_with_any_value(predicate.value), False
-    return None, True  # Unknown predicate: never prune on it.
+    if isinstance(predicate, ir.PathEq):
+        found = indexes.docs_with_value(predicate.path, predicate.value)
+    elif isinstance(predicate, ir.PathExists):
+        found = indexes.docs_with_path(predicate.path)
+    elif isinstance(predicate, ir.PathKind):
+        found = indexes.docs_with_kind(predicate.path, predicate.kind)
+    elif isinstance(predicate, ir.HasKey):
+        found = indexes.docs_with_key(predicate.key)
+    elif isinstance(predicate, ir.TailEq):
+        found = indexes.docs_with_tail_value(predicate.key, predicate.value)
+    elif isinstance(predicate, ir.AnyEq):
+        found = indexes.docs_with_any_value(predicate.value)
+    else:
+        return None, True  # Unknown predicate: never prune on it.
+    return found, False
 
 
 def survivors(

@@ -134,7 +134,9 @@ def encode_snapshot_wrapper(collection_payload: dict, lsn: int) -> bytes:
     return head[:-1] + b',"collection":' + encoded + b"}"
 
 
-def verify_snapshot_wrapper(wrapper: dict, path: str) -> tuple[int, bool]:
+def verify_snapshot_wrapper(
+    wrapper: dict, path: str, raw: bytes | None = None
+) -> tuple[int, bool]:
     """Validate a parsed snapshot wrapper's envelope and checksum.
 
     Returns ``(covering_lsn, checksum_ok)``.  Envelope problems --
@@ -142,6 +144,13 @@ def verify_snapshot_wrapper(wrapper: dict, path: str) -> tuple[int, bool]:
     :class:`~repro.errors.StorageFormatError`; a checksum mismatch (or
     a pre-checksum wrapper, reported as intact) is the caller's policy
     decision, so it is returned, not raised.
+
+    ``raw`` is the file as read.  When it is laid out as
+    :func:`encode_snapshot_wrapper` writes it, the checksum runs over
+    the payload bytes as they stand in the file: one ``crc32`` pass
+    instead of re-serialising the parsed payload, which is what any
+    other layout (a pretty-printed file) and a mismatch fall back to --
+    so the verdict is the one re-serialising alone would give.
     """
     if (
         not isinstance(wrapper, dict)
@@ -162,6 +171,18 @@ def verify_snapshot_wrapper(wrapper: dict, path: str) -> tuple[int, bool]:
         # A wrapper from before the self-check field: nothing to verify
         # against (fsck reports this as a warning).
         return lsn, True
+    if raw is not None:
+        head = _canonical(
+            {
+                "format": SNAPSHOT_FILE_FORMAT,
+                "version": SNAPSHOT_FILE_VERSION,
+                "lsn": lsn,
+                "crc32": expected,
+            }
+        )[:-1] + b',"collection":'
+        if raw.startswith(head) and raw.endswith(b"}"):
+            if expected == zlib.crc32(memoryview(raw)[len(head) : -1]):
+                return lsn, True
     actual = zlib.crc32(_canonical(wrapper.get("collection")))
     return lsn, expected == actual
 
@@ -400,7 +421,7 @@ class DurableEngine(StorageEngine):
                 f"{self._snapshot_path}: not valid JSON ({exc})"
             ) from exc
         lsn, checksum_ok = verify_snapshot_wrapper(
-            wrapper, self._snapshot_path
+            wrapper, self._snapshot_path, raw
         )
         if not checksum_ok:
             warnings.warn(

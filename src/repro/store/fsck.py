@@ -210,7 +210,7 @@ def _check_snapshot(
         )
         return None, 0
     try:
-        lsn, checksum_ok = verify_snapshot_wrapper(wrapper, snapshot_path)
+        lsn, checksum_ok = verify_snapshot_wrapper(wrapper, snapshot_path, raw)
     except StorageFormatError as exc:
         check._add("error", "snapshot-bad-envelope", snapshot_path, str(exc))
         return None, 0

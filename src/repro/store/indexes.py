@@ -51,10 +51,20 @@ arriving, demoted by the last but one leaving -- because most postings
 of a real corpus (87 523 of the 123 561 of the 20 000-document people
 corpus: every near-unique leaf value, three tables over) hold exactly
 one id, and a one-element ``set`` is 216 bytes and one more container
-for the cyclic collector to traverse.  The look-ups hide the difference:
-they return a set either way -- the live one, or a fresh one-element
-set for a lone id, or the shared empty ``frozenset`` -- which callers
-(the planner) must treat as read-only.
+for the cyclic collector to traverse.  The other end of the spectrum is
+the posting that holds *every* live id (one per path, kind, key and
+value every document has: 27 of them on that corpus, 54.0 of its
+84.2 MB of posting sets).  Such a posting is stored as the live-id set
+itself (:attr:`DocumentIndexes.live_ids`), shared by all of them, with
+its entry in a small sentinel set.  No threshold decides it: it is a
+fact about the posting, kept as documents come and go.  An insert that
+lacks the entry materialises the posting once, as a copy of the live
+ids.  A posting that grows back to every live id becomes the sentinel
+again.  ``remove`` keeps it as it is: the document leaves the posting
+and the live set in one step.  The look-ups hide the difference:
+they return a set either way -- the live one, the live-id set itself,
+a fresh one-element set for a lone id, or the shared empty
+``frozenset`` -- which callers (the planner) must treat as read-only.
 """
 
 from __future__ import annotations
@@ -341,7 +351,8 @@ class DocumentIndexes:
     """
 
     __slots__ = ("_paths", "_eq", "_kinds", "_keys", "_tails", "_values",
-                 "_multi", "_documents", "_resolve", "_tables", "_range_keys")
+                 "_multi", "_live", "_every", "_resolve", "_tables",
+                 "_range_keys")
 
     def __init__(self, resolve: "Callable[[int], JSONTree] | None" = None) -> None:
         self._paths: dict[KeyPath, Posting] = {}
@@ -353,7 +364,10 @@ class DocumentIndexes:
         # entry -> {doc id: contributions beyond the first}.  A document's
         # count for an entry is 0 off the posting, 1 + extra on it.
         self._multi: dict[Entry, dict[int, int]] = {}
-        self._documents = 0
+        # The indexed ids, and the entries whose posting *is* this set
+        # (the every-document sentinel; only ever with two or more ids).
+        self._live: set[int] = set()
+        self._every: set[Entry] = set()
         self._resolve = resolve
         # tag -> (table, whether it nests a second key level).
         self._tables: dict[str, tuple[dict, bool]] = {
@@ -380,8 +394,10 @@ class DocumentIndexes:
         One walk of the arena arrays posting exactly the entries of
         :func:`tree_entry_counts`, written straight into the tables:
         no entry tuple is built unless the document contributes that
-        entry a second time (its id is already on the posting), and no
-        set until a posting holds a second id.
+        entry a second time (its id is already on the posting) or the
+        posting is every document's, and no set until a posting holds a
+        second id.  Every-document postings the document does not
+        contribute stop being that, and are materialised once.
         """
         node_kinds = tree.node_kinds()
         labels = tree.node_labels()
@@ -391,6 +407,20 @@ class DocumentIndexes:
         keys_table, tails_table, values_table = self._keys, self._tails, self._values
         range_keys = self._range_keys
         repeat = self._repeat
+        live = self._live
+        every = self._every
+        # The document joins ``live`` after the walk.  Until then a
+        # posting grown to ``live`` plus it is every document's again;
+        # ``hit`` records the every-document entries it has posted once.
+        grown = len(live) + 1
+        hit: set[Entry] = set()
+
+        def promote(table: dict, key: Any, entry: Entry) -> None:
+            """The posting is ``live`` plus the document: the sentinel."""
+            table[key] = live
+            every.add(entry)
+            hit.add(entry)
+
         # Stripped path per node; parents precede children in id order.
         path_of: list[KeyPath] = [()] * len(node_kinds)
         path: KeyPath = ()
@@ -406,12 +436,21 @@ class DocumentIndexes:
                     elif type(postings) is int:
                         if postings == doc_id:
                             repeat(("key", label), doc_id)
+                        elif grown == 2:
+                            promote(keys_table, label, ("key", label))
                         else:
                             keys_table[label] = {postings, doc_id}
+                    elif postings is live:
+                        seen = len(hit)
+                        hit.add(entry := ("key", label))
+                        if len(hit) == seen:
+                            repeat(entry, doc_id)
                     elif doc_id in postings:
                         repeat(("key", label), doc_id)
                     else:
                         postings.add(doc_id)
+                        if len(postings) == grown:
+                            promote(keys_table, label, ("key", label))
                 path_of[node] = path
             postings = paths_table.get(path)
             if postings is None:
@@ -419,12 +458,21 @@ class DocumentIndexes:
             elif type(postings) is int:
                 if postings == doc_id:
                     repeat(("path", path), doc_id)
+                elif grown == 2:
+                    promote(paths_table, path, ("path", path))
                 else:
                     paths_table[path] = {postings, doc_id}
+            elif postings is live:
+                seen = len(hit)
+                hit.add(entry := ("path", path))
+                if len(hit) == seen:
+                    repeat(entry, doc_id)
             elif doc_id in postings:
                 repeat(("path", path), doc_id)
             else:
                 postings.add(doc_id)
+                if len(postings) == grown:
+                    promote(paths_table, path, ("path", path))
             nested = kinds_table.get(path)
             if nested is None:
                 nested = kinds_table[path] = {}
@@ -434,12 +482,21 @@ class DocumentIndexes:
             elif type(postings) is int:
                 if postings == doc_id:
                     repeat(("kind", path, kind), doc_id)
+                elif grown == 2:
+                    promote(nested, kind, ("kind", path, kind))
                 else:
                     nested[kind] = {postings, doc_id}
+            elif postings is live:
+                seen = len(hit)
+                hit.add(entry := ("kind", path, kind))
+                if len(hit) == seen:
+                    repeat(entry, doc_id)
             elif doc_id in postings:
                 repeat(("kind", path, kind), doc_id)
             else:
                 postings.add(doc_id)
+                if len(postings) == grown:
+                    promote(nested, kind, ("kind", path, kind))
             value = values[node]
             if value is None:
                 continue
@@ -454,24 +511,42 @@ class DocumentIndexes:
             elif type(postings) is int:
                 if postings == doc_id:
                     repeat(("eq", path, value), doc_id)
+                elif grown == 2:
+                    promote(nested, value, ("eq", path, value))
                 else:
                     nested[value] = {postings, doc_id}
+            elif postings is live:
+                seen = len(hit)
+                hit.add(entry := ("eq", path, value))
+                if len(hit) == seen:
+                    repeat(entry, doc_id)
             elif doc_id in postings:
                 repeat(("eq", path, value), doc_id)
             else:
                 postings.add(doc_id)
+                if len(postings) == grown:
+                    promote(nested, value, ("eq", path, value))
             postings = values_table.get(value)
             if postings is None:
                 values_table[value] = doc_id
             elif type(postings) is int:
                 if postings == doc_id:
                     repeat(("val", value), doc_id)
+                elif grown == 2:
+                    promote(values_table, value, ("val", value))
                 else:
                     values_table[value] = {postings, doc_id}
+            elif postings is live:
+                seen = len(hit)
+                hit.add(entry := ("val", value))
+                if len(hit) == seen:
+                    repeat(entry, doc_id)
             elif doc_id in postings:
                 repeat(("val", value), doc_id)
             else:
                 postings.add(doc_id)
+                if len(postings) == grown:
+                    promote(values_table, value, ("val", value))
             if path:
                 nested = tails_table.get(path[-1])
                 if nested is None:
@@ -482,21 +557,39 @@ class DocumentIndexes:
                 elif type(postings) is int:
                     if postings == doc_id:
                         repeat(("tail", path[-1], value), doc_id)
+                    elif grown == 2:
+                        promote(nested, value, ("tail", path[-1], value))
                     else:
                         nested[value] = {postings, doc_id}
+                elif postings is live:
+                    seen = len(hit)
+                    hit.add(entry := ("tail", path[-1], value))
+                    if len(hit) == seen:
+                        repeat(entry, doc_id)
                 elif doc_id in postings:
                     repeat(("tail", path[-1], value), doc_id)
                 else:
                     postings.add(doc_id)
-        self._documents += 1
+                    if len(postings) == grown:
+                        promote(nested, value, ("tail", path[-1], value))
+        if len(hit) < len(every):
+            for entry in every - hit:
+                # Every document's but this one's: no longer the sentinel.
+                self._store(entry, self._live_copy())
+                every.discard(entry)
+        live.add(doc_id)
 
     def remove(self, doc_id: int, tree: JSONTree) -> None:
-        """Discard a document's postings (``tree`` as it was indexed)."""
+        """Discard a document's postings (``tree`` as it was indexed).
+
+        An every-document posting loses the document together with the
+        live set, so it stays the sentinel without being touched.
+        """
         for entry, count in tree_entry_counts(tree).items():
-            self._discard_entry(entry, doc_id)
+            self._discard_entry(entry, doc_id, leaving=True)
             if count > 1:
                 self._set_extra(entry, doc_id, 0)
-        self._documents -= 1
+        self._live.discard(doc_id)
 
     def apply_entry_delta(
         self,
@@ -602,30 +695,53 @@ class DocumentIndexes:
         return postings is not None and doc_id in postings
 
     def _add_entry(self, entry: Entry, doc_id: int) -> None:
+        """Post a live document on one more entry; a posting it grows to
+        every live document becomes the sentinel again."""
         table, nested = self._tables[entry[0]]
         if nested:
             outer = table
             table = outer.get(entry[1])
             if table is None:
                 table = outer[entry[1]] = {}
+        live = self._live
         postings = table.get(entry[-1])
         if postings is None:
             table[entry[-1]] = doc_id
             if entry[0] == "eq":
                 self._range_keys.pop(entry[1], None)
-        elif type(postings) is int:
-            if postings != doc_id:
-                table[entry[-1]] = {postings, doc_id}
+            return
+        if postings is live:
+            return
+        if type(postings) is int:
+            if postings == doc_id:
+                return
+            postings = table[entry[-1]] = {postings, doc_id}
         else:
             postings.add(doc_id)
+        if len(postings) == len(live) and doc_id in live:
+            table[entry[-1]] = live
+            self._every.add(entry)
 
-    def _discard_entry(self, entry: Entry, doc_id: int) -> None:
-        """Emptied postings (and emptied nested tables) are deleted; a
-        posting left with one id goes back to being that id."""
+    def _discard_entry(
+        self, entry: Entry, doc_id: int, *, leaving: bool = False
+    ) -> None:
+        """Take the document off one entry's posting.
+
+        Emptied postings (and emptied nested tables) are deleted; a
+        posting left with one id goes back to being that id.  An
+        every-document posting is left alone when the document is
+        ``leaving`` the collection (while two or more ids stay) and is
+        otherwise materialised: the document stays, the entry goes.
+        """
         outer, nested = self._tables[entry[0]]
         table = outer.get(entry[1]) if nested else outer
         postings = None if table is None else table.get(entry[-1])
         if postings is None:
+            return
+        if postings is self._live:
+            if not (leaving and len(postings) > 2):
+                self._every.discard(entry)
+                table[entry[-1]] = self._live_copy(doc_id)
             return
         if type(postings) is int:
             if postings != doc_id:
@@ -643,9 +759,32 @@ class DocumentIndexes:
         if entry[0] == "eq":
             self._range_keys.pop(entry[1], None)
 
+    def _live_copy(self, drop: int | None = None) -> Posting:
+        """The live ids less ``drop``, as a posting of their own: what an
+        every-document posting becomes when one document no longer
+        contributes it.  The one place the live set is ever copied."""
+        rest = set(self._live)
+        rest.discard(drop)
+        if len(rest) == 1:
+            (lone,) = rest
+            return lone
+        return rest
+
+    def _store(self, entry: Entry, postings: Posting) -> None:
+        table, nested = self._tables[entry[0]]
+        if nested:
+            table = table[entry[1]]
+        table[entry[-1]] = postings
+
     # ------------------------------------------------------------------
     # Lookups (sets to read, never to mutate: most are live postings).
     # ------------------------------------------------------------------
+
+    @property
+    def live_ids(self) -> "set[int]":
+        """Every indexed id: the set an every-document posting *is*, so
+        a look-up that returns it prunes nothing."""
+        return self._live
 
     def docs_with_path(self, path: KeyPath) -> Iterable[int]:
         return _as_set(self._paths.get(path))
@@ -732,7 +871,7 @@ class DocumentIndexes:
 
     def stats(self) -> IndexStats:
         return IndexStats(
-            documents=self._documents,
+            documents=len(self._live),
             paths=len(self._paths),
             eq_entries=sum(len(values) for values in self._eq.values()),
             kind_entries=sum(len(kinds) for kinds in self._kinds.values()),

@@ -356,3 +356,59 @@ class TestCli:
         assert main(["db", "verify", str(tmp_path), "--name", "alpha"]) == 0
         out = capsys.readouterr().out
         assert "alpha\tok" in out
+
+
+class TestSnapshotChecksumOverRawBytes:
+    """The loader and fsck check the CRC over the payload bytes as read;
+    re-serialising the parsed payload is only the fallback."""
+
+    @staticmethod
+    def snapshot(tmp_path):
+        path = seeded(tmp_path, extra_after_compact=False)
+        snapshot_path = os.path.join(path, "main.snapshot.json")
+        return path, snapshot_path, open(snapshot_path, "rb").read()
+
+    def test_writer_layout_is_checked_without_reserialising(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.store import durable as durable_module
+
+        _, snapshot_path, raw = self.snapshot(tmp_path)
+        wrapper = json.loads(raw)
+        calls = []
+        canonical = durable_module._canonical
+        monkeypatch.setattr(
+            durable_module,
+            "_canonical",
+            lambda payload: calls.append(payload) or canonical(payload),
+        )
+        lsn, ok = durable_module.verify_snapshot_wrapper(wrapper, snapshot_path, raw)
+        assert (lsn, ok) == (1, True)
+        # Only the small envelope head is serialised, never the payload.
+        assert all("collection" not in call for call in calls)
+        assert all(call is not wrapper["collection"] for call in calls)
+
+    def test_a_flipped_payload_byte_is_still_detected(self, tmp_path):
+        from repro.store.durable import verify_snapshot_wrapper
+
+        path, snapshot_path, _ = self.snapshot(tmp_path)
+        corrupt_snapshot_payload(path)
+        raw = open(snapshot_path, "rb").read()
+        _, ok = verify_snapshot_wrapper(json.loads(raw), snapshot_path, raw)
+        assert not ok
+        assert "snapshot-checksum-mismatch" in {
+            finding.code for finding in verify(path).findings()
+        }
+
+    def test_a_pretty_printed_valid_snapshot_still_verifies(self, tmp_path):
+        from repro.store.durable import verify_snapshot_wrapper
+
+        path, snapshot_path, raw = self.snapshot(tmp_path)
+        pretty = json.dumps(json.loads(raw), indent=2).encode("utf-8")
+        with open(snapshot_path, "wb") as handle:
+            handle.write(pretty)
+        assert verify_snapshot_wrapper(json.loads(pretty), snapshot_path, pretty)[1]
+        assert verify(path).ok
+        reopened = durable(tmp_path)
+        assert sorted(value["n"] for value in values(reopened).values()) == [1, 2, 3]
+        reopened.close()

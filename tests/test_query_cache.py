@@ -112,14 +112,19 @@ class TestGlobalCompileCache:
     def test_mongo_key_is_canonical(self, clean_global_cache):
         first = compile_mongo_find({"a": 1, "b": 2})
         second = compile_mongo_find({"b": 2, "a": 1})  # same filter, reordered
-        assert first is second
         assert artifact_cache_stats().hits == 1
+        assert first.source == second.source
+        assert first.plan.match_predicate == second.plan.match_predicate
+        assert first.plan.cover == second.plan.cover
 
     def test_mongo_projection_distinguishes_plans(self, clean_global_cache):
         bare = compile_mongo_find({"a": 1})
         projected = compile_mongo_find({"a": 1}, {"a": 1})
-        assert bare is not projected
-        assert projected.projection is not None
+        stats = artifact_cache_stats()
+        assert (stats.hits, stats.misses) == (0, 2)
+        assert bare.source != projected.source
+        assert bare.projection is None and projected.projection is not None
+        assert bare.plan.match_predicate == projected.plan.match_predicate
 
     def test_capacity_eviction_recompiles(self, clean_global_cache):
         configure_artifact_cache(2)
@@ -165,8 +170,12 @@ class TestNoStaleResults:
         assert query.matches(tree)
         (age_leaf,) = [n for n in tree.nodes() if tree.is_number(n)]
         tree._values[age_leaf] = 12
-        assert compile_mongo_find({"age": {"$gte": 40}}) is query  # cache hit
+        hits = artifact_cache_stats().hits
+        again = compile_mongo_find({"age": {"$gte": 40}})
+        assert artifact_cache_stats().hits > hits  # cache hit
+        assert again.plan.match_predicate == query.plan.match_predicate
         assert not query.matches(tree)
+        assert not again.matches(tree)
 
     def test_rebuilt_tree_evaluated_fresh(self, clean_global_cache):
         query = compile_query("$.items[*]", "jsonpath")
@@ -181,3 +190,46 @@ class TestNoStaleResults:
         assert match_many(query, trees) == [False]
         trees.append(JSONTree.from_value({"x": 5}))
         assert match_many(query, trees) == [False, True]
+
+
+class TestShapeKeyedMongoPlans:
+    """A Mongo filter's plan is cached per shape: fresh constants bind
+    into one entry instead of filling the cache with one per constant."""
+
+    def test_fresh_constants_add_o1_entries(self, clean_global_cache):
+        from repro import api
+
+        collection = api.collection([{"user": i, "city": "c"} for i in range(1000)])
+        collection.find({"user": 0})  # the summary, the shape: set-up
+        before = artifact_cache_stats()
+        for user in range(1000):
+            assert collection.find({"user": user}) == [{"user": user, "city": "c"}]
+        after = artifact_cache_stats()
+        assert after.size - before.size <= 2
+        assert after.evictions == 0
+        assert after.hits - before.hits >= 1000
+
+    def test_explain_source_of_a_bound_query_is_the_literal_text(
+        self, clean_global_cache
+    ):
+        from repro import api
+
+        collection = api.collection([{"user": i} for i in range(5)])
+        for user in (1, 2):
+            report = collection.explain({"user": user})
+            assert report.source == f'[{{"user":{user}}},null]'
+            assert report.semantics.verdict == "covered"
+        query = compile_mongo_find({"b": "x", "a": {"$gte": 3}}, {"a": 1})
+        assert query.source == '[{"a":{"$gte":3},"b":"x"},{"a":1}]'
+
+    def test_a_covered_read_builds_no_payload(self, clean_global_cache):
+        from repro import api
+
+        collection = api.collection([{"user": i} for i in range(5)])
+        collection.find({"user": 0})
+        before = artifact_cache_stats().size
+        assert collection.count({"user": 3}) == 1
+        assert artifact_cache_stats().size == before
+        # A verified read pays for its payload, cached under the text.
+        assert collection.count({"user": 3}, hint={"no_semantic": True}) == 1
+        assert ("mongo-payload", '[{"user":3},null]') in artifact_cache()

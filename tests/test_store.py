@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -9,8 +10,16 @@ import pytest
 from repro.errors import DocumentRejectedError, StoreError
 from repro.model.tree import JSONTree, Kind
 from repro.store import Collection, DocumentIndexes
-from repro.store.indexes import DeltaOps, index_entries, value_entry_counts
+from repro.store.indexes import (
+    DeltaOps,
+    index_entries,
+    tree_entry_counts,
+    value_entry_counts,
+)
+from repro.query import ir, planner
 from repro import api
+
+_SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
 
 PEOPLE = [
     {"name": {"first": "Sue", "last": "Doe"}, "age": 35,
@@ -273,6 +282,124 @@ class TestIndexMaintenance:
         stats = api.collection(PEOPLE).index_stats()
         assert stats.documents == 3
         assert stats.keys >= 6  # name, first, last, age, hobbies, ...
+
+
+class TestEveryDocumentPostings:
+    """A posting that holds every live id is stored as the live-id set
+    itself: materialised once when a document lacks its entry, the
+    sentinel again when a posting grows back to every live id, kept
+    through ``remove`` -- and ``snapshot()`` never tells the difference."""
+
+    FIELDS = ("a", "b", "c")
+
+    @classmethod
+    def random_field(cls, rng):
+        return rng.choice([0, 1, 2, "s", [0, 1], [1, [2]], {"x": 0}, {"x": [1]}])
+
+    @classmethod
+    def random_document(cls, rng):
+        # Mostly every field, so most postings are every document's.
+        return {
+            field: cls.random_field(rng)
+            for field in cls.FIELDS
+            if rng.random() < 0.85
+        }
+
+    @staticmethod
+    def check(indexes: DocumentIndexes, live: dict) -> None:
+        assert indexes.snapshot() == TestIndexMaintenance.reference(live)
+        assert indexes.live_ids == set(live)
+        assert indexes.stats().documents == len(live)
+        for entry in indexes._every:
+            table, nested = indexes._tables[entry[0]]
+            if nested:
+                table = table[entry[1]]
+            assert table[entry[-1]] is indexes.live_ids
+            assert len(live) >= 2
+
+    def test_model_equals_rebuild_after_every_step(self):
+        rng = random.Random(20261016)
+        sentinels = 0
+        for _ in range(8 * _SCALE):
+            indexes = DocumentIndexes()
+            live: dict[int, dict] = {}
+            next_id = 0
+            for _ in range(40):
+                roll = rng.random()
+                if roll < 0.35 or len(live) < 2:
+                    value = self.random_document(rng)
+                    indexes.add(next_id, JSONTree.from_value(value))
+                    live[next_id] = value
+                    next_id += 1
+                elif roll < 0.5:
+                    doc_id = rng.choice(sorted(live))
+                    indexes.remove(doc_id, JSONTree.from_value(live.pop(doc_id)))
+                elif roll < 0.8:
+                    # One field set, replaced or unset: a delta each way.
+                    doc_id = rng.choice(sorted(live))
+                    field = rng.choice(self.FIELDS)
+                    value = dict(live[doc_id])
+                    delta: dict = {}
+                    if field in value:
+                        value_entry_counts(
+                            value.pop(field), (field,), field, counts=delta, sign=-1
+                        )
+                    if rng.random() < 0.6:
+                        value[field] = self.random_field(rng)
+                        value_entry_counts(value[field], (field,), field, counts=delta)
+                    indexes.apply_entry_delta(doc_id, delta)
+                    live[doc_id] = value
+                else:  # rebuild-replace: remove and add under the same id
+                    doc_id = rng.choice(sorted(live))
+                    value = self.random_document(rng)
+                    indexes.remove(doc_id, JSONTree.from_value(live[doc_id]))
+                    indexes.add(doc_id, JSONTree.from_value(value))
+                    live[doc_id] = value
+                self.check(indexes, live)
+                sentinels += len(indexes._every)
+        assert sentinels  # the generator bites
+
+    def test_lookups_hand_out_the_live_set_read_only(self):
+        collection = api.collection([{"a": i, "b": [i, 1]} for i in range(5)])
+        indexes = collection.indexes
+        live = indexes.live_ids
+        assert indexes.docs_with_path(("a",)) is live
+        assert indexes.docs_with_value(("b",), 1) is live
+        assert planner.candidate_ids(ir.PathExists(("a",)), indexes) is live
+        # ALL and X is X; ALL or X is ALL -- neither copies the live set.
+        narrowed = ir.AndPred((ir.PathExists(("a",)), ir.PathEq(("a",), 3)))
+        assert planner.candidate_ids(narrowed, indexes) == {3}
+        widened = ir.OrPred((ir.PathExists(("a",)), ir.PathEq(("a",), 3)))
+        assert planner.candidate_ids(widened, indexes) is live
+        assert collection.count({"b": 1}) == 5
+        assert live == set(range(5))
+
+    def test_rebuild_replace_never_copies_the_live_set(self, monkeypatch):
+        collection = api.collection(
+            [{"user": i, "tags": ["x", "y"], "age": i % 7} for i in range(50)]
+        )
+        copies = []
+        copy = DocumentIndexes._live_copy
+        monkeypatch.setattr(
+            DocumentIndexes,
+            "_live_copy",
+            lambda self, *args: copies.append(args) or copy(self, *args),
+        )
+        result = collection.update_many(
+            {"age": 3}, {"$inc": {"user": 100}}, maintenance="rebuild"
+        )
+        assert result.modified_count == 7
+        assert copies == []
+        assert collection.indexes.snapshot() == rebuilt(collection).snapshot()
+        # A document lacking every-document entries materialises each
+        # of them once, and only those.
+        every = set(collection.indexes._every)
+        lacking = every - tree_entry_counts(JSONTree.from_value({"user": -1})).keys()
+        assert lacking
+        collection.insert({"user": -1})
+        assert len(copies) == len(lacking)
+        assert collection.indexes._every == every - lacking
+        assert collection.indexes.snapshot() == rebuilt(collection).snapshot()
 
 
 class TestMutationFreshness:
