@@ -11,11 +11,11 @@
 
 from __future__ import annotations
 
-from repro.bench.harness import format_table, measure
 from repro.jnl.efficient import JNLEvaluator, evaluate_unary
-from repro.jnl.evaluator import eval_unary
 from repro.jnl.parser import parse_jnl
-from repro.workloads import balanced_tree, deep_chain
+from repro.reference.harness import format_table, measure
+from repro.reference.jnl_evaluator import eval_unary
+from repro.reference.workloads import balanced_tree, deep_chain
 
 TREE = balanced_tree(4, 3)
 # The star ablation runs on a chain: the naive fixpoint materialises

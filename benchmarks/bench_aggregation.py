@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, measure, smoke_mode
 from repro.mongo.aggregate import compile_pipeline, naive_aggregate
-from repro.workloads import people_collection
+from repro.reference.harness import format_table, measure, smoke_mode
+from repro.reference.workloads import people_collection
 from repro import api
 
 DOCS = 300 if smoke_mode() else 10_000

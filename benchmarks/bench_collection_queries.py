@@ -42,14 +42,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import (
+from repro.query import compile_mongo_find, compile_query, filter_many
+from repro.reference.harness import (
     format_table,
     measure,
     measure_amortised,
     smoke_mode,
 )
-from repro.query import compile_mongo_find, compile_query, filter_many
-from repro.workloads import people_collection
+from repro.reference.workloads import people_collection
 from repro import api
 
 DOCS = 300 if smoke_mode() else 10_000

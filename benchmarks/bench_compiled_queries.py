@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, measure_amortised, smoke_mode
 from repro.model.tree import JSONTree
 from repro.query import (
     compile_mongo_find,
     compile_query,
     evaluate_queries,
 )
-from repro.workloads import people_collection
+from repro.reference.harness import format_table, measure_amortised, smoke_mode
+from repro.reference.workloads import people_collection
 from repro import api
 
 # Small documents and chunky query texts: the regime where compilation

@@ -38,9 +38,9 @@ import tempfile
 
 import pytest
 
-from repro.bench.harness import format_table, measure, smoke_mode
+from repro.reference.harness import format_table, measure, smoke_mode
+from repro.reference.workloads import people_collection
 from repro.store import Collection, DocumentIndexes, DurableEngine
-from repro.workloads import people_collection
 from repro import api
 
 DOCS = 60 if smoke_mode() else 2_000

@@ -7,13 +7,13 @@ claim that JNL is the common core of those systems, made measurable.
 
 from __future__ import annotations
 
-from repro.bench.harness import format_table, measure
 from repro.jnl.efficient import JNLEvaluator
 from repro.jnl.parser import parse_jnl
 from repro.jsonpath import jsonpath_query, parse_jsonpath
 from repro.model.tree import JSONTree
 from repro.query import compile_formula, match_many
-from repro.workloads import people_collection
+from repro.reference.harness import format_table, measure
+from repro.reference.workloads import people_collection
 from repro import api
 
 PEOPLE = people_collection(300, seed=4)

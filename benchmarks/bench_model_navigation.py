@@ -8,9 +8,9 @@ the arena representation.
 
 from __future__ import annotations
 
-from repro.bench.harness import format_table, measure
 from repro.model.tree import JSONTree
-from repro.workloads import people_collection
+from repro.reference.harness import format_table, measure
+from repro.reference.workloads import people_collection
 
 PEOPLE = people_collection(500, seed=9)
 TREES = [JSONTree.from_value(person) for person in PEOPLE]

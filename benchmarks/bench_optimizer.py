@@ -30,9 +30,9 @@ from time import perf_counter
 import pytest
 
 from repro import api
-from repro.bench.harness import format_table, measure, smoke_mode
 from repro.cache import LRUCache
 from repro.query import compile_mongo_find, optimizer
+from repro.reference.harness import format_table, measure, smoke_mode
 
 DOCS = 2_000 if smoke_mode() else 100_000
 

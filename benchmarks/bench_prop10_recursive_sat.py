@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automata.jautomata import from_recursive_jsl
-from repro.bench.harness import format_table, measure
 from repro.jsl.parser import parse_jsl
 from repro.jsl.satisfiability import jsl_satisfiable
+from repro.reference.harness import format_table, measure
+from repro.reference.jautomata import from_recursive_jsl
 
 EXAMPLE5 = parse_jsl(
     "def g := not some([0:0], true) or "

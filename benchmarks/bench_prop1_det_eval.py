@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, loglog_slope, run_series
 from repro.jnl import builder as q
 from repro.jnl.efficient import evaluate_unary
 from repro.jnl.parser import parse_jnl
-from repro.workloads import balanced_tree
+from repro.reference.harness import format_table, loglog_slope, run_series
+from repro.reference.workloads import balanced_tree
 
 SIZES = [2, 4, 8, 16, 32]  # branching of a depth-3 balanced tree
 

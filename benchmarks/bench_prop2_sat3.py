@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, measure
 from repro.jnl.satisfiability import jnl_satisfiable
-from repro.reductions import brute_force_sat, cnf_to_jnl, random_3cnf
+from repro.reference.harness import format_table, measure
+from repro.reference.reductions import brute_force_sat, cnf_to_jnl, random_3cnf
 
 INSTANCES = [(3, 6), (4, 8), (5, 10), (6, 12)]
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import SeriesPoint, format_table, loglog_slope, run_series
 from repro.jnl.efficient import evaluate_unary
 from repro.jnl.parser import parse_jnl
-from repro.workloads import deep_chain
+from repro.reference.harness import SeriesPoint, format_table, loglog_slope, run_series
+from repro.reference.workloads import deep_chain
 
 # On a chain of depth n, EQ(alpha, beta) with a starred path needs the
 # set of subtree values below every node: Theta(n^2) work; the same

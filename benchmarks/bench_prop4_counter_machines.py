@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, measure
 from repro.jnl.efficient import evaluate_unary
-from repro.reductions import (
+from repro.reference.harness import format_table, measure
+from repro.reference.reductions import (
     TwoCounterMachine,
     encode_run,
     machine_to_jnl,

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, measure
 from repro.jnl import builder as q
 from repro.jnl.satisfiability import jnl_satisfiable
+from repro.reference.harness import format_table, measure
 
 DEPTHS = [2, 4, 6, 8]
 

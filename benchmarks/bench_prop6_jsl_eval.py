@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, loglog_slope, run_series
-from repro.jsl.evaluator import satisfies
 from repro.jsl.parser import parse_jsl_formula
 from repro.model.tree import JSONTree
-from repro.workloads import balanced_tree
+from repro.reference.harness import format_table, loglog_slope, run_series
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.workloads import balanced_tree
 
 PLAIN = parse_jsl_formula(
     "object and all(./c.*/, object or number) and some(.c0, minch(1))"

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import format_table, measure
 from repro.jsl.satisfiability import jsl_satisfiable
-from repro.reductions import brute_force_qbf, qbf_to_jsl, random_qbf
+from repro.reference.harness import format_table, measure
+from repro.reference.reductions import brute_force_qbf, qbf_to_jsl, random_qbf
 
 INSTANCES = [(2, 3), (3, 4), (4, 5), (5, 6)]
 

@@ -12,19 +12,19 @@ import random
 
 import pytest
 
-from repro.bench.harness import (
+from repro.jsl import formula_size
+from repro.jsl.bottom_up import satisfies_recursive
+from repro.jsl.parser import parse_jsl
+from repro.reference.harness import (
     SeriesPoint,
     format_table,
     loglog_slope,
     run_series,
 )
-from repro.jsl import formula_size
-from repro.jsl.bottom_up import satisfies_recursive
-from repro.jsl.parser import parse_jsl
-from repro.jsl.unfold import unfold
-from repro.reductions import circuit_to_jsl, evaluate_circuit, random_circuit
-from repro.reductions.circuits import assignment_to_document
-from repro.workloads import even_depth_tree
+from repro.reference.reductions import circuit_to_jsl, evaluate_circuit, random_circuit
+from repro.reference.reductions.circuits import assignment_to_document
+from repro.reference.unfold import unfold
+from repro.reference.workloads import even_depth_tree
 
 EVEN = parse_jsl(
     "def g1 := all(.*, $g2);"

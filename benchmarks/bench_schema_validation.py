@@ -20,19 +20,19 @@ import json
 
 import pytest
 
-from repro.bench.harness import format_table, measure_amortised, smoke_mode
-from repro.jsl.evaluator import JSLEvaluator
 from repro.model.tree import JSONTree
+from repro.reference.harness import format_table, measure_amortised, smoke_mode
+from repro.reference.jsl_evaluator import JSLEvaluator
+from repro.reference.schema_validator import SchemaValidator
+from repro.reference.workloads import people_collection
 from repro.schema.parser import parse_schema
 from repro.schema.to_jsl import schema_to_jsl
-from repro.schema.validator import SchemaValidator
 from repro.streaming.validator import StreamingJSLValidator
 from repro.validate import (
     compile_jsl_validator,
     compile_schema_validator,
     validate_corpus,
 )
-from repro.workloads import people_collection
 
 # A registry-style person schema exercising every compiled-op family:
 # definitions/$ref, required, patterns, bounds, arrays and enum.

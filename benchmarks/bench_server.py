@@ -35,7 +35,7 @@ import random
 import threading
 import time
 
-from repro.bench.harness import format_table, smoke_mode
+from repro.reference.harness import format_table, smoke_mode
 
 DOCS = 500 if smoke_mode() else 5_000
 READS = 80 if smoke_mode() else 2_000

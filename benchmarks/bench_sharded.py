@@ -25,8 +25,8 @@ import time
 
 import pytest
 
-from repro.bench.harness import format_table, measure, smoke_mode
 from repro.mongo.aggregate import compile_pipeline
+from repro.reference.harness import format_table, measure, smoke_mode
 from repro.store import ShardedCollection
 from repro import api
 

@@ -13,12 +13,12 @@ import tracemalloc
 
 import pytest
 
-from repro.bench.harness import format_table
-from repro.jsl.evaluator import satisfies
 from repro.jsl.parser import parse_jsl_formula
 from repro.model.tree import JSONTree
+from repro.reference.harness import format_table
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.workloads import people_collection
 from repro.streaming import StreamingJSLValidator
-from repro.workloads import people_collection
 
 FORMULA = parse_jsl_formula(
     "all([5:5], some(.name, some(.first, string)) and some(.age, number))"

@@ -12,18 +12,15 @@ import random
 
 import pytest
 
-from repro.bench.harness import format_table, measure
 from repro.jsl import RecursiveJSL
 from repro.jsl.bottom_up import satisfies_recursive
-from repro.jsl.evaluator import satisfies
 from repro.model.tree import JSONTree
-from repro.schema import (
-    SchemaValidator,
-    jsl_to_schema,
-    parse_schema,
-    schema_to_jsl,
-)
-from repro.workloads import TreeShape, random_schema_value, random_tree
+from repro.reference.from_jsl import jsl_to_schema
+from repro.reference.harness import format_table, measure
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.schema_validator import SchemaValidator
+from repro.reference.workloads import TreeShape, random_schema_value, random_tree
+from repro.schema import parse_schema, schema_to_jsl
 
 RECURSIVE_SCHEMA = parse_schema(
     {

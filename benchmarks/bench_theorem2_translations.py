@@ -11,13 +11,14 @@ import random
 
 import pytest
 
-from repro.bench.harness import SeriesPoint, format_table, loglog_slope
 from repro.jnl import ast as jnl
 from repro.jnl.efficient import evaluate_unary
 from repro.jsl import ast as jsl_ast
-from repro.jsl.evaluator import nodes_satisfying
-from repro.translate import jnl_to_jsl, jsl_to_jnl
-from repro.workloads import TreeShape, random_jsl_formula, random_tree
+from repro.reference.harness import SeriesPoint, format_table, loglog_slope
+from repro.reference.jsl_evaluator import nodes_satisfying
+from repro.reference.jsl_to_jnl import jsl_to_jnl
+from repro.reference.workloads import TreeShape, random_jsl_formula, random_tree
+from repro.translate import jnl_to_jsl
 
 
 def _union_chain(length: int) -> jnl.Unary:

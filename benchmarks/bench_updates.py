@@ -19,8 +19,8 @@ import copy
 
 import pytest
 
-from repro.bench.harness import format_table, measure, smoke_mode
-from repro.workloads import people_collection
+from repro.reference.harness import format_table, measure, smoke_mode
+from repro.reference.workloads import people_collection
 from repro import api
 
 DOCS = 300 if smoke_mode() else 10_000

@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     if args.smoke:
         # Must be set before the bench modules import (module-level
-        # setup) and call into repro.bench.harness.
+        # setup) and call into repro.reference.harness.
         os.environ["REPRO_BENCH_SMOKE"] = "1"
 
     import importlib

@@ -12,7 +12,8 @@ Run:  python examples/api_validation.py
 import json
 
 from repro.jsl import is_deterministic, parse_jsl_formula
-from repro.schema import SchemaValidator, parse_schema, schema_to_jsl
+from repro.reference.schema_validator import SchemaValidator
+from repro.schema import parse_schema, schema_to_jsl
 from repro.streaming import StreamingJSLValidator
 
 # --- A recursive schema: comment threads reference themselves ---------

@@ -6,7 +6,7 @@ Run:  python examples/mongo_people.py
 """
 
 from repro.mongo import compile_filter
-from repro.workloads import people_collection
+from repro.reference.workloads import people_collection
 from repro import api
 
 

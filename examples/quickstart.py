@@ -5,8 +5,10 @@ Run:  python examples/quickstart.py
 
 from repro import JSONTree, Navigator
 from repro.jnl import evaluate_unary, parse_jnl, parse_jnl_path, target_nodes
-from repro.jsl import parse_jsl_formula, satisfies
-from repro.schema import SchemaValidator, parse_schema, schema_to_jsl
+from repro.jsl import parse_jsl_formula
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.schema_validator import SchemaValidator
+from repro.schema import parse_schema, schema_to_jsl
 
 
 def main() -> None:

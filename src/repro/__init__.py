@@ -1,27 +1,31 @@
 """repro: a reproduction of "JSON: data model, query languages and schema
 specification" (Bourhis, Reutter, Suarez, Vrgoc; PODS 2017).
 
-The package implements the paper's three formalisms and everything they
-depend on:
+The package implements the paper's three formalisms and a document
+database built on them:
 
 * :mod:`repro.model` -- JSON trees, the formal data model (Section 3);
 * :mod:`repro.jnl` -- JSON Navigational Logic: deterministic core plus
   non-determinism and recursion (Section 4);
 * :mod:`repro.jsl` -- JSON Schema Logic with node tests, modalities and
   recursive definitions (Section 5);
-* :mod:`repro.schema` -- the JSON Schema core fragment of Table 1, with
-  Theorem-1 translations to and from JSL;
-* :mod:`repro.translate` -- the Theorem-2 translations between JNL and JSL;
-* :mod:`repro.automata` -- regex engine, key languages, J-automata;
-* :mod:`repro.reductions` -- executable hardness reductions (Props 2/4/7/9);
+* :mod:`repro.schema` -- the JSON Schema core fragment of Table 1 and
+  its Theorem-1 translation to JSL;
+* :mod:`repro.translate` -- the Theorem-2 translation from JNL to JSL;
+* :mod:`repro.automata` -- regex engine and key languages;
 * :mod:`repro.mongo`, :mod:`repro.jsonpath` -- the surveyed front-ends
   compiled onto JNL;
-* :mod:`repro.query`, :mod:`repro.store` -- the compiled-query
-  subsystem (shared logical-plan IR, planner) and the indexed document
-  collections it serves;
+* :mod:`repro.query`, :mod:`repro.store`, :mod:`repro.validate` -- the
+  compiled-query and compiled-validator subsystems (shared logical-plan
+  IR, planner) and the indexed document collections they serve;
 * :mod:`repro.streaming` -- streaming validation (Section 6 outlook);
-* :mod:`repro.workloads`, :mod:`repro.bench` -- generators and the
-  benchmark harness.
+* :mod:`repro.api`, :mod:`repro.server`, :mod:`repro.client`,
+  :mod:`repro.cli` -- the product entry points;
+* :mod:`repro.reference` -- test oracles and experiment drivers: the
+  naive evaluators, the reverse translations, the independent schema
+  validator, J-automata, the hardness reductions (Props 2/4/7/9),
+  workload generators and the benchmark harness.  No product module
+  imports it.
 
 Quickstart::
 
@@ -33,56 +37,18 @@ Quickstart::
     assert doc.root in nodes
 """
 
-from repro.errors import (
-    DuplicateKeyError,
-    ModelError,
-    NavigationError,
-    ParseError,
-    ReproError,
-    SchemaError,
-    SolverLimitError,
-    TranslationError,
-    UnsupportedFragmentError,
-    WellFormednessError,
-)
-from repro.model import (
-    JSONTree,
-    Kind,
-    Navigator,
-    TreeBuilder,
-    fetch,
-    navigate,
-    subtree_equal,
-    try_navigate,
-)
+from repro.model import JSONTree, Navigator
 
 __version__ = "1.10.0"
 
 __all__ = [
     "JSONTree",
-    "Kind",
     "Navigator",
-    "TreeBuilder",
-    "navigate",
-    "try_navigate",
-    "fetch",
-    "subtree_equal",
-    "ReproError",
-    "ModelError",
-    "DuplicateKeyError",
-    "NavigationError",
-    "ParseError",
-    "SchemaError",
-    "TranslationError",
-    "UnsupportedFragmentError",
-    "WellFormednessError",
-    "SolverLimitError",
     "__version__",
     # Populated lazily below once the logic packages import cleanly.
     "parse_jnl",
     "evaluate_jnl",
     "parse_jsl",
-    "evaluate_jsl",
     "CompiledQuery",
     "compile_query",
     "Collection",
@@ -139,8 +105,4 @@ def __getattr__(name: str):  # pragma: no cover - thin convenience shim
         from repro.jsl.parser import parse_jsl
 
         return parse_jsl
-    if name == "evaluate_jsl":
-        from repro.jsl.evaluator import satisfies as evaluate_jsl
-
-        return evaluate_jsl
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

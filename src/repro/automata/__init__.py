@@ -1,52 +1,5 @@
-"""Automata substrate: regex engine, key languages and J-automata."""
+"""Automata substrate: the regex engine (:mod:`repro.automata.regex`)
+and key languages (:mod:`repro.automata.keylang`).
 
-from repro.automata.keylang import KeyLang, any_key, disjoint_cells, regex_key, word_key
-from repro.automata.regex import (
-    DFA,
-    NFA,
-    CharClass,
-    Regex,
-    determinize,
-    dfa_complement,
-    dfa_count_words,
-    dfa_is_empty,
-    dfa_product,
-    dfa_sample_words,
-    dfa_witness,
-    nfa_from_regex,
-    nfa_matches,
-    parse_regex,
-)
-
-# Imported last: jautomata depends on repro.jsl, which itself uses the
-# regex/keylang submodules above.
-from repro.automata.jautomata import (  # noqa: E402
-    JAutomaton,
-    from_recursive_jsl,
-    to_recursive_jsl,
-)
-
-__all__ = [
-    "JAutomaton",
-    "from_recursive_jsl",
-    "to_recursive_jsl",
-    "KeyLang",
-    "word_key",
-    "regex_key",
-    "any_key",
-    "disjoint_cells",
-    "CharClass",
-    "Regex",
-    "parse_regex",
-    "NFA",
-    "nfa_from_regex",
-    "nfa_matches",
-    "DFA",
-    "determinize",
-    "dfa_complement",
-    "dfa_product",
-    "dfa_is_empty",
-    "dfa_witness",
-    "dfa_count_words",
-    "dfa_sample_words",
-]
+J-automata (Proposition 10) are :mod:`repro.reference.jautomata`.
+"""

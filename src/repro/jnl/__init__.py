@@ -4,73 +4,22 @@
   non-determinism, recursion, flagged extensions);
 * :mod:`repro.jnl.builder` -- ergonomic constructors;
 * :mod:`repro.jnl.parser` -- a concrete text syntax;
-* :mod:`repro.jnl.evaluator` -- reference denotational evaluator;
 * :mod:`repro.jnl.efficient` -- the Proposition 1/3 evaluator;
 * :mod:`repro.jnl.satisfiability` -- the Proposition 2/5 decision
   procedures.
+
+The Section 4.2 denotational evaluator, the test oracle for
+:mod:`repro.jnl.efficient`, is :mod:`repro.reference.jnl_evaluator`.
 """
 
-from repro.jnl.ast import (
-    And,
-    Atom,
-    Binary,
-    Compose,
-    EqDoc,
-    EqPath,
-    Eps,
-    Exists,
-    Index,
-    IndexRange,
-    Key,
-    KeyRegex,
-    Not,
-    Or,
-    Star,
-    Test,
-    Top,
-    Unary,
-    Union,
-    axis_depth,
-    formula_size,
-    is_deterministic,
-    is_pure,
-    is_recursive,
-    uses_atoms,
-    uses_eqpath,
-)
-from repro.jnl.efficient import JNLEvaluator, evaluate_unary, satisfies, target_nodes
+from repro.jnl.ast import is_deterministic, is_recursive
+from repro.jnl.efficient import evaluate_unary, target_nodes
 from repro.jnl.parser import parse_jnl, parse_jnl_path
 
 __all__ = [
-    "Unary",
-    "Binary",
-    "Top",
-    "Not",
-    "And",
-    "Or",
-    "Exists",
-    "EqDoc",
-    "EqPath",
-    "Atom",
-    "Eps",
-    "Test",
-    "Key",
-    "Index",
-    "KeyRegex",
-    "IndexRange",
-    "Compose",
-    "Union",
-    "Star",
     "is_deterministic",
     "is_recursive",
-    "uses_eqpath",
-    "uses_atoms",
-    "is_pure",
-    "formula_size",
-    "axis_depth",
-    "JNLEvaluator",
     "evaluate_unary",
-    "satisfies",
     "target_nodes",
     "parse_jnl",
     "parse_jnl_path",

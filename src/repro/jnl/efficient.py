@@ -11,12 +11,17 @@ satisfying it, working bottom-up over the formula structure:
   product graph is traversed once, giving ``O(|J| * |alpha|)`` -- the
   bound of Proposition 1, and of Proposition 3 for formulas without
   ``EQ(alpha, beta)`` (the Kleene star only adds eps-loops to the
-  automaton, not to the product's cost);
+  automaton, not to the product's cost).  For ``EQ(alpha, A)`` the
+  constant document ``A`` is hashed once and the accepting
+  configurations are seeded with the nodes whose canonical hash
+  matches, verified structurally: one extra linear hashing pass;
 * ``EQ(alpha, beta)`` needs the *set of subtree values* reachable from
   each node, which the backward pass cannot provide.  For deterministic
   paths the unique targets are followed directly (linear); otherwise a
   forward reachability is run **per node**, which is where the paper's
-  cubic bound for the full logic comes from.
+  cubic bound for the full logic comes from (``O(|J|^3 * |phi|)``,
+  Proposition 3; benchmark E3 shows the gap against the
+  ``EQ(alpha, beta)``-free fragment).
 
 All subtree comparisons use canonical hashes with structural
 verification (see :mod:`repro.model.equality`), the "online" equality

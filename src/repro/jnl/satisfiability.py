@@ -15,10 +15,10 @@ The decision procedure follows the route the paper's proofs suggest:
 non-deterministic recursive logic the problem is undecidable
 (Proposition 4) -- the solver refuses rather than loops.  The
 two-counter-machine encoding behind that proof is executable in
-:mod:`repro.reductions.counter_machines`.
+:mod:`repro.reference.reductions.counter_machines`.
 
 Complexity context: deterministic JNL satisfiability is NP-complete
-(Proposition 2; hardness via :mod:`repro.reductions.sat3`), the
+(Proposition 2; hardness via :mod:`repro.reference.reductions.sat3`), the
 non-deterministic star-free fragment is PSPACE-complete and the
 recursive one EXPTIME-complete (Proposition 5) -- so the underlying
 engine's resource bounds are inherent, and results carry the same

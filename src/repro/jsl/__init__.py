@@ -2,80 +2,25 @@
 
 * :mod:`repro.jsl.ast` -- formulas, node tests, recursive expressions;
 * :mod:`repro.jsl.parser` -- a concrete text syntax;
-* :mod:`repro.jsl.evaluator` -- Proposition 6 evaluation;
 * :mod:`repro.jsl.recursion` -- precedence graphs and well-formedness;
-* :mod:`repro.jsl.unfold` -- the paper's rewriting semantics (reference);
 * :mod:`repro.jsl.bottom_up` -- Proposition 9 PTIME evaluation;
 * :mod:`repro.jsl.satisfiability` -- the Proposition 7/10 engine.
+
+The Proposition 6 evaluator and the Section 5.3 unfolding semantics
+are reference implementations: :mod:`repro.reference.jsl_evaluator`
+and :mod:`repro.reference.unfold`.
 """
 
-from repro.jsl.ast import (
-    And,
-    BoxIdx,
-    BoxKey,
-    DiaIdx,
-    DiaKey,
-    Formula,
-    Not,
-    Or,
-    RecursiveJSL,
-    Ref,
-    TestAtom,
-    Top,
-    bottom,
-    conj,
-    disj,
-    formula_size,
-    is_deterministic,
-    modal_depth,
-    refs_in,
-    subformulas,
-    uses_unique,
-)
-from repro.jsl.bottom_up import RecursiveJSLEvaluator, satisfies_recursive
-from repro.jsl.evaluator import JSLEvaluator, nodes_satisfying, satisfies
+from repro.jsl.ast import And, Not, RecursiveJSL, Ref, formula_size, is_deterministic
 from repro.jsl.parser import parse_jsl, parse_jsl_formula
-from repro.jsl.recursion import (
-    check_well_formed,
-    is_well_formed,
-    precedence_graph,
-    topological_order,
-)
-from repro.jsl.unfold import satisfies_by_unfolding, unfold
 
 __all__ = [
-    "Formula",
-    "Top",
     "Not",
     "And",
-    "Or",
-    "TestAtom",
-    "DiaKey",
-    "BoxKey",
-    "DiaIdx",
-    "BoxIdx",
     "Ref",
     "RecursiveJSL",
-    "bottom",
-    "conj",
-    "disj",
     "formula_size",
-    "subformulas",
-    "refs_in",
-    "uses_unique",
     "is_deterministic",
-    "modal_depth",
-    "JSLEvaluator",
-    "nodes_satisfying",
-    "satisfies",
-    "RecursiveJSLEvaluator",
-    "satisfies_recursive",
-    "satisfies_by_unfolding",
-    "unfold",
-    "check_well_formed",
-    "is_well_formed",
-    "precedence_graph",
-    "topological_order",
     "parse_jsl",
     "parse_jsl_formula",
 ]

@@ -2,40 +2,6 @@
 
 Both logics are parameterised by their atomic predicates (Theorem 2
 shows JNL and JSL coincide once atomic predicates are exchanged), so
-the ``NodeTests`` set lives here, importable by both
-:mod:`repro.jnl` and :mod:`repro.jsl` without layering cycles.
+the ``NodeTests`` set lives in :mod:`repro.logic.nodetests`, importable
+by both :mod:`repro.jnl` and :mod:`repro.jsl` without layering cycles.
 """
-
-from repro.logic.nodetests import (
-    EqDocTest,
-    IsArray,
-    IsNumber,
-    IsObject,
-    IsString,
-    MaxCh,
-    MaxVal,
-    MinCh,
-    MinVal,
-    MultOf,
-    NodeTest,
-    Pattern,
-    Unique,
-    node_test_holds,
-)
-
-__all__ = [
-    "NodeTest",
-    "IsObject",
-    "IsArray",
-    "IsString",
-    "IsNumber",
-    "Unique",
-    "Pattern",
-    "MinVal",
-    "MaxVal",
-    "MultOf",
-    "MinCh",
-    "MaxCh",
-    "EqDocTest",
-    "node_test_holds",
-]

@@ -1,52 +1,19 @@
 """The paper's JSON-tree data model (Section 3).
 
-Public surface:
-
-* :class:`~repro.model.tree.JSONTree` and :class:`~repro.model.tree.Kind`
-  -- the deterministic, edge-labelled tree structure;
-* :class:`~repro.model.navigation.Navigator`, :func:`navigate`,
-  :func:`try_navigate`, :func:`fetch` -- JSON navigation instructions;
-* :func:`subtree_equal`, :func:`canonical_hash`,
-  :func:`all_children_distinct` -- subtree-value comparisons;
-* :class:`~repro.model.builder.TreeBuilder` -- event-driven construction;
-* JSON Pointer helpers used by ``$ref``.
+* :mod:`repro.model.tree` -- :class:`~repro.model.tree.JSONTree` and
+  :class:`~repro.model.tree.Kind`, the deterministic, edge-labelled
+  tree structure;
+* :mod:`repro.model.navigation` -- :class:`~repro.model.navigation.Navigator`
+  and the JSON navigation instructions (``navigate``, ``try_navigate``,
+  ``fetch``);
+* :mod:`repro.model.equality` -- subtree-value comparisons, canonical
+  hashes, distinct children;
+* :mod:`repro.model.builder` -- event-driven construction
+  (:class:`~repro.model.builder.TreeBuilder`);
+* :mod:`repro.model.pointer` -- the JSON Pointer helpers used by ``$ref``.
 """
 
-from repro.model.builder import TreeBuilder
-from repro.model.equality import (
-    all_children_distinct,
-    canonical_hash,
-    compute_all_hashes,
-    structural_equal,
-    subtree_equal,
-    trees_equal,
-)
-from repro.model.navigation import Navigator, fetch, navigate, try_navigate
-from repro.model.pointer import (
-    parse_pointer,
-    pointer_to_steps,
-    resolve_in_value,
-    resolve_pointer,
-)
-from repro.model.tree import JSONTree, JSONValue, Kind
+from repro.model.navigation import Navigator
+from repro.model.tree import JSONTree
 
-__all__ = [
-    "JSONTree",
-    "JSONValue",
-    "Kind",
-    "TreeBuilder",
-    "Navigator",
-    "navigate",
-    "try_navigate",
-    "fetch",
-    "subtree_equal",
-    "structural_equal",
-    "trees_equal",
-    "canonical_hash",
-    "compute_all_hashes",
-    "all_children_distinct",
-    "parse_pointer",
-    "pointer_to_steps",
-    "resolve_pointer",
-    "resolve_in_value",
-]
+__all__ = ["JSONTree", "Navigator"]

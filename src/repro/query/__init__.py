@@ -21,7 +21,6 @@ The compile cache lives in :mod:`repro.cache` (the process-wide
 artifact cache).
 """
 
-from repro.cache import DEFAULT_CAPACITY, CacheStats, LRUCache
 from repro.query.batch import (
     aggregate_many,
     evaluate_many,
@@ -32,19 +31,15 @@ from repro.query.batch import (
     select_queries,
 )
 from repro.query.compiled import (
-    DIALECTS,
     CompiledQuery,
     compile_formula,
     compile_mongo_find,
     compile_path_query,
     compile_query,
 )
-from repro.query.ir import LogicalPlan
 
 __all__ = [
     "CompiledQuery",
-    "LogicalPlan",
-    "DIALECTS",
     "compile_query",
     "compile_formula",
     "compile_path_query",
@@ -56,7 +51,4 @@ __all__ = [
     "aggregate_many",
     "select_queries",
     "evaluate_queries",
-    "LRUCache",
-    "CacheStats",
-    "DEFAULT_CAPACITY",
 ]

@@ -24,7 +24,7 @@ class JSLEvaluator:
 
     :class:`~repro.jsl.ast.Ref` is rejected here; recursive expressions
     are handled by :mod:`repro.jsl.bottom_up` (PTIME, Proposition 9) or
-    :mod:`repro.jsl.unfold` (the paper's rewriting semantics).
+    :mod:`repro.reference.unfold` (the paper's rewriting semantics).
     """
 
     def __init__(self, tree: JSONTree, *, exact_unique: bool = False) -> None:

@@ -1,27 +1,26 @@
 """Executable hardness reductions from the paper's lower-bound proofs.
 
-* :mod:`repro.reductions.sat3` -- 3SAT to JNL satisfiability (Prop. 2);
-* :mod:`repro.reductions.qbf` -- QBF to JSL satisfiability (Prop. 7);
-* :mod:`repro.reductions.circuits` -- circuit value to recursive JSL
+* :mod:`repro.reference.reductions.sat3` -- 3SAT to JNL satisfiability (Prop. 2);
+* :mod:`repro.reference.reductions.qbf` -- QBF to JSL satisfiability (Prop. 7);
+* :mod:`repro.reference.reductions.circuits` -- circuit value to recursive JSL
   evaluation (Prop. 9);
-* :mod:`repro.reductions.counter_machines` -- two-counter machines to
+* :mod:`repro.reference.reductions.counter_machines` -- two-counter machines to
   recursive JNL with EQ(alpha, beta) (Prop. 4, undecidability).
 """
 
-from repro.reductions.circuits import (
-    Circuit,
+from repro.reference.reductions.circuits import (
     circuit_to_jsl,
     evaluate_circuit,
     random_circuit,
 )
-from repro.reductions.counter_machines import (
+from repro.reference.reductions.counter_machines import (
     TwoCounterMachine,
     encode_run,
     machine_to_jnl,
     run_machine,
 )
-from repro.reductions.qbf import QBF, brute_force_qbf, qbf_to_jsl, random_qbf
-from repro.reductions.sat3 import (
+from repro.reference.reductions.qbf import QBF, brute_force_qbf, qbf_to_jsl, random_qbf
+from repro.reference.reductions.sat3 import (
     CNF3,
     assignment_from_witness,
     brute_force_sat,
@@ -39,7 +38,6 @@ __all__ = [
     "random_qbf",
     "brute_force_qbf",
     "qbf_to_jsl",
-    "Circuit",
     "random_circuit",
     "evaluate_circuit",
     "circuit_to_jsl",

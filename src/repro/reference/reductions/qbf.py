@@ -31,7 +31,7 @@ class QBF:
     """A prenex QBF over a 3CNF matrix.
 
     ``quantifiers[i]`` is ``'e'`` or ``'a'`` for variable ``i+1``;
-    clauses use DIMACS literals as in :class:`~repro.reductions.sat3.CNF3`.
+    clauses use DIMACS literals as in :class:`~repro.reference.reductions.sat3.CNF3`.
     """
 
     quantifiers: tuple[str, ...]

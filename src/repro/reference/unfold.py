@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from repro.errors import WellFormednessError
 from repro.jsl import ast
-from repro.jsl.evaluator import JSLEvaluator
 from repro.jsl.recursion import check_well_formed
 from repro.model.tree import JSONTree
+from repro.reference.jsl_evaluator import JSLEvaluator
 
 __all__ = ["unfold", "satisfies_by_unfolding"]
 

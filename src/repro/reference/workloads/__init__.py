@@ -1,6 +1,6 @@
 """Workload generators: random and structured documents, formulas."""
 
-from repro.workloads.families import (
+from repro.reference.workloads.families import (
     balanced_tree,
     complete_binary_array_tree,
     counter_chain,
@@ -8,24 +8,21 @@ from repro.workloads.families import (
     duplicate_heavy_array,
     even_depth_tree,
     people_collection,
-    person_record,
     wide_array,
     wide_object,
 )
-from repro.workloads.formulas import (
-    random_jnl_path,
+from repro.reference.workloads.formulas import (
     random_jnl_unary,
     random_jsl_formula,
     random_schema_value,
 )
-from repro.workloads.generator import TreeShape, random_tree, random_value
+from repro.reference.workloads.generator import TreeShape, random_tree, random_value
 
 __all__ = [
     "TreeShape",
     "random_tree",
     "random_value",
     "random_jnl_unary",
-    "random_jnl_path",
     "random_jsl_formula",
     "random_schema_value",
     "deep_chain",
@@ -35,7 +32,6 @@ __all__ = [
     "even_depth_tree",
     "complete_binary_array_tree",
     "duplicate_heavy_array",
-    "person_record",
     "people_collection",
     "counter_chain",
 ]

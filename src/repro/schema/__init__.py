@@ -2,60 +2,22 @@
 
 * :mod:`repro.schema.ast` / :mod:`repro.schema.parser` -- typed schema
   trees and parsing from JSON;
-* :mod:`repro.schema.validator` -- direct validation;
-* :mod:`repro.schema.to_jsl` / :mod:`repro.schema.from_jsl` -- the
-  Theorem-1 translations (both directions);
+* :mod:`repro.schema.to_jsl` -- the Theorem-1 translation onto JSL,
+  through which :mod:`repro.validate` compiles every schema;
 * :mod:`repro.schema.refs` -- ``definitions``/``$ref`` well-formedness
   (Theorem 3).
+
+The direct validator (the independent oracle) and the reverse
+JSL-to-schema translation live in :mod:`repro.reference`.
 """
 
-from repro.schema.ast import (
-    AllOf,
-    AnyOf,
-    ArraySchema,
-    EnumSchema,
-    NotSchema,
-    NumberSchema,
-    ObjectSchema,
-    RefSchema,
-    Schema,
-    SchemaDocument,
-    StringSchema,
-    TrueSchema,
-)
-from repro.schema.from_jsl import jsl_formula_to_schema, jsl_to_schema
-from repro.schema.parser import parse_schema, parse_schema_fragment
-from repro.schema.refs import (
-    check_schema_well_formed,
-    is_schema_well_formed,
-    schema_precedence_graph,
-)
-from repro.schema.to_jsl import schema_fragment_to_jsl, schema_to_jsl
-from repro.schema.validator import SchemaValidator, validates, validates_value
+from repro.schema.parser import parse_schema
+from repro.schema.refs import is_schema_well_formed, schema_precedence_graph
+from repro.schema.to_jsl import schema_to_jsl
 
 __all__ = [
-    "Schema",
-    "TrueSchema",
-    "StringSchema",
-    "NumberSchema",
-    "ObjectSchema",
-    "ArraySchema",
-    "AllOf",
-    "AnyOf",
-    "NotSchema",
-    "EnumSchema",
-    "RefSchema",
-    "SchemaDocument",
     "parse_schema",
-    "parse_schema_fragment",
-    "SchemaValidator",
-    "validates",
-    "validates_value",
     "schema_to_jsl",
-    "schema_fragment_to_jsl",
-    "jsl_to_schema",
-    "jsl_formula_to_schema",
-    "check_schema_well_formed",
     "is_schema_well_formed",
     "schema_precedence_graph",
 ]

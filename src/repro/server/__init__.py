@@ -12,22 +12,7 @@ The counterpart client (sync and async) is :mod:`repro.client`; the
 command-line entry point is ``repro serve``.
 """
 
-from repro.server.protocol import (
-    ADMIN_OPS,
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    READ_OPS,
-    WRITE_OPS,
-)
-from repro.server.server import ReproServer, ServerMetrics, serve
+from repro.server.protocol import PROTOCOL_VERSION
+from repro.server.server import ReproServer, serve
 
-__all__ = [
-    "ReproServer",
-    "ServerMetrics",
-    "serve",
-    "PROTOCOL_VERSION",
-    "MAX_LINE_BYTES",
-    "READ_OPS",
-    "WRITE_OPS",
-    "ADMIN_OPS",
-]
+__all__ = ["ReproServer", "serve", "PROTOCOL_VERSION"]

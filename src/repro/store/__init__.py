@@ -52,14 +52,8 @@ serving::
 
 from repro.store.collection import Collection
 from repro.store.database import Database
-from repro.store.durable import CompactionReport, DurableEngine, ReplayFolder
-from repro.store.engine import (
-    EngineHealth,
-    MemoryEngine,
-    RecoveredState,
-    StorageEngine,
-    decode_snapshot,
-)
+from repro.store.durable import DurableEngine
+from repro.store.engine import MemoryEngine
 from repro.store.faults import (
     Fault,
     FaultPlan,
@@ -68,65 +62,24 @@ from repro.store.faults import (
     RealIO,
     SimulatedCrash,
 )
-from repro.store.fsck import (
-    IntegrityReport,
-    RepairReport,
-    repair,
-    verify,
-)
-from repro.store.indexes import (
-    DeltaOps,
-    DocumentIndexes,
-    IndexStats,
-    index_entries,
-    tree_entry_counts,
-    value_entry_counts,
-)
-from repro.store.snapshot import CollectionSnapshot
-from repro.store.sharded import (
-    ShardedCollection,
-    ShardedEngine,
-    shard_name,
-    shard_of,
-)
-from repro.store.update import CompiledUpdate, Mutation, mutation_delta
-from repro.store.wal import WriteAheadLog, scan_wal
+from repro.store.indexes import DocumentIndexes
+from repro.store.sharded import ShardedCollection, shard_name, shard_of
+from repro.store.wal import WriteAheadLog
 
 __all__ = [
     "Collection",
-    "CollectionSnapshot",
     "Database",
-    "StorageEngine",
     "MemoryEngine",
     "DurableEngine",
-    "ShardedEngine",
     "ShardedCollection",
     "shard_of",
     "shard_name",
-    "CompactionReport",
-    "RecoveredState",
-    "EngineHealth",
-    "ReplayFolder",
     "WriteAheadLog",
-    "scan_wal",
-    "decode_snapshot",
     "IOAdapter",
     "RealIO",
     "FaultyIO",
     "Fault",
     "FaultPlan",
     "SimulatedCrash",
-    "IntegrityReport",
-    "RepairReport",
-    "verify",
-    "repair",
-    "DeltaOps",
     "DocumentIndexes",
-    "IndexStats",
-    "index_entries",
-    "tree_entry_counts",
-    "value_entry_counts",
-    "CompiledUpdate",
-    "Mutation",
-    "mutation_delta",
 ]

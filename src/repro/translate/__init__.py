@@ -1,6 +1,8 @@
-"""Theorem-2 translations between JNL and JSL."""
+"""Theorem-2 translation from JNL to JSL.
 
-from repro.translate.jnl_to_jsl import JNLToJSL, jnl_to_jsl
-from repro.translate.jsl_to_jnl import jsl_to_jnl
+The reverse direction, JSL to JNL, is :mod:`repro.reference.jsl_to_jnl`.
+"""
 
-__all__ = ["jnl_to_jsl", "JNLToJSL", "jsl_to_jnl"]
+from repro.translate.jnl_to_jsl import jnl_to_jsl
+
+__all__ = ["jnl_to_jsl"]

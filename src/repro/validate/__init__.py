@@ -18,18 +18,8 @@ The validation-side twin of :mod:`repro.query`:
   validation (many validators, one document).
 """
 
-from repro.cache import (
-    artifact_cache,
-    artifact_cache_stats,
-    clear_artifact_cache,
-    configure_artifact_cache,
-)
-from repro.validate.bulk import (
-    CorpusReport,
-    iter_validate,
-    validate_corpus,
-    validate_document,
-)
+from repro.cache import clear_artifact_cache
+from repro.validate.bulk import iter_validate, validate_corpus, validate_document
 from repro.validate.compiled import (
     CompiledValidator,
     compile_jsl_validator,
@@ -42,12 +32,8 @@ __all__ = [
     "compile_schema_validator",
     "compile_jsl_validator",
     "compile_stream_validator",
-    "CorpusReport",
     "iter_validate",
     "validate_corpus",
     "validate_document",
-    "artifact_cache",
-    "artifact_cache_stats",
     "clear_artifact_cache",
-    "configure_artifact_cache",
 ]

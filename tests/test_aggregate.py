@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.cache import artifact_cache, clear_artifact_cache
+from repro.client import aconnect
 from repro.errors import ModelError, ParseError
 from repro.explain import Explain
 from repro.model.tree import JSONTree
@@ -25,10 +26,9 @@ from repro.mongo.aggregate import (
 )
 from repro.query import aggregate_many, compile_mongo_find, planner
 from repro.query.stages import MISSING, resolve_path, sort_key, values_equal
-from repro.client import aconnect
+from repro.reference.workloads import people_collection
 from repro.server import ReproServer
 from repro.store import Collection
-from repro.workloads import people_collection
 from repro import api
 
 PEOPLE = people_collection(300, seed=7)

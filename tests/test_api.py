@@ -26,9 +26,9 @@ from repro.client import (
 from repro.errors import DocumentRejectedError, StoreError
 from repro.explain import Explain
 from repro.mongo import UpdateResult
+from repro.reference.workloads import people_collection
 from repro.server import ReproServer
 from repro.store import Collection, Database, MemoryEngine, ShardedCollection
-from repro.workloads import people_collection
 
 PEOPLE = people_collection(40, seed=11)
 

@@ -26,6 +26,7 @@ import zlib
 import pytest
 
 from repro.errors import DocumentRejectedError, StorageFormatError, StoreError
+from repro.reference.workloads import people_collection
 from repro.store import (
     Collection,
     Database,
@@ -35,7 +36,6 @@ from repro.store import (
     WriteAheadLog,
 )
 from repro.store.wal import WAL_MAGIC
-from repro.workloads import people_collection
 from repro import api
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))

@@ -15,19 +15,17 @@ import pytest
 from repro.jnl.efficient import evaluate_unary
 from repro.jsl import RecursiveJSL
 from repro.jsl.bottom_up import satisfies_recursive
-from repro.jsl.evaluator import satisfies
 from repro.jsl.satisfiability import jsl_satisfiable
 from repro.model.tree import JSONTree
 from repro.mongo import compile_filter
-from repro.schema import (
-    SchemaValidator,
-    jsl_to_schema,
-    parse_schema,
-    schema_to_jsl,
-)
+from repro.reference.from_jsl import jsl_to_schema
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.jsl_to_jnl import jsl_to_jnl
+from repro.reference.schema_validator import SchemaValidator
+from repro.reference.workloads import TreeShape, people_collection, random_tree
+from repro.schema import parse_schema, schema_to_jsl
 from repro.streaming import StreamingJSLValidator
-from repro.translate import jnl_to_jsl, jsl_to_jnl
-from repro.workloads import TreeShape, people_collection, random_tree
+from repro.translate import jnl_to_jsl
 from repro import api
 
 PERSON_SCHEMA = {
@@ -184,7 +182,7 @@ class TestSolverAgainstEvaluatorsAtScale:
         # If the solver finds a witness for a schema's JSL form, the
         # schema validator must accept it; if a random doc validates,
         # the solver must not claim complete UNSAT.
-        from repro.workloads import random_schema_value
+        from repro.reference.workloads import random_schema_value
 
         rng = random.Random(seed + 2024)
         schema = parse_schema(random_schema_value(rng, depth=2))

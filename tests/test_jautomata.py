@@ -6,16 +6,16 @@ import random
 
 import pytest
 
-from repro.automata.jautomata import (
-    JAutomaton,
-    from_recursive_jsl,
-    to_recursive_jsl,
-)
 from repro.errors import WellFormednessError
 from repro.jsl import ast
 from repro.jsl.bottom_up import satisfies_recursive
 from repro.jsl.parser import parse_jsl
-from repro.workloads import (
+from repro.reference.jautomata import (
+    JAutomaton,
+    from_recursive_jsl,
+    to_recursive_jsl,
+)
+from repro.reference.workloads import (
     TreeShape,
     even_depth_tree,
     random_jsl_formula,

@@ -9,10 +9,10 @@ import pytest
 from repro.jnl import ast
 from repro.jnl import builder as q
 from repro.jnl.efficient import JNLEvaluator, evaluate_unary, target_nodes
-from repro.jnl.evaluator import eval_binary, eval_unary
 from repro.jnl.parser import parse_jnl, parse_jnl_path
 from repro.model.tree import JSONTree
-from repro.workloads import TreeShape, random_jnl_unary, random_tree
+from repro.reference.jnl_evaluator import eval_binary, eval_unary
+from repro.reference.workloads import TreeShape, random_jnl_unary, random_tree
 
 
 class TestBinarySemantics:
@@ -140,7 +140,7 @@ class TestEvaluatorAgreement:
 
 class TestDeepEvaluation:
     def test_star_on_deep_chain(self):
-        from repro.workloads import deep_chain
+        from repro.reference.workloads import deep_chain
 
         depth = 5000
         tree = deep_chain(depth)

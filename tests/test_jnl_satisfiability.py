@@ -10,7 +10,7 @@ from repro.errors import UnsupportedFragmentError
 from repro.jnl.efficient import evaluate_unary
 from repro.jnl.parser import parse_jnl
 from repro.jnl.satisfiability import jnl_satisfiable
-from repro.workloads import random_jnl_unary
+from repro.reference.workloads import random_jnl_unary
 
 
 class TestDeterministicCases:

@@ -6,10 +6,10 @@ import pytest
 
 from repro.errors import TranslationError
 from repro.jsl import ast
-from repro.jsl.evaluator import JSLEvaluator, nodes_satisfying, satisfies
 from repro.jsl.parser import parse_jsl_formula
 from repro.logic import nodetests as nt
 from repro.model.tree import JSONTree
+from repro.reference.jsl_evaluator import JSLEvaluator, nodes_satisfying, satisfies
 
 
 class TestNodeTests:
@@ -118,7 +118,7 @@ class TestDeterministicFragment:
 
 class TestExactUniqueFlag:
     def test_both_modes_agree(self):
-        from repro.workloads import duplicate_heavy_array
+        from repro.reference.workloads import duplicate_heavy_array
 
         tree = duplicate_heavy_array(40, 7, seed=3)
         formula = parse_jsl_formula("unique")

@@ -17,9 +17,9 @@ from repro.jsl.recursion import (
     topological_order,
     unguarded_refs,
 )
-from repro.jsl.unfold import satisfies_by_unfolding, unfold
 from repro.model.tree import JSONTree
-from repro.workloads import (
+from repro.reference.unfold import satisfies_by_unfolding, unfold
+from repro.reference.workloads import (
     TreeShape,
     even_depth_tree,
     random_jsl_formula,
@@ -153,7 +153,7 @@ class TestBottomUpAgainstUnfold:
         assert all(leaf in g1_nodes for leaf in leaves)
 
     def test_deep_tree_no_recursion_error(self):
-        from repro.workloads import deep_chain
+        from repro.reference.workloads import deep_chain
 
         delta = parse_jsl(EVEN_PATHS)
         tree = deep_chain(4000, leaf={})

@@ -18,14 +18,14 @@ from itertools import product
 import pytest
 
 import repro
+from repro.automata.keylang import KeyLang
 from repro.jsl import ast
 from repro.jsl.bottom_up import satisfies_recursive
-from repro.jsl.evaluator import satisfies
 from repro.jsl.parser import parse_jsl, parse_jsl_formula
 from repro.jsl.satisfiability import ProverSession, SolverConfig, jsl_satisfiable
-from repro.automata.keylang import KeyLang
 from repro.model.tree import JSONTree
-from repro.workloads import random_jsl_formula
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.workloads import random_jsl_formula
 
 
 class TestAtomicSatisfiability:
@@ -296,7 +296,7 @@ class TestProverSession:
             "import json, random\n"
             "from repro.jsl import ast\n"
             "from repro.jsl.satisfiability import ProverSession, jsl_satisfiable\n"
-            "from repro.workloads import random_jsl_formula\n"
+            "from repro.reference.workloads import random_jsl_formula\n"
             "rows = []\n"
             "for seed in range(12):\n"
             "    rng = random.Random(seed)\n"

@@ -7,8 +7,8 @@ import pytest
 from repro.errors import ParseError
 from repro.jnl import ast
 from repro.mongo import compile_filter
+from repro.reference.workloads import people_collection
 from repro.store import Collection
-from repro.workloads import people_collection
 from repro import api
 
 

@@ -16,8 +16,9 @@ from repro.jsl.recursion import is_well_formed
 from repro.jsl.satisfiability import jsl_satisfiable
 from repro.model.navigation import Navigator
 from repro.model.tree import JSONTree
-from repro.schema import SchemaValidator, parse_schema, schema_to_jsl
-from repro.jsl.evaluator import satisfies
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.schema_validator import SchemaValidator
+from repro.schema import parse_schema, schema_to_jsl
 from repro import api
 
 
@@ -160,21 +161,21 @@ class TestExample2EvenPaths:
     @pytest.mark.parametrize("depth,expected", [(0, True), (1, False),
                                                 (2, True), (3, False)])
     def test_acceptance(self, depth, expected):
-        from repro.workloads import even_depth_tree
+        from repro.reference.workloads import even_depth_tree
 
         delta = parse_jsl(self.EXPRESSION)
         assert satisfies_recursive(even_depth_tree(depth), delta) == expected
 
     def test_example4_unfolding_height_4(self):
         # Example 4 unfolds the Example 2 expression for a height-4 tree.
-        from repro.jsl.unfold import unfold
+        from repro.reference.unfold import unfold
         from repro.jsl import ast
 
         delta = parse_jsl(self.EXPRESSION)
         unfolded = unfold(delta, 4)
         assert ast.refs_in(unfolded) == set()
-        from repro.workloads import even_depth_tree
-        from repro.jsl.evaluator import JSLEvaluator
+        from repro.reference.workloads import even_depth_tree
+        from repro.reference.jsl_evaluator import JSLEvaluator
 
         tree = even_depth_tree(4)
         assert JSLEvaluator(tree).satisfies(unfolded)
@@ -205,7 +206,7 @@ class TestExample5CompleteBinaryTrees:
     )
 
     def test_complete_trees_accepted(self):
-        from repro.workloads import complete_binary_array_tree
+        from repro.reference.workloads import complete_binary_array_tree
 
         delta = parse_jsl(self.EXPRESSION)
         for depth in range(4):

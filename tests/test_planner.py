@@ -17,7 +17,7 @@ import pytest
 
 from repro.explain import Explain
 from repro.query import batch, compile_mongo_find, compile_query, planner
-from repro.workloads import people_collection
+from repro.reference.workloads import people_collection
 from repro import api
 
 # A corpus mixing realistic records with structural edge cases: missing

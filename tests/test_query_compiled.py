@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.jnl import ast as jnl
-from repro.jnl.evaluator import eval_binary, eval_unary
 from repro.jnl.parser import parse_jnl
 from repro.jsonpath import jsonpath_nodes, jsonpath_query
 from repro.jsonpath.parser import parse_jsonpath
@@ -31,7 +30,8 @@ from repro.query import (
     select_many,
     select_queries,
 )
-from repro.workloads import (
+from repro.reference.jnl_evaluator import eval_binary, eval_unary
+from repro.reference.workloads import (
     balanced_tree,
     deep_chain,
     duplicate_heavy_array,

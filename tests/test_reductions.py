@@ -11,7 +11,7 @@ from repro.jnl.efficient import evaluate_unary
 from repro.jnl.satisfiability import jnl_satisfiable
 from repro.jsl.bottom_up import RecursiveJSLEvaluator
 from repro.jsl.satisfiability import jsl_satisfiable
-from repro.reductions import (
+from repro.reference.reductions import (
     CNF3,
     QBF,
     TwoCounterMachine,
@@ -29,9 +29,9 @@ from repro.reductions import (
     random_qbf,
     run_machine,
 )
-from repro.reductions.circuits import assignment_to_document
-from repro.reductions.sat3 import assignment_to_document as sat_doc
-from repro.reductions.sat3 import evaluate_cnf
+from repro.reference.reductions.circuits import assignment_to_document
+from repro.reference.reductions.sat3 import assignment_to_document as sat_doc
+from repro.reference.reductions.sat3 import evaluate_cnf
 
 
 class TestProposition2:

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SchemaError, WellFormednessError
+from repro.reference.schema_validator import SchemaValidator, validates_value
 from repro.schema import (
-    SchemaValidator,
     is_schema_well_formed,
     parse_schema,
     schema_precedence_graph,
-    validates_value,
 )
 
 

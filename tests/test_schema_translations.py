@@ -6,22 +6,20 @@ import random
 
 import pytest
 
-from repro.jsl import RecursiveJSL, satisfies
+from repro.jsl import RecursiveJSL
 from repro.jsl.bottom_up import satisfies_recursive
 from repro.jsl.parser import parse_jsl, parse_jsl_formula
 from repro.model.tree import JSONTree
-from repro.schema import (
-    SchemaValidator,
-    jsl_to_schema,
-    parse_schema,
-    schema_to_jsl,
-)
-from repro.workloads import (
+from repro.reference.from_jsl import jsl_to_schema
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.schema_validator import SchemaValidator
+from repro.reference.workloads import (
     TreeShape,
     random_schema_value,
     random_tree,
     random_jsl_formula,
 )
+from repro.schema import parse_schema, schema_to_jsl
 
 
 def _agree_on(schema, formula, tree) -> None:
@@ -131,7 +129,7 @@ class TestReverseTranslation:
         )
         schema = jsl_to_schema(delta)
         validator = SchemaValidator(schema)
-        from repro.workloads import even_depth_tree
+        from repro.reference.workloads import even_depth_tree
 
         for depth in range(4):
             tree = even_depth_tree(depth)

@@ -39,10 +39,10 @@ from repro.errors import (
     to_wire,
 )
 from repro.mongo import UpdateResult
+from repro.reference.workloads import people_collection
 from repro.server import PROTOCOL_VERSION, ReproServer
 from repro.store import Collection, DurableEngine
 from repro.store.faults import FaultPlan, FaultyIO, SimulatedCrash
-from repro.workloads import people_collection
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
 

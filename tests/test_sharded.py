@@ -18,13 +18,13 @@ import pytest
 from repro.errors import DocumentRejectedError, StorageFormatError, StoreError
 from repro.mongo.aggregate import compile_pipeline
 from repro.query.stages import ACCUMULATORS
+from repro.reference.workloads import people_collection
 from repro.store import (
     ShardedCollection,
     shard_name,
     shard_of,
 )
 from repro.store.fsck import repair, verify
-from repro.workloads import people_collection
 from repro import api
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))

@@ -15,12 +15,12 @@ from repro.errors import (
     UnsupportedFragmentError,
 )
 from repro.jsl.bottom_up import satisfies_recursive
-from repro.jsl.evaluator import satisfies
 from repro.jsl.parser import parse_jsl, parse_jsl_formula
 from repro.model.builder import TreeBuilder
 from repro.model.tree import JSONTree
+from repro.reference.jsl_evaluator import satisfies
+from repro.reference.workloads import TreeShape, random_value
 from repro.streaming import StreamingJSLValidator, tokenize
-from repro.workloads import TreeShape, random_value
 
 json_values = st.recursive(
     st.one_of(st.integers(min_value=0, max_value=40), st.text(max_size=4)),

@@ -12,16 +12,17 @@ from repro.jnl.efficient import evaluate_unary
 from repro.jnl.parser import parse_jnl
 from repro.jsl import RecursiveJSL, ast as jsl_ast
 from repro.jsl.bottom_up import RecursiveJSLEvaluator
-from repro.jsl.evaluator import nodes_satisfying
 from repro.jsl.parser import parse_jsl_formula
 from repro.jsl.recursion import check_well_formed
-from repro.translate import jnl_to_jsl, jsl_to_jnl
-from repro.workloads import (
+from repro.reference.jsl_evaluator import nodes_satisfying
+from repro.reference.jsl_to_jnl import jsl_to_jnl
+from repro.reference.workloads import (
     TreeShape,
     random_jnl_unary,
     random_jsl_formula,
     random_tree,
 )
+from repro.translate import jnl_to_jsl
 
 
 class TestJSLToJNL:

@@ -26,12 +26,12 @@ from repro.errors import (
     UnsupportedValueError,
     UpdateError,
 )
+from repro.model.tree import JSONTree, Kind
 from repro.mongo.aggregate import match_value
 from repro.mongo.update import compile_update, naive_update_value
-from repro.model.tree import JSONTree, Kind
+from repro.reference.workloads import people_collection
 from repro.store import Collection, DocumentIndexes
 from repro.store.indexes import tree_entry_counts
-from repro.workloads import people_collection
 from repro import api
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))

@@ -5,15 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.model.tree import JSONTree
+from repro.reference.schema_validator import SchemaValidator
+from repro.reference.workloads import people_collection
 from repro.schema.parser import parse_schema
-from repro.schema.validator import SchemaValidator
 from repro.validate import (
     compile_schema_validator,
     iter_validate,
     validate_corpus,
     validate_document,
 )
-from repro.workloads import people_collection
 
 PERSON_SCHEMA = parse_schema(
     {

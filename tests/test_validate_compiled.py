@@ -22,24 +22,24 @@ from repro.errors import (
     WellFormednessError,
 )
 from repro.jsl import ast as jsl
-from repro.jsl.evaluator import JSLEvaluator
 from repro.jsl.parser import parse_jsl_formula
 from repro.model.tree import JSONTree
+from repro.reference.jsl_evaluator import JSLEvaluator
+from repro.reference.schema_validator import SchemaValidator, validates, validates_value
+from repro.reference.workloads import (
+    TreeShape,
+    random_jsl_formula,
+    random_schema_value,
+    random_value,
+)
 from repro.schema.parser import parse_schema
 from repro.schema.to_jsl import schema_to_jsl
-from repro.schema.validator import SchemaValidator, validates, validates_value
 from repro.streaming.validator import StreamingJSLValidator
 from repro.validate import (
     clear_artifact_cache,
     compile_jsl_validator,
     compile_schema_validator,
     compile_stream_validator,
-)
-from repro.workloads import (
-    TreeShape,
-    random_jsl_formula,
-    random_schema_value,
-    random_value,
 )
 
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import (
+from repro.model.equality import all_children_distinct
+from repro.reference.harness import (
     SeriesPoint,
     format_table,
     loglog_slope,
     run_series,
 )
-from repro.model.equality import all_children_distinct
-from repro.workloads import (
+from repro.reference.workloads import (
     TreeShape,
     balanced_tree,
     complete_binary_array_tree,
