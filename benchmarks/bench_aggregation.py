@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mongo.aggregate import compile_pipeline, naive_aggregate
+from repro.mongo.aggregate import compile_pipeline
+from repro.reference.mongo_oracles import naive_aggregate
 from repro.reference.harness import format_table, measure, smoke_mode
 from repro.reference.workloads import people_collection
 from repro import api

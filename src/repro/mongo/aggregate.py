@@ -31,27 +31,21 @@ module implements its practical core -- ``$match``, ``$project``,
   materialised between stages except where ``$sort``/``$group``/
   ``$count`` inherently must.
 
-All ``$match`` evaluation happens in value space (the compiled
-:func:`compile_value_filter` closures; :func:`match_value` is the
-per-call interpreter the naive reference uses) with the same operator
-semantics as the ``find`` filter compiler -- the compiled JNL form of
+All ``$match`` evaluation happens in value space, through
+:func:`repro.mongo.find.compile_value_filter`; the compiled JNL form of
 the leading run exists only for its logical plan, i.e. for index
 pruning.  Whether a pipeline is *accepted* never depends on stage
 position: when the leading run is valid in value space but outside the
-find compiler's dialect (a float comparison bound, a ``$regex`` beyond
-the KeyLang subset such as ``(?i)``), the pipeline still compiles and
-runs with identical semantics -- the leading match just scans instead
-of pruning, which the explain report surfaces as ``"streamed"``.
-:func:`naive_aggregate` is the reference evaluator -- eager,
-list-at-a-time, no compilation, no pruning -- that the differential
-tests pit the staged executor against.
+JNL lowering (a float comparison bound, a ``$regex`` beyond the KeyLang
+subset such as ``(?i)``), the pipeline still runs with identical
+semantics -- the leading match just scans instead of pruning, which the
+explain report surfaces as ``"streamed"``.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import re
 from itertools import islice
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
@@ -60,12 +54,11 @@ from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import ParseError
 from repro.explain import Explain, ShardExplain, StageExplain
 from repro.model.tree import JSONTree
-from repro.mongo.find import _is_operator_doc, _require_int, _require_list
+from repro.mongo.find import compile_value_filter
 from repro.mongo.projection import Projection
 from repro.query import optimizer, planner
 from repro.query.compiled import CompiledQuery, compile_mongo_find
 from repro.query.stages import (
-    MISSING,
     ACCUMULATORS,
     CountStage,
     FilterStage,
@@ -77,33 +70,20 @@ from repro.query.stages import (
     Stage,
     UnwindStage,
     compile_expr,
-    canonical_group_key,
     composite_sort_key,
-    path_getter,
     path_trie,
-    resolve_path,
     run_stages,
     run_stages_ranked,
-    set_path,
-    sort_key,
     split_field_path,
-    values_equal,
 )
 
 __all__ = [
     "STAGE_OPS",
-    "StageExplain",
-    "ShardExplain",
     "CompiledPipeline",
     "compile_pipeline",
     "pipeline_cache_key",
     "parse_pipeline",
-    "aggregate",
-    "explain_pipeline",
     "partial_aggregate",
-    "match_value",
-    "compile_value_filter",
-    "naive_aggregate",
 ]
 
 STAGE_OPS = (
@@ -118,287 +98,6 @@ STAGE_OPS = (
 )
 
 _DIALECT = "mongo-aggregate"
-
-
-# ---------------------------------------------------------------------------
-# Value-space find filters (non-leading $match and the naive reference).
-#
-# Semantics mirror repro.mongo.find.compile_filter: a dotted path
-# resolves to at most one node (digit segments are array indexes), a
-# navigated condition requires the node to exist, and a scalar equality
-# also matches arrays containing the value (one array level, like the
-# compiled ``X_{0:inf}`` axis).
-# ---------------------------------------------------------------------------
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _require_number(operator: str, operand: Any) -> None:
-    if not _is_number(operand):
-        raise ParseError(f"{operator} takes a number, got {operand!r}")
-
-
-def _eq_mongo(node: Any, operand: Any) -> bool:
-    """MongoDB equality at a node: exact, or array-containment for
-    scalar operands."""
-    if values_equal(node, operand):
-        return True
-    if isinstance(operand, (dict, list)):
-        return False
-    return isinstance(node, list) and any(
-        values_equal(element, operand) for element in node
-    )
-
-
-_TYPE_CHECKS = {
-    "object": lambda node: isinstance(node, dict),
-    "array": lambda node: isinstance(node, list),
-    "string": lambda node: isinstance(node, str),
-    "number": _is_number,
-    "int": _is_number,
-}
-
-
-def _op_holds(operator: str, operand: Any, node: Any) -> bool:
-    if operator == "$eq":
-        return _eq_mongo(node, operand)
-    if operator == "$ne":
-        return not _eq_mongo(node, operand)
-    if operator == "$gt":
-        _require_number(operator, operand)
-        return _is_number(node) and node > operand
-    if operator == "$gte":
-        _require_number(operator, operand)
-        return _is_number(node) and node >= operand
-    if operator == "$lt":
-        _require_number(operator, operand)
-        return _is_number(node) and node < operand
-    if operator == "$lte":
-        _require_number(operator, operand)
-        return _is_number(node) and node <= operand
-    if operator == "$in":
-        _require_list(operator, operand)
-        return any(_eq_mongo(node, item) for item in operand)
-    if operator == "$nin":
-        _require_list(operator, operand)
-        return not any(_eq_mongo(node, item) for item in operand)
-    if operator == "$type":
-        check = _TYPE_CHECKS.get(operand)
-        if check is None:
-            raise ParseError(f"unsupported $type operand {operand!r}")
-        return check(node)
-    if operator == "$size":
-        _require_int(operator, operand)
-        return isinstance(node, list) and len(node) == operand
-    if operator == "$regex":
-        if not isinstance(operand, str):
-            raise ParseError("$regex takes a string")
-        return isinstance(node, str) and re.search(operand, node) is not None
-    if operator == "$elemMatch":
-        if not isinstance(operand, dict):
-            raise ParseError("$elemMatch takes a filter document")
-        if not isinstance(node, list):
-            return False
-        if _is_operator_doc(operand):
-            return any(
-                all(_op_holds(op, arg, element) for op, arg in operand.items())
-                for element in node
-            )
-        return any(match_value(operand, element) for element in node)
-    if operator == "$not":
-        if not isinstance(operand, dict):
-            raise ParseError("$not takes an operator document")
-        return not all(
-            _op_holds(op, arg, node) for op, arg in operand.items()
-        )
-    raise ParseError(f"unsupported operator {operator!r}")
-
-
-def _match_field(value: Any, path: str, spec: dict[str, Any]) -> bool:
-    node = resolve_path(value, split_field_path(path))
-    exists_flag = spec.get("$exists")
-    rest = {op: arg for op, arg in spec.items() if op != "$exists"}
-    if exists_flag is not None and bool(exists_flag) != (node is not MISSING):
-        return False
-    if rest:
-        if node is MISSING:
-            return False
-        return all(_op_holds(op, arg, node) for op, arg in rest.items())
-    return True
-
-
-def match_value(filter_doc: dict[str, Any], value: Any) -> bool:
-    """Evaluate a ``find`` filter directly on a Python JSON value.
-
-    The value-space twin of :func:`repro.mongo.find.compile_filter`
-    (same operator subset, same one-node path semantics), used for
-    ``$match`` stages past the pipeline head -- where documents are
-    pipeline products, not collection members -- and by the naive
-    reference evaluator the differential tests compare against.
-    """
-    if not isinstance(filter_doc, dict):
-        raise ParseError("a find filter is a JSON object")
-    for key, spec in filter_doc.items():
-        if key == "$and":
-            _require_list(key, spec)
-            if not all(match_value(sub, value) for sub in spec):
-                return False
-        elif key == "$or":
-            _require_list(key, spec)
-            if not any(match_value(sub, value) for sub in spec):
-                return False
-        elif key == "$nor":
-            _require_list(key, spec)
-            if any(match_value(sub, value) for sub in spec):
-                return False
-        elif key.startswith("$"):
-            raise ParseError(f"unsupported top-level operator {key!r}")
-        elif _is_operator_doc(spec):
-            if not _match_field(value, key, spec):
-                return False
-        else:
-            node = resolve_path(value, split_field_path(key))
-            if not _eq_mongo(node, spec):
-                return False
-    return True
-
-
-def compile_value_filter(
-    filter_doc: dict[str, Any], paths: list[tuple[str, ...]] | None = None
-) -> Any:
-    """Compile a find filter into a value-space predicate closure.
-
-    Same semantics as :func:`match_value` (which interprets the filter
-    document per call -- the naive reference path), but field paths are
-    split and specialised (:func:`~repro.query.stages.path_getter`),
-    operator documents classified and boolean structure resolved
-    **once**: the staged executor matches each candidate with plain
-    closure calls.  The differential tests pit the two against each
-    other on every randomised pipeline.
-
-    Every field path the predicate navigates is appended to ``paths``
-    (when given).  An ``$elemMatch`` body is relative to the elements
-    of the array under its field, which that field's own path covers.
-    """
-    if not isinstance(filter_doc, dict):
-        raise ParseError("a find filter is a JSON object")
-    predicates: list[Any] = []
-    for key, spec in filter_doc.items():
-        if key in ("$and", "$or", "$nor"):
-            _require_list(key, spec)
-            compiled = [compile_value_filter(sub, paths) for sub in spec]
-            if key == "$and":
-                predicates.append(
-                    lambda value, c=compiled: all(p(value) for p in c)
-                )
-            elif key == "$or":
-                predicates.append(
-                    lambda value, c=compiled: any(p(value) for p in c)
-                )
-            else:
-                predicates.append(
-                    lambda value, c=compiled: not any(p(value) for p in c)
-                )
-        elif key.startswith("$"):
-            raise ParseError(f"unsupported top-level operator {key!r}")
-        else:
-            segments = split_field_path(key)
-            if paths is not None:
-                paths.append(segments)
-            get = path_getter(segments)
-            if _is_operator_doc(spec):
-                predicates.append(_compile_field_ops(get, spec))
-            else:
-                predicates.append(
-                    lambda value, get=get, operand=spec: _eq_mongo(
-                        get(value), operand
-                    )
-                )
-    if len(predicates) == 1:
-        return predicates[0]
-    return lambda value: all(p(value) for p in predicates)
-
-
-_FIELD_OPS = (
-    "$eq",
-    "$ne",
-    "$gt",
-    "$gte",
-    "$lt",
-    "$lte",
-    "$in",
-    "$nin",
-    "$type",
-    "$size",
-    "$regex",
-    "$elemMatch",
-    "$not",
-)
-
-
-def _validate_operand(operator: str, operand: Any) -> None:
-    """Eager operand checks, so a bad filter fails at *compile* time
-    regardless of stage position or whether any row ever reaches it."""
-    if operator in ("$gt", "$gte", "$lt", "$lte"):
-        _require_number(operator, operand)
-    elif operator == "$size":
-        _require_int(operator, operand)
-    elif operator in ("$in", "$nin"):
-        _require_list(operator, operand)
-    elif operator == "$type":
-        if operand not in _TYPE_CHECKS:
-            raise ParseError(f"unsupported $type operand {operand!r}")
-    elif operator == "$regex":
-        if not isinstance(operand, str):
-            raise ParseError("$regex takes a string")
-        try:
-            re.compile(operand)
-        except re.error as exc:
-            raise ParseError(f"invalid $regex pattern {operand!r}: {exc}") from exc
-    elif operator == "$elemMatch":
-        if not isinstance(operand, dict):
-            raise ParseError("$elemMatch takes a filter document")
-        if _is_operator_doc(operand):
-            _validate_operator_doc(operand)
-        else:
-            compile_value_filter(operand)
-    elif operator == "$not":
-        if not isinstance(operand, dict):
-            raise ParseError("$not takes an operator document")
-        _validate_operator_doc(operand)
-    # $eq / $ne accept any operand.
-
-
-def _validate_operator_doc(spec: dict[str, Any]) -> None:
-    for operator, operand in spec.items():
-        if operator not in _FIELD_OPS:
-            raise ParseError(f"unsupported operator {operator!r}")
-        _validate_operand(operator, operand)
-
-
-def _compile_field_ops(get: Any, spec: dict[str, Any]) -> Any:
-    exists_flag = spec.get("$exists")
-    rest = tuple((op, arg) for op, arg in spec.items() if op != "$exists")
-    for op, arg in rest:
-        if op not in _FIELD_OPS:
-            raise ParseError(f"unsupported operator {op!r}")
-        _validate_operand(op, arg)
-
-    def predicate(value: Any) -> bool:
-        node = get(value)
-        if exists_flag is not None and bool(exists_flag) != (
-            node is not MISSING
-        ):
-            return False
-        if rest:
-            if node is MISSING:
-                return False
-            return all(_op_holds(op, arg, node) for op, arg in rest)
-        return True
-
-    return predicate
 
 
 # ---------------------------------------------------------------------------
@@ -1053,168 +752,12 @@ def compile_pipeline(
     return resolved.get_or_compute(key, lambda: CompiledPipeline(pipeline))
 
 
-def aggregate(source: Any, pipeline: list[Any]) -> list[Any]:
-    """Run an aggregation pipeline over a collection or tree/value
-    iterable (the module-level convenience entry point)."""
-    return compile_pipeline(pipeline).execute(source)
-
-
-def explain_pipeline(
-    collection: Any, pipeline: list[Any], *, no_semantic: bool = False
-) -> Explain:
-    """The staged executor's report for ``pipeline`` over ``collection``."""
-    return compile_pipeline(pipeline).explain(
-        collection, no_semantic=no_semantic
+def partial_aggregate(collection: Any, payload: dict[str, Any]) -> dict[str, Any]:
+    """One shard's picklable partial result for an aggregation: the
+    map-side entry point sharded execution fans out, compiled through
+    the artifact cache.  ``payload`` is the coordinator's scatter
+    envelope ``{"pipeline": [...], "semantic": verdict}`` (see
+    :meth:`CompiledPipeline.execute_partial`)."""
+    return compile_pipeline(payload["pipeline"]).execute_partial(
+        collection, verdict=payload["semantic"]
     )
-
-
-def partial_aggregate(
-    collection: Any, payload: "list[Any] | dict[str, Any]"
-) -> dict[str, Any]:
-    """One shard's picklable partial result for an aggregation.
-
-    The map-side entry point sharded execution fans out (in a worker
-    process or in-line): compiles through the process-wide artifact
-    cache -- each worker pays compilation once per distinct pipeline --
-    and returns what :meth:`CompiledPipeline.merge_partials` consumes.
-
-    ``payload`` is either a bare pipeline (each shard makes its own
-    semantic decision) or the coordinator's scatter envelope
-    ``{"pipeline": [...], "semantic": verdict}`` (see
-    :meth:`CompiledPipeline.execute_partial`).
-    """
-    if isinstance(payload, dict):
-        pipeline = payload["pipeline"]
-        verdict = payload.get("semantic")
-    else:
-        pipeline = payload
-        verdict = None
-    return compile_pipeline(pipeline).execute_partial(
-        collection, verdict=verdict
-    )
-
-
-# ---------------------------------------------------------------------------
-# The naive reference evaluator (differential-test oracle).
-# ---------------------------------------------------------------------------
-
-
-def _naive_group(spec: dict[str, Any], rows: list[Any]) -> list[Any]:
-    """Independent $group semantics: collect per-group value lists,
-    then apply each accumulator to the list (no streaming fold)."""
-    id_expr = compile_expr(spec["_id"])
-    names = [name for name in spec if name != "_id"]
-    table: dict[Any, tuple[Any, list[list[Any]]]] = {}
-    order: list[Any] = []
-    for row in rows:
-        id_value = id_expr(row)
-        if id_value is MISSING:
-            id_value = None
-        key = canonical_group_key(id_value)
-        if key not in table:
-            table[key] = (id_value, [[] for _ in names])
-            order.append(key)
-        collected = table[key][1]
-        for slot, name in enumerate(names):
-            ((accumulator, operand),) = spec[name].items()
-            value = None if accumulator == "$count" else compile_expr(operand)(row)
-            collected[slot].append(value)
-    results = []
-    for key in order:
-        id_value, collected = table[key]
-        out = {"_id": id_value}
-        for slot, name in enumerate(names):
-            ((accumulator, _),) = spec[name].items()
-            out[name] = _naive_accumulate(accumulator, collected[slot])
-        results.append(out)
-    return results
-
-
-def _naive_accumulate(accumulator: str, values: list[Any]) -> Any:
-    present = [value for value in values if value is not MISSING]
-    numbers = [value for value in present if _is_number(value)]
-    if accumulator == "$sum":
-        return sum(numbers)
-    if accumulator == "$avg":
-        return sum(numbers) / len(numbers) if numbers else None
-    if accumulator == "$min":
-        return min(present, key=sort_key) if present else None
-    if accumulator == "$max":
-        return max(present, key=sort_key) if present else None
-    if accumulator == "$push":
-        return present
-    if accumulator == "$count":
-        return len(values)
-    raise ParseError(f"unsupported accumulator {accumulator!r}")
-
-
-def _naive_sort(spec: dict[str, Any], rows: list[Any]) -> list[Any]:
-    """Independent $sort semantics: one comparator over all keys."""
-    import functools
-
-    keys = _sort_spec_keys(spec)
-
-    def compare(left: Any, right: Any) -> int:
-        for segments, direction in keys:
-            left_key = sort_key(resolve_path(left, segments))
-            right_key = sort_key(resolve_path(right, segments))
-            if left_key < right_key:
-                return -direction
-            if left_key > right_key:
-                return direction
-        return 0
-
-    return sorted(rows, key=functools.cmp_to_key(compare))
-
-
-def _naive_unwind(spec: Any, rows: list[Any]) -> list[Any]:
-    segments = _unwind_segments(spec)
-    out: list[Any] = []
-    for row in rows:
-        value = resolve_path(row, segments)
-        if value is MISSING or value is None:
-            continue
-        if not isinstance(value, list):
-            out.append(row)
-        else:
-            out.extend(set_path(row, segments, element) for element in value)
-    return out
-
-
-def naive_aggregate(documents: Iterable[Any], pipeline: list[Any]) -> list[Any]:
-    """Reference pipeline evaluation: eager, per-document, no indexes.
-
-    Accepts trees or plain values; every ``$match`` -- leading or not --
-    runs through the value-space :func:`match_value`, every stage
-    materialises a full list.  Deliberately shares only the *semantic*
-    kernels (path resolution, expressions, the sort order) with the
-    staged executor, so the differential tests exercise the compiled
-    leading-match path, the index pruning and the streaming machinery
-    against an independent implementation.
-    """
-    rows = [
-        doc.to_value() if isinstance(doc, JSONTree) else doc
-        for doc in documents
-    ]
-    for op, spec in parse_pipeline(pipeline):
-        if op == "$match":
-            rows = [row for row in rows if match_value(spec, row)]
-        elif op == "$project":
-            projection = Projection(spec)
-            rows = [projection.apply_value(row) for row in rows]
-        elif op == "$unwind":
-            rows = _naive_unwind(spec, rows)
-        elif op == "$group":
-            if not isinstance(spec, dict) or "_id" not in spec:
-                raise ParseError("$group takes a document with an _id expression")
-            rows = _naive_group(spec, rows)
-        elif op == "$sort":
-            rows = _naive_sort(spec, rows)
-        elif op == "$skip":
-            rows = rows[_skip_count(spec) :]
-        elif op == "$limit":
-            rows = rows[: _limit_count(spec)]
-        else:  # $count
-            field = _count_field(spec)
-            rows = [{field: len(rows)}] if rows else []
-    return rows

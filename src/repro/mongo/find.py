@@ -1,27 +1,33 @@
-"""MongoDB's ``find`` filters compiled onto JNL (Section 4.1).
+"""The MongoDB filter dialect, and both of its lowerings.
 
-The paper isolates MongoDB's filter parameter as navigation conditions
-``P ~ J`` combined with booleans, and proposes JNL as the logic
-capturing them.  This module makes that concrete: a filter document in
-(a practical subset of) MongoDB's syntax compiles to a unary JNL
-formula, evaluated by the Proposition 1 engine.
+The paper (Section 4.1) isolates MongoDB's filter parameter as
+navigation conditions ``P ~ J`` combined with booleans, and proposes
+JNL as the logic capturing them.  :func:`compile_filter` compiles a
+filter document in (a practical subset of) MongoDB's syntax to a unary
+JNL formula, which the planner lowers (plans keyed by
+:func:`filter_shape`).  :func:`compile_value_filter` reads the same
+filter in value space: ``$match`` past the pipeline head, update
+targets and, through :func:`compile_operators`, ``$pull`` conditions.
 
 Supported operators: implicit equality, ``$eq``, ``$ne``, ``$gt``,
 ``$gte``, ``$lt``, ``$lte``, ``$in``, ``$nin``, ``$exists``, ``$type``,
 ``$size``, ``$regex``, ``$elemMatch``, ``$and``, ``$or``, ``$nor``,
 ``$not``.  Comparisons beyond equality use the NodeTest-atom extension
 of JNL (Theorem 2's "atomic predicates" point).  As in MongoDB, an
-equality against a scalar also matches arrays *containing* the value.
-
-Dotted paths navigate keys; an all-digit segment is an array index
-only, never an object key spelled with digits (MongoDB would try both
-readings).
+equality against a scalar also matches arrays *containing* the value,
+and ``$regex`` is an unanchored search.  A dotted path's all-digit
+segment is an array index only, never an object key spelled with
+digits (MongoDB would try both readings).  Float operands and regexes
+beyond the KeyLang subset are value-space only: the JNL lowering
+raises :class:`~repro.errors.ParseError` for them.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+import re
+from operator import ge, gt, le, lt
+from typing import Any, Callable, Iterator
 
 from repro.automata.keylang import KeyLang
 from repro.errors import ParseError
@@ -30,16 +36,35 @@ from repro.jnl import builder as q
 from repro.logic import nodetests as nt
 from repro.model.tree import JSONTree, JSONValue, Kind
 from repro.query import ir
-from repro.query.stages import is_index_segment
+from repro.query.stages import (
+    MISSING,
+    is_index_segment,
+    path_getter,
+    split_field_path,
+    values_equal,
+)
 
-__all__ = ["compile_filter", "filter_shape", "unshape"]
+__all__ = [
+    "compile_filter",
+    "compile_operators",
+    "compile_value_filter",
+    "filter_shape",
+    "unshape",
+]
 
-_TYPE_TESTS: dict[str, nt.NodeTest] = {
-    "object": nt.IsObject(),
-    "array": nt.IsArray(),
-    "string": nt.IsString(),
-    "number": nt.IsNumber(),
-    "int": nt.IsNumber(),
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: ``$type`` operands: the JNL node test and the value-space check (the
+#: model's numbers are naturals, so ``"int"`` differs only in value space).
+_TYPES: dict[str, tuple[nt.NodeTest, Callable[[Any], bool]]] = {
+    "object": (nt.IsObject(), lambda node: isinstance(node, dict)),
+    "array": (nt.IsArray(), lambda node: isinstance(node, list)),
+    "string": (nt.IsString(), lambda node: isinstance(node, str)),
+    "number": (nt.IsNumber(), _is_number),
+    "int": (nt.IsNumber(), lambda node: node.__class__ is int),  # no bool/float
 }
 
 
@@ -83,47 +108,22 @@ def _operator_condition(operator: str, operand: Any) -> jnl.Unary:
         return _scalar_eq(operand)
     if operator == "$ne":
         return q.conj([~_scalar_eq(operand)])
-    if operator == "$gt":
+    if operator in _BOUND_SHIFT:
         _require_int(operator, operand)
-        return q.atom(nt.MinVal(operand))
-    if operator == "$gte":
-        _require_int(operator, operand)
-        return q.atom(nt.MinVal(operand - 1))
-    if operator == "$lt":
-        _require_int(operator, operand)
-        return q.atom(nt.MaxVal(operand))
-    if operator == "$lte":
-        _require_int(operator, operand)
-        return q.atom(nt.MaxVal(operand + 1))
-    if operator == "$in":
+        bound = nt.MinVal if operator.startswith("$gt") else nt.MaxVal
+        return q.atom(bound(operand + _BOUND_SHIFT[operator]))
+    if operator in ("$in", "$nin"):
         _require_list(operator, operand)
-        return q.disj([_scalar_eq(item) for item in operand])
-    if operator == "$nin":
-        _require_list(operator, operand)
-        return ~q.disj([_scalar_eq(item) for item in operand])
+        found = q.disj([_scalar_eq(item) for item in operand])
+        return found if operator == "$in" else ~found
     if operator == "$type":
-        test = _TYPE_TESTS.get(operand)
-        if test is None:
-            raise ParseError(f"unsupported $type operand {operand!r}")
-        return q.atom(test)
+        return q.atom(_type_entry(operand)[0])
     if operator == "$size":
         _require_int(operator, operand)
-        return q.conj(
-            [
-                q.atom(nt.IsArray()),
-                q.atom(nt.MinCh(operand)),
-                q.atom(nt.MaxCh(operand)),
-            ]
-        )
+        tests = (nt.IsArray(), nt.MinCh(operand), nt.MaxCh(operand))
+        return q.conj([q.atom(test) for test in tests])
     if operator == "$regex":
-        if not isinstance(operand, str):
-            raise ParseError("$regex takes a string")
-        # MongoDB regexes are unanchored searches unless anchored.
-        pattern = operand
-        prefix = "" if pattern.startswith("^") else ".*"
-        suffix = "" if pattern.endswith("$") else ".*"
-        pattern = pattern.removeprefix("^").removesuffix("$")
-        return q.atom(nt.Pattern(KeyLang.regex(f"{prefix}(?:{pattern}){suffix}")))
+        return q.atom(nt.Pattern(KeyLang.regex(_search_pattern(operand))))
     if operator == "$elemMatch":
         if not isinstance(operand, dict):
             raise ParseError("$elemMatch takes a filter document")
@@ -150,6 +150,66 @@ def _require_int(operator: str, operand: Any) -> None:
 def _require_list(operator: str, operand: Any) -> None:
     if not isinstance(operand, list):
         raise ParseError(f"{operator} takes an array, got {operand!r}")
+
+
+def _type_entry(operand: Any) -> tuple[nt.NodeTest, Callable[[Any], bool]]:
+    entry = _TYPES.get(operand) if isinstance(operand, str) else None
+    if entry is None:
+        raise ParseError(f"unsupported $type operand {operand!r}")
+    return entry
+
+
+#: A regex token (an escape, a ``[...]`` class or one character), and
+#: the letter escapes KeyLang reads as :mod:`re` does.
+_REGEX_TOKEN = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]?|.", re.S)
+_SHARED_ESCAPES = frozenset("dDwWsSntrfv")
+
+
+def _compile_regex(operand: Any) -> re.Pattern:
+    if not isinstance(operand, str):
+        raise ParseError("$regex takes a string")
+    try:
+        return re.compile(operand)
+    except re.error as exc:
+        raise ParseError(f"invalid $regex pattern {operand!r}: {exc}") from exc
+
+
+def _search_pattern(operand: Any) -> str:
+    """A ``$regex`` search as the anchored KeyLang pattern it matches.
+
+    Each top-level alternative is anchored on its own: a leading ``^``
+    pins it to the start, a trailing ``$`` to the end or a final
+    newline, ``.*`` pads an open end, and ``.`` stops at a newline, as
+    in :mod:`re`.  Any other unescaped ``^``/``$`` outside a class, a
+    letter escape KeyLang reads as a literal (``\\b``) and a possessive
+    quantifier put the pattern outside the dialect.
+    """
+    _compile_regex(operand)
+    outside = f"$regex {operand!r} is outside the find dialect"
+    alternatives: list[list[str]] = [[]]
+    depth = 0
+    previous = ""
+    for token in _REGEX_TOKEN.findall(operand):
+        escaped = {c for c in re.findall(r"\\(.)", token, re.S) if c.isascii()}
+        possessive = token == "+" and previous in ("*", "+", "?", "}")
+        if possessive or {c for c in escaped if c.isalnum()} - _SHARED_ESCAPES:
+            raise ParseError(outside)
+        previous = token
+        if token == "|" and not depth:
+            alternatives.append([])
+            continue
+        depth += (token == "(") - (token == ")")
+        alternatives[-1].append("[^\\n]" if token == "." else token)
+    parts = []
+    for tokens in alternatives:
+        head = tokens[:1] == ["^"]
+        tail = len(tokens) > head and tokens[-1] == "$"
+        body = tokens[head : len(tokens) - tail]
+        if "^" in body or "$" in body:
+            raise ParseError(outside)
+        open_ = "" if head else ".*"
+        parts.append(f"{open_}(?:{''.join(body)})" + ("\\n?" if tail else ".*"))
+    return parts[0] if len(parts) == 1 else "|".join(f"(?:{part})" for part in parts)
 
 
 def _operators_condition(document: dict[str, Any]) -> jnl.Unary:
@@ -320,15 +380,11 @@ def compile_filter(filter_doc: dict[str, Any]) -> jnl.Unary:
     """Compile a MongoDB ``find`` filter into a unary JNL formula."""
     parts: list[jnl.Unary] = []
     for key, value in filter_doc.items():
-        if key == "$and":
+        if key in ("$and", "$or", "$nor"):
             _require_list(key, value)
-            parts.append(q.conj([compile_filter(sub) for sub in value]))
-        elif key == "$or":
-            _require_list(key, value)
-            parts.append(q.disj([compile_filter(sub) for sub in value]))
-        elif key == "$nor":
-            _require_list(key, value)
-            parts.append(~q.disj([compile_filter(sub) for sub in value]))
+            subs = [compile_filter(sub) for sub in value]
+            found = q.conj(subs) if key == "$and" else q.disj(subs)
+            parts.append(~found if key == "$nor" else found)
         elif key.startswith("$"):
             raise ParseError(f"unsupported top-level operator {key!r}")
         elif _is_operator_doc(value):
@@ -342,3 +398,133 @@ def compile_filter(filter_doc: dict[str, Any]) -> jnl.Unary:
         else:
             parts.append(_navigate(key, _scalar_eq(value)))
     return q.conj(parts)
+
+
+# ---------------------------------------------------------------------------
+# The same dialect in value space: a path reaches at most one node, a
+# navigated condition needs it to exist, and each operator checks its
+# operand once, while its closure is built -- so a bad filter fails at
+# compile time whether or not a row ever reaches it.
+# ---------------------------------------------------------------------------
+
+
+def _eq_mongo(node: Any, operand: Any) -> bool:
+    """MongoDB equality at a node: exact, or array-containment for
+    scalar operands."""
+    if values_equal(node, operand):
+        return True
+    if isinstance(operand, (dict, list)):
+        return False
+    return isinstance(node, list) and any(
+        values_equal(element, operand) for element in node
+    )
+
+
+_COMPARISONS = {"$gt": gt, "$gte": ge, "$lt": lt, "$lte": le}
+
+
+def _operator_test(operator: str, operand: Any) -> Callable[[Any], bool]:
+    """One field operator as a predicate on the node its path reached."""
+    if operator == "$eq":
+        return lambda node: _eq_mongo(node, operand)
+    if operator == "$ne":
+        return lambda node: not _eq_mongo(node, operand)
+    compare = _COMPARISONS.get(operator)
+    if compare is not None:
+        if not _is_number(operand):
+            raise ParseError(f"{operator} takes a number, got {operand!r}")
+        return lambda node: _is_number(node) and compare(node, operand)
+    if operator in ("$in", "$nin"):
+        _require_list(operator, operand)
+        found = lambda node: any(_eq_mongo(node, item) for item in operand)
+        return found if operator == "$in" else lambda node: not found(node)
+    if operator == "$type":
+        return _type_entry(operand)[1]
+    if operator == "$size":
+        _require_int(operator, operand)
+        return lambda node: isinstance(node, list) and len(node) == operand
+    if operator == "$regex":
+        search = _compile_regex(operand).search
+        return lambda node: isinstance(node, str) and search(node) is not None
+    if operator == "$elemMatch":
+        if not isinstance(operand, dict):
+            raise ParseError("$elemMatch takes a filter document")
+        test = (
+            compile_operators(operand)
+            if _is_operator_doc(operand)
+            else compile_value_filter(operand)
+        )
+        return lambda node: isinstance(node, list) and any(map(test, node))
+    if operator == "$not":
+        if not isinstance(operand, dict):
+            raise ParseError("$not takes an operator document")
+        test = compile_operators(operand)
+        return lambda node: not test(node)
+    raise ParseError(f"unsupported operator {operator!r}")
+
+
+def compile_operators(document: dict[str, Any]) -> Callable[[Any], bool]:
+    """An operator document (``{"$gt": 1, "$ne": 3}``) as one predicate
+    on a node.  ``$exists`` is about the path, so it is rejected here."""
+    tests = [_operator_test(op, operand) for op, operand in document.items()]
+    if len(tests) == 1:
+        return tests[0]
+    return lambda node: all(test(node) for test in tests)
+
+
+def _field_test(get: Callable[[Any], Any], spec: dict[str, Any]) -> Any:
+    exists_flag = spec.get("$exists")
+    rest = {op: arg for op, arg in spec.items() if op != "$exists"}
+    test = compile_operators(rest) if rest else None
+
+    def predicate(value: Any) -> bool:
+        node = get(value)
+        if exists_flag is not None and bool(exists_flag) != (node is not MISSING):
+            return False
+        return test is None or (node is not MISSING and test(node))
+
+    return predicate
+
+
+def compile_value_filter(
+    filter_doc: dict[str, Any], paths: list[tuple[str, ...]] | None = None
+) -> Callable[[Any], bool]:
+    """Compile a find filter into a value-space predicate closure.
+
+    Field paths are split and specialised (:func:`~repro.query.stages.
+    path_getter`), operators compiled and boolean structure resolved
+    **once**, so a row is matched with plain closure calls.  Every field
+    path the predicate navigates is appended to ``paths`` (when given);
+    an ``$elemMatch`` body is relative to the elements of the array
+    under its field, which that field's own path covers.
+    """
+    if not isinstance(filter_doc, dict):
+        raise ParseError("a find filter is a JSON object")
+    predicates: list[Callable[[Any], bool]] = []
+    for key, spec in filter_doc.items():
+        if key in ("$and", "$or", "$nor"):
+            _require_list(key, spec)
+            compiled = [compile_value_filter(sub, paths) for sub in spec]
+            fold = all if key == "$and" else any
+            found = lambda value, c=compiled, f=fold: f(p(value) for p in c)
+            if key == "$nor":
+                found = lambda value, f=found: not f(value)
+            predicates.append(found)
+        elif key.startswith("$"):
+            raise ParseError(f"unsupported top-level operator {key!r}")
+        else:
+            segments = split_field_path(key)
+            if paths is not None:
+                paths.append(segments)
+            get = path_getter(segments)
+            if _is_operator_doc(spec):
+                predicates.append(_field_test(get, spec))
+            else:
+                predicates.append(
+                    lambda value, get=get, operand=spec: _eq_mongo(
+                        get(value), operand
+                    )
+                )
+    if len(predicates) == 1:
+        return predicates[0]
+    return lambda value: all(p(value) for p in predicates)

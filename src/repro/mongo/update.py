@@ -11,12 +11,12 @@ existing stack end to end:
   :class:`repro.store.update.CompiledUpdate` program (registered in the
   process-wide artifact cache under the ``"mongo-update"`` namespace,
   keyed on the canonical JSON text of the update document);
-* **target selection** goes through the PR-3 planner: the filter
-  compiles through :func:`repro.query.compiled.compile_mongo_find` so
-  its logical plan prunes candidates via the secondary indexes, and the
-  authoritative per-candidate verdict is the same value-space predicate
-  the aggregation front-end uses (a filter outside the find compiler's
-  dialect still works -- it just scans);
+* **target selection** goes through the planner: the filter compiles
+  through :func:`repro.query.compiled.compile_mongo_find` so its
+  logical plan prunes candidates via the secondary indexes, and the
+  authoritative per-candidate verdict, like a ``$pull`` condition, is
+  compiled by :mod:`repro.mongo.find` in value space (a filter outside
+  the JNL lowering still works -- it just scans);
 * **application** is delta index maintenance
   (:meth:`repro.store.Collection.apply_update`): only the postings
   under mutated paths are retired/re-added, never a full
@@ -25,9 +25,9 @@ existing stack end to end:
   anything commits.
 
 Operators apply in update-document order (a deterministic refinement
-of MongoDB's behaviour).  :func:`naive_update_value` is the reference
-interpreter -- per-call parse, deepcopy, in-place edits, no mutation
-tracking -- that the differential tests pit the compiled path against.
+of MongoDB's behaviour).  The differential tests pit the compiled path
+against ``repro.reference.mongo_oracles.naive_update_value`` -- per-call
+parse, deepcopy, in-place edits, no mutation tracking.
 """
 
 from __future__ import annotations
@@ -38,21 +38,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
-from repro.errors import ParseError, UpdateError
+from repro.errors import ParseError
 from repro.explain import Explain
-from repro.mongo.aggregate import (
-    _op_holds,
-    _validate_operator_doc,
-    compile_value_filter,
-)
-from repro.mongo.find import _is_operator_doc
+from repro.mongo.find import _is_operator_doc, compile_operators, compile_value_filter
 from repro.query import optimizer, planner
 from repro.query.compiled import compile_mongo_find
-from repro.query.stages import (
-    is_index_segment,
-    split_field_path,
-    values_equal,
-)
+from repro.query.stages import split_field_path, values_equal
 from repro.store.indexes import DeltaOps
 from repro.store.update import (
     CompiledUpdate,
@@ -83,7 +74,6 @@ __all__ = [
     "first_match_id",
     "upsert_into",
     "compile_replacement",
-    "naive_update_value",
 ]
 
 UPDATE_OPS = (
@@ -167,14 +157,12 @@ def _each_items(operator: str, operand: Any) -> tuple:
 def _pull_keep(path: str, condition: Any) -> Any:
     """Compile a ``$pull`` condition into a *keep* predicate."""
     condition = copy.deepcopy(condition)
-    if isinstance(condition, dict) and _is_operator_doc(condition):
-        _validate_operator_doc(condition)
-        tests = tuple(condition.items())
-        return lambda element: not all(
-            _op_holds(op, arg, element) for op, arg in tests
-        )
     if isinstance(condition, dict):
-        matches = compile_value_filter(condition)
+        matches = (
+            compile_operators(condition)
+            if _is_operator_doc(condition)
+            else compile_value_filter(condition)
+        )
         return lambda element: not matches(element)
     return lambda element: not values_equal(element, condition)
 
@@ -547,211 +535,3 @@ def explain_update(
         postings=dict(ops.postings),
         semantics=None if decision is None else decision.semantics_explain(),
     )
-
-
-# ---------------------------------------------------------------------------
-# The naive reference interpreter (differential-test oracle).
-# ---------------------------------------------------------------------------
-
-
-def naive_update_value(update_doc: Any, value: Any) -> Any:
-    """Reference update evaluation: deepcopy, then in-place edits.
-
-    Parses the update document per call and navigates with its own
-    helpers -- deliberately sharing nothing with the compiled path
-    beyond the *semantics* (digit segments are array indexes, missing
-    object keys are created by the ``$set`` family, operators apply in
-    document order) -- so the differential tests exercise compilation,
-    spine-copying and mutation tracking against an independent
-    implementation.
-    """
-    if not isinstance(update_doc, dict) or not update_doc:
-        raise ParseError(
-            "an update is a non-empty document of update operators "
-            f"(supported: {', '.join(UPDATE_OPS)})"
-        )
-    doc = copy.deepcopy(value)
-    for operator, spec in update_doc.items():
-        if operator not in UPDATE_OPS:
-            raise ParseError(
-                f"unsupported update operator {operator!r} "
-                f"(supported: {', '.join(UPDATE_OPS)})"
-            )
-        for path, operand in _field_specs(operator, spec):
-            doc = _naive_apply(doc, operator, path, operand)
-    return doc
-
-
-def _naive_walk(doc: Any, segments: tuple, create: bool) -> Any:
-    """The container holding the final segment, or None when the path
-    is unreachable (non-create mode)."""
-    node = doc
-    for position, segment in enumerate(segments[:-1]):
-        if is_index_segment(segment):
-            if not isinstance(node, list) or int(segment) >= len(node):
-                if create:
-                    raise UpdateError(
-                        f"cannot apply update at {'.'.join(segments)!r}: "
-                        "an array index step needs an existing array"
-                    )
-                return None
-            node = node[int(segment)]
-        else:
-            if not isinstance(node, dict):
-                if create:
-                    raise UpdateError(
-                        f"cannot apply update at {'.'.join(segments)!r}: "
-                        f"cannot create field {segment!r} inside a "
-                        "non-document"
-                    )
-                return None
-            if segment not in node:
-                if not create:
-                    return None
-                node[segment] = {}
-            node = node[segment]
-    return node
-
-
-def _naive_read(container: Any, segment: str) -> Any:
-    from repro.query.stages import MISSING
-
-    if is_index_segment(segment):
-        if isinstance(container, list) and int(segment) < len(container):
-            return container[int(segment)]
-        return MISSING
-    if isinstance(container, dict) and segment in container:
-        return container[segment]
-    return MISSING
-
-
-def _naive_write(container: Any, segments: tuple, new: Any) -> None:
-    segment = segments[-1]
-    if is_index_segment(segment):
-        if not isinstance(container, list):
-            raise UpdateError(
-                f"cannot apply update at {'.'.join(segments)!r}: "
-                "an array index step needs an existing array"
-            )
-        position = int(segment)
-        if position > len(container):
-            raise UpdateError(
-                f"cannot apply update at {'.'.join(segments)!r}: "
-                f"array index {position} past the end "
-                f"(length {len(container)})"
-            )
-        if position == len(container):
-            container.append(new)
-        else:
-            container[position] = new
-    else:
-        if not isinstance(container, dict):
-            raise UpdateError(
-                f"cannot apply update at {'.'.join(segments)!r}: "
-                f"cannot create field {segment!r} inside a non-document"
-            )
-        container[segment] = new
-
-
-def _naive_delete(container: Any, segments: tuple) -> None:
-    segment = segments[-1]
-    if is_index_segment(segment):
-        if isinstance(container, list) and int(segment) < len(container):
-            raise UpdateError(
-                f"cannot apply update at {'.'.join(segments)!r}: "
-                "cannot remove an array element by index "
-                "(use $pull or $pop)"
-            )
-        return
-    if isinstance(container, dict):
-        container.pop(segment, None)
-
-
-def _naive_array(
-    operator: str, segments: tuple, container: Any
-) -> list | None:
-    from repro.query.stages import MISSING
-
-    old = _naive_read(container, segments[-1])
-    if old is MISSING:
-        return None
-    if not isinstance(old, list):
-        raise UpdateError(
-            f"{operator} needs an array at {'.'.join(segments)!r}, "
-            f"found {old!r}"
-        )
-    return old
-
-
-def _naive_apply(doc: Any, operator: str, path: str, operand: Any) -> Any:
-    from repro.query.stages import MISSING
-
-    segments = split_field_path(path)
-    create = operator in ("$set", "$inc", "$mul", "$push", "$addToSet")
-    container = _naive_walk(doc, segments, create)
-    if container is None:
-        return doc
-    old = _naive_read(container, segments[-1])
-    if operator == "$set":
-        _naive_write(container, segments, copy.deepcopy(operand))
-    elif operator == "$unset":
-        if old is not MISSING:
-            _naive_delete(container, segments)
-    elif operator in ("$inc", "$mul"):
-        amount = _require_int(operator, path, operand)
-        if old is MISSING:
-            base = 0
-        elif isinstance(old, bool) or not isinstance(old, int):
-            raise UpdateError(
-                f"{operator} needs a number at {'.'.join(segments)!r}, "
-                f"found {old!r}"
-            )
-        else:
-            base = old
-        result = base + amount if operator == "$inc" else base * amount
-        _naive_write(container, segments, result)
-    elif operator == "$rename":
-        source, target = _rename_paths(path, operand)
-        if old is not MISSING:
-            _naive_delete(container, segments)
-            doc = _naive_apply_set_value(doc, target, old)
-    elif operator == "$push":
-        items = list(_each_items(operator, operand))
-        existing = _naive_array(operator, segments, container)
-        if existing is None:
-            _naive_write(container, segments, items)
-        else:
-            existing.extend(items)
-    elif operator == "$addToSet":
-        items = list(_each_items(operator, operand))
-        existing = _naive_array(operator, segments, container)
-        if existing is None:
-            existing = []
-            _naive_write(container, segments, existing)
-        for item in items:
-            if not any(values_equal(item, seen) for seen in existing):
-                existing.append(item)
-    elif operator == "$pull":
-        keep = _pull_keep(path, operand)  # validate before touching doc
-        existing = _naive_array(operator, segments, container)
-        if existing is not None:
-            existing[:] = [element for element in existing if keep(element)]
-    else:  # $pop
-        if operand not in (1, -1) or isinstance(operand, bool):
-            raise ParseError(
-                f"$pop takes 1 (last) or -1 (first) for {path!r}, "
-                f"got {operand!r}"
-            )
-        existing = _naive_array(operator, segments, container)
-        if existing:
-            if operand == -1:
-                del existing[0]
-            else:
-                del existing[-1]
-    return doc
-
-
-def _naive_apply_set_value(doc: Any, segments: tuple, value: Any) -> Any:
-    container = _naive_walk(doc, segments, True)
-    _naive_write(container, segments, value)
-    return doc

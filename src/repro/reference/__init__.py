@@ -16,6 +16,9 @@ holds that line, statically and at run time).
   :mod:`repro.validate`;
 * :mod:`~repro.reference.from_jsl` and :mod:`~repro.reference.jsl_to_jnl`
   -- the reverse translations of Theorems 1 and 2;
+* :mod:`~repro.reference.mongo_oracles` -- the Mongo filter
+  interpreter, naive aggregation and the naive update interpreter, the
+  oracles for :mod:`repro.mongo`;
 * :mod:`~repro.reference.jautomata` -- J-automata (Proposition 10);
 * :mod:`~repro.reference.reductions` -- the hardness reductions of
   Propositions 2, 4, 7 and 9;

@@ -871,14 +871,14 @@ class ShardedCollection:
             self, no_semantic=_no_semantic(hint)
         )
 
-    def scatter_partial_aggregate(self, payload: "list | dict") -> list[dict]:
+    def scatter_partial_aggregate(self, payload: dict) -> list[dict]:
         """Fan a pipeline's map-side share out to every shard.
 
         The hook :meth:`CompiledPipeline.execute`/``explain`` detect:
         ships the pipeline *source* (workers compile through their own
         artifact caches) plus the coordinator's semantic verdict for
         the shards to inherit, and returns one picklable partial per
-        shard.  A bare pipeline list means "decide locally".
+        shard.
         """
         return self._engine.broadcast("agg_partial", payload)
 

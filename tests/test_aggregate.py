@@ -16,16 +16,14 @@ from repro.explain import Explain
 from repro.model.tree import JSONTree
 from repro.mongo.aggregate import (
     CompiledPipeline,
-    aggregate,
     compile_pipeline,
-    compile_value_filter,
-    match_value,
-    naive_aggregate,
     parse_pipeline,
     pipeline_cache_key,
 )
+from repro.mongo.find import compile_value_filter
 from repro.query import aggregate_many, compile_mongo_find, planner
 from repro.query.stages import MISSING, resolve_path, sort_key, values_equal
+from repro.reference.mongo_oracles import match_value, naive_aggregate
 from repro.reference.workloads import people_collection
 from repro.server import ReproServer
 from repro.store import Collection
@@ -58,7 +56,7 @@ def run(docs, pipeline):
     except ModelError:
         pass  # null/booleans: outside the tree model, value path only
     else:
-        assert aggregate(collection, pipeline) == naive
+        assert aggregate_many(pipeline, collection) == naive
     return staged
 
 
@@ -103,7 +101,7 @@ class TestUnwind:
 
     def test_siblings_are_shared_not_copied_along_the_spine(self):
         docs = [{"a": {"b": [1, 2]}, "big": {"payload": [1, 2, 3]}}]
-        rows = aggregate(api.collection(docs), [{"$unwind": "$a.b"}])
+        rows = aggregate_many([{"$unwind": "$a.b"}], api.collection(docs))
         assert rows[0]["big"] is rows[1]["big"]
 
 
@@ -387,7 +385,7 @@ class TestIndexPruning:
             "index-pruned",
             "materialised",
         ]
-        assert compiled.execute(people) == aggregate(people, self.PIPELINE)
+        assert compiled.execute(people) == aggregate_many(self.PIPELINE, people)
 
     def test_non_leading_match_is_streamed(self, people):
         pipeline = [
@@ -485,8 +483,8 @@ class TestFindDialectFallback:
         assert report.stages[0].mode == "streamed"
         assert compiled.execute(people) == naive_aggregate(PEOPLE, pipeline)
         # Integer ages: > 39.5 and >= 40 are the same predicate.
-        assert compiled.execute(people) == aggregate(
-            people, [{"$match": {"age": {"$gte": 40}}}]
+        assert compiled.execute(people) == aggregate_many(
+            [{"$match": {"age": {"$gte": 40}}}], people
         )
 
     def test_leading_regex_outside_keylang_subset_streams(self, people):
@@ -538,10 +536,10 @@ class TestPipelineCache:
         try:
             assert compile_pipeline(ab) is not compile_pipeline(ba)
             docs = [{"a": 2, "b": 1}, {"a": 1, "b": 2}]
-            assert aggregate(docs, ab) == [{"a": 1, "b": 2}, {"a": 2, "b": 1}]
-            assert aggregate(docs, ba) == [{"a": 2, "b": 1}, {"a": 1, "b": 2}]
-            assert aggregate(docs, ab) == naive_aggregate(docs, ab)
-            assert aggregate(docs, ba) == naive_aggregate(docs, ba)
+            assert aggregate_many(ab, docs) == [{"a": 1, "b": 2}, {"a": 2, "b": 1}]
+            assert aggregate_many(ba, docs) == [{"a": 2, "b": 1}, {"a": 1, "b": 2}]
+            assert aggregate_many(ab, docs) == naive_aggregate(docs, ab)
+            assert aggregate_many(ba, docs) == naive_aggregate(docs, ba)
         finally:
             clear_artifact_cache()
 
@@ -801,7 +799,7 @@ class TestRandomisedDifferential:
         docs = PEOPLE
         for _ in range(60 * _SCALE):
             pipeline = _random_pipeline(rng)
-            staged = aggregate(people, pipeline)
+            staged = aggregate_many(pipeline, people)
             naive = naive_aggregate(docs, pipeline)
             assert staged == naive, pipeline
 
@@ -822,8 +820,8 @@ class TestRandomisedDifferential:
         unindexed = api.collection(docs, indexed=False)
         for _ in range(25 * _SCALE):
             pipeline = _random_pipeline(rng)
-            assert aggregate(indexed, pipeline) == aggregate(
-                unindexed, pipeline
+            assert aggregate_many(pipeline, indexed) == aggregate_many(
+                pipeline, unindexed
             ), pipeline
 
     def test_every_backend_equals_naive_on_shaped_documents(self):

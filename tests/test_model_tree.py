@@ -14,9 +14,10 @@ from repro.errors import (
     UnsupportedValueError,
 )
 from repro.model.tree import JSONTree, Kind
-from repro.mongo.aggregate import compile_value_filter, match_value
+from repro.mongo.find import compile_value_filter
 from repro.mongo.projection import Projection
 from repro.query.stages import path_trie, resolve_path
+from repro.reference.mongo_oracles import match_value
 
 
 class TestConstruction:

@@ -1,15 +1,33 @@
-"""The MongoDB find-filter front-end (Section 4.1, Example 1)."""
+"""The MongoDB find-filter front-end (Section 4.1, Example 1).
+
+``TestRandomisedDifferential`` pits the dialect's two lowerings -- the
+JNL plan and the value-space closures -- against the reference
+interpreter; it scales with ``REPRO_DIFF_SCALE`` (the nightly CI job
+runs it at ~20x).
+"""
 
 from __future__ import annotations
+
+import ast as python_ast
+import os
+import random
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ParseError
 from repro.jnl import ast
+from repro.model.tree import JSONTree
 from repro.mongo import compile_filter
+from repro.mongo.find import compile_value_filter
+from repro.query import compile_mongo_find
+from repro.reference.mongo_oracles import match_value
 from repro.reference.workloads import people_collection
 from repro.store import Collection
 from repro import api
+
+_SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
 
 
 @pytest.fixture
@@ -193,3 +211,251 @@ class TestIndexSegments:
                 resolve_pointer(tree, pointer)
             with pytest.raises(NavigationError):
                 resolve_in_value({"a": [7]}, pointer)
+
+
+# ---------------------------------------------------------------------------
+# $regex is an unanchored search, in both lowerings.
+# ---------------------------------------------------------------------------
+
+REGEX_STRINGS = ["zb", "ab", "q", "a", "b", "a$", "^b", "ba", "", "a\n", "xa^"]
+
+# Patterns inside the find dialect: find, a leading $match and re.search
+# select the same strings.
+REGEX_TABLE = [
+    "^a|b$",  # each alternative anchored on its own
+    "a\\$",  # an escaped dollar is a literal
+    "\\^b",
+    "a",
+    "^a",
+    "b$",
+    "^a$",
+    "^$",
+    "^",
+    "$",
+    "",
+    "a|^b|^$",
+    "^(a|b)$",
+    "(?:ab|ba)$",
+    "[$^]",  # anchors inside a class are literals
+    "[^ab]$",
+    "^a.",  # . stops at a newline
+    "a$|q",
+    "\\\\$|^z",  # an escaped backslash, then an anchor
+]
+
+# Patterns outside it: find refuses them, $match still searches.
+OUTSIDE_TABLE = ["(^a)", "x^", "a$b", "(a$)", "\\ba", "a*+", "(?i)A"]
+
+
+def _selected(collection, regex):
+    return [doc["k"] for doc in collection.find({"k": {"$regex": regex}})]
+
+
+class TestRegexSearch:
+    @pytest.fixture(scope="class")
+    def strings(self):
+        return api.collection([{"k": text} for text in REGEX_STRINGS])
+
+    @pytest.mark.parametrize("regex", REGEX_TABLE)
+    def test_find_match_and_re_search_agree(self, strings, regex):
+        expected = [text for text in REGEX_STRINGS if re.search(regex, text)]
+        assert _selected(strings, regex) == expected
+        pipeline = [{"$match": {"k": {"$regex": regex}}}]
+        assert [doc["k"] for doc in strings.aggregate(pipeline)] == expected
+
+    @pytest.mark.parametrize("regex", OUTSIDE_TABLE)
+    def test_outside_the_dialect_find_refuses_and_match_searches(
+        self, strings, regex
+    ):
+        with pytest.raises(ParseError):
+            strings.find({"k": {"$regex": regex}})
+        expected = [text for text in REGEX_STRINGS if re.search(regex, text)]
+        pipeline = [{"$match": {"k": {"$regex": regex}}}]
+        assert [doc["k"] for doc in strings.aggregate(pipeline)] == expected
+
+    @pytest.mark.parametrize("regex", ["(", "a**", 3])
+    def test_both_lowerings_refuse_an_invalid_pattern(self, regex):
+        with pytest.raises(ParseError):
+            compile_filter({"k": {"$regex": regex}})
+        with pytest.raises(ParseError):
+            compile_value_filter({"k": {"$regex": regex}})
+
+
+class TestValueSpaceTypes:
+    def test_int_is_neither_a_float_nor_a_bool(self):
+        collection = api.collection([{"a": 1}, {"a": 2}])
+        is_int = {"$match": {"m": {"$type": "int"}}}
+        average = {"$group": {"_id": None, "m": {"$avg": "$a"}}}
+        assert collection.aggregate([average, is_int]) == []
+        total = {"$group": {"_id": None, "m": {"$sum": "$a"}}}
+        assert collection.aggregate([total, is_int]) == [{"_id": None, "m": 3}]
+        rows = [{"a": 1}, {"a": 1.5}, {"a": True}, {"a": "1"}]
+        for name, expected in [("int", rows[:1]), ("number", rows[:2])]:
+            filter_doc = {"a": {"$type": name}}
+            matches = compile_value_filter(filter_doc)
+            assert [row for row in rows if matches(row)] == expected
+            assert [row for row in rows if match_value(filter_doc, row)] == expected
+
+    def test_a_non_string_type_operand_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            compile_value_filter({"a": {"$type": ["int"]}})
+        with pytest.raises(ParseError):
+            compile_filter({"a": {"$type": ["int"]}})
+
+
+def test_the_product_holds_no_filter_interpreter():
+    """One home for the dialect: the oracles live under ``reference/``,
+    and no other product module implements filter operators."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    oracle_names = {
+        "match_value",
+        "_match_field",
+        "_op_holds",
+        "_validate_operand",
+        "_validate_operator_doc",
+        "_FIELD_OPS",
+        "naive_aggregate",
+        "naive_update_value",
+    }
+    for path in package.rglob("*.py"):
+        if "reference" in path.relative_to(package).parts:
+            continue
+        tree = python_ast.parse(path.read_text())
+        defined = {getattr(node, "name", None) for node in python_ast.walk(tree)} | {
+            target.id
+            for node in python_ast.walk(tree)
+            if isinstance(node, python_ast.Assign)
+            for target in node.targets
+            if isinstance(target, python_ast.Name)
+        }
+        assert not defined & oracle_names, path
+    update = python_ast.parse((package / "mongo" / "update.py").read_text())
+    assert "repro.mongo.aggregate" not in {
+        node.module
+        for node in python_ast.walk(update)
+        if isinstance(node, python_ast.ImportFrom)
+    }
+
+
+# ---------------------------------------------------------------------------
+# Randomised three-way differential: the JNL plan, the value-space closure
+# and the reference interpreter, on every document.
+# ---------------------------------------------------------------------------
+
+_SCALARS = [0, 1, 2, 3, "a", "b", "ab", "", "a\n"]
+_PATHS = ["k", "v", "o", "o.k", "o.v", "t", "t.0", "t.1.k", "w"]
+_REGEXES = (
+    "a ^a b$ ^a|b$ a|^b ^(a|b)$ a. [ab]$ ^[^a] a\\$ \\^ ab* ^$ b+ (ab)?$ ^a.*b$"
+).split()
+_TYPES = ["object", "array", "string", "number", "int"]
+
+
+def _random_value(rng, depth=0, floats=False):
+    roll = rng.random()
+    if depth >= 2 or roll < 0.5:
+        if floats and rng.random() < 0.3:
+            return rng.choice([0.5, 1.0, 2.5, True, False])
+        return rng.choice(_SCALARS)
+    if roll < 0.75:
+        size = rng.randrange(4)
+        return [_random_value(rng, depth + 1, floats) for _ in range(size)]
+    keys = rng.sample(["k", "v", "w"], rng.randrange(4))
+    return {key: _random_value(rng, depth + 1, floats) for key in keys}
+
+
+def _random_docs(rng, count, floats=False):
+    docs = []
+    for _ in range(count):
+        keys = rng.sample(["k", "v", "o", "t", "w"], rng.randrange(1, 6))
+        docs.append({key: _random_value(rng, floats=floats) for key in keys})
+    return docs
+
+
+def _random_operand(rng, operator, depth, floats):
+    if operator in ("$eq", "$ne"):
+        return _random_value(rng, 1 if rng.random() < 0.7 else 2 - depth)
+    if operator in ("$gt", "$gte", "$lt", "$lte"):
+        if floats and rng.random() < 0.3:
+            return rng.choice([0.5, 1.5])
+        return rng.randrange(4)
+    if operator in ("$in", "$nin"):
+        return [rng.choice(_SCALARS) for _ in range(rng.randrange(4))]
+    if operator == "$type":
+        return rng.choice(_TYPES)
+    if operator == "$size":
+        return rng.randrange(4)
+    if operator == "$regex":
+        return rng.choice(_REGEXES)
+    if operator == "$elemMatch":
+        if rng.random() < 0.5:
+            return _random_operators(rng, depth + 1, floats)
+        # A body whose keys all start with "$" reads as operators.
+        body = _random_filter(rng, depth + 1, floats)
+        body.setdefault(rng.choice(["k", "v"]), rng.choice(_SCALARS))
+        return body
+    return _random_operators(rng, depth + 1, floats)  # $not
+
+
+_NODE_OPERATORS = (
+    "$eq $ne $gt $gte $lt $lte $in $nin $type $size $regex $elemMatch $not"
+).split()
+
+
+def _random_operators(rng, depth, floats, exists=False):
+    pool = _NODE_OPERATORS if depth < 3 else _NODE_OPERATORS[:-2]
+    document = {
+        operator: _random_operand(rng, operator, depth, floats)
+        for operator in rng.sample(pool, rng.randrange(1, 3))
+    }
+    if exists and rng.random() < 0.3:
+        document["$exists"] = rng.random() < 0.5
+    return document
+
+
+def _random_filter(rng, depth=0, floats=False):
+    document = {}
+    for _ in range(rng.randrange(1, 3)):
+        roll = rng.random()
+        if depth < 3 and roll < 0.25:
+            branch = rng.choice(["$and", "$or", "$nor"])
+            document[branch] = [
+                _random_filter(rng, depth + 1, floats)
+                for _ in range(rng.randrange(1, 4))
+            ]
+        elif roll < 0.5:
+            document[rng.choice(_PATHS)] = _random_value(rng, 1)
+        else:
+            document[rng.choice(_PATHS)] = _random_operators(
+                rng, depth, floats, exists=True
+            )
+    return document
+
+
+class TestRandomisedDifferential:
+    def test_jnl_plan_value_closure_and_reference_agree(self):
+        rng = random.Random(3301)
+        docs = _random_docs(rng, 60)
+        trees = [JSONTree.from_value(doc) for doc in docs]
+        collection = api.collection(docs)
+        for _ in range(150 * _SCALE):
+            filter_doc = _random_filter(rng)
+            closure = compile_value_filter(filter_doc)
+            query = compile_mongo_find(filter_doc)
+            expected = [match_value(filter_doc, doc) for doc in docs]
+            assert [closure(doc) for doc in docs] == expected, filter_doc
+            assert [query.matches(tree) for tree in trees] == expected, filter_doc
+            chosen = [doc for doc, hit in zip(docs, expected) if hit]
+            assert collection.find(filter_doc) == chosen, filter_doc
+            assert collection.aggregate([{"$match": filter_doc}]) == chosen
+
+    def test_value_closure_and_reference_agree_beyond_the_model(self):
+        """Floats and booleans -- in rows and operands -- are outside the
+        JNL lowering; the value-space closure still answers as the
+        reference does."""
+        rng = random.Random(3302)
+        docs = _random_docs(rng, 60, floats=True)
+        for _ in range(150 * _SCALE):
+            filter_doc = _random_filter(rng, floats=True)
+            closure = compile_value_filter(filter_doc)
+            expected = [match_value(filter_doc, doc) for doc in docs]
+            assert [closure(doc) for doc in docs] == expected, filter_doc

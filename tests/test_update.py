@@ -27,8 +27,8 @@ from repro.errors import (
     UpdateError,
 )
 from repro.model.tree import JSONTree, Kind
-from repro.mongo.aggregate import match_value
-from repro.mongo.update import compile_update, naive_update_value
+from repro.mongo.update import compile_update
+from repro.reference.mongo_oracles import match_value, naive_update_value
 from repro.reference.workloads import people_collection
 from repro.store import Collection, DocumentIndexes
 from repro.store.indexes import tree_entry_counts
