@@ -46,9 +46,11 @@ class StageExplain:
     """One pipeline stage in an aggregation explain.
 
     ``mode`` is ``"index-pruned"``/``"streamed"``/``"materialised"``
-    on a single collection; under sharded execution, stages executed on
-    the shards report ``"map-side"`` and the boundary stage whose
-    partial states the coordinator combines reports ``"merged"``.
+    on a single collection, or ``"covered"`` for an unfiltered
+    ``$group`` (and its ``$unwind``) folded from the index postings
+    without reading a document; under sharded execution, stages
+    executed on the shards report ``"map-side"`` and the boundary stage
+    whose partial states the coordinator combines reports ``"merged"``.
     """
 
     op: str

@@ -26,6 +26,12 @@ module implements its practical core -- ``$match``, ``$project``,
   the subtrees the pipeline navigates, the whole document when rows can
   reach the output unreset -- and the leading match is decided on that
   same row;
+* except where no row is needed: an unfiltered ``[$unwind]? $group``
+  whose key and inputs the live index shows array-free (the
+  *covered-group* rung, :meth:`CompiledPipeline._covered`) takes each
+  group from one ``eq`` posting of its key, and each accumulator input
+  from a ``{doc_id: value}`` column inverted from that path's postings
+  on every call, so no document is materialised and nothing is cached;
 * every **downstream stage** runs as a streaming generator
   (:mod:`repro.query.stages`) over those rows -- nothing is
   materialised between stages except where ``$sort``/``$group``/
@@ -53,10 +59,10 @@ from typing import Any, Iterable, Iterator
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import ParseError
 from repro.explain import Explain, ShardExplain, StageExplain
-from repro.model.tree import JSONTree
+from repro.model.tree import JSONTree, Kind
 from repro.mongo.find import compile_value_filter
 from repro.mongo.projection import Projection
-from repro.query import optimizer, planner
+from repro.query import ir, optimizer, planner
 from repro.query.compiled import CompiledQuery, compile_mongo_find
 from repro.query.stages import (
     ACCUMULATORS,
@@ -71,7 +77,9 @@ from repro.query.stages import (
     UnwindStage,
     compile_expr,
     composite_sort_key,
+    is_index_segment,
     path_trie,
+    resolve_path,
     run_stages,
     run_stages_ranked,
     split_field_path,
@@ -246,6 +254,52 @@ def _build_stage(op: str, spec: Any) -> Stage:
     raise ParseError(f"unsupported pipeline stage {op!r}")  # pragma: no cover
 
 
+def _field_ref(spec: Any) -> tuple[str, ...] | None:
+    """The object keys a ``"$a.b"`` reference names, or ``None`` for
+    anything else -- a literal, an expression, or a path with an array
+    index, which value space reads by position and the index does not."""
+    if not isinstance(spec, str) or not spec.startswith("$"):
+        return None
+    segments = split_field_path(spec[1:])
+    if any(is_index_segment(segment) for segment in segments):
+        return None
+    return segments
+
+
+def _group_cover(
+    body: tuple[tuple[str, Any], ...],
+) -> tuple[tuple[str, ...], bool, tuple[tuple[str, ...] | None, ...]] | None:
+    """``(key, unwound, inputs)`` when the stages after the leading
+    match start ``[$unwind "$p"]? $group{_id: "$k", ...}`` -- with
+    ``k == p`` under the unwind -- and every accumulator counts rows
+    (``$count``, ``$sum: 1``) or, without the unwind, reads one field
+    reference; ``None`` otherwise.  ``inputs`` holds per field the path
+    it reads, ``None`` for a row count.  The specs are already valid.
+    """
+    unwound = bool(body) and body[0][0] == "$unwind"
+    if len(body) <= unwound or body[unwound][0] != "$group":
+        return None
+    spec = body[unwound][1]
+    key = _field_ref(spec["_id"])
+    if key is None or (unwound and key != _unwind_segments(body[0][1])):
+        return None
+    inputs: list[tuple[str, ...] | None] = []
+    for name, accumulator_spec in spec.items():
+        if name == "_id":
+            continue
+        ((accumulator, operand),) = accumulator_spec.items()
+        if accumulator == "$count" or (
+            accumulator == "$sum" and operand.__class__ is int and operand == 1
+        ):
+            inputs.append(None)
+            continue
+        path = None if unwound else _field_ref(operand)
+        if path is None:
+            return None
+        inputs.append(path)
+    return key, unwound, tuple(inputs)
+
+
 # ---------------------------------------------------------------------------
 # The compiled pipeline.
 # ---------------------------------------------------------------------------
@@ -273,6 +327,11 @@ def _window_bound(stages: tuple[Stage, ...]) -> int | None:
 
 
 _row = itemgetter(1)
+
+# What the covered-group rung reads off an index: one leaf per document
+# at a key or input path, or at an unwound key a flat array of leaves.
+_LEAF_KINDS = frozenset({Kind.STRING, Kind.NUMBER})
+_UNWOUND_KINDS = _LEAF_KINDS | {Kind.ARRAY}
 
 
 def _tallied(
@@ -328,6 +387,12 @@ class CompiledPipeline:
     pipeline allocates only what it names.  ``None`` is the whole
     document: some stage needs whole rows (exclusion ``$project``), or
     rows can reach the output unreset.
+
+    ``group_cover`` is ``(key, unwound, inputs)`` when the stages after
+    the leading match start ``[$unwind "$k"]? $group{_id: "$k", ...}``
+    with only row counts or field references as accumulators (only row
+    counts under the unwind): what :meth:`_covered` may fold from the
+    index postings instead of from rows, when the live index allows it.
     """
 
     __slots__ = (
@@ -342,6 +407,7 @@ class CompiledPipeline:
         "shard_map_count",
         "merge_strategy",
         "local_limit",
+        "group_cover",
     )
 
     def __init__(self, pipeline: list[Any]) -> None:
@@ -378,6 +444,7 @@ class CompiledPipeline:
         self.stages: tuple[Stage, ...] = tuple(
             _build_stage(op, spec) for op, spec in parsed[split:]
         )
+        self.group_cover = _group_cover(parsed[split:])
         self.reads: dict | None = None
         for stage in self.stages:
             if stage.paths is None:
@@ -452,6 +519,80 @@ class CompiledPipeline:
             if lead_pred(row):
                 yield doc_id, row
 
+    def _covered(
+        self, collection: Any, kind: str, no_semantic: bool
+    ) -> Iterator[Any] | None:
+        """The pipeline's output with its group table read off the live
+        index, or ``None`` when the covered-group rung declines.
+
+        The rung needs a :attr:`group_cover`, what the covered read rung
+        of :func:`repro.query.planner.decide` needs (a semantic context,
+        no ``no_semantic`` hint, indexes that describe the documents),
+        no leading match or one the premise entails (``"all"``), and a
+        live index showing the key and every input path array-free and
+        holding leaves only (the unwound key: leaves or flat arrays of
+        them).  Then each key value's ``eq`` posting is one group, whose
+        rows are the posting plus the repeats the multiplicity table
+        records; the documents without the key are the ``null`` group;
+        and every other input is a column inverted from its postings on
+        each call.  Groups keep the row path's first-seen order: by
+        first document, then (unwound) by first position in its array.
+        """
+        cover = self.group_cover
+        if cover is None or no_semantic or (self.lead_count and kind != "all"):
+            return None
+        indexes = collection.indexes
+        if indexes is None or getattr(collection, "semantic_context", None) is None:
+            return None
+        key, unwound, inputs = cover
+        paths = {path for path in inputs if path is not None}
+        if not (
+            indexes.covers(
+                [(key, ir.FLAT if unwound else ir.SCALAR)]
+                + [(path, ir.SCALAR) for path in paths]
+            )
+            and (_UNWOUND_KINDS if unwound else _LEAF_KINDS).issuperset(
+                indexes.kinds_at(key)
+            )
+            and all(_LEAF_KINDS.issuperset(indexes.kinds_at(p)) for p in paths)
+        ):
+            return None
+        groups = [
+            [(min(posting), 0), value, posting, len(posting) + extra]
+            for value, posting, extra in indexes.value_postings(key)
+        ]
+        if unwound:
+            self._break_first_seen_ties(collection, key, groups)
+        else:
+            live = indexes.live_ids
+            keyed = indexes.docs_with_path(key)
+            if len(keyed) < len(live):
+                missing = live - keyed
+                groups.append([(min(missing), 0), None, missing, len(missing)])
+        columns = {path: indexes.value_column(path) for path in paths}
+        group = self.stages[unwound]
+        rows = group.run_covered(
+            groups, [None if path is None else columns[path] for path in inputs]
+        )
+        return run_stages(self.stages[unwound + 1 :], rows)
+
+    def _break_first_seen_ties(
+        self, collection: Any, key: tuple[str, ...], groups: list[list[Any]]
+    ) -> None:
+        """Rank unwound groups first seen in one document by where that
+        document's array first holds their value."""
+        firsts: dict[int, list[list[Any]]] = {}
+        for group in groups:
+            firsts.setdefault(group[0][0], []).append(group)
+        tied = [doc_id for doc_id, found in firsts.items() if len(found) > 1]
+        for doc_id, tree in collection.documents(tied):
+            elements = resolve_path(tree.to_value(None, self.reads), key)
+            position: dict[tuple[type, Any], int] = {}
+            for index, element in enumerate(elements):
+                position.setdefault((element.__class__, element), index)
+            for group in firsts[doc_id]:
+                group[0] = (doc_id, position[(group[1].__class__, group[1])])
+
     def _item_rows(self, items: Iterable[Any]) -> Iterator[Any]:
         """Leading-match survivors of bare trees/values (no indexes).
 
@@ -508,6 +649,9 @@ class CompiledPipeline:
                 source, self.lead_query, no_semantic=no_semantic
             )
             kind = optimizer.effective_kind(decision)
+            covered = self._covered(source, kind, no_semantic)
+            if covered is not None:
+                return covered
             candidates = self._candidates(source, kind)
             rows: Iterator[Any] = map(
                 _row, self._survivors(source, kind, candidates)
@@ -628,6 +772,20 @@ class CompiledPipeline:
             return self._explain_sharded(partials, semantics)
         total = len(collection)
         kind = optimizer.effective_kind(decision)
+        covered = self._covered(collection, kind, no_semantic)
+        if covered is not None:
+            # Every document passes the leading match; none is read.
+            return Explain(
+                kind="aggregate",
+                dialect=_DIALECT,
+                source=self.source,
+                total=total,
+                scanned=0,
+                matched=total,
+                results=sum(1 for _ in covered),
+                stages=self._stage_reports("streamed", covered=self.group_cover[1] + 1),
+                semantics=semantics,
+            )
         candidates = self._candidates(collection, kind)
         matched = [0]
         survivors = _tallied(
@@ -641,11 +799,6 @@ class CompiledPipeline:
         for _ in survivors:
             pass
         lead_mode = "index-pruned" if candidates is not None else "streamed"
-        reports = [StageExplain("$match", lead_mode)] * self.lead_count
-        reports.extend(
-            StageExplain(stage.op, "materialised" if stage.blocking else "streamed")
-            for stage in self.stages
-        )
         return Explain(
             kind="aggregate",
             dialect=_DIALECT,
@@ -655,9 +808,25 @@ class CompiledPipeline:
             scanned=_scanned(kind, total, candidates),
             matched=matched[0],
             results=results,
-            stages=tuple(reports),
+            stages=self._stage_reports(lead_mode),
             semantics=semantics,
         )
+
+    def _stage_reports(
+        self, lead_mode: str, *, covered: int = 0
+    ) -> tuple[StageExplain, ...]:
+        """One report per stage: the leading matches in ``lead_mode``,
+        the first ``covered`` other stages read off the index, the rest
+        as they run over rows."""
+        reports = [StageExplain("$match", lead_mode)] * self.lead_count
+        reports.extend(
+            StageExplain(stage.op, "covered") for stage in self.stages[:covered]
+        )
+        reports.extend(
+            StageExplain(stage.op, "materialised" if stage.blocking else "streamed")
+            for stage in self.stages[covered:]
+        )
+        return tuple(reports)
 
     def _explain_sharded(
         self,

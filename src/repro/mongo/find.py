@@ -169,7 +169,9 @@ def _compile_regex(operand: Any) -> re.Pattern:
     if not isinstance(operand, str):
         raise ParseError("$regex takes a string")
     try:
-        return re.compile(operand)
+        # Class escapes (\d, \w, \s) are ASCII, as in MongoDB's PCRE
+        # and in the KeyLang lowering.
+        return re.compile(operand, re.ASCII)
     except re.error as exc:
         raise ParseError(f"invalid $regex pattern {operand!r}: {exc}") from exc
 

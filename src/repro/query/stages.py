@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import repeat, takewhile
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ParseError
@@ -710,6 +711,40 @@ class GroupStage(Stage):
         for id_value, _, cells in self._fold(zip(repeat(None), rows), False):
             out = {"_id": id_value}
             for (name, _, _), cell in zip(self.fields, cells):
+                out[name] = cell.result()
+            yield out
+
+    def run_covered(
+        self,
+        groups: Iterable[tuple[Any, Any, Iterable[int], int]],
+        columns: Iterable[dict[int, Any] | None],
+    ) -> Iterator[Any]:
+        """What :meth:`run` emits, from groups partitioned in advance.
+
+        ``groups`` are ``(first_rank, id_value, doc_ids, rows)``: the
+        group's first-seen rank, its ``_id``, the documents in it and
+        the rows they contribute.  ``columns`` holds per field either
+        ``None``, for a field counting rows (``$count``, ``$sum: 1``),
+        whose cell is rebuilt from the row count as its partial state,
+        or the ``{doc_id: value}`` column its operand reads, fed in
+        document-id order into the same cell :meth:`run` would fill.
+        Groups come out in ascending first rank, as from
+        :meth:`merge_partial`.
+        """
+        columns = tuple(columns)
+        for _, id_value, doc_ids, rows in sorted(groups, key=itemgetter(0)):
+            out = {"_id": id_value}
+            ordered = None
+            for (name, factory, _), column in zip(self.fields, columns):
+                if column is None:
+                    cell = factory.merge((rows,))
+                else:
+                    if ordered is None:
+                        ordered = sorted(doc_ids)
+                    cell = factory()
+                    add = cell.add
+                    for value in map(column.get, ordered, repeat(MISSING)):
+                        add(value)
                 out[name] = cell.result()
             yield out
 

@@ -125,7 +125,11 @@ def _op_holds(operator: str, operand: Any, node: Any) -> bool:
     if operator == "$regex":
         if not isinstance(operand, str):
             raise ParseError("$regex takes a string")
-        return isinstance(node, str) and re.search(operand, node) is not None
+        # Class escapes are ASCII, as in MongoDB's PCRE.
+        return (
+            isinstance(node, str)
+            and re.search(operand, node, re.ASCII) is not None
+        )
     if operator == "$elemMatch":
         if not isinstance(operand, dict):
             raise ParseError("$elemMatch takes a filter document")

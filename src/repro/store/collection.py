@@ -124,6 +124,17 @@ def slots_by_id(
     return zip(ordered, map(slots.__getitem__, ordered))
 
 
+class _Pending:
+    """The slot of a document whose updated value waits in
+    ``Collection._dirty``: no tree (every read rebuilds from the value
+    first), and not ``None``, which marks a removed document."""
+
+    __slots__ = ()
+
+
+_PENDING = _Pending()
+
+
 class Collection:
     """A queryable, indexed, optionally schema-enforced document set.
 
@@ -161,7 +172,7 @@ class Collection:
             raise StoreError("pass either schema or validator, not both")
         if engine is None:
             engine = MemoryEngine()
-        self._trees: list[JSONTree | None] = []
+        self._trees: list[JSONTree | _Pending | None] = []
         self._alive = 0
         self._interned: dict[str, str] = {}
         self._indexes: DocumentIndexes | None = (
@@ -186,7 +197,8 @@ class Collection:
         # Updated documents live here as plain values until next read:
         # delta index maintenance keeps the postings exact immediately,
         # while the tree rebuild is paid lazily (and only once) however
-        # many updates hit the document in between.
+        # many updates hit the document in between.  Their slot holds
+        # ``_PENDING`` meanwhile, not the superseded tree.
         self._dirty: dict[int, JSONValue] = {}
         self._engine = engine
         recovered = engine.bind(self)
@@ -374,7 +386,8 @@ class Collection:
 
         Read-only by convention; :class:`~repro.store.snapshot.
         CollectionSnapshot` shallow-copies it to pin a view.  Callers
-        must :meth:`flush_pending` first if they need post-update trees.
+        must :meth:`flush_pending` first: the slot of a document with a
+        pending update holds a placeholder, not a tree.
         """
         return self._trees
 
@@ -593,6 +606,7 @@ class Collection:
                 if self._indexes is not None:
                     self._indexes.apply_entry_delta(doc_id, delta, into=ops)
                 self._dirty[doc_id] = new_value
+                self._trees[doc_id] = _PENDING
             else:
                 old_tree = self.get(doc_id)  # flushes any pending value
                 if self._indexes is not None:

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import StoreError, UnsupportedValueError
 from repro.model.tree import JSONTree, Kind, kind_of
@@ -835,6 +835,41 @@ class DocumentIndexes:
             else:
                 found |= postings
         return found
+
+    def kinds_at(self, path: KeyPath) -> "Iterable[Kind]":
+        """The node kinds live documents hold at ``path``."""
+        return self._kinds.get(path, {}).keys()
+
+    def value_postings(
+        self, path: KeyPath
+    ) -> "Iterator[tuple[str | int, set[int] | frozenset[int], int]]":
+        """``(leaf value, posting, extra)`` per leaf value at ``path``.
+
+        ``extra`` counts the leaves holding the value beyond one per
+        posted document (the entry's multiplicity extras), so
+        ``len(posting) + extra`` leaves at ``path`` hold it.
+        """
+        multi = self._multi
+        for value, postings in self._eq.get(path, {}).items():
+            extras = multi.get(("eq", path, value))
+            yield (
+                value,
+                _as_set(postings),
+                0 if extras is None else sum(extras.values()),
+            )
+
+    def value_column(self, path: KeyPath) -> "dict[int, str | int]":
+        """``{doc_id: leaf value}`` at ``path``, inverted from its
+        ``eq`` postings on every call and never kept.  A document with
+        several leaves there appears once, under any one of them: read
+        it where the path is array-free."""
+        column: dict[int, str | int] = {}
+        for value, postings in self._eq.get(path, {}).items():
+            if type(postings) is int:
+                column[postings] = value
+            else:
+                column.update(dict.fromkeys(postings, value))
+        return column
 
     def covers(self, cover: "Iterable[tuple[KeyPath, str]]") -> bool:
         """Whether every live document meets ``cover``, i.e. whether the

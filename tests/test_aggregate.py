@@ -424,6 +424,256 @@ class TestIndexPruning:
 
 
 # ---------------------------------------------------------------------------
+# The covered-group rung: an unfiltered $group read off the postings.
+# ---------------------------------------------------------------------------
+
+_TOWNS = ["Lyon", "Oslo", "Rome", "Kyiv"]
+
+
+def _town_people(count: int) -> list:
+    rng = random.Random(31)
+    return [
+        {
+            "user": user,
+            "age": rng.randrange(18, 60),
+            "city": rng.choice(_TOWNS),
+            "address": {"zip": rng.randrange(7)},
+            "tags": rng.sample(["a", "b", "c", "d", "e"], 3),
+        }
+        for user in range(count)
+    ]
+
+
+# The three unfiltered pipelines of the analytics workload, and its
+# three filtered ones (which keep the row path).
+_SCAN_PIPELINES = [
+    [{"$group": {"_id": "$city", "n": {"$sum": 1}, "avg_age": {"$avg": "$age"}}}],
+    [{"$unwind": "$tags"}, {"$group": {"_id": "$tags", "n": {"$sum": 1}}}],
+    [{"$group": {"_id": "$address.zip", "users": {"$push": "$user"}}}],
+]
+_PRUNED_PIPELINES = [
+    [
+        {"$match": {"age": {"$gt": 40}}},
+        {"$group": {"_id": "$city", "n": {"$sum": 1}}},
+        {"$sort": {"n": -1, "_id": 1}},
+        {"$limit": 3},
+    ],
+    [
+        {"$match": {"city": "Oslo"}},
+        {"$project": {"user": 1, "age": 1}},
+        {"$sort": {"age": -1, "user": 1}},
+        {"$limit": 5},
+    ],
+    [{"$match": {"age": {"$gte": 30, "$lt": 40}}}, {"$count": "n"}],
+]
+
+
+def _modes(collection, pipeline, **hint) -> list:
+    report = collection.explain_aggregate(pipeline, **hint)
+    return [(stage.op, stage.mode) for stage in report.stages]
+
+
+def _is_covered(collection, pipeline) -> bool:
+    return ("$group", "covered") in _modes(collection, pipeline)
+
+
+class TestCoveredGroup:
+    DOCS = _town_people(200)
+
+    @pytest.fixture(scope="class")
+    def towns(self):
+        return api.collection(self.DOCS)
+
+    @pytest.mark.parametrize("pipeline", _SCAN_PIPELINES + _PRUNED_PIPELINES)
+    def test_equals_the_row_path_and_the_oracle(self, towns, pipeline):
+        expected = json.dumps(naive_aggregate(self.DOCS, pipeline))
+        assert json.dumps(towns.aggregate(pipeline)) == expected
+        hinted = towns.aggregate(pipeline, hint={"no_semantic": True})
+        assert json.dumps(hinted) == expected
+
+    @pytest.mark.parametrize("pipeline", _SCAN_PIPELINES)
+    def test_an_unfiltered_group_scans_nothing(self, towns, pipeline):
+        report = towns.explain_aggregate(pipeline)
+        assert report.scanned == 0 and report.candidates is None
+        assert report.matched == report.total == len(self.DOCS)
+        assert report.results == len(towns.aggregate(pipeline))
+        modes = [stage.mode for stage in report.stages]
+        assert modes == ["covered"] * len(pipeline)
+        hinted = _modes(towns, pipeline, hint={"no_semantic": True})
+        assert ("$group", "materialised") in hinted
+
+    @pytest.mark.parametrize("pipeline", _PRUNED_PIPELINES)
+    def test_a_filtered_pipeline_keeps_the_row_path(self, towns, pipeline):
+        assert all(mode != "covered" for _, mode in _modes(towns, pipeline))
+
+    def test_no_row_is_materialised(self, towns, monkeypatch):
+        seen = []
+        original = JSONTree.to_value
+
+        def spy(tree, node=None, paths=None):
+            seen.append(node)
+            return original(tree, node, paths)
+
+        monkeypatch.setattr(JSONTree, "to_value", spy)
+        for pipeline in (_SCAN_PIPELINES[0], _SCAN_PIPELINES[2]):
+            towns.aggregate(pipeline)
+        assert seen == []
+        # Unwound groups first seen in one document read that document's
+        # array once, for the order of their first occurrences.
+        rows = towns.aggregate(_SCAN_PIPELINES[1])
+        assert 0 < len(seen) < len(rows)
+
+    def test_first_seen_order_and_the_null_group(self):
+        docs = [
+            {"t": ["b", "a", "b"], "k": 2},
+            {"t": "c", "v": 1},
+            {"t": [], "k": 1, "v": 5},
+            {"t": ["a", "d", "c"], "k": 2, "v": 3},
+            {"k": 1, "v": "s"},
+        ]
+        collection = api.collection(docs)
+        unwound = [{"$unwind": "$t"}, {"$group": {"_id": "$t", "n": {"$sum": 1}}}]
+        grouped = [
+            {
+                "$group": {
+                    "_id": "$k",
+                    "n": {"$count": {}},
+                    "s": {"$sum": "$v"},
+                    "lo": {"$min": "$v"},
+                    "all": {"$push": "$v"},
+                }
+            }
+        ]
+        assert collection.aggregate(unwound) == [
+            {"_id": "b", "n": 2},
+            {"_id": "a", "n": 2},
+            {"_id": "c", "n": 2},
+            {"_id": "d", "n": 1},
+        ]
+        # "a" entered the postings first, but is first seen after "d".
+        churned = api.collection([{"t": ["a"]}, {"t": ["d", "a"]}])
+        churned.remove(0)
+        assert churned.aggregate(unwound) == [
+            {"_id": "d", "n": 1},
+            {"_id": "a", "n": 1},
+        ]
+        assert _is_covered(churned, unwound)
+        assert collection.aggregate(grouped) == [
+            {"_id": 2, "n": 2, "s": 3, "lo": 3, "all": [3]},
+            {"_id": None, "n": 1, "s": 1, "lo": 1, "all": [1]},
+            {"_id": 1, "n": 2, "s": 5, "lo": 5, "all": [5, "s"]},
+        ]
+        for pipeline in (unwound, grouped):
+            assert _is_covered(collection, pipeline)
+            assert collection.aggregate(pipeline) == naive_aggregate(docs, pipeline)
+
+    def test_an_entailed_leading_match_keeps_the_rung(self):
+        schema = {
+            "type": "object",
+            "required": ["age"],
+            "properties": {"age": {"type": "integer", "minimum": 18}},
+        }
+        docs = self.DOCS[:60]
+        collection = api.collection(docs, schema=schema)
+        entailed = {"$match": {"age": {"$not": {"$lt": 10}}}}
+        group = {"$group": {"_id": "$city", "n": {"$sum": 1}}}
+        report = collection.explain_aggregate([entailed, group])
+        assert report.semantics.verdict == "all"
+        assert [stage.mode for stage in report.stages] == ["streamed", "covered"]
+        # A match the index answers ("covered") is a filter: row path.
+        assert not _is_covered(collection, [{"$match": {"city": "Oslo"}}, group])
+        for pipeline in ([entailed, group], [{"$match": {"city": "Oslo"}}, group]):
+            assert collection.aggregate(pipeline) == naive_aggregate(docs, pipeline)
+
+    # pipeline, documents: the rung declines; results stay the oracle's.
+    DECLINED = [
+        # A compound, literal or positional _id.
+        ([{"$group": {"_id": {"c": "$city"}, "n": {"$sum": 1}}}], None),
+        ([{"$group": {"_id": None, "n": {"$sum": 1}}}], None),
+        ([{"$group": {"_id": "$tags.0", "n": {"$sum": 1}}}], None),
+        # An accumulator that is neither a row count nor a reference.
+        ([{"$group": {"_id": "$city", "n": {"$sum": 2}}}], None),
+        ([{"$group": {"_id": "$city", "n": {"$sum": True}}}], None),
+        ([{"$group": {"_id": "$city", "n": {"$max": "$address.0"}}}], None),
+        # An input path that holds an array, or an object.
+        ([{"$group": {"_id": "$city", "t": {"$push": "$tags"}}}], None),
+        ([{"$group": {"_id": "$city", "a": {"$push": "$address"}}}], None),
+        # A key that is an object, an array, or under one.
+        ([{"$group": {"_id": "$address", "n": {"$sum": 1}}}], None),
+        ([{"$group": {"_id": "$tags", "n": {"$sum": 1}}}], None),
+        (
+            [{"$group": {"_id": "$address.zip", "n": {"$sum": 1}}}],
+            [{"address": [{"zip": 1}]}, {"address": {"zip": 1}}],
+        ),
+        # $unwind: anything but counts, another key, nested arrays,
+        # arrays of objects.
+        ([{"$unwind": "$tags"}, {"$group": {"_id": "$tags", "a": {"$avg": "$age"}}}],
+         None),
+        ([{"$unwind": "$tags"}, {"$group": {"_id": "$city", "n": {"$sum": 1}}}],
+         None),
+        (
+            [{"$unwind": "$t"}, {"$group": {"_id": "$t", "n": {"$sum": 1}}}],
+            [{"t": ["x", ["y"]]}, {"t": ["x"]}],
+        ),
+        (
+            [{"$unwind": "$t"}, {"$group": {"_id": "$t", "n": {"$sum": 1}}}],
+            [{"t": [{"y": 1}]}, {"t": ["x"]}],
+        ),
+        # Another stage first.
+        ([{"$sort": {"user": 1}}, {"$group": {"_id": "$city", "n": {"$sum": 1}}}],
+         None),
+    ]
+
+    @pytest.mark.parametrize("pipeline, docs", DECLINED)
+    def test_the_rung_declines(self, pipeline, docs):
+        docs = self.DOCS[:50] if docs is None else docs
+        collection = api.collection(docs)
+        assert not _is_covered(collection, pipeline)
+        assert json.dumps(collection.aggregate(pipeline)) == json.dumps(
+            naive_aggregate(docs, pipeline)
+        )
+
+    def test_the_rung_declines_without_a_premise_or_current_indexes(self):
+        docs = self.DOCS[:50]
+        pipeline = _SCAN_PIPELINES[0]
+        expected = naive_aggregate(docs, pipeline)
+        collection = api.collection(docs)
+        pinned = collection.snapshot_view()
+        assert _is_covered(pinned, pipeline)
+        collection.insert({"city": "Lyon"})
+        assert pinned.indexes is None  # stale
+        unindexed = api.collection(docs, indexed=False)
+        premiseless = api.collection(docs, extended=True)
+        assert premiseless.semantic_context is None
+        for source in (pinned, unindexed, premiseless):
+            assert not _is_covered(source, pipeline)
+            assert source.aggregate(pipeline) == expected
+        assert _is_covered(collection, pipeline)
+        assert ("$group", "materialised") in _modes(
+            collection, pipeline, hint={"no_semantic": True}
+        )
+
+    def test_writes_are_never_stale(self):
+        docs = self.DOCS[:40]
+        collection = api.collection(docs)
+        pipeline = _SCAN_PIPELINES[0]
+        collection.aggregate(pipeline)
+        added = collection.insert({"city": "Nara", "age": 30})
+        collection.update_many({"city": "Oslo"}, {"$set": {"city": "Lyon"}})
+        collection.remove(0)
+        live = [tree.to_value() for _, tree in collection.documents()]
+        assert _is_covered(collection, pipeline)
+        assert collection.aggregate(pipeline) == naive_aggregate(live, pipeline)
+        collection.update_one({"user": 5}, {"$set": {"age": [1]}})
+        assert not _is_covered(collection, pipeline)
+        collection.remove(5)
+        collection.remove(added)
+        live = [tree.to_value() for _, tree in collection.documents()]
+        assert _is_covered(collection, pipeline)
+        assert collection.aggregate(pipeline) == naive_aggregate(live, pipeline)
+
+
+# ---------------------------------------------------------------------------
 # The find-dialect fallback: stage position never changes acceptance.
 # ---------------------------------------------------------------------------
 
@@ -852,6 +1102,108 @@ class TestRandomisedDifferential:
         ) >= len(pipelines) // 3  # the mechanism is actually exercised
 
 
+# The covered-group rung against the row path and the oracle, over
+# corpora with missing keys, repeated and empty arrays, scalars under
+# the unwound path -- and, in some corpora, one document that puts an
+# object or an array where the rung must decline.
+
+_GROUP_POLLUTION = [
+    None,
+    ("k", {"x": 1}),
+    ("k", ["a", 1]),
+    ("v", [1]),
+    ("v", {"x": 1}),
+    ("t", ["p", ["q"]]),
+    ("t", [{"p": 1}]),
+    ("o", [{"k": "a"}]),
+]
+
+
+def _group_corpus(rng: random.Random, count: int) -> list:
+    docs = []
+    for ident in range(count):
+        doc: dict = {"id": ident}
+        if rng.random() < 0.85:
+            doc["k"] = rng.choice(["a", "b", "c", 0, 1, 2])
+        if rng.random() < 0.8:
+            doc["v"] = rng.choice([0, 1, 5, 9, "x", "y"])
+        roll = rng.random()
+        if roll < 0.6:
+            doc["t"] = [rng.choice(["p", "q", "r", 3]) for _ in range(rng.randrange(5))]
+        elif roll < 0.8:
+            doc["t"] = rng.choice(["p", "q", 3])
+        roll = rng.random()
+        if roll < 0.7:
+            doc["o"] = {"k": rng.choice(["a", "b", 1])}
+        elif roll < 0.8:
+            doc["o"] = rng.choice(["flat", {}])
+        docs.append(doc)
+    pollution = rng.choice(_GROUP_POLLUTION)
+    if pollution is not None:
+        key, value = pollution
+        docs[rng.randrange(count)][key] = value
+    return docs
+
+
+def _group_pipeline(rng: random.Random) -> list:
+    if rng.random() < 0.3:
+        body = [
+            {"$unwind": "$t"},
+            {"$group": {"_id": "$t", "n": {"$sum": 1}, "c": {"$count": {}}}},
+        ]
+    else:
+        fields = {
+            "n": {"$sum": 1},
+            "c": {"$count": {}},
+            "s": {"$sum": "$v"},
+            "a": {"$avg": "$v"},
+            "lo": {"$min": "$v"},
+            "hi": {"$max": "$o.k"},
+            "all": {"$push": "$v"},
+            "ks": {"$push": "$k"},
+        }
+        chosen = rng.sample(sorted(fields), rng.randrange(1, 5))
+        key = rng.choice(["$k", "$o.k", "$v", "$t"])
+        body = [{"$group": {"_id": key, **{name: fields[name] for name in chosen}}}]
+    if rng.random() < 0.3:
+        body += [{"$sort": {"_id": -1}}, {"$limit": rng.randrange(1, 4)}]
+    return body
+
+
+class TestRandomisedDifferentialCoveredGroup:
+    def test_rung_equals_row_path_and_oracle(self):
+        rng = random.Random(3636)
+        covered = declined = 0
+        for _ in range(12 * _SCALE):
+            docs = _group_corpus(rng, rng.randrange(1, 60))
+            # Documents indexed first and then removed leave postings in
+            # an insertion order that is not the live first-seen order.
+            churn = _group_corpus(rng, 4)
+            memory = api.collection(churn + docs)
+            for doc_id in range(len(churn)):
+                memory.remove(doc_id)
+            stale = memory.snapshot_view()
+            memory.remove(memory.insert({"k": "late"}))  # same documents
+            current = memory.snapshot_view()
+            assert stale.indexes is None and current.indexes is not None
+            for _ in range(6):
+                pipeline = _group_pipeline(rng)
+                want = json.dumps(naive_aggregate(docs, pipeline))
+                for source in (memory, current, stale):
+                    got = json.dumps(source.aggregate(pipeline))
+                    assert got == want, (pipeline, docs)
+                    hinted = source.aggregate(pipeline, hint={"no_semantic": True})
+                    assert json.dumps(hinted) == want, (pipeline, docs)
+                if _is_covered(memory, pipeline):
+                    covered += 1
+                    assert _is_covered(current, pipeline)
+                else:
+                    declined += 1
+                assert not _is_covered(stale, pipeline)
+        # Both sides of the rung are actually exercised.
+        assert covered >= 12 * _SCALE and declined >= 12 * _SCALE
+
+
 # ---------------------------------------------------------------------------
 # What a pipeline reads.
 # ---------------------------------------------------------------------------
@@ -933,10 +1285,12 @@ class TestReadSet:
         monkeypatch.setattr(JSONTree, "to_value", spy)
         pipeline = [{"$group": {"_id": "$address.city", "n": {"$sum": 1}}}]
         compiled = compile_pipeline(pipeline, cache=None)
-        rows = compiled.execute(people)
+        # The row path; by default this group is covered and reads none.
+        rows = compiled.execute(people, no_semantic=True)
         assert seen == [{"address": {"city": None}}] * len(people)
         del seen[:]
-        assert compiled.explain(people).results == len(rows)
+        assert compiled.execute(people) == rows and seen == []
+        assert compiled.explain(people, no_semantic=True).results == len(rows)
         partial = compiled.execute_partial(people)
         assert compiled.merge_partials([partial]) == rows
         assert seen == [{"address": {"city": None}}] * (2 * len(people))

@@ -273,6 +273,37 @@ class TestRegexSearch:
         pipeline = [{"$match": {"k": {"$regex": regex}}}]
         assert [doc["k"] for doc in strings.aggregate(pipeline)] == expected
 
+    # Class escapes are ASCII in every lowering, as in MongoDB's PCRE:
+    # ARABIC-INDIC DIGIT THREE is no \d, NBSP no \s, e-acute no \w.
+    CLASS_TEXTS = ["٣", "3", "\xa0", " ", "\xe9", "e"]
+
+    @pytest.mark.parametrize(
+        "regex, expected",
+        [
+            ("\\d", ["3"]),
+            ("\\D", ["٣", "\xa0", " ", "\xe9", "e"]),
+            ("\\s", [" "]),
+            ("^\\S$", ["٣", "3", "\xa0", "\xe9", "e"]),
+            ("\\w", ["3", "e"]),
+            ("\\W", ["٣", "\xa0", " ", "\xe9"]),
+            ("^[\\d\\s]$", ["3", " "]),
+        ],
+    )
+    def test_class_escapes_are_ascii_in_every_lowering(self, regex, expected):
+        texts = self.CLASS_TEXTS
+        collection = api.collection([{"k": text} for text in texts])
+        filter_doc = {"k": {"$regex": regex}}
+        assert _selected(collection, regex) == expected
+        pipeline = [{"$match": filter_doc}]
+        assert [doc["k"] for doc in collection.aggregate(pipeline)] == expected
+        later = [{"$project": {"k": 1}}, {"$match": filter_doc}]
+        assert [doc["k"] for doc in collection.aggregate(later)] == expected
+        matches = compile_value_filter(filter_doc)
+        assert [text for text in texts if matches({"k": text})] == expected
+        assert [
+            text for text in texts if match_value(filter_doc, {"k": text})
+        ] == expected
+
     @pytest.mark.parametrize("regex", ["(", "a**", 3])
     def test_both_lowerings_refuse_an_invalid_pattern(self, regex):
         with pytest.raises(ParseError):

@@ -425,6 +425,38 @@ class TestMutationFreshness:
         assert left.count({"k": "match"}) == 1
         assert right.count({"k": "match"}) == 0
 
+    def test_a_pending_document_keeps_one_resident_form(self, tmp_path):
+        """A delta update keeps the new value pending and drops the old
+        tree; reads, pins, removal and checkpoints see the new value."""
+        with api.connect(str(tmp_path)) as database:
+            collection = database.collection(
+                "c", documents=[{"n": n} for n in range(5)]
+            )
+            collection.update_many({"n": {"$gte": 1}}, {"$inc": {"n": 10}})
+            assert collection.pending_updates == 4
+            slots = collection.all_slots()
+            assert not any(isinstance(slots[i], JSONTree) for i in range(1, 5))
+            assert collection.get(1).to_value() == {"n": 11}
+            assert collection.find({"n": {"$gt": 11}}) == [
+                {"n": 12}, {"n": 13}, {"n": 14}
+            ]
+            pinned = collection.snapshot_view()
+            assert collection.pending_updates == 0
+            collection.update_one({"n": 12}, {"$set": {"n": 22}})
+            assert not isinstance(collection.all_slots()[2], JSONTree)
+            assert [tree.to_value() for _, tree in pinned.documents()] == [
+                {"n": 0}, {"n": 11}, {"n": 12}, {"n": 13}, {"n": 14}
+            ]
+            assert collection.remove(2).to_value() == {"n": 22}
+            assert collection.count({"n": 22}) == 0
+            collection.update_one({"n": 13}, {"$inc": {"n": 100}})
+            assert collection.pending_updates == 1
+            database.compact("c")
+            expected = [{"n": 0}, {"n": 11}, {"n": 113}, {"n": 14}]
+            assert collection.find({}) == expected
+        with api.connect(str(tmp_path)) as database:
+            assert database.collection("c").find({}) == expected
+
     def test_select_tracks_mutations(self):
         collection = api.collection(PEOPLE)
         rows = dict(collection.select("$.hobbies[*]"))
