@@ -3,13 +3,16 @@
 Reproduction target: the write path must not pay read-path prices.  An
 update compiles once into a ``CompiledUpdate`` program, selects its
 targets through the planner (index-pruned), and maintains the
-secondary indexes by **delta** -- only postings whose per-document
-entry refcount crosses zero are touched, and the tree rebuild is
+secondary indexes and the structural summary by **delta** -- only
+postings whose per-document entry refcount crosses zero are touched,
+the summary widens from the same delta, and the tree rebuild is
 deferred to the next read.  The pinned floor: on a 10k-document
 collection, counter-style updates must run >= 5x faster than the same
-updates with ``maintenance="rebuild"`` (drop and re-insert the full
-posting set of every modified document, eager tree rebuild) -- with
-final documents and index tables differentially identical, pinned by
+updates through the reference oracle
+:func:`repro.reference.rebuild_update.rebuild_update_many` (eager tree
+rebuild, drop and re-insert the full posting set of every modified
+document, a summary walk of every post-image) -- with final documents
+and index tables differentially identical, pinned by
 ``tests/test_update.py`` and re-asserted here.
 """
 
@@ -20,6 +23,7 @@ import copy
 import pytest
 
 from repro.reference.harness import format_table, measure, smoke_mode
+from repro.reference.rebuild_update import rebuild_update_many
 from repro.reference.workloads import people_collection
 from repro import api
 
@@ -58,23 +62,24 @@ WORKLOADS = [
 LAST_SPEEDUPS: dict[str, float] = {}
 
 
-def _measure_one(filter_doc, update_doc, maintenance: str) -> float:
+def _delta_update_many(collection, filter_doc, update_doc):
+    return collection.update_many(filter_doc, update_doc)
+
+
+def _measure_one(filter_doc, update_doc, update_many) -> float:
+    """Seconds per ``update_many(collection, filter, update)`` call: the
+    product's delta path, or the remove+reinsert reference oracle."""
     collection = api.collection(copy.deepcopy(_PEOPLE))
     # Warm: compile caches, first-touch to_value materialisation.
-    collection.update_many(filter_doc, update_doc, maintenance=maintenance)
-    return measure(
-        lambda: collection.update_many(
-            filter_doc, update_doc, maintenance=maintenance
-        ),
-        repeat=5,
-    )
+    update_many(collection, filter_doc, update_doc)
+    return measure(lambda: update_many(collection, filter_doc, update_doc), repeat=5)
 
 
 def _rows():
     rows = []
     for label, filter_doc, update_doc, _floor in WORKLOADS:
-        rebuild = _measure_one(filter_doc, update_doc, "rebuild")
-        delta = _measure_one(filter_doc, update_doc, "delta")
+        rebuild = _measure_one(filter_doc, update_doc, rebuild_update_many)
+        delta = _measure_one(filter_doc, update_doc, _delta_update_many)
         rows.append((label, rebuild, delta, rebuild / delta))
     return rows
 
@@ -86,12 +91,13 @@ def _check_results_identical() -> None:
     delta = api.collection(copy.deepcopy(_PEOPLE))
     rebuild = api.collection(copy.deepcopy(_PEOPLE))
     for _, filter_doc, update_doc, _floor in WORKLOADS:
-        delta.update_many(filter_doc, update_doc, maintenance="delta")
-        rebuild.update_many(filter_doc, update_doc, maintenance="rebuild")
+        delta.update_many(filter_doc, update_doc)
+        rebuild_update_many(rebuild, filter_doc, update_doc)
     assert [tree.to_value() for _, tree in delta.documents()] == [
         tree.to_value() for _, tree in rebuild.documents()
     ]
     assert delta.indexes.snapshot() == rebuild.indexes.snapshot()
+    assert delta.semantic_context.formula == rebuild.semantic_context.formula
 
 
 def _check_index_pruned() -> None:
@@ -146,10 +152,8 @@ def test_delta_update(benchmark):
 def test_rebuild_update(benchmark):
     collection = api.collection(copy.deepcopy(_PEOPLE))
     benchmark(
-        lambda: collection.update_many(
-            {"address.city": "Talca"},
-            {"$inc": {"age": 1}},
-            maintenance="rebuild",
+        lambda: rebuild_update_many(
+            collection, {"address.city": "Talca"}, {"$inc": {"age": 1}}
         )
     )
     assert collection.count({"address.city": "Talca"}) > 0

@@ -526,12 +526,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _print_explain(report) -> int:
-    """Every ``--explain`` prints one uniform JSON Explain document
-    (a shard fan-out prints a JSON array of per-shard reports)."""
-    if isinstance(report, list):
-        print(json.dumps([item.to_json() for item in report], indent=2))
-    else:
-        print(json.dumps(report.to_json(), indent=2))
+    """Every ``--explain`` prints one uniform JSON Explain document."""
+    print(json.dumps(report.to_json(), indent=2))
     return 0
 
 

@@ -12,15 +12,16 @@ protocol, and printed by the CLI as one uniform JSON document.
 Field population by ``kind``:
 
 * ``"find"`` -- ``dialect``/``source`` plus the pruning counters
-  (``total``/``candidates``/``scanned``/``matched``);
+  (``total``/``candidates``/``scanned``/``matched``), and
+  ``shards`` under scatter-gather;
 * ``"aggregate"`` -- the same counters for the leading ``$match``,
   plus ``results``, the ``stages`` tree, and (under scatter-gather)
   ``shards``/``merge``;
 * ``"update"`` -- ``source`` is the filter, ``update_source`` the
   update program, plus the dry-run delta counters
   (``modified``/``entries_added``/``entries_removed``/
-  ``refcount_adjusted``/``postings``); a sharded update explain is a
-  list of these with ``shard`` set.
+  ``refcount_adjusted``/``postings``), and ``shards`` under
+  scatter-gather.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ class StageExplain:
 
 @dataclass(frozen=True)
 class ShardExplain:
-    """One shard's share of a scatter-gather aggregation."""
+    """One shard's share of a scatter-gather explain (``returned`` is
+    the rows the shard returned, or for an update the documents it
+    would modify)."""
 
     shard: int
     total: int
@@ -154,7 +157,6 @@ class Explain:
     postings: dict[str, int] = field(default_factory=dict)
     stages: tuple[StageExplain, ...] = ()
     shards: tuple[ShardExplain, ...] = ()
-    shard: int | None = None
     merge: str | None = None
     semantics: SemanticsExplain | None = None
     format: str = EXPLAIN_FORMAT
@@ -232,7 +234,6 @@ class Explain:
                 }
                 for shard in self.shards
             ],
-            "shard": self.shard,
             "merge": self.merge,
             "semantics": (
                 None if self.semantics is None else self.semantics.to_json()
@@ -285,7 +286,6 @@ class Explain:
                 )
                 for shard in document.get("shards", ())
             ),
-            shard=document.get("shard"),
             merge=document.get("merge"),
             semantics=(
                 None if semantics is None

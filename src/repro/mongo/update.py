@@ -332,7 +332,6 @@ def _run_update(
     *,
     upsert: bool,
     first_only: bool,
-    maintenance: str = "delta",
 ) -> UpdateResult:
     """The shared select → (upsert | apply) → count tail of every
     write entry point."""
@@ -341,19 +340,19 @@ def _run_update(
     )
     if not matched:
         if upsert:
-            return _upsert(collection, filter_doc, compiled)
+            return upsert_into(collection, filter_doc, compiled)
         return UpdateResult(0, 0)
     modified, _ = collection.apply_update(
-        [doc_id for doc_id, _ in matched],
-        compiled,
-        maintenance=maintenance,
-        values=dict(matched),
+        [doc_id for doc_id, _ in matched], compiled, values=dict(matched)
     )
     return UpdateResult(len(matched), len(modified))
 
 
-def _upsert(collection: Any, filter_doc: Any, compiled: CompiledUpdate) -> UpdateResult:
-    """Insert the document the filter's equality facts + update imply."""
+def upsert_into(
+    collection: Any, filter_doc: Any, compiled: CompiledUpdate
+) -> UpdateResult:
+    """Insert the document the filter's equality facts + update imply
+    (through ``collection.insert``: a sharded coordinator routes it)."""
     seed = _upsert_seed(filter_doc)
     value, _ = compiled.apply(seed)
     doc_id = collection.insert(value)
@@ -398,7 +397,6 @@ def update_many(
     update_doc: Any,
     *,
     upsert: bool = False,
-    maintenance: str = "delta",
 ) -> UpdateResult:
     """Update every document matching the filter."""
     return _run_update(
@@ -407,7 +405,6 @@ def update_many(
         compile_update(update_doc),
         upsert=upsert,
         first_only=False,
-        maintenance=maintenance,
     )
 
 
@@ -478,18 +475,6 @@ def first_match_id(collection: Any, filter_doc: Any) -> int | None:
     return matched[0][0] if matched else None
 
 
-def upsert_into(
-    collection: Any, filter_doc: Any, compiled: CompiledUpdate
-) -> UpdateResult:
-    """Insert the document the filter + compiled update imply.
-
-    The coordinator half of a sharded upsert: seeding and applying the
-    update happen here, the produced document routes through the
-    (sharded) collection's own ``insert``.
-    """
-    return _upsert(collection, filter_doc, compiled)
-
-
 def explain_update(
     collection: Any,
     filter_doc: Any,
@@ -515,11 +500,7 @@ def explain_update(
         modified += 1
         delta = mutation_delta(mutations, extended=collection.extended)
         if collection.indexes is not None:
-            ops.merge(
-                collection.indexes.apply_entry_delta(
-                    doc_id, delta, commit=False
-                )
-            )
+            collection.indexes.apply_entry_delta(doc_id, delta, commit=False, into=ops)
     return Explain(
         kind="update",
         source=update_cache_key(filter_doc),

@@ -19,6 +19,8 @@ holds that line, statically and at run time).
 * :mod:`~repro.reference.mongo_oracles` -- the Mongo filter
   interpreter, naive aggregation and the naive update interpreter, the
   oracles for :mod:`repro.mongo`;
+* :mod:`~repro.reference.rebuild_update` -- remove+reinsert update
+  maintenance, the oracle and benchmark baseline of the delta path;
 * :mod:`~repro.reference.jautomata` -- J-automata (Proposition 10);
 * :mod:`~repro.reference.reductions` -- the hardness reductions of
   Propositions 2, 4, 7 and 9;

@@ -99,7 +99,8 @@ class ReproServer:
     ``database`` may be shared with in-process code: the server's
     writer task is the only writer *through the server*, and in-process
     writers would race it -- hand the database over exclusively, as a
-    real server process does.
+    real server process does.  A sharded database is refused: its
+    collections pin no snapshots, which every read here answers from.
     """
 
     def __init__(
@@ -112,6 +113,11 @@ class ReproServer:
     ) -> None:
         if max_batch < 1:
             raise StoreError("max_batch must be a positive integer")
+        if getattr(database, "shards", 1) != 1:
+            raise StoreError(
+                "ReproServer cannot serve a sharded database: sharded "
+                "collections pin no read snapshots; serve shards=1"
+            )
         self._database = database
         self._host = host
         self._port = port

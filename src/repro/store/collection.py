@@ -49,12 +49,7 @@ from repro.store.engine import (
     StorageEngine,
     decode_snapshot,
 )
-from repro.store.indexes import (
-    DeltaOps,
-    DocumentIndexes,
-    IndexStats,
-    tree_entry_counts,
-)
+from repro.store.indexes import DeltaOps, DocumentIndexes, IndexStats
 from repro.store.summary import StructuralSummary
 from repro.store.update import CompiledUpdate, mutation_delta
 from repro.validate.bulk import validate_corpus
@@ -523,7 +518,6 @@ class Collection:
         doc_ids: Iterable[int],
         compiled: CompiledUpdate,
         *,
-        maintenance: str = "delta",
         values: "dict[int, JSONValue] | None" = None,
     ) -> tuple[list[int], DeltaOps]:
         """Apply a compiled update program to the given documents.
@@ -535,12 +529,10 @@ class Collection:
         :class:`~repro.errors.DocumentRejectedError` and leaves *every*
         document and index untouched -- and only then committed.
 
-        ``maintenance`` selects the index strategy: ``"delta"`` (the
-        default) retires/re-adds only the postings whose entry refcount
-        crosses zero and defers the tree rebuild to the next read;
-        ``"rebuild"`` drops and re-inserts the document's full posting
-        set eagerly (the reference strategy the benchmark and the
-        differential tests compare against).
+        Each document's entry delta is the whole write: the indexes
+        retire/re-add only the postings whose entry refcount crosses
+        zero, the structural summary widens from the delta's positive
+        entries, and the tree rebuild is deferred to the next read.
 
         ``values`` optionally supplies already-materialised current
         values per document id (target selection just computed them),
@@ -550,13 +542,7 @@ class Collection:
         actually changed) and the aggregated index
         :class:`~repro.store.indexes.DeltaOps`.
         """
-        if maintenance not in ("delta", "rebuild"):
-            raise StoreError(
-                f"unknown maintenance strategy {maintenance!r} "
-                "(expected 'delta' or 'rebuild')"
-            )
-        delta_mode = maintenance == "delta"
-        staged: list[tuple[int, JSONValue, dict, JSONTree | None]] = []
+        staged: list[tuple[int, JSONValue, dict]] = []
         for doc_id in doc_ids:
             old_value = (
                 values.get(doc_id) if values is not None else None
@@ -568,20 +554,11 @@ class Collection:
                 continue
             # The delta doubles as model validation of the replacement
             # subtrees (floats, bad keys), so staging fails before any
-            # commit; in rebuild mode the eager tree build does both.
-            if delta_mode:
-                delta = mutation_delta(mutations, extended=self._extended)
-                new_tree = None
-            else:
-                delta = {}
-                new_tree = JSONTree.from_values(
-                    [new_value],
-                    extended=self._extended,
-                    interned=self._interned,
-                )[0]
-            staged.append((doc_id, new_value, delta, new_tree))
+            # commit.
+            delta = mutation_delta(mutations, extended=self._extended)
+            staged.append((doc_id, new_value, delta))
         if self._validator is not None:
-            for doc_id, new_value, _, _ in staged:
+            for doc_id, new_value, _ in staged:
                 if not self._validator.validate_value(
                     new_value, extended=self._extended
                 ):
@@ -594,38 +571,22 @@ class Collection:
             # The WAL frame lands between validate and the in-memory
             # apply: post-images only, already schema-approved.
             self._engine.commit_update(
-                [(doc_id, new_value) for doc_id, new_value, _, _ in staged]
+                [(doc_id, new_value) for doc_id, new_value, _ in staged]
             )
         ops = DeltaOps()
         summary = self._summary
-        if summary is not None:
-            for _, new_value, _, _ in staged:
-                summary.observe_value(new_value)
-        for doc_id, new_value, delta, new_tree in staged:
-            if delta_mode:
-                if self._indexes is not None:
-                    self._indexes.apply_entry_delta(doc_id, delta, into=ops)
-                self._dirty[doc_id] = new_value
-                self._trees[doc_id] = _PENDING
-            else:
-                old_tree = self.get(doc_id)  # flushes any pending value
-                if self._indexes is not None:
-                    self._indexes.remove(doc_id, old_tree)
-                    self._indexes.add(doc_id, new_tree)
-                    entries = len(tree_entry_counts(new_tree))
-                    ops.merge(
-                        DeltaOps(
-                            entries_added=entries,
-                            entries_removed=entries,
-                            postings={"full-reinsert": 2 * entries},
-                        )
-                    )
-                self._trees[doc_id] = new_tree
+        for doc_id, new_value, delta in staged:
+            if summary is not None:
+                summary.observe_delta(delta)
+            if self._indexes is not None:
+                self._indexes.apply_entry_delta(doc_id, delta, into=ops)
+            self._dirty[doc_id] = new_value
+            self._trees[doc_id] = _PENDING
         if staged:
             self._version += 1
             if self._engine.durable:
                 self._engine.commit_applied()
-        return [doc_id for doc_id, _, _, _ in staged], ops
+        return [doc_id for doc_id, _, _ in staged], ops
 
     def update_one(
         self,
@@ -645,18 +606,11 @@ class Collection:
         update_doc: dict[str, Any],
         *,
         upsert: bool = False,
-        maintenance: str = "delta",
     ):
         """MongoDB's ``db.collection.updateMany(filter, update)``."""
         from repro.mongo.update import update_many
 
-        return update_many(
-            self,
-            filter_doc,
-            update_doc,
-            upsert=upsert,
-            maintenance=maintenance,
-        )
+        return update_many(self, filter_doc, update_doc, upsert=upsert)
 
     def replace_one(
         self,

@@ -324,13 +324,6 @@ class DeltaOps:
     adjusted: int = 0
     postings: dict[str, int] = field(default_factory=dict)
 
-    def merge(self, other: "DeltaOps") -> None:
-        self.entries_added += other.entries_added
-        self.entries_removed += other.entries_removed
-        self.adjusted += other.adjusted
-        for table, ops in other.postings.items():
-            self.postings[table] = self.postings.get(table, 0) + ops
-
 
 _TABLE_OF_TAG = {
     "path": "paths",

@@ -55,10 +55,12 @@ import heapq
 import json
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ParseError, StorageFormatError, StoreError
+from repro.explain import Explain, ShardExplain
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import optimizer, planner
 from repro.query.compiled import compile_mongo_find
@@ -180,11 +182,7 @@ def _op_first_match(collection: Collection, payload: Any) -> int | None:
 
 
 def _op_update_many(collection: Collection, payload: Any) -> tuple[int, int]:
-    result = collection.update_many(
-        payload["filter"],
-        payload["update"],
-        maintenance=payload["maintenance"],
-    )
+    result = collection.update_many(payload["filter"], payload["update"])
     return result.matched_count, result.modified_count
 
 
@@ -570,6 +568,41 @@ class ShardedEngine:
         )
 
 
+def _fold_explains(reports: Iterable[tuple[int, Explain]]) -> Explain:
+    """One fleet report from ``(shard, report)`` find/update explains:
+    counters and posting touches add up, ``candidates`` stays only if
+    every shard pruned, each shard's share lands in ``shards``
+    (``returned``: its matched rows, or for an update its modified
+    documents), and the semantic section stays when every shard
+    reached the same verdict."""
+    reports = list(reports)
+    first = reports[0][1]
+    update = first.kind == "update"
+    pruning = [r.candidates for _, r in reports]
+    verdicts = {r.semantics and r.semantics.verdict for _, r in reports}
+    summed = ("total", "scanned", "matched", "entries_added", "entries_removed")
+    return replace(
+        first,
+        **{name: sum(getattr(r, name) for _, r in reports) for name in summed},
+        refcount_adjusted=sum(r.refcount_adjusted for _, r in reports),
+        candidates=None if None in pruning else sum(pruning),
+        modified=sum(r.modified for _, r in reports) if update else None,
+        postings=dict(sum((Counter(r.postings) for _, r in reports), Counter())),
+        shards=tuple(
+            ShardExplain(
+                index,
+                r.total,
+                r.candidates,
+                r.scanned,
+                r.matched,
+                r.modified if update else r.matched,
+            )
+            for index, r in reports
+        ),
+        semantics=first.semantics if len(verdicts) == 1 else None,
+    )
+
+
 class ShardedCollection:
     """A hash-partitioned collection with scatter-gather execution.
 
@@ -836,17 +869,14 @@ class ShardedCollection:
         filter_doc: dict[str, Any],
         *,
         hint: dict[str, Any] | None = None,
-    ) -> list:
-        """Per-shard find explains (one ``Explain`` each, tagged with
-        its shard index)."""
+    ) -> Explain:
+        """The fleet-wide find :class:`~repro.explain.Explain`, each
+        shard's share under ``shards`` (see :func:`_fold_explains`)."""
         reports = self._engine.broadcast(
             "explain",
             {"filter": filter_doc, "no_semantic": _no_semantic(hint)},
         )
-        return [
-            replace(report, shard=index)
-            for index, report in enumerate(reports)
-        ]
+        return _fold_explains(enumerate(reports))
 
     def aggregate(
         self, pipeline: list, *, hint: dict[str, Any] | None = None
@@ -892,24 +922,14 @@ class ShardedCollection:
         update_doc: dict[str, Any],
         *,
         upsert: bool = False,
-        maintenance: str = "delta",
     ):
         """Update every matching document, shard-local everywhere:
         each shard selects its own targets through its own indexes and
         maintains its own postings delta."""
-        from repro.mongo.update import (
-            UpdateResult,
-            compile_update,
-            upsert_into,
-        )
+        from repro.mongo.update import UpdateResult, compile_update, upsert_into
 
         counts = self._engine.broadcast(
-            "update_many",
-            {
-                "filter": filter_doc,
-                "update": update_doc,
-                "maintenance": maintenance,
-            },
+            "update_many", {"filter": filter_doc, "update": update_doc}
         )
         matched = sum(pair[0] for pair in counts)
         modified = sum(pair[1] for pair in counts)
@@ -926,11 +946,7 @@ class ShardedCollection:
     ):
         """Update the first match in *global* id order: scatter a
         first-match probe, route the write to the owning shard."""
-        from repro.mongo.update import (
-            UpdateResult,
-            compile_update,
-            upsert_into,
-        )
+        from repro.mongo.update import UpdateResult, compile_update, upsert_into
 
         owner = self._first_match_owner(filter_doc)
         if owner is None:
@@ -952,11 +968,7 @@ class ShardedCollection:
         upsert: bool = False,
     ):
         """Replace the first match in global id order wholesale."""
-        from repro.mongo.update import (
-            UpdateResult,
-            compile_replacement,
-            upsert_into,
-        )
+        from repro.mongo.update import UpdateResult, compile_replacement, upsert_into
 
         compiled = compile_replacement(replacement)  # validate eagerly
         owner = self._first_match_owner(filter_doc)
@@ -992,22 +1004,23 @@ class ShardedCollection:
         *,
         first_only: bool = False,
         hint: dict[str, Any] | None = None,
-    ) -> list:
-        """Per-shard dry-run reports (one update ``Explain`` each,
-        tagged with its shard index)."""
-        reports = self._engine.broadcast(
-            "explain_update",
-            {
-                "filter": filter_doc,
-                "update": update_doc,
-                "first_only": first_only,
-                "no_semantic": _no_semantic(hint),
-            },
-        )
-        return [
-            replace(report, shard=index)
-            for index, report in enumerate(reports)
-        ]
+    ) -> Explain:
+        """The fleet-wide update dry run, each shard's share under
+        ``shards``; ``first_only`` routes like :meth:`update_one`, to
+        the shard holding the global first match (if any)."""
+        payload = {
+            "filter": filter_doc,
+            "update": update_doc,
+            "first_only": first_only,
+            "no_semantic": _no_semantic(hint),
+        }
+        if first_only:
+            owner = self._first_match_owner(filter_doc)
+            if owner is not None:
+                report = self._engine.request(owner, "explain_update", payload)
+                return _fold_explains([(owner, report)])
+        reports = self._engine.broadcast("explain_update", payload)
+        return _fold_explains(enumerate(reports))
 
     # ------------------------------------------------------------------
     # Lifecycle.

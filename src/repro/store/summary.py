@@ -4,7 +4,9 @@ For collections with an enforced schema the semantic optimizer
 (:mod:`repro.query.optimizer`) gets its proof premise from Theorem 1.
 This module closes the gap for schemaless collections -- "let the
 datastore manage the schema": a :class:`StructuralSummary` observes
-every document at ingest and maintains, per stripped key path,
+every document at ingest, and every update through the index-entry
+delta the update already computes, and maintains, per stripped key
+path,
 
 * the set of **kinds** seen at that path,
 * the set of **object keys** seen directly below it, and
@@ -55,7 +57,7 @@ from typing import Any
 from repro.automata.keylang import KeyLang
 from repro.jsl import ast as jsl
 from repro.logic import nodetests as nt
-from repro.model.tree import JSONTree, Kind, kind_of
+from repro.model.tree import JSONTree, Kind
 
 __all__ = ["StructuralSummary", "DEFAULT_MAX_PATHS"]
 
@@ -82,9 +84,9 @@ class _PathFacts:
 
 class StructuralSummary:
     """Per-path structural facts plus their JSL rendering (see module
-    docstring).  Build one per schemaless collection and feed it every
-    inserted/updated document; query through ``formula()``/
-    ``fingerprint``."""
+    docstring).  Build one per schemaless collection, feed it every
+    inserted document (``observe_tree``) and every update's entry delta
+    (``observe_delta``); query through ``formula()``/``fingerprint``."""
 
     __slots__ = (
         "_facts",
@@ -182,29 +184,48 @@ class StructuralSummary:
                 if value < facts.low or value > facts.high:
                     self._widen(facts, kind, value)
 
-    def observe_value(self, value: Any) -> None:
-        """Fold one document (as a plain value) into the summary."""
+    def observe_delta(self, delta: dict[tuple, int]) -> None:
+        """Fold one update into the summary from its counted index-entry
+        delta (:func:`repro.store.update.mutation_delta`), walking no
+        document.
+
+        Sound because the pre-image was already observed: a fact of the
+        post-image is either a fact of the pre-image or an entry whose
+        count rose from zero, so the positive ``"path"`` entries name
+        every new path (opened shortest first, so each parent exists),
+        the positive ``"kind"`` entries every new kind but numbers, and
+        the positive integer ``"eq"`` entries every number that may
+        widen an envelope (or open it: a path's first number).
+        ``revision`` moves only if something widened."""
         if self._disabled:
             return
-        root = self._facts.get(()) or self._open(None, None)
-        stack: list[tuple[_PathFacts | None, Any]] = [(root, value)]
-        while stack:
-            facts, node = stack.pop()
-            if facts is None:
-                return  # past the path cap: disabled
-            kind = kind_of(node, False)
-            if kind not in facts.kinds or (
-                kind is Kind.NUMBER and not facts.low <= node <= facts.high
-            ):
-                self._widen(facts, kind, node)
-            if kind is Kind.OBJECT:
-                children = facts.children
-                stack.extend(
-                    (children.get(key) or self._open(facts, key), child)
-                    for key, child in node.items()
-                )
-            elif kind is Kind.ARRAY:
-                stack.extend((facts, child) for child in node)
+        facts_of = self._facts
+        fresh = [
+            entry[1]
+            for entry, count in delta.items()
+            if count > 0 and entry[0] == "path" and entry[1] not in facts_of
+        ]
+        if fresh:
+            fresh.sort(key=len)
+            for path in fresh:
+                if self._open(facts_of[path[:-1]], path[-1]) is None:
+                    return
+        number = Kind.NUMBER
+        for entry, count in delta.items():
+            if count <= 0:
+                continue
+            tag = entry[0]
+            if tag == "eq":
+                value = entry[2]
+                if type(value) is int:
+                    facts = facts_of[entry[1]]
+                    # ``low`` is None until the path has seen a number.
+                    if facts.low is None or not (facts.low <= value <= facts.high):
+                        self._widen(facts, number, value)
+            elif tag == "kind" and entry[2] is not number:
+                facts = facts_of[entry[1]]
+                if entry[2] not in facts.kinds:
+                    self._widen(facts, entry[2], None)
 
     # ------------------------------------------------------------------
     # Rendering.

@@ -276,6 +276,27 @@ def _simple(segments: tuple[str, ...], edit: Edit, *, create: bool) -> Op:
     return op
 
 
+def _append(segments: tuple[str, ...], edit: Edit) -> Op:
+    """:func:`_simple` for an ``edit`` that only appends to an existing
+    array: one creation per appended element, not the array's
+    replacement, so the delta walks only what was appended."""
+
+    def op(value: Any, mutations: list) -> Any:
+        value, mutation = edit_at(value, segments, edit, create=True)
+        if mutation is not None:
+            old = mutation.old
+            if old is MISSING:
+                mutations.append(mutation)
+            else:
+                mutations.extend(
+                    Mutation(mutation.path, None, MISSING, item)
+                    for item in mutation.new[len(old) :]
+                )
+        return value
+
+    return op
+
+
 def set_op(segments: tuple[str, ...], operand: Any) -> Op:
     """``$set``: replace (or create) the node with ``operand``."""
 
@@ -359,7 +380,7 @@ def push_op(segments: tuple[str, ...], items: tuple) -> Op:
             return NO_CHANGE
         return old + list(items)
 
-    return _simple(segments, edit, create=True)
+    return _append(segments, edit)
 
 
 def add_to_set_op(segments: tuple[str, ...], items: tuple) -> Op:
@@ -386,7 +407,7 @@ def add_to_set_op(segments: tuple[str, ...], items: tuple) -> Op:
             return NO_CHANGE
         return old + added
 
-    return _simple(segments, edit, create=True)
+    return _append(segments, edit)
 
 
 def pull_op(segments: tuple[str, ...], keep: Callable[[Any], bool]) -> Op:

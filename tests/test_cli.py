@@ -565,9 +565,11 @@ class TestShards:
                 "--explain",
             ]
         ) == 0
-        reports = json.loads(capsys.readouterr().out)
-        assert [report["shard"] for report in reports] == [0, 1]
-        assert all(report["kind"] == "update" for report in reports)
+        report = json.loads(capsys.readouterr().out)
+        assert report["kind"] == "update"
+        shards = report["shards"]
+        assert [shard["shard"] for shard in shards] == [0, 1]
+        assert report["matched"] == sum(shard["matched"] for shard in shards)
 
     def test_shards_requires_collection(self, collection_file, capsys):
         assert main(

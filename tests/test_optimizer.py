@@ -158,6 +158,33 @@ class TestStructuralSummary:
         plain.update_many({"n": 3}, {"$set": {"n": 300}})
         assert plain.count({"n": {"$gt": 100}}) == 1
 
+    def test_updates_feed_the_summary_without_a_document_walk(self, monkeypatch):
+        from repro.store.summary import StructuralSummary
+
+        assert not hasattr(StructuralSummary, "observe_value")
+        plain = api.collection([{"n": i, "tags": ["a"]} for i in range(10)])
+        summary = plain._summary
+        walks = []
+        monkeypatch.setattr(
+            StructuralSummary,
+            "observe_tree",
+            lambda self, tree: walks.append(tree),
+        )
+        revision = summary.revision
+        # No new fact: every post-image stays inside the envelope.
+        plain.update_many({"n": {"$lt": 5}}, {"$inc": {"n": 1}})
+        plain.update_one({"n": 6}, {"$push": {"tags": "a"}})
+        assert plain.count({"tags": "a"}) == 10
+        assert summary.revision == revision
+        plain.update_one({"n": 7}, {"$set": {"m": {"x": "s"}}})
+        plain.replace_one({"n": 8}, {"n": 500, "z": [[1]]})
+        assert summary.revision > revision
+        assert walks == []
+        # The widened premise admits exactly what was written.
+        assert plain.count({"m.x": "s"}) == 1
+        assert plain.count({"n": {"$gt": 100}}) == 1
+        assert plain.count({"z": [[1]]}) == 1
+
     def test_a_tuple_written_by_an_update_is_an_array(self):
         # The model accepts tuples wherever it accepts lists; the
         # summary must classify them the same way, or every read after

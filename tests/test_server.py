@@ -228,6 +228,13 @@ class TestErrorRehydration:
         with pytest.raises(WireProtocolError):
             remote.request("frobnicate")
 
+    def test_a_sharded_database_is_refused(self, tmp_path):
+        # Reads answer from pinned snapshots, which sharded collections
+        # do not pin: refuse up front, not with an opaque error per read.
+        with api.connect(tmp_path, shards=2, parallel=False) as database:
+            with pytest.raises(StoreError, match="sharded"):
+                ReproServer(database)
+
     def test_explain_of_a_pipeline_and_an_update_is_refused(self, served):
         """One explain request names one thing to explain; both at once
         used to answer the pipeline and silently drop the update."""

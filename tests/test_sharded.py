@@ -268,9 +268,10 @@ class TestRandomisedDifferential:
         ):
             pipeline = [{"$match": match}, {"$count": "n"}]
             assert sharded.aggregate(pipeline) == single.aggregate(pipeline)
-            reports = sharded.explain_update(match, update)
-            assert not any(report.used_indexes for report in reports)
-            assert sum(report.matched for report in reports) == (
+            report = sharded.explain_update(match, update)
+            assert not report.used_indexes
+            assert not any(shard.used_indexes for shard in report.shards)
+            assert report.matched == (
                 single.explain_update(match, update).matched
             ), match
 

@@ -17,6 +17,7 @@ from repro.store.indexes import (
     value_entry_counts,
 )
 from repro.query import ir, planner
+from repro.reference.rebuild_update import rebuild_update_many
 from repro import api
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
@@ -385,9 +386,7 @@ class TestEveryDocumentPostings:
             "_live_copy",
             lambda self, *args: copies.append(args) or copy(self, *args),
         )
-        result = collection.update_many(
-            {"age": 3}, {"$inc": {"user": 100}}, maintenance="rebuild"
-        )
+        result, _ = rebuild_update_many(collection, {"age": 3}, {"$inc": {"user": 100}})
         assert result.modified_count == 7
         assert copies == []
         assert collection.indexes.snapshot() == rebuilt(collection).snapshot()

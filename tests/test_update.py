@@ -3,9 +3,11 @@
 Covers the tentpole requirements explicitly: operator semantics pinned
 against the naive reference interpreter, target selection through the
 planner (pruned vs scanned), delta maintenance equalling both the
-rebuild strategy and a from-scratch index rebuild (the consistency
-oracle), schema revalidation leaving rejected updates without a trace,
-upsert, the compile cache, and the explain dry run.
+remove+reinsert oracle (``repro.reference.rebuild_update``) and a
+from-scratch index rebuild (the consistency oracle), the structural
+summary fed from the deltas equalling one that walked every
+post-image, schema revalidation leaving rejected updates without a
+trace, upsert, the compile cache, and the explain dry run.
 
 The randomised suites scale with ``REPRO_DIFF_SCALE`` (the nightly CI
 job runs them at ~20x the per-PR iteration counts).
@@ -29,9 +31,11 @@ from repro.errors import (
 from repro.model.tree import JSONTree, Kind
 from repro.mongo.update import compile_update
 from repro.reference.mongo_oracles import match_value, naive_update_value
+from repro.reference.rebuild_update import rebuild_update_many
 from repro.reference.workloads import people_collection
 from repro.store import Collection, DocumentIndexes
 from repro.store.indexes import tree_entry_counts
+from repro.store.summary import StructuralSummary
 from repro import api
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
@@ -634,10 +638,8 @@ class TestRandomisedDifferential:
         for _ in range(10 * _SCALE):
             filter_doc = rng.choice(FILTERS)
             update_doc = _random_update(rng)
-            left = delta.update_many(filter_doc, update_doc, maintenance="delta")
-            right = rebuild.update_many(
-                filter_doc, update_doc, maintenance="rebuild"
-            )
+            left = delta.update_many(filter_doc, update_doc)
+            right, _ = rebuild_update_many(rebuild, filter_doc, update_doc)
             assert (left.matched_count, left.modified_count) == (
                 right.matched_count,
                 right.modified_count,
@@ -660,6 +662,104 @@ class TestRandomisedDifferential:
         for doc_id, tree in collection.documents():
             assert tree.to_value() == mirror[doc_id]
         assert_oracle(collection)
+
+
+_SUMMARY_KEYS = ("a", "b", "c")
+_SUMMARY_PATHS = ("a", "b", "c", "a.b", "b.c", "a.0", "c.1", "d")
+
+
+def _summary_value(rng: random.Random, depth: int = 0):
+    """A small value of any kind: scalars, objects, arrays of arrays."""
+    roll = rng.random()
+    if depth >= 2 or roll < 0.4:
+        return rng.choice([rng.randrange(-50, 50), rng.choice("xyz")])
+    if roll < 0.7:
+        return {
+            key: _summary_value(rng, depth + 1)
+            for key in rng.sample(_SUMMARY_KEYS, rng.randrange(0, 3))
+        }
+    return [_summary_value(rng, depth + 1) for _ in range(rng.randrange(0, 3))]
+
+
+def _summary_doc(rng: random.Random) -> dict:
+    doc = {"k": rng.randrange(3)}
+    for key in rng.sample(_SUMMARY_KEYS, rng.randrange(1, 4)):
+        doc[key] = _summary_value(rng)
+    return doc
+
+
+def _summary_update(rng: random.Random) -> dict:
+    """One operator of every kind, at paths whose kinds vary per doc."""
+    path = rng.choice(_SUMMARY_PATHS)
+    scalar = rng.choice([rng.randrange(-50, 50), rng.choice("xyz")])
+    return rng.choice(
+        [
+            lambda: {"$set": {path: _summary_value(rng)}},
+            lambda: {"$unset": {path: ""}},
+            lambda: {"$inc": {rng.choice(["k", "a", "d"]): rng.choice([-90, 1, 90])}},
+            lambda: {"$mul": {rng.choice(["k", "b"]): rng.choice([2, -3])}},
+            lambda: {"$rename": {rng.choice("ab"): rng.choice(["d", "e.f"])}},
+            lambda: {"$push": {path: {"$each": [_summary_value(rng), scalar]}}},
+            lambda: {"$addToSet": {path: _summary_value(rng)}},
+            lambda: {"$pull": {path: scalar}},
+            lambda: {"$pop": {path: rng.choice([1, -1])}},
+        ]
+    )()
+
+
+class TestRandomisedDifferentialSummary:
+    """The structural summary widens from each update's entry delta; a
+    summary that walks every post-image is the oracle.  Both must render
+    the same premise after every write, and move ``revision`` on the
+    same writes (a missed move would keep a stale verdict cached)."""
+
+    def test_delta_fed_summary_equals_post_image_walk(self):
+        rng = random.Random(9090)
+        writes = 0
+        for _ in range(10 * _SCALE):
+            collection = api.collection([_summary_doc(rng) for _ in range(6)])
+            summary = collection._summary
+            oracle = StructuralSummary()
+            for doc_id in collection.doc_ids():
+                oracle.observe_tree(collection.get(doc_id))
+            for _ in range(20):
+                before = (summary.revision, oracle.revision)
+                target = {"k": rng.randrange(4)}  # k == 3: upsert seeds
+                roll = rng.random()
+                try:
+                    if roll < 0.5:
+                        collection.update_many(target, _summary_update(rng))
+                    elif roll < 0.7:
+                        collection.update_one(
+                            target,
+                            _summary_update(rng),
+                            upsert=rng.random() < 0.3,
+                        )
+                    elif roll < 0.85:
+                        collection.replace_one(
+                            target,
+                            _summary_doc(rng),
+                            upsert=rng.random() < 0.3,
+                        )
+                    elif roll < 0.95:
+                        collection.insert(_summary_doc(rng))
+                    elif collection.doc_ids():
+                        collection.remove(rng.choice(collection.doc_ids()))
+                except (UpdateError, ParseError):
+                    continue  # a rejected write changes nothing
+                writes += 1
+                # Pending values stay pending: the oracle reads them
+                # without flushing, so later deltas still start there.
+                for doc_id in collection.doc_ids():
+                    oracle.observe_tree(
+                        JSONTree.from_value(collection._peek_value(doc_id))
+                    )
+                assert summary.formula() == oracle.formula()
+                assert (summary.revision != before[0]) == (
+                    oracle.revision != before[1]
+                )
+            assert not summary.disabled
+        assert writes > 100 * _SCALE
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +876,7 @@ class TestMultiplicities:
             elif roll < 0.4:
                 collection.replace_one(target, document())
             elif roll < 0.5:
-                collection.update_many(
-                    target, rng.choice(updates)(), maintenance="rebuild"
-                )
+                rebuild_update_many(collection, target, rng.choice(updates)())
             else:
                 collection.update_many(target, rng.choice(updates)())
             # The comparison reads the documents, so every round also
