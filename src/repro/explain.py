@@ -22,12 +22,16 @@ Field population by ``kind``:
   (``modified``/``entries_added``/``entries_removed``/
   ``refcount_adjusted``/``postings``), and ``shards`` under
   scatter-gather.
+
+Under scatter-gather every shard reports for itself and
+:func:`fold_shards` folds the reports into one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable
 
 __all__ = [
     "EXPLAIN_FORMAT",
@@ -36,6 +40,7 @@ __all__ = [
     "SemanticsExplain",
     "StageExplain",
     "ShardExplain",
+    "fold_shards",
 ]
 
 EXPLAIN_FORMAT = "repro-explain"
@@ -51,7 +56,9 @@ class StageExplain:
     ``$group`` (and its ``$unwind``) folded from the index postings
     without reading a document; under sharded execution, stages
     executed on the shards report ``"map-side"`` and the boundary stage
-    whose partial states the coordinator combines reports ``"merged"``.
+    whose partial states the coordinator combines reports ``"merged"``
+    -- except a group every shard folded from its own postings, which
+    reports ``"covered"`` there too.
     """
 
     op: str
@@ -292,3 +299,46 @@ class Explain:
                 else SemanticsExplain.from_json(semantics)
             ),
         )
+
+
+def fold_shards(reports: Iterable[tuple[int, Explain]]) -> Explain:
+    """One fleet report from the ``(shard, report)`` explains of one
+    scatter: counters and posting touches add up, ``candidates`` stays
+    only if every shard pruned, each shard's share lands in ``shards``
+    (``returned``: the documents an update would modify, the rows an
+    aggregation shard returned, else its matches), and the semantic
+    section stays when every shard reached the same verdict.  What
+    only the coordinator knows -- an aggregation's merged ``results``,
+    ``stages`` and ``merge`` -- it sets on the folded report itself."""
+    reports = list(reports)
+    first = reports[0][1]
+    update = first.kind == "update"
+    pruning = [r.candidates for _, r in reports]
+    verdicts = {r.semantics and r.semantics.verdict for _, r in reports}
+    summed = ("total", "scanned", "matched", "entries_added", "entries_removed")
+    folded: dict[str, Any] = {
+        name: sum(getattr(r, name) for _, r in reports)
+        for name in summed + ("refcount_adjusted",)
+    }
+    folded.update(
+        candidates=None if None in pruning else sum(pruning),
+        modified=sum(r.modified for _, r in reports) if update else None,
+        postings=dict(sum((Counter(r.postings) for _, r in reports), Counter())),
+        shards=tuple(
+            ShardExplain(
+                index,
+                r.total,
+                r.candidates,
+                r.scanned,
+                r.matched,
+                (
+                    r.modified if update
+                    else r.matched if r.results is None
+                    else r.results
+                ),
+            )
+            for index, r in reports
+        ),
+        semantics=first.semantics if len(verdicts) == 1 else None,
+    )
+    return replace(first, **folded)

@@ -20,8 +20,9 @@ module implements its practical core -- ``$match``, ``$project``,
 * every stage declares the dotted paths it navigates, and compilation
   folds them into the pipeline's **read set** (``CompiledPipeline.
   reads``: everything named up to and including the first stage that
-  resets the row shape).  One row source feeds ``execute``,
-  ``execute_partial`` and ``explain``: each surviving document is
+  resets the row shape).  One row source (:meth:`CompiledPipeline.
+  _read`) feeds ``stream``, ``explain`` and a shard's map side
+  (``execute_partial``): each surviving document is
   materialised once, through ``JSONTree.to_value(paths=reads)`` -- only
   the subtrees the pipeline navigates, the whole document when rows can
   reach the output unreset -- and the leading match is decided on that
@@ -31,7 +32,8 @@ module implements its practical core -- ``$match``, ``$project``,
   *covered-group* rung, :meth:`CompiledPipeline._covered`) takes each
   group from one ``eq`` posting of its key, and each accumulator input
   from a ``{doc_id: value}`` column inverted from that path's postings
-  on every call, so no document is materialised and nothing is cached;
+  on every call, so no document is materialised and nothing is cached
+  -- on a shard too, which ships that table as mergeable partials;
 * every **downstream stage** runs as a streaming generator
   (:mod:`repro.query.stages`) over those rows -- nothing is
   materialised between stages except where ``$sort``/``$group``/
@@ -52,13 +54,14 @@ from __future__ import annotations
 
 import heapq
 import json
+from dataclasses import replace
 from itertools import islice
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import ParseError
-from repro.explain import Explain, ShardExplain, StageExplain
+from repro.explain import Explain, StageExplain, fold_shards
 from repro.model.tree import JSONTree, Kind
 from repro.mongo.find import compile_value_filter
 from repro.mongo.projection import Projection
@@ -91,7 +94,6 @@ __all__ = [
     "compile_pipeline",
     "pipeline_cache_key",
     "parse_pipeline",
-    "partial_aggregate",
 ]
 
 STAGE_OPS = (
@@ -343,13 +345,6 @@ def _tallied(
         yield pair
 
 
-def _scanned(kind: str, total: int, candidates: set[int] | None) -> int:
-    """Documents the leading match had to verify."""
-    if kind in ("empty", "all", "covered"):
-        return 0
-    return total if candidates is None else len(candidates)
-
-
 class CompiledPipeline:
     """An executable aggregation plan, reusable across collections.
 
@@ -392,7 +387,8 @@ class CompiledPipeline:
     the leading match start ``[$unwind "$k"]? $group{_id: "$k", ...}``
     with only row counts or field references as accumulators (only row
     counts under the unwind): what :meth:`_covered` may fold from the
-    index postings instead of from rows, when the live index allows it.
+    index postings instead of from rows, when the live index allows it
+    -- a shard's included, each deciding against its own index.
     """
 
     __slots__ = (
@@ -474,32 +470,17 @@ class CompiledPipeline:
 
     # ------------------------------------------------------------------
 
-    def _candidates(self, collection: Any, kind: str) -> set[int] | None:
-        """Index candidates of the leading match (a sound superset of
-        its survivors); ``None`` = every live document -- no indexes,
-        no logical plan, or a semantic verdict that settles the match."""
-        if (
-            kind in ("empty", "all")
-            or collection.indexes is None
-            or self.lead_query is None
-        ):
-            return None
-        return planner.candidate_ids(
-            self.lead_query.plan.match_predicate, collection.indexes
-        )
-
     def _survivors(
         self, collection: Any, kind: str, candidates: set[int] | None
     ) -> Iterator[tuple[int, Any]]:
         """``(doc_id, row)`` per leading-match survivor of a store
-        collection, in document-id order -- the one row source behind
-        :meth:`stream`, :meth:`execute_partial` and :meth:`explain`.
+        collection, in document-id order -- :meth:`_read`'s rows.
 
         ``kind`` is the enforced decision: ``"empty"`` yields nothing,
         ``"all"`` every live document and ``"covered"`` every candidate
         verify-free; otherwise the candidates (index-pruned by
-        :meth:`_candidates` and fetched by id, so the pruned documents
-        are never touched) are verified by the value-space matcher.  A
+        :meth:`_read` and fetched by id, so the pruned documents are
+        never touched) are verified by the value-space matcher.  A
         row is materialised once, through the pipeline's read set, and
         the matcher runs on that same projected row.
         """
@@ -521,9 +502,11 @@ class CompiledPipeline:
 
     def _covered(
         self, collection: Any, kind: str, no_semantic: bool
-    ) -> Iterator[Any] | None:
-        """The pipeline's output with its group table read off the live
-        index, or ``None`` when the covered-group rung declines.
+    ) -> tuple[list[list[Any]], list[dict[int, Any] | None]] | None:
+        """The group table read off the live index, ``(groups,
+        columns)`` as :meth:`~repro.query.stages.GroupStage.
+        run_covered` takes them, or ``None`` when the covered-group
+        rung declines.
 
         The rung needs a :attr:`group_cover`, what the covered read rung
         of :func:`repro.query.planner.decide` needs (a semantic context,
@@ -570,11 +553,7 @@ class CompiledPipeline:
                 missing = live - keyed
                 groups.append([(min(missing), 0), None, missing, len(missing)])
         columns = {path: indexes.value_column(path) for path in paths}
-        group = self.stages[unwound]
-        rows = group.run_covered(
-            groups, [None if path is None else columns[path] for path in inputs]
-        )
-        return run_stages(self.stages[unwound + 1 :], rows)
+        return groups, [None if path is None else columns[path] for path in inputs]
 
     def _break_first_seen_ties(
         self, collection: Any, key: tuple[str, ...], groups: list[list[Any]]
@@ -607,23 +586,74 @@ class CompiledPipeline:
             if self.lead_pred is None or self.lead_pred(item):
                 yield item
 
-    def _scatter_payload(
-        self, decision: "optimizer.SemanticDecision | None", no_semantic: bool
-    ) -> dict[str, Any]:
-        """The scatter envelope, with the coordinator's verdict attached.
+    def _read(self, collection: Any, verdict: str | None) -> tuple:
+        """The one row source of a store collection, behind
+        :meth:`stream`, :meth:`explain` and :meth:`execute_partial`:
+        ``(decision, kind, table, candidates, survivors)``.
 
-        The coordinator decides once (against the fleet-wide schema,
-        when there is one) and the shards inherit: ``"semantic"``
-        carries an ``"empty"``/``"all"`` verdict, ``None`` to let each
-        shard consult its own summary, or ``"off"`` to disable the
-        pass shard-side too.
+        ``verdict`` is ``None`` to decide here, ``"off"`` to decide
+        without the semantic pass (``hint={"no_semantic": True}``), or
+        a coordinator's ``"empty"``/``"all"``, enforced without a
+        proof.  Where the covered-group rung applies ``table`` is its
+        group table (:meth:`_covered`) and no document is read (no
+        survivors); otherwise ``survivors`` are the leading match's
+        ``(doc_id, row)`` pairs (:meth:`_survivors`) among
+        ``candidates``.
         """
-        if no_semantic:
-            semantic = "off"
-        else:
+        decision = None
+        if verdict is None or verdict == "off":
+            decision = planner.decide(
+                collection, self.lead_query, no_semantic=verdict == "off"
+            )
             kind = optimizer.effective_kind(decision)
-            semantic = kind if kind in ("empty", "all") else None
-        return {"pipeline": self.pipeline, "semantic": semantic}
+        else:
+            kind = verdict
+        table = self._covered(collection, kind, verdict == "off")
+        if table is not None:
+            return decision, kind, table, None, iter(())
+        # The index candidates of the leading match, a sound superset
+        # of its survivors; None = every live document.
+        candidates = None
+        query, indexes = self.lead_query, collection.indexes
+        if query is not None and indexes is not None and kind not in ("empty", "all"):
+            candidates = planner.candidate_ids(query.plan.match_predicate, indexes)
+        survivors = self._survivors(collection, kind, candidates)
+        return decision, kind, None, candidates, survivors
+
+    def _run_covered(self, table: tuple) -> Iterator[Any]:
+        """The pipeline's output from a covered group table."""
+        unwound = self.group_cover[1]
+        rows = self.stages[unwound].run_covered(*table)
+        return run_stages(self.stages[unwound + 1 :], rows)
+
+    def _report(
+        self, collection: Any, read: tuple, matched: int, results: int
+    ) -> Explain:
+        """The explain of one :meth:`_read` of a collection: its
+        leading-match counters, ``results`` rows and stage modes."""
+        decision, kind, table, candidates, _ = read
+        total = len(collection)
+        if table is not None:  # no document is read: every one passes
+            scanned, matched = 0, total
+        elif kind in ("empty", "all", "covered"):
+            scanned = 0
+        else:
+            scanned = total if candidates is None else len(candidates)
+        return Explain(
+            kind="aggregate",
+            dialect=_DIALECT,
+            source=self.source,
+            total=total,
+            candidates=None if candidates is None else len(candidates),
+            scanned=scanned,
+            matched=matched,
+            results=results,
+            stages=self._stage_reports(
+                "streamed" if candidates is None else "index-pruned",
+                covered=0 if table is None else self.group_cover[1] + 1,
+            ),
+            semantics=None if decision is None else decision.semantics_explain(),
+        )
 
     def execute(self, source: Any, *, no_semantic: bool = False) -> list[Any]:
         """Run the pipeline over a collection (index-pruned), a sharded
@@ -631,13 +661,8 @@ class CompiledPipeline:
         (streamed), returning the result rows."""
         scatter = getattr(source, "scatter_partial_aggregate", None)
         if scatter is not None:
-            decision = planner.decide(
-                source, self.lead_query, no_semantic=no_semantic
-            )
-            payload = self._scatter_payload(decision, no_semantic)
-            if payload["semantic"] == "empty":  # nothing to scatter for
-                return self.merge_partials([])
-            return self.merge_partials(scatter(payload))
+            _, partials = scatter(self, no_semantic=no_semantic)
+            return self.merge_partials(partials)
         return list(self.stream(source, no_semantic=no_semantic))
 
     def stream(
@@ -645,17 +670,12 @@ class CompiledPipeline:
     ) -> Iterator[Any]:
         """Lazy variant of :meth:`execute` (one generator per stage)."""
         if hasattr(source, "documents") and hasattr(source, "indexes"):
-            decision = planner.decide(
-                source, self.lead_query, no_semantic=no_semantic
+            _, _, table, _, survivors = self._read(
+                source, "off" if no_semantic else None
             )
-            kind = optimizer.effective_kind(decision)
-            covered = self._covered(source, kind, no_semantic)
-            if covered is not None:
-                return covered
-            candidates = self._candidates(source, kind)
-            rows: Iterator[Any] = map(
-                _row, self._survivors(source, kind, candidates)
-            )
+            if table is not None:
+                return self._run_covered(table)
+            rows: Iterator[Any] = map(_row, survivors)
         else:
             rows = self._item_rows(source)
         return run_stages(self.stages, rows)
@@ -665,65 +685,59 @@ class CompiledPipeline:
     # ------------------------------------------------------------------
 
     def execute_partial(
-        self, collection: Any, *, verdict: "str | None" = None
+        self,
+        collection: Any,
+        *,
+        verdict: "str | None" = None,
+        explain: bool = False,
     ) -> dict[str, Any]:
         """The map-side share of this pipeline over one shard.
 
-        Runs the leading match (index-pruned as usual) plus the per-row
-        stage prefix, then folds into the merge strategy's partial form.
-        Everything in the returned dict is picklable -- rows are plain
-        JSON values tagged with ``(doc_id, seq)`` ranks, group tables
-        carry exported accumulator partials -- so it can cross a worker
-        process boundary to :meth:`merge_partials` unchanged.
+        Reads the shard through :meth:`_read`, as :meth:`stream` does,
+        runs the per-row stage prefix over the survivors, and folds into
+        the merge strategy's partial form ``{"data": ...}`` -- under
+        ``explain`` with the shard's ``"report"`` too, whose ``results``
+        are the rows it returned and whose ``matched`` counts every
+        survivor (only that route reads past a truncated run).  All of
+        it is picklable -- rows are plain JSON values tagged with
+        ``(doc_id, seq)`` ranks, group tables carry exported accumulator
+        partials -- so it crosses a worker process boundary unchanged.
 
         ``verdict`` is the coordinator's inherited semantic verdict
         (``"empty"``/``"all"``: enforce without re-proving; ``"off"``:
         skip the semantic pass; ``None``: decide locally against this
-        shard's own context).
+        shard's own context and index).
         """
-        if verdict is None:
-            decision = planner.decide(collection, self.lead_query)
-            kind = optimizer.effective_kind(decision)
-        elif verdict == "off":
-            kind = "none"
-        else:
-            kind = verdict
-        candidates = self._candidates(collection, kind)
-        matched = [0]
-        ranked = run_stages_ranked(
-            self.stages[: self.shard_map_count],
-            _tallied(self._survivors(collection, kind, candidates), matched),
-        )
+        read = self._read(collection, verdict)
+        table, survivors = read[2], read[4]
+        tally = [0]
+        if explain:
+            survivors = _tallied(survivors, tally)
+        split = self.shard_map_count
         strategy = self.merge_strategy
         data: Any
-        if strategy == "group-merge":
-            group = self.stages[self.shard_map_count]
-            data = group.fold_partial(ranked)
-            returned = len(data)
+        ranked = run_stages_ranked(self.stages[:split], survivors)
+        if table is not None:
+            data = self.stages[split].fold_covered(*table)
+        elif strategy == "group-merge":
+            data = self.stages[split].fold_partial(ranked)
         elif strategy == "sort-merge":
-            sort = self.stages[self.shard_map_count]
-            run = sorted(ranked, key=composite_sort_key(sort.keys))
+            sort = self.stages[split]
+            data = sorted(ranked, key=composite_sort_key(sort.keys))
             if self.local_limit is not None:
-                del run[self.local_limit :]
-            data = run
-            returned = len(run)
+                del data[self.local_limit :]
         elif strategy == "count-sum":
             data = sum(1 for _ in ranked)
-            returned = 1 if data else 0
         else:  # "stream"
-            if self.local_limit is not None:
-                ranked = islice(ranked, self.local_limit)
-            data = list(ranked)
-            returned = len(data)
-        total = len(collection)
+            data = list(islice(ranked, self.local_limit))
+        if not explain:
+            return {"data": data}
+        for _ in survivors:  # past a truncated run: count every match
+            pass
+        returned = (1 if data else 0) if strategy == "count-sum" else len(data)
         return {
-            "strategy": strategy,
-            "total": total,
-            "candidates": None if candidates is None else len(candidates),
-            "scanned": _scanned(kind, total, candidates),
-            "matched": matched[0],
-            "returned": returned,
             "data": data,
+            "report": self._report(collection, read, tally[0], returned),
         }
 
     def merge_partials(self, partials: list[dict[str, Any]]) -> list[Any]:
@@ -761,125 +775,74 @@ class CompiledPipeline:
     ) -> Explain:
         """Run over an indexed collection, reporting what was pruned
         by indexes versus streamed (the find explain's aggregation
-        sibling), including the semantic optimizer's verdict."""
-        decision = planner.decide(
-            collection, self.lead_query, no_semantic=no_semantic
-        )
-        semantics = None if decision is None else decision.semantics_explain()
+        sibling), including the semantic optimizer's verdict.
+
+        Over a sharded collection the shards' reports fold into one
+        (:func:`repro.explain.fold_shards`), with the merged results,
+        the fleet's stage modes and the coordinator's verdict when it
+        proved one."""
         scatter = getattr(collection, "scatter_partial_aggregate", None)
         if scatter is not None:
-            partials = scatter(self._scatter_payload(decision, no_semantic))
-            return self._explain_sharded(partials, semantics)
-        total = len(collection)
-        kind = optimizer.effective_kind(decision)
-        covered = self._covered(collection, kind, no_semantic)
-        if covered is not None:
-            # Every document passes the leading match; none is read.
-            return Explain(
-                kind="aggregate",
-                dialect=_DIALECT,
-                source=self.source,
-                total=total,
-                scanned=0,
-                matched=total,
-                results=sum(1 for _ in covered),
-                stages=self._stage_reports("streamed", covered=self.group_cover[1] + 1),
-                semantics=semantics,
+            decision, partials = scatter(
+                self, no_semantic=no_semantic, explain=True
             )
-        candidates = self._candidates(collection, kind)
+            reports = [part["report"] for part in partials]
+            covered = min(
+                sum(stage.mode == "covered" for stage in report.stages)
+                for report in reports
+            )
+            pruned = all(report.used_indexes for report in reports)
+            folded = replace(
+                fold_shards(enumerate(reports)),
+                results=len(self.merge_partials(partials)),
+                stages=self._stage_reports(
+                    "index-pruned" if pruned else "streamed",
+                    covered=covered,
+                    sharded=True,
+                ),
+                merge=self.merge_strategy,
+            )
+            if decision is None:
+                return folded
+            return replace(folded, semantics=decision.semantics_explain())
+        read = self._read(collection, "off" if no_semantic else None)
+        table, survivors = read[2], read[4]
         matched = [0]
-        survivors = _tallied(
-            self._survivors(collection, kind, candidates), matched
-        )
-        results = sum(
-            1 for _ in run_stages(self.stages, map(_row, survivors))
-        )
+        survivors = _tallied(survivors, matched)
+        if table is None:
+            rows = run_stages(self.stages, map(_row, survivors))
+        else:
+            rows = self._run_covered(table)
+        results = sum(1 for _ in rows)
         # An early-exiting stage ($limit) stops pulling; finish the
         # matched count over the untouched survivors.
         for _ in survivors:
             pass
-        lead_mode = "index-pruned" if candidates is not None else "streamed"
-        return Explain(
-            kind="aggregate",
-            dialect=_DIALECT,
-            source=self.source,
-            total=total,
-            candidates=None if candidates is None else len(candidates),
-            scanned=_scanned(kind, total, candidates),
-            matched=matched[0],
-            results=results,
-            stages=self._stage_reports(lead_mode),
-            semantics=semantics,
-        )
+        return self._report(collection, read, matched[0], results)
 
     def _stage_reports(
-        self, lead_mode: str, *, covered: int = 0
+        self, lead_mode: str, *, covered: int = 0, sharded: bool = False
     ) -> tuple[StageExplain, ...]:
         """One report per stage: the leading matches in ``lead_mode``,
-        the first ``covered`` other stages read off the index, the rest
-        as they run over rows."""
+        the first ``covered`` other stages read off the index, and the
+        rest as they run over rows -- under a scatter (``sharded``),
+        the per-row prefix on the shards (``"map-side"``) and the
+        blocking stage whose partials the coordinator combines
+        (``"merged"``)."""
+        split = self.shard_map_count if sharded else 0
+        merged = sharded and self.merge_strategy != "stream"
         reports = [StageExplain("$match", lead_mode)] * self.lead_count
-        reports.extend(
-            StageExplain(stage.op, "covered") for stage in self.stages[:covered]
-        )
-        reports.extend(
-            StageExplain(stage.op, "materialised" if stage.blocking else "streamed")
-            for stage in self.stages[covered:]
-        )
+        for position, stage in enumerate(self.stages):
+            if position < covered:
+                mode = "covered"
+            elif position < split:
+                mode = "map-side"
+            elif merged and position == split:
+                mode = "merged"
+            else:
+                mode = "materialised" if stage.blocking else "streamed"
+            reports.append(StageExplain(stage.op, mode))
         return tuple(reports)
-
-    def _explain_sharded(
-        self,
-        partials: list[dict[str, Any]],
-        semantics: Any = None,
-    ) -> Explain:
-        """Fold per-shard partial reports into one fleet explain."""
-        results = len(self.merge_partials(partials))
-        shard_reports = tuple(
-            ShardExplain(
-                shard=index,
-                total=part["total"],
-                candidates=part["candidates"],
-                scanned=part["scanned"],
-                matched=part["matched"],
-                returned=part["returned"],
-            )
-            for index, part in enumerate(partials)
-        )
-        pruning = [part["candidates"] for part in partials]
-        candidates = (
-            None if any(c is None for c in pruning) else sum(pruning)
-        )
-        split = self.shard_map_count
-        lead_mode = "index-pruned" if candidates is not None else "streamed"
-        reports = [StageExplain("$match", lead_mode)] * self.lead_count
-        reports.extend(
-            StageExplain(stage.op, "map-side") for stage in self.stages[:split]
-        )
-        rest = split
-        if self.merge_strategy != "stream":
-            reports.append(StageExplain(self.stages[split].op, "merged"))
-            rest = split + 1
-        reports.extend(
-            StageExplain(
-                stage.op, "materialised" if stage.blocking else "streamed"
-            )
-            for stage in self.stages[rest:]
-        )
-        return Explain(
-            kind="aggregate",
-            dialect=_DIALECT,
-            source=self.source,
-            total=sum(part["total"] for part in partials),
-            candidates=candidates,
-            scanned=sum(part["scanned"] for part in partials),
-            matched=sum(part["matched"] for part in partials),
-            results=results,
-            stages=tuple(reports),
-            shards=shard_reports,
-            merge=self.merge_strategy,
-            semantics=semantics,
-        )
 
     def __repr__(self) -> str:
         source = self.source if len(self.source) <= 40 else self.source[:37] + "..."
@@ -920,13 +883,3 @@ def compile_pipeline(
     key = (_DIALECT, pipeline_cache_key(pipeline))
     return resolved.get_or_compute(key, lambda: CompiledPipeline(pipeline))
 
-
-def partial_aggregate(collection: Any, payload: dict[str, Any]) -> dict[str, Any]:
-    """One shard's picklable partial result for an aggregation: the
-    map-side entry point sharded execution fans out, compiled through
-    the artifact cache.  ``payload`` is the coordinator's scatter
-    envelope ``{"pipeline": [...], "semantic": verdict}`` (see
-    :meth:`CompiledPipeline.execute_partial`)."""
-    return compile_pipeline(payload["pipeline"]).execute_partial(
-        collection, verdict=payload["semantic"]
-    )

@@ -714,6 +714,37 @@ class GroupStage(Stage):
                 out[name] = cell.result()
             yield out
 
+    def _covered_cells(
+        self,
+        groups: Iterable[tuple[Any, Any, Iterable[int], int]],
+        columns: tuple[dict[int, Any] | None, ...],
+        ranked: bool,
+    ) -> Iterator[tuple[Any, Any, list[_Accumulator]]]:
+        """``(first_rank, id_value, cells)`` per group partitioned in
+        advance (see :meth:`run_covered`), each cell filled as the row
+        fold would fill it; ``ranked`` feeds each value with its
+        document's ``(doc_id, 0)`` rank, as :meth:`fold_partial` does."""
+        for first_rank, id_value, doc_ids, rows in groups:
+            cells = []
+            ordered = None
+            for (_, factory, _), column in zip(self.fields, columns):
+                if column is None:
+                    cells.append(factory.merge((rows,)))
+                    continue
+                if ordered is None:
+                    ordered = sorted(doc_ids)
+                cell = factory()
+                values = map(column.get, ordered, repeat(MISSING))
+                if ranked:
+                    for value, doc_id in zip(values, ordered):
+                        cell.add_ranked(value, (doc_id, 0))
+                else:
+                    add = cell.add
+                    for value in values:
+                        add(value)
+                cells.append(cell)
+            yield first_rank, id_value, cells
+
     def run_covered(
         self,
         groups: Iterable[tuple[Any, Any, Iterable[int], int]],
@@ -731,22 +762,29 @@ class GroupStage(Stage):
         Groups come out in ascending first rank, as from
         :meth:`merge_partial`.
         """
-        columns = tuple(columns)
-        for _, id_value, doc_ids, rows in sorted(groups, key=itemgetter(0)):
+        fields = self.fields
+        for _, id_value, cells in self._covered_cells(
+            sorted(groups, key=itemgetter(0)), tuple(columns), False
+        ):
             out = {"_id": id_value}
-            ordered = None
-            for (name, factory, _), column in zip(self.fields, columns):
-                if column is None:
-                    cell = factory.merge((rows,))
-                else:
-                    if ordered is None:
-                        ordered = sorted(doc_ids)
-                    cell = factory()
-                    add = cell.add
-                    for value in map(column.get, ordered, repeat(MISSING)):
-                        add(value)
+            for (name, _, _), cell in zip(fields, cells):
                 out[name] = cell.result()
             yield out
+
+    def fold_covered(
+        self,
+        groups: Iterable[tuple[Any, Any, Iterable[int], int]],
+        columns: Iterable[dict[int, Any] | None],
+    ) -> list[tuple[Any, Any, list[Any]]]:
+        """:meth:`fold_partial`'s table, from the groups and columns
+        :meth:`run_covered` takes: what a shard ships when its group
+        is read off its postings."""
+        return [
+            (id_value, first_rank, [cell.partial() for cell in cells])
+            for first_rank, id_value, cells in self._covered_cells(
+                groups, tuple(columns), True
+            )
+        ]
 
     def fold_partial(
         self, ranked_rows: Iterable[tuple[Any, Any]]

@@ -85,6 +85,16 @@ def _no_semantic(hint: "dict[str, Any] | None") -> bool:
     return bool(hint) and bool(hint.get("no_semantic"))
 
 
+def _as_query(query: "CompiledQuery | str | dict", dialect: str) -> CompiledQuery:
+    """A read's query: compiled already, a Mongo filter (a dict), or
+    text in ``dialect``."""
+    if isinstance(query, CompiledQuery):
+        return query
+    if isinstance(query, dict):
+        return compile_mongo_find(query)
+    return compile_query(query, dialect)
+
+
 def is_id_type(kind: type) -> bool:
     """Whether values of type ``kind`` can be document ids: an id is an
     ``int`` that is not a ``bool`` (``True`` must never address
@@ -705,15 +715,16 @@ class Collection:
 
     def match_ids(
         self,
-        query: "CompiledQuery | str",
+        query: "CompiledQuery | str | dict",
         dialect: str = "jnl",
         *,
         hint: dict[str, Any] | None = None,
     ) -> list[int]:
-        """Ids of documents matched by a compiled or textual query."""
+        """Ids of documents matched by a compiled or textual query
+        (dicts compile as Mongo filters)."""
         return planner.match_ids(
             self,
-            self._as_query(query, dialect),
+            _as_query(query, dialect),
             no_semantic=_no_semantic(hint),
         )
 
@@ -721,7 +732,7 @@ class Collection:
         self, query: "CompiledQuery | str", dialect: str = "jsonpath"
     ) -> list[tuple[int, list[JSONValue]]]:
         """Per-document selected values (one row per live document)."""
-        return planner.select_values(self, self._as_query(query, dialect))
+        return planner.select_values(self, _as_query(query, dialect))
 
     def explain(
         self,
@@ -731,13 +742,9 @@ class Collection:
         hint: dict[str, Any] | None = None,
     ) -> Explain:
         """Pruning report for a query (dicts compile as Mongo filters)."""
-        if isinstance(query, dict):
-            return planner.explain(
-                self, compile_mongo_find(query), no_semantic=_no_semantic(hint)
-            )
         return planner.explain(
             self,
-            self._as_query(query, dialect),
+            _as_query(query, dialect),
             no_semantic=_no_semantic(hint),
         )
 
@@ -769,12 +776,6 @@ class Collection:
         return compile_pipeline(pipeline).explain(
             self, no_semantic=_no_semantic(hint)
         )
-
-    @staticmethod
-    def _as_query(query: "CompiledQuery | str", dialect: str) -> CompiledQuery:
-        if isinstance(query, CompiledQuery):
-            return query
-        return compile_query(query, dialect)
 
     def __repr__(self) -> str:
         enforced = ", schema-enforced" if self.schema_enforced else ""

@@ -17,10 +17,11 @@ its documents under their global ids (sparse slots -- the WAL replay
 and snapshot formats already support gaps), so query results merge by
 doc-id into exactly the single-collection answer order.
 
-Execution is scatter-gather throughout.  ``find``/``count``/
-``match_ids`` fan the planner out per shard and k-way merge the rows;
-``aggregate`` fans out the map-side share of a compiled pipeline (the
-leading index-pruned ``$match`` plus every per-row stage, with
+Execution is scatter-gather throughout, each shard running the single
+collection's read path.  ``find``/``count``/``match_ids`` call the
+shard's own method and k-way merge the rows; ``aggregate`` fans out the
+map-side share of a compiled pipeline (the rows ``stream`` would read,
+or a covered group's table, through every per-row stage, with
 ``$group`` folded into mergeable partial accumulator states and
 ``$sort`` into locally sorted runs) and merges at the coordinator --
 see :meth:`repro.mongo.aggregate.CompiledPipeline.execute_partial`.
@@ -55,15 +56,13 @@ import heapq
 import json
 import multiprocessing
 import os
-from collections import Counter
-from dataclasses import replace
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ParseError, StorageFormatError, StoreError
-from repro.explain import Explain, ShardExplain
+from repro.explain import Explain, fold_shards
 from repro.model.tree import JSONTree, JSONValue
-from repro.query import optimizer, planner
-from repro.query.compiled import compile_mongo_find
+from repro.query import optimizer
+from repro.query.compiled import CompiledQuery, compile_mongo_find
 from repro.query.optimizer import SemanticContext
 from repro.store.collection import (
     Collection,
@@ -104,11 +103,6 @@ def shard_name(index: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _payload_hint(payload: dict[str, Any]) -> dict[str, Any] | None:
-    """The per-query hint a scatter payload's ``no_semantic`` stands for."""
-    return {"no_semantic": True} if payload.get("no_semantic") else None
-
-
 def _op_insert(collection: Collection, payload: Any) -> None:
     collection.insert_many(payload["docs"], ids=payload["ids"])
 
@@ -145,34 +139,30 @@ def _op_values(collection: Collection, payload: Any) -> list:
 
 def _op_find(collection: Collection, payload: Any) -> list:
     return collection.find_rows(
-        payload["filter"], payload["projection"], hint=_payload_hint(payload)
+        payload["filter"], payload["projection"], hint=payload["hint"]
     )
 
 
 def _op_count(collection: Collection, payload: Any) -> int:
-    return planner.count_matches(
-        collection,
-        compile_mongo_find(payload["filter"]),
-        no_semantic=payload.get("no_semantic", False),
-    )
+    return collection.count(payload["filter"], hint=payload["hint"])
 
 
 def _op_match_ids(collection: Collection, payload: Any) -> list[int]:
-    return planner.match_ids(
-        collection,
-        compile_mongo_find(payload["filter"]),
-        no_semantic=payload.get("no_semantic", False),
-    )
+    return collection.match_ids(payload["filter"], hint=payload["hint"])
 
 
 def _op_explain(collection: Collection, payload: Any):
-    return collection.explain(payload["filter"], hint=_payload_hint(payload))
+    return collection.explain(payload["filter"], hint=payload["hint"])
 
 
 def _op_agg_partial(collection: Collection, payload: Any) -> dict[str, Any]:
-    from repro.mongo.aggregate import partial_aggregate
+    """The map side of the coordinator's ``{"pipeline", "semantic",
+    "explain"}`` envelope (compiled through this process's cache)."""
+    from repro.mongo.aggregate import compile_pipeline
 
-    return partial_aggregate(collection, payload)
+    return compile_pipeline(payload["pipeline"]).execute_partial(
+        collection, verdict=payload["semantic"], explain=payload["explain"]
+    )
 
 
 def _op_first_match(collection: Collection, payload: Any) -> int | None:
@@ -201,7 +191,7 @@ def _op_explain_update(collection: Collection, payload: Any):
         payload["filter"],
         payload["update"],
         first_only=payload["first_only"],
-        hint=_payload_hint(payload),
+        hint=payload["hint"],
     )
 
 
@@ -568,41 +558,6 @@ class ShardedEngine:
         )
 
 
-def _fold_explains(reports: Iterable[tuple[int, Explain]]) -> Explain:
-    """One fleet report from ``(shard, report)`` find/update explains:
-    counters and posting touches add up, ``candidates`` stays only if
-    every shard pruned, each shard's share lands in ``shards``
-    (``returned``: its matched rows, or for an update its modified
-    documents), and the semantic section stays when every shard
-    reached the same verdict."""
-    reports = list(reports)
-    first = reports[0][1]
-    update = first.kind == "update"
-    pruning = [r.candidates for _, r in reports]
-    verdicts = {r.semantics and r.semantics.verdict for _, r in reports}
-    summed = ("total", "scanned", "matched", "entries_added", "entries_removed")
-    return replace(
-        first,
-        **{name: sum(getattr(r, name) for _, r in reports) for name in summed},
-        refcount_adjusted=sum(r.refcount_adjusted for _, r in reports),
-        candidates=None if None in pruning else sum(pruning),
-        modified=sum(r.modified for _, r in reports) if update else None,
-        postings=dict(sum((Counter(r.postings) for _, r in reports), Counter())),
-        shards=tuple(
-            ShardExplain(
-                index,
-                r.total,
-                r.candidates,
-                r.scanned,
-                r.matched,
-                r.modified if update else r.matched,
-            )
-            for index, r in reports
-        ),
-        semantics=first.semantics if len(verdicts) == 1 else None,
-    )
-
-
 class ShardedCollection:
     """A hash-partitioned collection with scatter-gather execution.
 
@@ -759,10 +714,10 @@ class ShardedCollection:
     def semantic_context(self) -> SemanticContext | None:
         """The coordinator-side semantic premise: the enforced schema.
 
-        The coordinator proves a verdict once per query and the shards
-        inherit it through the scatter payloads; only schema premises
-        apply here (a coordinator holds no documents, so there is no
-        structural summary to infer -- shards keep their own).  The
+        The coordinator proves a verdict once per uncovered query and
+        the shards inherit it through the scatter payloads; only schema
+        premises apply here (a coordinator holds no documents, so there
+        is no structural summary to infer -- shards keep their own).  The
         fingerprint is the canonical schema text, so coordinator and
         shard verdicts share one cache entry per schema.
         """
@@ -774,19 +729,29 @@ class ShardedCollection:
         return self._engine.health()
 
     # ------------------------------------------------------------------
-    # Querying (scatter the planner, merge by global doc-id).
+    # Querying (scatter the shards' own reads, merge by global doc-id).
     # ------------------------------------------------------------------
 
-    def _read_decision(
-        self, filter_doc: dict[str, Any], no_semantic: bool
+    def _decision(
+        self, query: CompiledQuery | None, no_semantic: bool
     ) -> "optimizer.SemanticDecision | None":
-        """The coordinator's one-proof verdict for a scatter read; a
-        filter outside the find dialect gets none (the shards scan)."""
+        """The coordinator's one proof for a scatter read, for its
+        shards to inherit -- only of a filter outside the index cover:
+        each shard decides a covered-shaped one against its own live
+        index.  A filter outside the find dialect gets none."""
+        if query is None or query.plan.cover is not None:
+            return None
+        return optimizer.semantic_plan(self, query, no_semantic=no_semantic)
+
+    def _read_kind(
+        self, filter_doc: dict[str, Any], hint: dict[str, Any] | None
+    ) -> str:
+        """The verdict kind of :meth:`_decision` for a find filter."""
         try:
             query = compile_mongo_find(filter_doc)
         except ParseError:
-            return None
-        return planner.decide(self, query, no_semantic=no_semantic)
+            query = None
+        return optimizer.effective_kind(self._decision(query, _no_semantic(hint)))
 
     def find_rows(
         self,
@@ -797,17 +762,10 @@ class ShardedCollection:
     ) -> list[tuple[int, JSONValue]]:
         """``(doc_id, projected value)`` pairs across all shards, in
         global id order (ids are unique, so the merge is total)."""
-        no_semantic = _no_semantic(hint)
-        decision = self._read_decision(filter_doc, no_semantic)
-        if optimizer.effective_kind(decision) == "empty":
+        if self._read_kind(filter_doc, hint) == "empty":
             return []  # the schema refutes the filter: no scatter at all
         runs = self._engine.broadcast(
-            "find",
-            {
-                "filter": filter_doc,
-                "projection": projection,
-                "no_semantic": no_semantic,
-            },
+            "find", {"filter": filter_doc, "projection": projection, "hint": hint}
         )
         return list(heapq.merge(*runs))
 
@@ -831,17 +789,13 @@ class ShardedCollection:
         *,
         hint: dict[str, Any] | None = None,
     ) -> int:
-        no_semantic = _no_semantic(hint)
-        decision = self._read_decision(filter_doc, no_semantic)
-        kind = optimizer.effective_kind(decision)
+        kind = self._read_kind(filter_doc, hint)
         if kind == "empty":
             return 0
         if kind == "all":
             return len(self)  # one cheap meta scatter, no query work
         return sum(
-            self._engine.broadcast(
-                "count", {"filter": filter_doc, "no_semantic": no_semantic}
-            )
+            self._engine.broadcast("count", {"filter": filter_doc, "hint": hint})
         )
 
     def match_ids(
@@ -851,18 +805,12 @@ class ShardedCollection:
         hint: dict[str, Any] | None = None,
     ) -> list[int]:
         """Ids matching a Mongo find filter, in global id order."""
-        no_semantic = _no_semantic(hint)
-        decision = self._read_decision(filter_doc, no_semantic)
-        if optimizer.effective_kind(decision) == "empty":
+        if self._read_kind(filter_doc, hint) == "empty":
             return []
-        return list(
-            heapq.merge(
-                *self._engine.broadcast(
-                    "match_ids",
-                    {"filter": filter_doc, "no_semantic": no_semantic},
-                )
-            )
+        runs = self._engine.broadcast(
+            "match_ids", {"filter": filter_doc, "hint": hint}
         )
+        return list(heapq.merge(*runs))
 
     def explain(
         self,
@@ -871,12 +819,12 @@ class ShardedCollection:
         hint: dict[str, Any] | None = None,
     ) -> Explain:
         """The fleet-wide find :class:`~repro.explain.Explain`, each
-        shard's share under ``shards`` (see :func:`_fold_explains`)."""
+        shard's share under ``shards`` (see
+        :func:`~repro.explain.fold_shards`)."""
         reports = self._engine.broadcast(
-            "explain",
-            {"filter": filter_doc, "no_semantic": _no_semantic(hint)},
+            "explain", {"filter": filter_doc, "hint": hint}
         )
-        return _fold_explains(enumerate(reports))
+        return fold_shards(enumerate(reports))
 
     def aggregate(
         self, pipeline: list, *, hint: dict[str, Any] | None = None
@@ -892,25 +840,40 @@ class ShardedCollection:
     def explain_aggregate(
         self, pipeline: list, *, hint: dict[str, Any] | None = None
     ):
-        """The fleet-wide aggregation :class:`~repro.explain.Explain`,
-        including per-shard pruning stats and the coordinator's
-        semantic verdict."""
+        """The fleet-wide aggregation :class:`~repro.explain.Explain`:
+        the shards' reports folded into one, under the coordinator's
+        verdict when it proved one."""
         from repro.mongo.aggregate import compile_pipeline
 
         return compile_pipeline(pipeline).explain(
             self, no_semantic=_no_semantic(hint)
         )
 
-    def scatter_partial_aggregate(self, payload: dict) -> list[dict]:
-        """Fan a pipeline's map-side share out to every shard.
+    def scatter_partial_aggregate(
+        self, pipeline: Any, *, no_semantic: bool = False, explain: bool = False
+    ) -> tuple["optimizer.SemanticDecision | None", list[dict]]:
+        """Fan a compiled pipeline's map-side share out to every shard:
+        ``(decision, partials)``, one picklable partial per shard.
 
-        The hook :meth:`CompiledPipeline.execute`/``explain`` detect:
-        ships the pipeline *source* (workers compile through their own
-        artifact caches) plus the coordinator's semantic verdict for
-        the shards to inherit, and returns one picklable partial per
-        shard.
+        The hook :meth:`CompiledPipeline.execute`/``explain`` detect.
+        The coordinator decides the leading match once
+        (:meth:`_decision`) and ships the pipeline *source* (workers
+        compile through their own artifact caches) with the verdict
+        the shards inherit: ``"empty"``/``"all"`` to enforce, ``"off"``
+        under the ``no_semantic`` hint, ``None`` to decide locally.
+        An ``"empty"`` verdict scatters nothing but an explain.
         """
-        return self._engine.broadcast("agg_partial", payload)
+        decision = self._decision(pipeline.lead_query, no_semantic)
+        kind = optimizer.effective_kind(decision)
+        if kind == "empty" and not explain:
+            return decision, []
+        semantic = kind if kind in ("empty", "all") else None
+        payload = {
+            "pipeline": pipeline.pipeline,
+            "semantic": "off" if no_semantic else semantic,
+            "explain": explain,
+        }
+        return decision, self._engine.broadcast("agg_partial", payload)
 
     # ------------------------------------------------------------------
     # Writes (shard-routed, per-shard delta index maintenance).
@@ -1012,15 +975,15 @@ class ShardedCollection:
             "filter": filter_doc,
             "update": update_doc,
             "first_only": first_only,
-            "no_semantic": _no_semantic(hint),
+            "hint": hint,
         }
         if first_only:
             owner = self._first_match_owner(filter_doc)
             if owner is not None:
                 report = self._engine.request(owner, "explain_update", payload)
-                return _fold_explains([(owner, report)])
+                return fold_shards([(owner, report)])
         reports = self._engine.broadcast("explain_update", payload)
-        return _fold_explains(enumerate(reports))
+        return fold_shards(enumerate(reports))
 
     # ------------------------------------------------------------------
     # Lifecycle.

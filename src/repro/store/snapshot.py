@@ -32,12 +32,8 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 from repro.errors import StoreError
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import planner
-from repro.store.collection import _no_semantic, is_id_type, slots_by_id
-from repro.query.compiled import (
-    CompiledQuery,
-    compile_mongo_find,
-    compile_query,
-)
+from repro.store.collection import _as_query, _no_semantic, is_id_type, slots_by_id
+from repro.query.compiled import CompiledQuery, compile_mongo_find
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.store.collection import Collection
@@ -205,21 +201,21 @@ class CollectionSnapshot:
 
     def match_ids(
         self,
-        query: "CompiledQuery | str",
+        query: "CompiledQuery | str | dict",
         dialect: str = "jnl",
         *,
         hint: dict[str, Any] | None = None,
     ) -> list[int]:
         return planner.match_ids(
             self,
-            self._as_query(query, dialect),
+            _as_query(query, dialect),
             no_semantic=_no_semantic(hint),
         )
 
     def select(
         self, query: "CompiledQuery | str", dialect: str = "jsonpath"
     ) -> list[tuple[int, list[JSONValue]]]:
-        return planner.select_values(self, self._as_query(query, dialect))
+        return planner.select_values(self, _as_query(query, dialect))
 
     def explain(
         self,
@@ -228,13 +224,9 @@ class CollectionSnapshot:
         *,
         hint: dict[str, Any] | None = None,
     ):
-        if isinstance(query, dict):
-            return planner.explain(
-                self, compile_mongo_find(query), no_semantic=_no_semantic(hint)
-            )
         return planner.explain(
             self,
-            self._as_query(query, dialect),
+            _as_query(query, dialect),
             no_semantic=_no_semantic(hint),
         )
 
@@ -255,12 +247,6 @@ class CollectionSnapshot:
         return compile_pipeline(pipeline).explain(
             self, no_semantic=_no_semantic(hint)
         )
-
-    @staticmethod
-    def _as_query(query: "CompiledQuery | str", dialect: str) -> CompiledQuery:
-        if isinstance(query, CompiledQuery):
-            return query
-        return compile_query(query, dialect)
 
     def __repr__(self) -> str:
         state = "current" if self.current else "stale"

@@ -1203,6 +1203,41 @@ class TestRandomisedDifferentialCoveredGroup:
         # Both sides of the rung are actually exercised.
         assert covered >= 12 * _SCALE and declined >= 12 * _SCALE
 
+    @pytest.mark.parametrize("shards, parallel", [(2, False), (3, False), (2, True)])
+    def test_sharded_map_side_equals_single_and_oracle(self, shards, parallel):
+        """Each shard takes the rung against its own index and ships
+        the table as partials; merged, they are the single
+        collection's rows, and the fleet is covered where it is."""
+        rng = random.Random(f"covered-shards-{shards}-{parallel}")
+        covered = declined = 0
+        for _ in range(12 * _SCALE):
+            docs = _group_corpus(rng, rng.randrange(1, 60))
+            churn = _group_corpus(rng, 4)
+            memory = api.collection(churn + docs)
+            with api.collection(
+                churn + docs, shards=shards, parallel=parallel
+            ) as fleet:
+                if parallel and not fleet.parallel:
+                    pytest.skip("no usable process pool")
+                for doc_id in range(len(churn)):
+                    memory.remove(doc_id)
+                    fleet.remove(doc_id)
+                for _ in range(6):
+                    pipeline = _group_pipeline(rng)
+                    want = json.dumps(naive_aggregate(docs, pipeline))
+                    assert json.dumps(memory.aggregate(pipeline)) == want
+                    got = json.dumps(fleet.aggregate(pipeline))
+                    assert got == want, (pipeline, docs)
+                    hinted = fleet.aggregate(pipeline, hint={"no_semantic": True})
+                    assert json.dumps(hinted) == want, (pipeline, docs)
+                    if _is_covered(memory, pipeline):
+                        covered += 1
+                        assert _is_covered(fleet, pipeline)
+                    else:
+                        declined += 1
+                        assert not _is_covered(fleet, pipeline)
+        assert covered >= 12 * _SCALE and declined >= 12 * _SCALE
+
 
 # ---------------------------------------------------------------------------
 # What a pipeline reads.
@@ -1291,7 +1326,11 @@ class TestReadSet:
         del seen[:]
         assert compiled.execute(people) == rows and seen == []
         assert compiled.explain(people, no_semantic=True).results == len(rows)
+        # The map side reads through the same source: covered, or rows.
         partial = compiled.execute_partial(people)
+        assert compiled.merge_partials([partial]) == rows
+        assert seen == [{"address": {"city": None}}] * len(people)
+        partial = compiled.execute_partial(people, verdict="off")
         assert compiled.merge_partials([partial]) == rows
         assert seen == [{"address": {"city": None}}] * (2 * len(people))
 

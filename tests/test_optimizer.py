@@ -40,6 +40,7 @@ import pytest
 from repro import api
 from repro.explain import Explain, SemanticsExplain
 from repro.query import compile_mongo_find, ir, optimizer, planner
+from repro.store import ShardedCollection
 
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
 
@@ -284,8 +285,10 @@ class TestOneSwitch:
         assert people.count({"age": {"$gt": 500}}, hint={"no_semantic": True}) == 0
 
     def test_reads_reach_the_prover_only_through_decide(self, monkeypatch):
-        """Every read -- local and sharded, coordinator included --
-        asks ``planner.decide``, never ``semantic_plan`` directly."""
+        """Every read of a collection -- a shard's included -- asks
+        ``planner.decide``, never ``semantic_plan`` directly; only a
+        sharded coordinator, which holds no index, proves a filter
+        outside the index cover itself, once for its shards."""
         deciding = [0]
         planned: list = []
         decide, semantic_plan = planner.decide, optimizer.semantic_plan
@@ -297,10 +300,13 @@ class TestOneSwitch:
             finally:
                 deciding[0] -= 1
 
-        def spy_plan(collection, *args, **kwargs):
-            assert deciding[0], "semantic_plan reached outside planner.decide"
+        def spy_plan(collection, query, **kwargs):
+            coordinator = isinstance(collection, ShardedCollection)
+            assert deciding[0] or (coordinator and query.plan.cover is None), (
+                "semantic_plan reached outside planner.decide"
+            )
             planned.append(collection)
-            return semantic_plan(collection, *args, **kwargs)
+            return semantic_plan(collection, query, **kwargs)
 
         monkeypatch.setattr(planner, "decide", spy_decide)
         monkeypatch.setattr(optimizer, "semantic_plan", spy_plan)

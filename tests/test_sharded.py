@@ -16,7 +16,9 @@ import random
 import pytest
 
 from repro.errors import DocumentRejectedError, StorageFormatError, StoreError
+from repro.model.tree import JSONTree
 from repro.mongo.aggregate import compile_pipeline
+from repro.query import optimizer
 from repro.query.stages import ACCUMULATORS
 from repro.reference.workloads import people_collection
 from repro.store import (
@@ -30,6 +32,23 @@ from repro import api
 _SCALE = int(os.environ.get("REPRO_DIFF_SCALE", "1"))
 
 PEOPLE = people_collection(240, seed=41)
+
+# The analytics workload's unfiltered pipeline shapes, over flat towns.
+TOWNS = [
+    {
+        "user": user,
+        "age": 18 + user * 7 % 41,
+        "city": ["Lyon", "Oslo", "Rome", "Kyiv"][user * 5 % 4],
+        "address": {"zip": user % 7},
+        "tags": [["a", "b", "c", "d", "e"][(user + step) % 5] for step in (0, 2, 3)],
+    }
+    for user in range(150)
+]
+ANALYTICS = [
+    [{"$group": {"_id": "$city", "n": {"$sum": 1}, "avg_age": {"$avg": "$age"}}}],
+    [{"$unwind": "$tags"}, {"$group": {"_id": "$tags", "n": {"$sum": 1}}}],
+    [{"$group": {"_id": "$address.zip", "users": {"$push": "$user"}}}],
+]
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +260,12 @@ class TestRandomisedDifferential:
             pipeline = _random_pipeline(rng)
             compiled = compile_pipeline(pipeline)
             assert compiled.execute(sharded) == compiled.execute(single), pipeline
+            report = compiled.explain(sharded)
+            flat = compiled.explain(single)
+            assert (report.matched, report.results) == (
+                flat.matched,
+                flat.results,
+            ), pipeline
 
     def test_sharded_find_equals_single(self, single, sharded):
         from repro.query import compile_mongo_find, planner
@@ -368,10 +393,125 @@ class TestShardedExplain:
         for pipeline, strategy in cases:
             assert sharded.explain_aggregate(pipeline).merge == strategy
 
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize(
+        "pipeline",
+        [
+            [{"$match": {"address.city": "Talca"}}, {"$limit": 3}],
+            [{"$skip": 5}, {"$limit": 2}],
+        ],
+    )
+    def test_a_truncated_stream_still_counts_every_match(
+        self, single, pipeline, shards, monkeypatch
+    ):
+        """Each shard ships at most the window, but its explain counts
+        every survivor, as one collection does; ``aggregate`` reads no
+        survivor past the window."""
+        flat = single.explain_aggregate(pipeline)
+        with api.collection(PEOPLE, shards=shards, parallel=False) as fleet:
+            report = fleet.explain_aggregate(pipeline)
+            assert report.merge == "stream"
+            assert (report.matched, report.results) == (flat.matched, flat.results)
+            assert sum(shard.matched for shard in report.shards) == flat.matched
+            seen = []
+            original = JSONTree.to_value
+
+            def spy(tree, node=None, paths=None):
+                seen.append(node)
+                return original(tree, node, paths)
+
+            expected = single.aggregate(pipeline)
+            monkeypatch.setattr(JSONTree, "to_value", spy)
+            assert fleet.aggregate(pipeline) == expected
+            assert len(seen) <= shards * compile_pipeline(pipeline).local_limit
+
+    def test_unfiltered_analytics_groups_are_covered_on_every_shard(
+        self, monkeypatch
+    ):
+        """The analytics workload's three unfiltered shapes fold off
+        every shard's postings, as off one collection's."""
+        single = api.collection(TOWNS)
+        seen = []
+        original = JSONTree.to_value
+
+        def spy(tree, node=None, paths=None):
+            seen.append(paths)
+            return original(tree, node, paths)
+
+        with api.collection(TOWNS, shards=3, parallel=False) as fleet:
+            for pipeline in ANALYTICS:
+                rows = single.aggregate(pipeline)
+                monkeypatch.setattr(JSONTree, "to_value", spy)
+                del seen[:]
+                assert fleet.aggregate(pipeline) == rows
+                if pipeline[0] == {"$unwind": "$tags"}:
+                    # Groups first seen in one document are ranked by
+                    # where its array holds them: only that is read.
+                    assert 0 < len(seen) < len(TOWNS)
+                    assert seen == [{"tags": None}] * len(seen)
+                else:
+                    assert seen == []
+                monkeypatch.undo()
+                report = fleet.explain_aggregate(pipeline)
+                assert [stage.mode for stage in report.stages] == (
+                    ["covered"] * len(pipeline)
+                )
+                assert report.scanned == 0
+                assert all(shard.scanned == 0 for shard in report.shards)
+                assert report.matched == report.total == len(TOWNS)
+                assert report.results == len(rows)
+
     def test_unsharded_explain_has_no_shard_section(self, single):
         report = compile_pipeline([{"$limit": 3}]).explain(single)
         assert report.shards == ()
         assert report.merge is None
+
+
+# ---------------------------------------------------------------------------
+# The coordinator proves a filter once, and only outside the index cover.
+# ---------------------------------------------------------------------------
+
+USER_SCHEMA = {
+    "type": "object",
+    "required": ["user"],
+    "properties": {"user": {"type": "integer", "minimum": 0}},
+}
+
+
+class TestCoordinatorDecision:
+    def test_a_covered_filter_is_decided_by_the_shards(self, monkeypatch):
+        docs = [{"user": index % 40, "city": f"c{index % 7}"} for index in range(400)]
+        single = api.collection(docs, schema=USER_SCHEMA)
+        planned = []
+        semantic_plan = optimizer.semantic_plan
+
+        def spy(collection, query, **kwargs):
+            planned.append(collection)
+            return semantic_plan(collection, query, **kwargs)
+
+        monkeypatch.setattr(optimizer, "semantic_plan", spy)
+        covered = {"user": 5}
+        refuted = {"user": {"$not": {"$gte": 0}}}
+        with api.collection(
+            docs, schema=USER_SCHEMA, shards=2, parallel=False
+        ) as fleet:
+            pipeline = [{"$match": covered}, {"$count": "n"}]
+            assert fleet.find(covered) == single.find(covered)
+            assert fleet.count(covered) == single.count(covered) == 10
+            assert fleet.match_ids(covered) == single.match_ids(covered)
+            assert fleet.aggregate(pipeline) == single.aggregate(pipeline)
+            report = fleet.explain_aggregate(pipeline)
+            assert planned == []  # every shard took the covered rung
+            assert report.semantics == single.explain_aggregate(pipeline).semantics
+            assert report.semantics.verdict == "covered"
+            # A filter outside the cover is still proved at the
+            # coordinator, once, and the shards inherit its verdict.
+            pipeline = [{"$match": refuted}, {"$count": "n"}]
+            assert fleet.count(refuted) == 0
+            assert planned == [fleet]
+            report = fleet.explain_aggregate(pipeline)
+            assert report.semantics.verdict == "empty"
+            assert planned == [fleet, fleet]
 
 
 # ---------------------------------------------------------------------------
